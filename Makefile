@@ -1,6 +1,6 @@
 # Developer convenience targets for the reproduction.
 
-.PHONY: install test bench bench-baseline bench-smoke perf-gate chaos-smoke serve-chaos ledger-log ledger-check dashboard experiments report examples all clean
+.PHONY: install test bench bench-baseline bench-smoke bench-e2e-smoke perf-gate chaos-smoke serve-chaos ledger-log ledger-check dashboard experiments report examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -40,6 +40,15 @@ bench-smoke:
 		--benchmark-json=.perfgate/BENCH_kernels.json
 	pytest benchmarks/bench_comm.py --benchmark-only \
 		--benchmark-json=.perfgate/BENCH_comm.json
+
+# Self-check of the end-to-end benchmark harness at --smoke sizes
+# (~1 min).  benchmarks/e2e is outside tier-1's testpaths, and a traced
+# run wraps layer boundaries *by name* (KernelBackend.top_down_expand,
+# core.topdown.apply_received, SimComm.alltoallv, ...): this is what
+# notices when a refactor renames or bypasses one.
+# See benchmarks/e2e/README.md.
+bench-e2e-smoke:
+	PYTHONPATH=src python -m pytest -q benchmarks/e2e/test_selfcheck.py
 
 # Regression gate: diff the fresh bench-smoke JSONs against the
 # committed baselines.  Wall-clock stats are ignored (baselines come

@@ -19,13 +19,18 @@ Fig. 11):
   changed (queue <-> bitmap);
 * bottom-up levels start by allgathering the out_queue parts into the
   next ``in_queue`` (and its summary — "the two allgathers"); top-down
-  levels exchange (child, parent) pairs instead;
+  levels exchange (child, parent) pairs instead.  Both are single
+  implementations shared with the batched
+  :class:`~repro.core.multisource.MultiSourceEngine`:
+  ``_publish_frontier`` and the rank-global ``_top_down_step``
+  (see :mod:`repro.core.topdown`);
 * compute step; barrier (stall accounting); termination allreduce.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from repro.core.config import BFSConfig
 from repro.core.counts import Direction, LevelCounts, RunCounts
 from repro.core.hybrid import DirectionPolicy, FrontierStats
 from repro.core.kernels import resolve_backend
+from repro.core.kernels.base import PAIR_BYTES
 from repro.core.prepared import PreparedGraph
 from repro.core.state import RankState
 from repro.core.timing import BfsTiming, CostConstants, StructureSizes, assemble
@@ -199,16 +205,13 @@ class BFSEngine:
             for node in range(self.cluster.nodes)
         ]
 
-    def _frontier_parts(
-        self, frontier_lists: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Build per-rank out_queue bitmap parts from local frontier lists."""
-        parts = []
-        for r, lst in enumerate(frontier_lists):
-            words = np.zeros(self._part_words[r], dtype=bitops.WORD_DTYPE)
-            bitops.set_bits(words, np.asarray(lst, dtype=np.int64))
-            parts.append(words)
-        return parts
+    def _global_frontier(self, frontier_lists: list[np.ndarray]) -> np.ndarray:
+        """The per-rank local frontier lists as one rank-major array of
+        global vertex ids."""
+        bounds = self.partition.bounds
+        return np.concatenate(
+            [lst + bounds[r] for r, lst in enumerate(frontier_lists)]
+        )
 
     def _global_stats(
         self, states: list[RankState], frontier_lists: list[np.ndarray]
@@ -234,7 +237,11 @@ class BFSEngine:
         if not 0 <= root < graph.num_vertices:
             raise GraphError(f"root {root} out of range")
         np_ranks = self.mapping.num_ranks
-        states = [RankState(lg) for lg in self._locals]
+        # One global parent array; each rank's state works on its view.
+        parent = np.full(graph.num_vertices, -1, dtype=np.int64)
+        states = [
+            RankState(lg, parent=parent[lg.lo:lg.hi]) for lg in self._locals
+        ]
         counts = RunCounts(
             num_vertices=graph.num_vertices, num_ranks=np_ranks
         )
@@ -323,7 +330,7 @@ class BFSEngine:
                     ):
                         if direction == Direction.TOP_DOWN:
                             frontier_lists = self._top_down_level(
-                                states, frontier_lists, lc
+                                states, frontier_lists, lc, parent
                             )
                         else:
                             frontier_lists = self._bottom_up_level(
@@ -372,7 +379,6 @@ class BFSEngine:
                 )
                 // 2
             )
-            parent = np.concatenate([st.parent for st in states])
             with tr.span("bfs.price", cat="pricing"), hp.phase("price"):
                 timing = assemble(
                     counts, self.comm, self.config, self.sizes, self.constants
@@ -615,102 +621,148 @@ class BFSEngine:
 
     # ---- level kernels -------------------------------------------------------
 
+    def _top_down_step(
+        self,
+        frontiers: list[np.ndarray],
+        parent: np.ndarray,
+        rows: np.ndarray,
+        lcs: list[LevelCounts],
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """One top-down level for every lane at once (a run is one lane).
+
+        ``frontiers[b]`` is lane ``b``'s frontier (global ids, rank-major),
+        ``parent`` the ``(sources, n)`` parent table, ``rows[b]`` the row
+        lane ``b`` writes and ``lcs[b]`` its level record.  Returns
+        :func:`repro.core.topdown.apply_received`'s outcome: the next
+        frontiers and the per-(lane, rank) discovered degree.
+        """
+        np_ranks = self.mapping.num_ranks
+        tr = self.tracer
+        hp = self.hostprof
+        with tr.span("phase.td_expand", cat="phase") as sp, hp.phase(
+            "td_expand"
+        ):
+            pairs = self.kernel.top_down_expand(
+                self.graph, frontiers, self.prepared.owner_of, np_ranks
+            )
+            if tr.enabled:
+                sp.set(
+                    frontier=[lc.frontier_local.tolist() for lc in lcs],
+                    examined_edges=pairs.examined_edges.tolist(),
+                )
+        for b, lc in enumerate(lcs):
+            lc.examined_edges = pairs.examined_edges[b]
+            lc.candidates = np.zeros(np_ranks, dtype=np.int64)
+            lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
+            lc.td_send_bytes = pairs.send_bytes[b]
+        with tr.span("phase.td_exchange", cat="phase"), hp.phase(
+            "td_exchange"
+        ):
+            for lc in lcs:
+                self._exchange(
+                    "alltoallv", lc.level,
+                    partial(self.comm.alltoallv, lc.td_send_bytes),
+                )
+        with tr.span("phase.td_apply", cat="phase") as sp, hp.phase(
+            "td_apply"
+        ):
+            new_frontiers, disc_degree = topdown.apply_received(
+                pairs, parent, rows, self.prepared.degrees, np_ranks
+            )
+            if tr.enabled:
+                owner_of = self.prepared.owner_of
+                sp.set(
+                    received_pairs=(
+                        pairs.send_bytes.sum(axis=1) // PAIR_BYTES
+                    ).tolist(),
+                    discovered=[
+                        np.bincount(owner_of[f], minlength=np_ranks).tolist()
+                        for f in new_frontiers
+                    ],
+                )
+        return new_frontiers, disc_degree
+
     def _top_down_level(
         self,
         states: list[RankState],
         frontier_lists: list[np.ndarray],
         lc: LevelCounts,
+        parent: np.ndarray,
     ) -> list[np.ndarray]:
-        np_ranks = self.mapping.num_ranks
-        tr = self.tracer
-        hp = self.hostprof
-        with tr.span("phase.td_expand", cat="phase"), hp.phase("td_expand"):
-            sends = [
-                topdown.expand(
-                    states[r], frontier_lists[r], self.partition,
-                    tracer=tr, rank=r, backend=self.kernel,
-                )
-                for r in range(np_ranks)
-            ]
-        lc.examined_edges = np.array(
-            [s.examined_edges for s in sends], dtype=np.int64
+        (frontier,), disc_degree = self._top_down_step(
+            [self._global_frontier(frontier_lists)],
+            parent[None, :],
+            np.zeros(1, dtype=np.int64),
+            [lc],
         )
-        lc.candidates = np.zeros(np_ranks, dtype=np.int64)
-        lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
-        send_matrix = [
-            [s.outbox[j].reshape(-1) for j in range(np_ranks)] for s in sends
-        ]
-        lc.td_send_bytes = np.array(
-            [
-                [send_matrix[i][j].nbytes for j in range(np_ranks)]
-                for i in range(np_ranks)
-            ],
-            dtype=np.int64,
+        bounds = self.partition.bounds
+        cuts = np.searchsorted(
+            self.prepared.owner_of[frontier], np.arange(len(states) + 1)
         )
-        with tr.span("phase.td_exchange", cat="phase"), hp.phase(
-            "td_exchange"
-        ):
-            res = self._exchange(
-                "alltoallv", lc.level,
-                lambda: self.comm.alltoallv(send_matrix),
-            )
-        with tr.span("phase.td_apply", cat="phase"), hp.phase("td_apply"):
-            new_lists = []
-            for r in range(np_ranks):
-                received = [m.reshape(-1, 2) for m in res.data[r]]
-                new_lists.append(
-                    topdown.apply_received(states[r], received, tracer=tr, rank=r)
-                )
+        new_lists = []
+        for r, st in enumerate(states):
+            st.unexplored_degree -= int(disc_degree[0, r])
+            new_lists.append(frontier[cuts[r]:cuts[r + 1]] - bounds[r])
         return new_lists
 
-    def _bottom_up_level(
+    def _publish_frontier(
         self,
-        states: list[RankState],
-        frontier_lists: list[np.ndarray],
+        frontier: np.ndarray,
         lc: LevelCounts,
         shared: list[NodeSharedBuffer] | None,
-        visited_words: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
-        np_ranks = self.mapping.num_ranks
-        n = self.graph.num_vertices
-        parts = self._frontier_parts(frontier_lists)
-        lc.inq_part_words = max((p.size for p in parts), default=0)
-        if self.config.use_summary:
-            summary_words = summary_words_for(n, self.config.granularity)
-            lc.summary_part_words = summary_words / np_ranks
+        visited_words: np.ndarray | None,
+    ) -> tuple[Bitmap, SummaryBitmap | None]:
+        """Allgather one frontier into the next ``in_queue`` and summary.
 
-        visited_parts = None
-        if self.codec is not None and visited_words is not None:
-            visited_parts = [
-                visited_words[self._word_starts[r]:self._word_starts[r + 1]]
-                for r in range(np_ranks)
-            ]
+        ``frontier`` holds global vertex ids; ``visited_words`` is the
+        codec's common-knowledge mask of this traversal (None without a
+        codec).  Fills ``lc``'s ``inq_*``/``summary_*`` accounting.
+        """
+        config = self.config
+        n = self.graph.num_vertices
+        np_ranks = self.mapping.num_ranks
+        word_starts = self._word_starts
         tr = self.tracer
         hp = self.hostprof
+        # Rank partitions are word-aligned (PreparedGraph enforces it),
+        # so the per-rank out_queue parts are exactly slices of the
+        # full-graph bitmap: one set_bits covers all ranks.
+        words = np.zeros(bitops.words_for_bits(n), dtype=bitops.WORD_DTYPE)
+        bitops.set_bits(words, frontier)
+        lc.inq_part_words = max(self._part_words, default=0)
+        if config.use_summary:
+            summary_words = summary_words_for(n, config.granularity)
+            lc.summary_part_words = summary_words / np_ranks
+
+        parts = [
+            words[word_starts[r]:word_starts[r + 1]] for r in range(np_ranks)
+        ]
+        visited_parts = None
+        if visited_words is not None:
+            visited_parts = [
+                visited_words[word_starts[r]:word_starts[r + 1]]
+                for r in range(np_ranks)
+            ]
         verify = (
             self.resilience is not None and self.resilience.verify_checksums
         )
         if verify:
-            # Sender-side checksum, folded per rank: the gathered
-            # concatenation must reproduce it exactly (codecs are
-            # lossless), so any in-flight bit flip is caught here before
-            # a single byte of it reaches engine state.
-            exp_x, exp_s = 0, 0
-            for p in parts:
-                x, s = words_checksum(p)
-                exp_x ^= x
-                exp_s = (exp_s + s) % (1 << 64)
+            # Sender-side checksum: the gathered concatenation must
+            # reproduce it exactly (codecs are lossless), so any
+            # in-flight bit flip is caught here before a single byte of
+            # it reaches engine state.
+            exp_x, exp_s = words_checksum(words)
         with tr.span("phase.bu_allgather", cat="phase"), hp.phase(
             "bu_allgather"
         ):
             res = self._exchange(
                 "allgather", lc.level,
-                lambda: allgather(
-                    self.comm, parts, self.config.in_queue_algorithm(),
-                    shared,
+                partial(
+                    allgather,
+                    self.comm, parts, config.in_queue_algorithm(), shared,
                     codec=self.codec,
                     visited_parts=visited_parts,
-                    subgroups=self.config.comm.subgroups,
+                    subgroups=config.comm.subgroups,
                 ),
             )
         lc.codec = res.codec
@@ -748,8 +800,8 @@ class BFSEngine:
             "bu_summary_build"
         ):
             summary = (
-                SummaryBitmap.build(in_queue, self.config.granularity)
-                if self.config.use_summary
+                SummaryBitmap.build(in_queue, config.granularity)
+                if config.use_summary
                 else None
             )
         if summary is not None:
@@ -768,6 +820,22 @@ class BFSEngine:
             else:
                 lc.summary_wire_total_bytes = raw_bytes
                 lc.summary_wire_part_bytes = lc.summary_part_words * 8.0
+        return in_queue, summary
+
+    def _bottom_up_level(
+        self,
+        states: list[RankState],
+        frontier_lists: list[np.ndarray],
+        lc: LevelCounts,
+        shared: list[NodeSharedBuffer] | None,
+        visited_words: np.ndarray | None = None,
+    ) -> list[np.ndarray]:
+        np_ranks = self.mapping.num_ranks
+        tr = self.tracer
+        hp = self.hostprof
+        in_queue, summary = self._publish_frontier(
+            self._global_frontier(frontier_lists), lc, shared, visited_words
+        )
 
         new_lists = []
         cand = np.zeros(np_ranks, dtype=np.int64)

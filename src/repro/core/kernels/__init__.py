@@ -1,8 +1,9 @@
 """Pluggable BFS kernel backends.
 
-The engine's per-rank compute kernels (top-down expand, bottom-up scan)
-live behind a small registry so alternative implementations can be
-swapped without touching the engine.  Three backends ship:
+The engines' compute kernels (the per-rank and per-lane-batch bottom-up
+scans, plus the one rank-global top-down expansion every backend
+shares) live behind a small registry so alternative implementations can
+be swapped without touching the engines.  Three backends ship:
 
 ``reference``
     The original full-materialization kernels
@@ -35,9 +36,8 @@ from repro.core.kernels.base import (
     FALLBACK_BACKEND,
     BottomUpResult,
     KernelBackend,
-    TopDownSend,
+    TopDownPairs,
     available_backends,
-    bucket_by_owner,
     dedup_first_parent,
     get_backend,
     register_backend,
@@ -54,9 +54,8 @@ __all__ = [
     "FALLBACK_BACKEND",
     "KernelBackend",
     "ReferenceBackend",
-    "TopDownSend",
+    "TopDownPairs",
     "available_backends",
-    "bucket_by_owner",
     "dedup_first_parent",
     "default_backend",
     "get_backend",

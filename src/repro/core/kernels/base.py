@@ -1,19 +1,20 @@
 """Kernel backend contract and shared machinery of the BFS compute path.
 
-A *kernel backend* supplies the two per-rank compute kernels the engine
-runs every level: the top-down frontier expansion and the bottom-up
-frontier scan.  Backends are interchangeable implementations of the same
-algorithm — every backend must reproduce the paper's accounting
-**bit-identically** (``examined_edges`` and ``inqueue_reads`` per
-Section II.B.2, the parent of every discovered vertex, and the discovery
-order within a level), because the cost model and the Fig. 16 experiment
-consume those counts.  What backends may differ in is how much temporary
-memory and how many bitmap probes they spend producing them.
+A *kernel backend* supplies the compute kernels the engines run every
+level: the bottom-up frontier scan (per rank, or per lane batch) and the
+top-down frontier expansion.  Backends are interchangeable
+implementations of the same algorithm — every backend must reproduce
+the paper's accounting **bit-identically** (``examined_edges`` and
+``inqueue_reads`` per Section II.B.2, the parent of every discovered
+vertex, and the discovery order within a level), because the cost model
+and the Fig. 16 experiment consume those counts.  What backends may
+differ in is how much temporary memory and how many bitmap probes they
+spend producing them.
 
 This module holds the contract (:class:`KernelBackend`), the result
-dataclasses both step modules re-export, the backend registry, and the
-shared top-down expansion (identical for all backends — the paper's
-optimizations only concern the bottom-up phase).
+dataclasses, the backend registry, and the one top-down expansion —
+rank-global, fused across lanes, and shared by every backend (the
+paper's optimizations only concern the bottom-up phase).
 """
 
 from __future__ import annotations
@@ -33,20 +34,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.config import BFSConfig
     from repro.core.kernels.batched import LaneScanResult
     from repro.core.state import RankState
-    from repro.graph.partition import LocalGraph, Partition1D
+    from repro.graph.partition import LocalGraph
+    from repro.graph.types import Graph
 
 __all__ = [
     "BottomUpResult",
-    "TopDownSend",
+    "TopDownPairs",
     "KernelBackend",
     "register_backend",
     "available_backends",
     "get_backend",
-    "bucket_by_owner",
     "dedup_first_parent",
     "DENSE_DEDUP_FRACTION",
     "FALLBACK_BACKEND",
+    "PAIR_BYTES",
 ]
+
+# A (child, parent) pair on the wire: two int64 vertex ids.
+PAIR_BYTES = 16
 
 
 @dataclass
@@ -72,13 +77,23 @@ class BottomUpResult:
 
 
 @dataclass
-class TopDownSend:
-    """Outcome of one rank's top-down expansion."""
+class TopDownPairs:
+    """Outcome of one top-down expansion: every lane, every rank.
 
-    # Per-destination-rank arrays of shape (k, 2): (child, parent) pairs.
-    outbox: list[np.ndarray]
-    frontier_size: int
-    examined_edges: int
+    The five pair arrays are index-aligned and hold what the senders'
+    coalescing buffers would: one (child, parent) pair per distinct
+    child per (lane, sender), ordered by (lane, sender, child).
+    """
+
+    lane: np.ndarray
+    sender: np.ndarray  # rank owning the parent
+    owner: np.ndarray  # rank owning the child (the destination)
+    child: np.ndarray
+    parent: np.ndarray
+    # (lanes, ranks): adjacency entries each sender walked.
+    examined_edges: np.ndarray
+    # (lanes, ranks, ranks): bytes sender i ships to owner j.
+    send_bytes: np.ndarray
 
 
 # Switch the (child, parent) dedup to the linear scatter path once the
@@ -125,11 +140,13 @@ def dedup_first_parent(
     """One (child, parent) pair per distinct child, children ascending.
 
     For duplicate children the *first* occurrence's parent wins, as in
-    the reference code's coalescing send buffers.  Dense inputs (mid-BFS
-    top-down levels, where the pair count rivals ``2E``) take a linear
-    scatter path instead of the historic ``O(E log E)`` stable argsort;
-    both paths produce bit-identical output, so the choice is purely a
-    performance heuristic.
+    the reference code's coalescing send buffers.  ``children`` may be
+    any non-negative keys below ``num_vertices`` (the top-down step
+    passes composite (lane, rank, vertex) keys).  Dense inputs (mid-BFS
+    top-down levels, where the pair count rivals the key space) take a
+    linear scatter path instead of the historic ``O(E log E)`` stable
+    argsort; both paths produce bit-identical output, so the choice is
+    purely a performance heuristic.
     """
     if children.size == 0:
         return children, parents
@@ -139,12 +156,12 @@ def dedup_first_parent(
 
 
 class KernelBackend(abc.ABC):
-    """One interchangeable implementation of the per-rank BFS kernels.
+    """One interchangeable implementation of the BFS compute kernels.
 
     Subclasses set ``name`` (the registry key) and implement
-    :meth:`bottom_up_scan`.  The top-down expansion is shared: the
-    paper's kernel-level optimizations all concern the bottom-up phase,
-    so differing there would only risk divergence.
+    :meth:`bottom_up_scan`.  The top-down expansion is shared and
+    rank-global: the paper's kernel-level optimizations all concern the
+    bottom-up phase, so differing there would only risk divergence.
     """
 
     name: ClassVar[str]
@@ -220,65 +237,67 @@ class KernelBackend(abc.ABC):
 
     def top_down_expand(
         self,
-        state: "RankState",
-        frontier_local: np.ndarray,
-        partition: "Partition1D",
-    ) -> TopDownSend:
-        """Expand the local frontier into per-owner (child, parent) pairs.
+        graph: "Graph",
+        frontiers: list[np.ndarray],
+        owner_of: np.ndarray,
+        num_ranks: int,
+    ) -> TopDownPairs:
+        """Expand every lane's frontier on every rank in one pass.
 
-        Pairs are deduplicated per child within the message (first parent
-        encountered wins, children ascending per destination), as the
-        reference code's per-destination coalescing buffers do.
+        ``frontiers[b]`` holds lane ``b``'s frontier as global vertex ids
+        in rank-major order (all of rank 0's members, then rank 1's, ...)
+        and ``owner_of`` maps a vertex to its owning rank.  Pairs are
+        deduplicated per child within each (lane, sender) — first parent
+        encountered wins — as the reference code's per-destination
+        coalescing buffers do; ``send_bytes`` counts what survives.
         """
-        lg = state.local
-        num_parts = partition.num_parts
-        frontier_local = np.asarray(frontier_local, dtype=np.int64)
-
-        if frontier_local.size == 0:
-            empty = [np.zeros((0, 2), dtype=np.int64) for _ in range(num_parts)]
-            return TopDownSend(outbox=empty, frontier_size=0, examined_edges=0)
-
-        gather = gather_adjacency(lg.offsets, frontier_local)
-        total = int(gather.seg_offsets[-1])
-        if total == 0:
-            empty = [np.zeros((0, 2), dtype=np.int64) for _ in range(num_parts)]
-            return TopDownSend(
-                outbox=empty,
-                frontier_size=int(frontier_local.size),
-                examined_edges=0,
-            )
-
-        children = lg.targets[gather.pos]
-        parents = np.repeat(frontier_local + lg.lo, gather.lens)
-        children, parents = dedup_first_parent(
-            children, parents, partition.num_vertices
+        lanes = len(frontiers)
+        frontier = np.concatenate(frontiers)
+        lane_of = np.repeat(
+            np.arange(lanes, dtype=np.int64), [f.size for f in frontiers]
         )
-        return TopDownSend(
-            outbox=bucket_by_owner(children, parents, partition),
-            frontier_size=int(frontier_local.size),
-            examined_edges=total,
+        sender_of = owner_of[frontier]
+        gather = gather_adjacency(graph.offsets, frontier)
+        examined = np.bincount(
+            lane_of * num_ranks + sender_of,
+            weights=gather.lens,
+            minlength=lanes * num_ranks,
         )
-
-
-def bucket_by_owner(
-    children: np.ndarray, parents: np.ndarray, partition: "Partition1D"
-) -> list[np.ndarray]:
-    """Split ascending (child, parent) pairs into per-owner ``(k, 2)``
-    arrays, one per destination rank.
-
-    ``children`` must be sorted ascending (the dedup helpers and the
-    cnative expand both guarantee it), so owners are non-decreasing and
-    a single ``searchsorted`` finds every destination's slice.
-    """
-    num_parts = partition.num_parts
-    owners = partition.owner(children)
-    outbox: list[np.ndarray] = []
-    bounds = np.searchsorted(owners, np.arange(num_parts + 1))
-    for dest in range(num_parts):
-        lo, hi = bounds[dest], bounds[dest + 1]
-        pairs = np.stack([children[lo:hi], parents[lo:hi]], axis=1)
-        outbox.append(np.ascontiguousarray(pairs))
-    return outbox
+        # One dedup group per (lane, sender): the composite key packs
+        # lane | sender | child into bit fields (splitting it back is a
+        # shift and a mask, not an int64 division), keeps groups apart,
+        # and ascends in (lane, sender, child) order.
+        child_bits = max(graph.num_vertices - 1, 1).bit_length()
+        rank_bits = max(num_ranks - 1, 1).bit_length()
+        key = graph.targets[gather.pos]
+        key += np.repeat(
+            ((lane_of << rank_bits) | sender_of) << child_bits, gather.lens
+        )
+        key, parent = dedup_first_parent(
+            key,
+            np.repeat(frontier, gather.lens),
+            lanes << (rank_bits + child_bits),
+        )
+        child = key & ((1 << child_bits) - 1)
+        sender = (key >> child_bits) & ((1 << rank_bits) - 1)
+        lane = key >> (child_bits + rank_bits)
+        owner = owner_of[child]
+        send_pairs = np.bincount(
+            (lane * num_ranks + sender) * num_ranks + owner,
+            minlength=lanes * num_ranks * num_ranks,
+        )
+        return TopDownPairs(
+            lane=lane,
+            sender=sender,
+            owner=owner,
+            child=child,
+            parent=parent,
+            examined_edges=examined.astype(np.int64).reshape(
+                lanes, num_ranks
+            ),
+            send_bytes=send_pairs.reshape(lanes, num_ranks, num_ranks)
+            * PAIR_BYTES,
+        )
 
 
 _REGISTRY: dict[str, type[KernelBackend]] = {}

@@ -3,10 +3,10 @@
 A thin ctypes wrapper over ``bfs_kernels.c`` (compiled and cached by
 :mod:`repro.core.kernels.cnative.build`): the bottom-up scan runs the
 *true* per-vertex early-exit loop — summary-bitmap probe, first-hit
-break, zero temporaries — and the top-down expand scatters
-first-parent-wins pairs into dense scratch, both directly on the numpy
-buffers (no copies).  Accounting is bit-identical to the reference
-backend; see docs/PERFORMANCE.md for the algorithm sketch and the
+break, zero temporaries — directly on the numpy buffers (no copies).
+The top-down expansion is the shared rank-global one every backend
+inherits.  Accounting is bit-identical to the reference backend; see
+docs/PERFORMANCE.md for the algorithm sketch and the
 build/cache/fallback semantics.
 
 The class always registers so the name shows up in
@@ -18,15 +18,11 @@ actually *run* is a separate, lazily-probed question
 
 from __future__ import annotations
 
-from ctypes import POINTER, c_uint8
-
 import numpy as np
 
 from repro.core.kernels.base import (
     BottomUpResult,
     KernelBackend,
-    TopDownSend,
-    bucket_by_owner,
     register_backend,
 )
 from repro.core.kernels.cnative import build
@@ -92,47 +88,4 @@ class CNativeBackend(KernelBackend):
             # place and retires candidates inline, in one pass.
             gathered_edges=0,
             chunk_rounds=1,
-        )
-
-    def top_down_expand(self, state, frontier_local, partition) -> TopDownSend:
-        """Expand with the native first-parent-wins scatter, then bucket
-        the ascending (child, parent) pairs by owner on the Python side."""
-        lib = build.load_library()
-        lg = state.local
-        frontier_local = np.ascontiguousarray(frontier_local, dtype=np.int64)
-        num_parts = partition.num_parts
-        num_vertices = int(partition.num_vertices)
-
-        offsets = np.ascontiguousarray(lg.offsets, dtype=np.int64)
-        total = int(
-            (offsets[frontier_local + 1] - offsets[frontier_local]).sum()
-        ) if frontier_local.size else 0
-        if total == 0:
-            empty = [np.zeros((0, 2), dtype=np.int64) for _ in range(num_parts)]
-            return TopDownSend(
-                outbox=empty,
-                frontier_size=int(frontier_local.size),
-                examined_edges=0,
-            )
-
-        targets = np.ascontiguousarray(lg.targets, dtype=np.int64)
-        present = np.zeros(num_vertices, dtype=np.uint8)
-        first_parent = np.empty(num_vertices, dtype=np.int64)
-        cap = min(num_vertices, total)
-        out_children = np.empty(cap, dtype=np.int64)
-        out_parents = np.empty(cap, dtype=np.int64)
-
-        k = lib.repro_td_expand(
-            int(frontier_local.size), _i64(frontier_local), int(lg.lo),
-            _i64(offsets), _i64(targets), num_vertices,
-            present.ctypes.data_as(POINTER(c_uint8)), _i64(first_parent),
-            _i64(out_children), _i64(out_parents),
-        )
-
-        return TopDownSend(
-            outbox=bucket_by_owner(
-                out_children[:k], out_parents[:k], partition
-            ),
-            frontier_size=int(frontier_local.size),
-            examined_edges=total,
         )

@@ -137,53 +137,3 @@ int64_t repro_bu_scan(
     out_counts[3] = deg_sum;
     return nfound;
 }
-
-/* Top-down expansion: gather the frontier's (child, parent) pairs and
- * deduplicate to one pair per distinct child.
- *
- * The first occurrence's parent wins (frontier order, then CSR edge
- * order — the same stream order base.py's dedup_first_parent sees) and
- * children come out ascending, matching the _dedup_dense scatter path
- * bit-identically.  Owner bucketing stays on the Python side
- * (bucket_by_owner), since partition bounds can be irregular.
- *
- * present (zero-initialised) and first_parent are caller-provided
- * scratch of num_vertices entries; out_children/out_parents need
- * capacity min(num_vertices, total frontier degree).  Returns the
- * number of distinct children.
- */
-int64_t repro_td_expand(
-    int64_t nfront,
-    const int64_t *frontier_local,
-    int64_t lo,
-    const int64_t *offsets,
-    const int64_t *targets,
-    int64_t num_vertices,
-    uint8_t *present,
-    int64_t *first_parent,
-    int64_t *out_children,
-    int64_t *out_parents)
-{
-    for (int64_t i = 0; i < nfront; i++) {
-        const int64_t u = frontier_local[i];
-        const int64_t parent = u + lo;
-        const int64_t end = offsets[u + 1];
-        for (int64_t e = offsets[u]; e < end; e++) {
-            const int64_t v = targets[e];
-            if (!present[v]) {
-                present[v] = 1;
-                first_parent[v] = parent;
-            }
-        }
-    }
-
-    int64_t k = 0;
-    for (int64_t v = 0; v < num_vertices; v++) {
-        if (present[v]) {
-            out_children[k] = v;
-            out_parents[k] = first_parent[v];
-            k++;
-        }
-    }
-    return k;
-}

@@ -34,7 +34,7 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
-from ctypes import POINTER, c_int64, c_uint8, c_uint64
+from ctypes import POINTER, c_int64, c_uint64
 from pathlib import Path
 
 import numpy as np
@@ -150,15 +150,11 @@ def _compile(compiler: list[str], out: Path) -> None:
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Declare the exported signatures (raises if a symbol is missing)."""
-    i64p, u64p, u8p = POINTER(c_int64), POINTER(c_uint64), POINTER(c_uint8)
+    i64p, u64p = POINTER(c_int64), POINTER(c_uint64)
     lib.repro_bu_scan.argtypes = [
         c_int64, i64p, i64p, u64p, u64p, c_int64, i64p, i64p, i64p,
     ]
     lib.repro_bu_scan.restype = c_int64
-    lib.repro_td_expand.argtypes = [
-        c_int64, i64p, c_int64, i64p, i64p, c_int64, u8p, i64p, i64p, i64p,
-    ]
-    lib.repro_td_expand.restype = c_int64
     return lib
 
 
@@ -171,7 +167,7 @@ def _u64(arr: np.ndarray):
 
 
 def _smoke_check(lib: ctypes.CDLL) -> None:
-    """Run both kernels on a tiny known graph; mismatch = unusable library.
+    """Run the scan on a tiny known graph; mismatch = unusable library.
 
     The graph is the path 0–1–2–3 with frontier {1} and visited {0, 1}:
     candidate 2 must retire on its first edge with parent 1, candidate 3
@@ -195,22 +191,6 @@ def _smoke_check(lib: ctypes.CDLL) -> None:
             "smoke check failed for repro_bu_scan: "
             f"n={n} new={new.tolist()} parent={parent.tolist()} "
             f"counts={counts.tolist()}"
-        )
-
-    frontier = np.array([1], dtype=np.int64)
-    present = np.zeros(4, dtype=np.uint8)
-    first_parent = np.zeros(4, dtype=np.int64)
-    children = np.zeros(4, dtype=np.int64)
-    parents = np.zeros(4, dtype=np.int64)
-    k = lib.repro_td_expand(
-        1, _i64(frontier), 0, _i64(offsets), _i64(targets), 4,
-        present.ctypes.data_as(POINTER(c_uint8)), _i64(first_parent),
-        _i64(children), _i64(parents),
-    )
-    if k != 2 or children[:2].tolist() != [0, 2] or parents[:2].tolist() != [1, 1]:
-        raise NativeBuildError(
-            "smoke check failed for repro_td_expand: "
-            f"k={k} children={children.tolist()} parents={parents.tolist()}"
         )
 
 

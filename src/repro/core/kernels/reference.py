@@ -65,7 +65,9 @@ class ReferenceBackend(KernelBackend):
         else:
             # Edges inside the early-exit prefix whose summary block is
             # non-empty: only those fall through to the in_queue word read.
-            within_prefix = gather.rel < np.repeat(examined, gather.lens)
+            within_prefix = np.arange(total) < np.repeat(
+                gather.seg_offsets[:-1] + examined, gather.lens
+            )
             summary_hits = summary.test_vertices(neighbors)
             inqueue_reads = int(np.count_nonzero(within_prefix & summary_hits))
 

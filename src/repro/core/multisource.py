@@ -10,9 +10,10 @@ amortizing the expensive shared work:
 * the bottom-up scan gathers each candidate's adjacency once and
   answers every source from bit-packed *lane* words (one ``uint64`` lane
   per source, :mod:`repro.core.kernels.batched`);
-* the top-down expansion is fused across sources and ranks into a
-  handful of vectorized passes (composite-key dedup reproduces the
-  per-sender coalescing buffers exactly);
+* the top-down level is the engine's one rank-global step
+  (``BFSEngine._top_down_step``) run with one lane per source, so the
+  adjacency gather, dedup and discovery are a handful of vectorized
+  passes for the whole batch;
 * the prepared partition, the communicator, and the shared-memory
   buffers are built once per batch.
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bitmap import Bitmap, SummaryBitmap, summary_words_for
 from repro.core.config import BFSConfig
 from repro.core.counts import Direction, LevelCounts, RunCounts
 from repro.core.engine import BFSEngine, BFSResult
@@ -48,10 +48,7 @@ from repro.core.validate import validate_parent_tree
 from repro.errors import ConfigError, GraphError
 from repro.graph.types import Graph
 from repro.machine.spec import ClusterSpec
-from repro.mpi.codecs import get_codec
-from repro.mpi.collectives import allgather
 from repro.util import bitops
-from repro.util.segments import gather_adjacency
 
 __all__ = ["MultiSourceEngine", "run_bfs_batch"]
 
@@ -87,12 +84,7 @@ class MultiSourceEngine:
         # The engine resolved None to NULL_TRACER; share its choice so
         # batch spans and comm events land in the same recording.
         self.tracer = self.engine.tracer
-        bounds = self.engine.partition.bounds
-        # Owning rank of every vertex (partitions are contiguous ranges).
-        self._owner_of = np.repeat(
-            np.arange(self.engine.mapping.num_ranks, dtype=np.int64),
-            np.diff(bounds),
-        )
+        self._owner_of = self.engine.prepared.owner_of
         self.metrics = metrics
 
     @property
@@ -136,14 +128,15 @@ class MultiSourceEngine:
         of finishing work nobody will read.
         """
         tracer = self.tracer
+        roots = [int(r) for r in roots]  # may be a one-shot iterable
         if not tracer.enabled:
             return self._run_batch(roots, validate, cancel=cancel)
         with tracer.span(
             "batch.run",
             cat="batch",
             batch_id=batch_id,
-            lanes=len(list(roots)),
-            sources=[int(r) for r in roots],
+            lanes=len(roots),
+            sources=roots,
         ):
             for lane, root in enumerate(roots):
                 ids = (
@@ -155,7 +148,7 @@ class MultiSourceEngine:
                     "batch.lane",
                     cat="batch",
                     lane=lane,
-                    source=int(root),
+                    source=root,
                     batch_id=batch_id,
                     trace_ids=ids,
                 )
@@ -166,7 +159,7 @@ class MultiSourceEngine:
 
     def _run_batch(
         self,
-        roots,
+        roots: list[int],
         validate: bool = False,
         tracer=NULL_TRACER,
         batch_id: str | None = None,
@@ -175,7 +168,6 @@ class MultiSourceEngine:
         eng = self.engine
         graph = eng.graph
         n = graph.num_vertices
-        roots = [int(r) for r in roots]
         num = len(roots)
         if num == 0:
             raise GraphError("batch needs at least one root")
@@ -281,7 +273,7 @@ class MultiSourceEngine:
                 if bu_set:
                     self._bottom_up_round(
                         bu_set, frontiers, parent, unexplored, lcs, shared,
-                        visited_words, roots,
+                        visited_words,
                     )
                 for s in (*td_set, *bu_set):
                     lc = lcs[s]
@@ -321,217 +313,53 @@ class MultiSourceEngine:
             self.metrics.histogram("bfs.batch_size").observe(num)
         return results
 
-    # ---- fused top-down --------------------------------------------------
+    # ---- the two level kinds ----------------------------------------------
 
     def _top_down_round(
         self, td, frontiers, parent, unexplored, lcs
     ) -> None:
-        """Expand all top-down sources in one vectorized pass.
-
-        Reproduces, per source, exactly what the per-rank sequential
-        path does: per-sender first-occurrence dedup over the flattened
-        adjacency (children ascending per message), per-destination
-        bucketing and byte accounting, receiver-side first-sender-wins
-        coalescing, and discovery order (destination, sender, child) —
-        the order matters because it feeds the next level's dedup.
-        """
-        eng = self.engine
-        graph = eng.graph
-        n = graph.num_vertices
-        np_ranks = eng.mapping.num_ranks
-        degrees = eng.prepared.degrees
-        td_arr = np.asarray(td, dtype=np.int64)
-        B = len(td)
-
-        sizes = [frontiers[s].size for s in td]
-        F = np.concatenate([frontiers[s] for s in td])
-        src = np.repeat(np.arange(B, dtype=np.int64), sizes)
-        owners_f = self._owner_of[F]
-        gather = gather_adjacency(graph.offsets, F)
-
-        # examined_edges per (source, sender): the full flattened
-        # adjacency size, as TopDownSend.examined_edges reports.
-        exam = (
-            np.bincount(
-                src * np_ranks + owners_f,
-                weights=gather.lens.astype(np.float64),
-                minlength=B * np_ranks,
-            )
-            .astype(np.int64)
-            .reshape(B, np_ranks)
+        """One top-down level for all top-down sources: the engine's
+        shared step with one lane per source."""
+        new_frontiers, disc_degree = self.engine._top_down_step(
+            [frontiers[s] for s in td],
+            parent,
+            np.asarray(td, dtype=np.int64),
+            [lcs[s] for s in td],
         )
-
-        children = graph.targets[gather.pos]
-        par_flat = np.repeat(F, gather.lens)
-        src_flat = np.repeat(src, gather.lens)
-        sender_flat = np.repeat(owners_f, gather.lens)
-
-        # Per-(source, sender) dedup, first occurrence's parent wins —
-        # np.unique returns first-occurrence indices, and its sorted
-        # order yields children ascending per (source, sender), which is
-        # exactly the sequential per-destination message content.
-        key = (src_flat * np_ranks + sender_flat) * n + children
-        _, idx = np.unique(key, return_index=True)
-        kc = children[idx]
-        kp = par_flat[idx]
-        ks = src_flat[idx]
-        ksend = sender_flat[idx]
-        kown = self._owner_of[kc]
-
-        send_bytes = (
-            np.bincount(
-                (ks * np_ranks + ksend) * np_ranks + kown,
-                minlength=B * np_ranks * np_ranks,
-            )
-            .reshape(B, np_ranks, np_ranks)
-            .astype(np.int64)
-            * 16  # one (child, parent) int64 pair per kept entry
-        )
-
-        # Receiver side: messages arrive sender-ascending, each sorted by
-        # child, and the first occurrence of a child wins (= the lowest
-        # sender).  Sorting kept pairs into (source, owner, sender,
-        # child) order makes "first occurrence in array order" exactly
-        # that winner.  One fused-key argsort replaces the four-key
-        # lexsort: each component is strictly below its radix.
-        order = np.argsort(
-            ((ks * np_ranks + kown) * np_ranks + ksend) * n + kc,
-            kind="stable",
-        )
-        kc, kp, ks, ksend, kown = (
-            kc[order], kp[order], ks[order], ksend[order], kown[order]
-        )
-        key2 = (ks * np_ranks + kown) * n + kc
-        _, idx2 = np.unique(key2, return_index=True)
-        win = np.sort(idx2)  # winners, back in discovery order
-        wc, wp, wsrc, wown = kc[win], kp[win], ks[win], kown[win]
-
-        fresh = parent[td_arr[wsrc], wc] < 0
-        wc, wp, wsrc, wown = wc[fresh], wp[fresh], wsrc[fresh], wown[fresh]
-        parent[td_arr[wsrc], wc] = wp
-        unexplored[td_arr] -= (
-            np.bincount(
-                wsrc * np_ranks + wown,
-                weights=degrees[wc].astype(np.float64),
-                minlength=B * np_ranks,
-            )
-            .astype(np.int64)
-            .reshape(B, np_ranks)
-        )
-
-        cuts = np.searchsorted(wsrc, np.arange(B + 1))
-        for b, s in enumerate(td):
-            frontiers[s] = wc[cuts[b]:cuts[b + 1]].copy()
-            lc = lcs[s]
-            lc.examined_edges = exam[b]
-            lc.candidates = np.zeros(np_ranks, dtype=np.int64)
-            lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
-            lc.td_send_bytes = send_bytes[b]
-
-    # ---- batched bottom-up -----------------------------------------------
+        unexplored[td] -= disc_degree
+        for s, frontier in zip(td, new_frontiers):
+            frontiers[s] = frontier
 
     def _bottom_up_round(
-        self, bu, frontiers, parent, unexplored, lcs, shared,
-        visited_words, roots,
+        self, bu, frontiers, parent, unexplored, lcs, shared, visited_words
     ) -> None:
         """One bottom-up level for all batched sources.
 
-        The allgather (and its codec byte accounting) runs per source —
-        wire bytes depend on each source's frontier content — but the
-        scan itself is a single lane pass per rank.
+        The frontier publish (and its codec byte accounting) runs per
+        source — wire bytes depend on each source's frontier content —
+        but the scan itself is a single lane pass over the graph.
         """
         eng = self.engine
         graph = eng.graph
         n = graph.num_vertices
         np_ranks = eng.mapping.num_ranks
         degrees = eng.prepared.degrees
-        config = eng.config
-        word_starts = eng._word_starts
-        granularity = config.granularity
-        use_summary = config.use_summary
+        granularity = eng.config.granularity
+        use_summary = eng.config.use_summary
         B = len(bu)
 
         inq_bools = np.zeros((B, n), dtype=bool)
         if use_summary:
-            summary_words = summary_words_for(n, granularity)
             nblocks = -(-n // granularity)
             sum_bools = np.zeros((B, nblocks), dtype=bool)
-        max_part_words = int(np.diff(word_starts).max(initial=0))
-
         for b, s in enumerate(bu):
-            lc = lcs[s]
-            f = frontiers[s]
-            # Rank partitions are word-aligned (PreparedGraph enforces
-            # it), so the per-rank bitmap parts are exactly slices of
-            # the full-graph bitmap: one set_bits covers all ranks.
-            fwords = np.zeros(
-                bitops.words_for_bits(n), dtype=bitops.WORD_DTYPE
+            in_queue, summary = eng._publish_frontier(
+                frontiers[s], lcs[s], shared,
+                None if visited_words is None else visited_words[s],
             )
-            bitops.set_bits(fwords, f)
-            lc.inq_part_words = max_part_words
+            inq_bools[b] = bitops.bits_to_bool(in_queue.words, n)
             if use_summary:
-                lc.summary_part_words = summary_words / np_ranks
-
-            if eng.codec is None:
-                # Without a frontier codec the wire accounting is
-                # count-determined (raw parts) and the gathered payload
-                # is exactly the full-graph frontier bitmap just built —
-                # the functional collective would only re-concatenate
-                # the slices, so skip it.
-                lc.codec = None
-                total_bytes = float(fwords.nbytes)
-                lc.inq_raw_total_bytes = total_bytes
-                lc.inq_wire_total_bytes = total_bytes
-                lc.inq_wire_part_bytes = lc.inq_part_words * 8.0
-                full_words = fwords
-            else:
-                parts = [
-                    fwords[word_starts[r]:word_starts[r + 1]]
-                    for r in range(np_ranks)
-                ]
-                visited_parts = None
-                if visited_words is not None:
-                    row = visited_words[s]
-                    visited_parts = [
-                        row[word_starts[r]:word_starts[r + 1]]
-                        for r in range(np_ranks)
-                    ]
-                res = allgather(
-                    eng.comm, parts, config.in_queue_algorithm(), shared,
-                    codec=eng.codec,
-                    visited_parts=visited_parts,
-                    subgroups=config.comm.subgroups,
-                )
-                lc.codec = res.codec
-                lc.inq_raw_total_bytes = res.raw_bytes
-                lc.inq_wire_total_bytes = res.wire_bytes
-                lc.inq_wire_part_bytes = res.wire_part_bytes
-                full_words = (
-                    shared[0].data if shared is not None else res.data
-                ).copy()
-                if visited_words is not None:
-                    np.bitwise_or(
-                        visited_words[s], full_words, out=visited_words[s]
-                    )
-            inq_bools[b] = bitops.bits_to_bool(full_words, n)
-            if use_summary:
-                summary = SummaryBitmap.build(
-                    Bitmap(n, words=full_words), granularity
-                )
                 sum_bools[b] = bitops.bits_to_bool(summary.words, nblocks)
-                raw_bytes = summary_words * 8.0
-                lc.summary_raw_total_bytes = raw_bytes
-                if lc.codec not in (None, "raw"):
-                    enc = get_codec(lc.codec).encode(summary.words)
-                    lc.summary_wire_total_bytes = float(enc.wire_nbytes)
-                    lc.summary_wire_part_bytes = (
-                        float(enc.wire_nbytes) / np_ranks
-                    )
-                else:
-                    lc.summary_wire_total_bytes = raw_bytes
-                    lc.summary_wire_part_bytes = (
-                        lc.summary_part_words * 8.0
-                    )
 
         inq_lanes = pack_lanes(inq_bools)
         summary_lanes = pack_lanes(sum_bools) if use_summary else None

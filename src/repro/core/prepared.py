@@ -117,6 +117,8 @@ class PreparedGraph:
     word_starts: np.ndarray = field(repr=False)
     #: Global degree array (``np.diff(graph.offsets)``).
     degrees: np.ndarray = field(repr=False)
+    #: Owning rank of every vertex (partitions are contiguous ranges).
+    owner_of: np.ndarray = field(repr=False)
 
     @classmethod
     def prepare(
@@ -152,6 +154,10 @@ class PreparedGraph:
         )
         word_starts.flags.writeable = False
         degrees = np.diff(graph.offsets)
+        owner_of = np.repeat(
+            np.arange(np_ranks, dtype=np.int64), np.diff(bounds)
+        )
+        owner_of.flags.writeable = False
         return cls(
             graph=graph,
             cluster=cluster,
@@ -164,6 +170,7 @@ class PreparedGraph:
             part_words=part_words,
             word_starts=word_starts,
             degrees=degrees,
+            owner_of=owner_of,
         )
 
     @property
@@ -180,11 +187,16 @@ class PreparedGraph:
         """Estimated resident bytes of the partition state.
 
         Sums the numpy arrays this object *owns* — the per-rank CSR
-        extractions, partition bounds, word layout, degrees — but not
-        the input graph, which the caller holds regardless of caching.
+        extractions, partition bounds, word layout, degrees, owner table
+        — but not the input graph, which the caller holds regardless of
+        caching.
         Used by :class:`PreparedGraphCache`'s optional byte bound.
         """
-        total = int(self.word_starts.nbytes) + int(self.degrees.nbytes)
+        total = (
+            int(self.word_starts.nbytes)
+            + int(self.degrees.nbytes)
+            + int(self.owner_of.nbytes)
+        )
         for obj in (self.partition, *self.locals):
             attrs = getattr(obj, "__dict__", None) or {
                 f: getattr(obj, f, None)

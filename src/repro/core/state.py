@@ -19,15 +19,19 @@ class RankState:
     local: LocalGraph
     # parent[i] is the global parent id of local vertex (lo + i); -1 while
     # undiscovered; the root is its own parent (Graph500 convention).
-    parent: np.ndarray = field(init=False)
+    # The engine passes this rank's view of the run's one global parent
+    # array (all -1); standalone states allocate their own.
+    parent: np.ndarray | None = None
     # Sum of degrees of still-undiscovered local vertices; used by the
     # hybrid policy (m_u of Beamer's alpha test), maintained decrementally.
     unexplored_degree: int = field(init=False)
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.local.num_local_vertices
-        self.parent = np.full(n, -1, dtype=np.int64)
+        if self.parent is None:
+            self.parent = np.full(
+                self.local.num_local_vertices, -1, dtype=np.int64
+            )
         self.degrees = np.diff(self.local.offsets)
         self.unexplored_degree = int(self.degrees.sum())
 
@@ -51,20 +55,16 @@ class RankState:
     def discover(self, local_ids: np.ndarray, parents: np.ndarray) -> np.ndarray:
         """Record parents for previously-unvisited local vertices.
 
-        Returns the subset of ``local_ids`` that were actually new (first
-        writer wins, as in the reference code's atomic compare-and-swap).
+        ``local_ids`` must be distinct (callers whose batches can repeat
+        a vertex pick the winning parent first).  Returns the subset
+        that was actually new — an earlier writer wins, as in the
+        reference code's atomic compare-and-swap.
         """
         local_ids = np.asarray(local_ids, dtype=np.int64)
         parents = np.asarray(parents, dtype=np.int64)
         if local_ids.shape != parents.shape:
             raise SimulationError("discover: mismatched id/parent arrays")
         fresh = self.parent[local_ids] < 0
-        # With duplicate ids in one batch, keep the first occurrence only.
-        if local_ids.size:
-            first_occurrence = np.zeros(local_ids.size, dtype=bool)
-            _, first_idx = np.unique(local_ids, return_index=True)
-            first_occurrence[first_idx] = True
-            fresh &= first_occurrence
         ids = local_ids[fresh]
         self.parent[ids] = parents[fresh]
         self.unexplored_degree -= int(self.degrees[ids].sum())

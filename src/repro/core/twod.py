@@ -332,6 +332,10 @@ class TwoDBFSEngine:
                 messages = ledger.recv_all(r)
                 if messages:
                     pairs = np.concatenate([m.payload for m in messages])
+                    # Several column blocks can offer the same child:
+                    # the first message in arrival order wins.
+                    _, first = np.unique(pairs[:, 0], return_index=True)
+                    pairs = pairs[np.sort(first)]
                     fresh = states[r].discover(
                         states[r].to_local(pairs[:, 0]), pairs[:, 1]
                     )

@@ -36,7 +36,6 @@ from repro.mpi.collectives import (
     allgather_channel_bytes,
     allgather_time,
     parallel_allgather_time,
-    alltoallv,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "allgather_channel_bytes",
     "allgather_time",
     "parallel_allgather_time",
-    "alltoallv",
 ]

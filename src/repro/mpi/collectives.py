@@ -53,7 +53,6 @@ __all__ = [
     "allgather_channel_bytes",
     "allgather_time",
     "parallel_allgather_time",
-    "alltoallv",
 ]
 
 # Thakur-Gropp switchover: recursive doubling below, ring at or above.
@@ -78,11 +77,6 @@ class AllgatherAlgorithm(enum.Enum):
     # when the intra-node steps dominate, "overlapping will not help" —
     # only sharing removes them.
     LEADER_OVERLAPPED = "leader_overlapped"
-
-
-def alltoallv(comm: SimComm, send: list[list[np.ndarray]]) -> CollectiveResult:
-    """Re-exported convenience wrapper (see :meth:`SimComm.alltoallv`)."""
-    return comm.alltoallv(send)
 
 
 def _concatenate(parts: list[np.ndarray]) -> np.ndarray:

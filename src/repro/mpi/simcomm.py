@@ -1,16 +1,17 @@
 """The simulated communicator.
 
 ``SimComm`` owns the channel timing primitives (shared-memory copies
-inside a node, InfiniBand transfers between nodes) and the functional
-implementations of the small collectives the BFS engine needs besides
-allgather (``alltoallv`` for the top-down queue exchange, ``allreduce``
-for frontier counts and termination detection, ``barrier`` for stall
-accounting).  The allgather family lives in
-:mod:`repro.mpi.collectives`.
+inside a node, InfiniBand transfers between nodes) and the small
+collectives the BFS engine needs besides allgather (``alltoallv`` for
+the top-down queue exchange, ``allreduce`` for frontier counts and
+termination detection, ``barrier`` for stall accounting).  The
+allgather family lives in :mod:`repro.mpi.collectives`.
 
 Ranks execute bulk-synchronously in one Python process, so a collective
-receives every rank's contribution at once, moves the real bytes, and
-returns both the received data and the simulated per-rank durations.
+receives every rank's contribution at once and returns the received
+data together with the simulated per-rank durations.  ``alltoallv`` is
+the exception on the data side: it is given the byte matrix only (see
+its docstring).
 """
 
 from __future__ import annotations
@@ -285,64 +286,46 @@ class SimComm:
         )
         return np.maximum(send_t, recv_t)
 
-    def alltoallv(self, send: list[list[np.ndarray]]) -> CollectiveResult:
-        """Exchange variable-size arrays between all rank pairs.
+    def alltoallv(self, send_bytes: np.ndarray) -> CollectiveResult:
+        """One alltoallv, given as its rank-to-rank byte matrix.
 
-        ``send[i][j]`` is the array rank ``i`` sends to rank ``j``; the
-        result's ``data[j][i]`` is what rank ``j`` received from rank ``i``
-        (the same array object — messages are not mutated in transit).
-        Used by the top-down phase to route discovered (vertex, parent)
-        pairs to their owners.
+        ``send_bytes[i, j]`` is the payload rank ``i`` ships to rank
+        ``j``.  The top-down step keeps the (child, parent) pairs in one
+        rank-global array — simulated ranks share an address space, and
+        no fault model inspects this payload — so the collective prices
+        the transfer, gives the fault injector its attempt, and emits
+        the comm event; ``data`` is None.
         """
-        np_ranks = self.num_ranks
-        if len(send) != np_ranks or any(len(row) != np_ranks for row in send):
-            raise CommunicationError(
-                f"alltoallv expects a {np_ranks}x{np_ranks} send matrix",
-                collective="alltoallv",
-            )
-        recv: list[list[np.ndarray]] = [
-            [send[i][j] for i in range(np_ranks)] for j in range(np_ranks)
-        ]
-        send_bytes = np.array(
-            [[send[i][j].nbytes for j in range(np_ranks)] for i in range(np_ranks)],
-            dtype=np.float64,
-        )
+        send_bytes = np.asarray(send_bytes, dtype=np.float64)
         times = self.alltoallv_time(send_bytes)
+        worst = float(times.max(initial=0.0))
         if self.injector is not None:
             # A scheduled transient failure wastes the whole attempt:
             # the raise carries the priced duration so the engine can
             # charge the retransmission before retrying.
-            self.injector.collective_attempt(
-                "alltoallv", wasted_ns=float(times.max(initial=0.0))
-            )
+            self.injector.collective_attempt("alltoallv", wasted_ns=worst)
+        total = float(send_bytes.sum())
+        # Self-messages are pointer hand-offs and never hit a wire.
+        self_bytes = float(np.trace(send_bytes))
         result = CollectiveResult(
-            data=recv,
+            data=None,
             rank_times=times,
-            breakdown={"alltoallv": float(times.max(initial=0.0))},
-            raw_bytes=float(send_bytes.sum()),
-            wire_bytes=float(send_bytes.sum() - np.trace(send_bytes)),
+            breakdown={"alltoallv": worst},
+            raw_bytes=total,
+            wire_bytes=total - self_bytes,
         )
         if self.tracer.enabled:
-            nodes = np.array(
-                [self.mapping.node_of(r) for r in range(np_ranks)],
-                dtype=np.int64,
-            )
-            same_node = nodes[:, None] == nodes[None, :]
-            self_mask = np.eye(np_ranks, dtype=bool)
-            intra = float(send_bytes[same_node & ~self_mask].sum())
-            inter = float(send_bytes[~same_node].sum())
+            _, same_node, _ = self._rank_topology()
+            intra = float(send_bytes[same_node].sum()) - self_bytes
             self.tracer.comm_event(
                 "alltoallv",
-                nbytes=float(send_bytes.sum()),
+                nbytes=total,
                 rank_times=times,
                 breakdown=result.breakdown,
-                # Pre-share payload vs. bytes on an actual channel:
-                # self-messages are pointer hand-offs and never hit a
-                # wire, so wire_bytes excludes the diagonal.
-                raw_bytes=float(send_bytes.sum()),
-                wire_bytes=intra + inter,
-                self_bytes=float(send_bytes[self_mask].sum()),
+                raw_bytes=total,
+                wire_bytes=result.wire_bytes,
+                self_bytes=self_bytes,
                 intra_bytes=intra,
-                inter_bytes=inter,
+                inter_bytes=result.wire_bytes - intra,
             )
         return result

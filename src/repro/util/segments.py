@@ -132,13 +132,11 @@ class AdjacencyGather(NamedTuple):
     """Flattened CSR adjacency of a set of vertices.
 
     ``pos`` indexes the local ``targets`` array (so ``targets[pos]`` is the
-    concatenated adjacency), ``rel`` is each flat element's offset within
-    its own segment, ``seg_offsets`` delimits per-vertex segments in the
-    flat arrays, and ``lens`` is each vertex's degree.
+    concatenated adjacency), ``seg_offsets`` delimits per-vertex segments
+    in the flat arrays, and ``lens`` is each vertex's degree.
     """
 
     pos: np.ndarray
-    rel: np.ndarray
     seg_offsets: np.ndarray
     lens: np.ndarray
 
@@ -149,19 +147,14 @@ def gather_adjacency(
     """Flatten the CSR rows of ``vertices`` into one index array.
 
     This is the shared flattening step of the top-down and bottom-up
-    kernels.  The per-element segment offset (``rel``) is computed once
-    and the CSR position derived from it, so each of the two ``repeat``
-    expansions runs exactly once (the historic kernels repeated
-    ``flat_starts`` twice).
+    kernels: a flat element's CSR position is its flat index shifted by
+    (row start - segment start), so one ``repeat`` expansion suffices.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     vertices = np.asarray(vertices, dtype=np.int64)
     starts = offsets[vertices]
     lens = offsets[vertices + 1] - starts
     seg_offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-    total = int(seg_offsets[-1])
-    rel = np.arange(total, dtype=np.int64) - np.repeat(
-        seg_offsets[:-1], lens
-    )
-    pos = rel + np.repeat(starts, lens)
-    return AdjacencyGather(pos=pos, rel=rel, seg_offsets=seg_offsets, lens=lens)
+    pos = np.arange(int(seg_offsets[-1]), dtype=np.int64)
+    pos += np.repeat(starts - seg_offsets[:-1], lens)
+    return AdjacencyGather(pos=pos, seg_offsets=seg_offsets, lens=lens)

@@ -8,6 +8,7 @@ from repro.core import BFSConfig, Bitmap, SummaryBitmap, TraversalMode
 from repro.core import bottomup, topdown
 from repro.core.counts import Direction
 from repro.core.hybrid import DirectionPolicy, FrontierStats
+from repro.core.kernels import TopDownPairs, default_backend
 from repro.core.state import RankState
 from repro.errors import SimulationError
 from repro.graph import Partition1D, path_graph, star_graph
@@ -20,12 +21,6 @@ def single_rank_state(graph):
 
 
 class TestRankState:
-    def test_discover_first_writer_wins(self):
-        st, _ = single_rank_state(path_graph(5))
-        new = st.discover(np.array([2, 2, 3]), np.array([1, 4, 2]))
-        assert new.tolist() == [2, 3]
-        assert st.parent[2] == 1  # first occurrence kept
-
     def test_discover_skips_visited(self):
         st, _ = single_rank_state(path_graph(5))
         st.discover(np.array([2]), np.array([1]))
@@ -61,55 +56,142 @@ class TestRankState:
             st.discover(np.array([0, 1]), np.array([0]))
 
 
+def expand(graph, part, *frontiers):
+    """Run the shared expansion with one lane per given frontier."""
+    owner_of = part.owner(np.arange(graph.num_vertices))
+    return default_backend().top_down_expand(
+        graph,
+        [np.asarray(f, dtype=np.int64) for f in frontiers],
+        owner_of,
+        part.num_parts,
+    )
+
+
 class TestTopDown:
     def test_expand_routes_to_owners(self):
         g = path_graph(8)
         part = Partition1D(8, 2)
-        st = RankState(part.extract_local(g, 0))
-        # Frontier = global vertex 3 (local id 3 on rank 0); neighbours are
-        # 2 (owned by rank 0) and 4 (owned by rank 1).
-        send = topdown.expand(st, np.array([3]), part)
-        assert send.frontier_size == 1
-        assert send.examined_edges == 2
-        assert send.outbox[0].tolist() == [[2, 3]]
-        assert send.outbox[1].tolist() == [[4, 3]]
+        # Frontier = vertex 3 (rank 0); neighbours are 2 (owned by rank
+        # 0) and 4 (owned by rank 1).
+        pairs = expand(g, part, [3])
+        assert pairs.examined_edges.tolist() == [[2, 0]]
+        assert pairs.child.tolist() == [2, 4]
+        assert pairs.parent.tolist() == [3, 3]
+        assert pairs.sender.tolist() == [0, 0]
+        assert pairs.owner.tolist() == [0, 1]
+        assert pairs.send_bytes.tolist() == [[[16, 16], [0, 0]]]
 
     def test_expand_dedupes_children(self):
         g = cycle_graph(4)
         part = Partition1D(4, 1)
-        st = RankState(part.extract_local(g, 0))
         # Vertices 0 and 2 are both adjacent to 1 and 3.
-        send = topdown.expand(st, np.array([0, 2]), part)
-        children = sorted(send.outbox[0][:, 0].tolist())
-        assert children == [1, 3]  # each child once despite two finders
-        assert send.examined_edges == 4
+        pairs = expand(g, part, [0, 2])
+        assert pairs.child.tolist() == [1, 3]  # once despite two finders
+        assert pairs.parent.tolist() == [0, 0]  # first finder wins
+        assert pairs.examined_edges.tolist() == [[4]]
 
     def test_expand_empty_frontier(self):
         g = path_graph(4)
         part = Partition1D(4, 2)
-        st = RankState(part.extract_local(g, 1))
-        send = topdown.expand(st, np.array([], dtype=np.int64), part)
-        assert send.examined_edges == 0
-        assert all(o.size == 0 for o in send.outbox)
+        pairs = expand(g, part, [])
+        assert pairs.examined_edges.tolist() == [[0, 0]]
+        assert pairs.child.size == 0
+        assert not pairs.send_bytes.any()
 
     def test_apply_received_discovers_once(self):
         g = path_graph(4)
-        part = Partition1D(4, 1)
-        st = RankState(part.extract_local(g, 0))
-        received = [
-            np.array([[1, 0], [2, 1]], dtype=np.int64),
-            np.array([[1, 2]], dtype=np.int64),
-        ]
-        new = topdown.apply_received(st, received)
-        assert sorted(new.tolist()) == [1, 2]
-        assert st.parent[1] == 0  # first message wins
+        part = Partition1D(4, 2)
+        # Sender 0 offers (1 <- 0) and (2 <- 1); sender 1 offers (1 <- 2).
+        pairs = TopDownPairs(
+            lane=np.zeros(3, dtype=np.int64),
+            sender=np.array([0, 0, 1]),
+            owner=np.array([0, 1, 0]),
+            child=np.array([1, 2, 1]),
+            parent=np.array([0, 1, 2]),
+            examined_edges=np.zeros((1, 2), dtype=np.int64),
+            send_bytes=np.zeros((1, 2, 2), dtype=np.int64),
+        )
+        parent = np.full((1, 4), -1, dtype=np.int64)
+        (new,), disc_degree = topdown.apply_received(
+            pairs, parent, np.zeros(1, dtype=np.int64), g.degrees(), 2
+        )
+        assert new.tolist() == [1, 2]
+        assert parent[0].tolist() == [-1, 0, 1, -1]  # lowest sender wins
+        assert disc_degree.tolist() == [[2, 2]]
 
     def test_apply_received_empty(self):
         g = path_graph(4)
         part = Partition1D(4, 1)
-        st = RankState(part.extract_local(g, 0))
-        new = topdown.apply_received(st, [np.zeros((0, 2), dtype=np.int64)])
+        parent = np.full((1, 4), -1, dtype=np.int64)
+        (new,), disc_degree = topdown.apply_received(
+            expand(g, part, []), parent, np.zeros(1, dtype=np.int64),
+            g.degrees(), 1,
+        )
         assert new.size == 0
+        assert disc_degree.tolist() == [[0]]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_step_matches_brute_force(self, seed):
+        """Expand + apply against per-rank Python sets on tiny graphs:
+        ``send_bytes[i, j]`` is 16 x the distinct children of sender i
+        owned by j, and every fresh child gets the lowest sender's first
+        occurrence as parent, discovered in (owner, sender, child)
+        order."""
+        from repro.graph import from_edge_arrays
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 40))
+        ranks = int(rng.integers(1, 5))
+        lanes = int(rng.integers(1, 4))
+        m = int(rng.integers(n, 4 * n))
+        g = from_edge_arrays(n, rng.integers(0, n, m), rng.integers(0, n, m))
+        part = Partition1D(n, ranks)
+        owner = [int(part.owner(v)) for v in range(n)]
+        adj = [
+            g.targets[g.offsets[v]:g.offsets[v + 1]].tolist()
+            for v in range(n)
+        ]
+        parent = np.full((lanes, n), -1, dtype=np.int64)
+        parent[rng.random((lanes, n)) < 0.3] = 0  # already visited
+        before = parent.copy()
+        # Rank-major frontiers, arbitrary order within a rank.
+        frontiers = []
+        for _ in range(lanes):
+            f = rng.permutation(n)[: int(rng.integers(0, n))]
+            frontiers.append(f[np.argsort([owner[v] for v in f], kind="stable")])
+
+        pairs = expand(g, part, *frontiers)
+        rows = rng.permutation(lanes)  # lane b writes parent row rows[b]
+        new, disc_degree = topdown.apply_received(
+            pairs, parent, rows, g.degrees(), ranks
+        )
+
+        for b, frontier in enumerate(frontiers):
+            offered = [dict() for _ in range(ranks)]  # sender -> child -> parent
+            examined = [0] * ranks
+            for u in frontier.tolist():
+                examined[owner[u]] += len(adj[u])
+                for v in adj[u]:
+                    offered[owner[u]].setdefault(v, u)
+            assert pairs.examined_edges[b].tolist() == examined
+            for i in range(ranks):
+                for j in range(ranks):
+                    kids = {v for v in offered[i] if owner[v] == j}
+                    assert pairs.send_bytes[b, i, j] == 16 * len(kids)
+            row = int(rows[b])
+            expected = []
+            for v in range(n):
+                senders = [i for i in range(ranks) if v in offered[i]]
+                if senders and before[row, v] < 0:
+                    assert parent[row, v] == offered[senders[0]][v]
+                    expected.append((owner[v], senders[0], v))
+                else:
+                    assert parent[row, v] == before[row, v]
+            assert new[b].tolist() == [v for _, _, v in sorted(expected)]
+            degree_sum = [0] * ranks
+            for v in new[b].tolist():
+                degree_sum[owner[v]] += len(adj[v])
+            assert disc_degree[b].tolist() == degree_sum
 
 
 class TestBottomUp:

@@ -2,6 +2,8 @@
 well-formed output, and the qualitative paper claims (DESIGN.md §4) must
 hold at test-speed settings."""
 
+import os
+
 import pytest
 
 from repro.experiments import (
@@ -100,10 +102,6 @@ class TestFigureClaims:
         ]
         teps = [rows[name] for name in order]
         assert teps == sorted(teps)
-        overall = teps[-1] / teps[0]
-        assert 1.8 < overall < 3.5  # paper: 2.44
-        numa = teps[1] / teps[0]
-        assert 1.3 < numa < 2.2  # paper: 1.53
         assert 15 < teps[-1] < 90  # paper: 39.2 GTEPS
 
     def test_fig10_policy_ordering(self, results):
@@ -161,6 +159,77 @@ class TestFigureClaims:
     def test_table1_matches_paper(self, results):
         paper, measured = results["table1"].claims["total cores"]
         assert paper == measured == "1024"
+
+
+def _column(eid, key_col, val_col):
+    return lambda results: {r[key_col]: r[val_col] for r in results[eid].rows}
+
+
+_FIG09 = _column("fig09", 0, 1)
+_FIG10 = _column("fig10", 0, 1)
+_FIG16 = _column("fig16", 0, 1)
+
+
+def _fig09_step(later, earlier):
+    return lambda results: _FIG09(results)[later] / _FIG09(results)[earlier]
+
+
+def _fig13_row(results, nodes):
+    (row,) = [r for r in results["fig13"].rows if r[0] == nodes]
+    return row
+
+
+#: Every ratio the paper states, the model's value at ``FAST`` settings
+#: (deterministic: seeded graphs and roots), and the relative distance
+#: from the paper's number the model achieves today.  ``model`` pins
+#: the figure — churn in the core that drifts it fails here; ``err`` is
+#: how far from the paper a deliberate re-pin may sit without someone
+#: also widening it.
+PAPER_RATIOS = [
+    # (id, paper, model, err, measured-from-results)
+    ("fig09 NUMA mapping, ppn=8 / ppn=1", 1.53, 1.6210722, 0.060,
+     _fig09_step("Original.ppn=8", "Original.ppn=1")),
+    ("fig09 Share in_queue / Original.ppn=8", 1.341, 1.2149541, 0.095,
+     _fig09_step("Share in_queue", "Original.ppn=8")),
+    ("fig09 Share all / Share in_queue", 1.065, 1.0101753, 0.052,
+     _fig09_step("Share all", "Share in_queue")),
+    ("fig09 Par allgather / Share all", 1.046, 1.1957141, 0.144,
+     _fig09_step("Par allgather", "Share all")),
+    ("fig09 Granularity / Par allgather", 1.148, 1.1279040, 0.018,
+     _fig09_step("Granularity", "Par allgather")),
+    ("fig09 overall, Granularity / Original.ppn=1", 2.44, 2.6832335, 0.100,
+     _fig09_step("Granularity", "Original.ppn=1")),
+    ("fig10 bind-to-socket / ppn=1.interleave", 1.74, 2.2532278, 0.295,
+     lambda res: _FIG10(res)["ppn=8.bind-to-socket"]
+     / _FIG10(res)["ppn=1.interleave"]),
+    ("fig10 bind-to-socket / ppn=8.noflag", 2.08, 3.8932954, 0.872,
+     lambda res: _FIG10(res)["ppn=8.bind-to-socket"]
+     / _FIG10(res)["ppn=8.noflag"]),
+    ("fig12 ppn=8 comm / ppn=1 comm, 8 nodes", 2.34, 2.9473807, 0.260,
+     lambda res: res["fig12"].rows[-1][4]),
+    ("fig13 comm cut Original.ppn=8 / Par allgather, 8 nodes", 4.07,
+     5.8007767, 0.426,
+     lambda res: _fig13_row(res, 8)[2] / _fig13_row(res, 8)[5]),
+    ("fig16 best granularity", 256, 256, 0.0,
+     lambda res: max(_FIG16(res), key=_FIG16(res).get)),
+    ("fig16 g=256 / g=64", 1.102, 1.1279040, 0.024,
+     lambda res: _FIG16(res)[256] / _FIG16(res)[64]),
+]
+
+
+@pytest.mark.skipif(
+    os.environ.get("REPRO_CODEC", "raw") not in ("", "raw"),
+    reason="the paper's ratios (and the pins) are for uncompressed frontiers",
+)
+class TestPaperRatios:
+    @pytest.mark.parametrize(
+        "paper, model, err, measure",
+        [pytest.param(*row[1:], id=row[0]) for row in PAPER_RATIOS],
+    )
+    def test_ratio_pinned(self, results, paper, model, err, measure):
+        measured = measure(results)
+        assert measured == pytest.approx(model, rel=1e-6)
+        assert abs(measured / paper - 1) <= err
 
 
 class TestCli:

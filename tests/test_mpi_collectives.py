@@ -238,29 +238,28 @@ class TestSimCommPrimitives:
         with pytest.raises(CommunicationError):
             comm.allreduce_sum(np.zeros(2))
 
-    def test_alltoallv_routes_messages(self):
+    def test_alltoallv_prices_byte_matrix(self):
         comm = make_comm(nodes=2, ppn=2)
         n = comm.num_ranks
-        send = [
-            [np.array([i * 100 + j], dtype=np.int64) for j in range(n)]
-            for i in range(n)
-        ]
-        res = comm.alltoallv(send)
-        for j in range(n):
-            for i in range(n):
-                assert res.data[j][i][0] == i * 100 + j
+        send_bytes = np.arange(n * n, dtype=np.int64).reshape(n, n) * 16
+        res = comm.alltoallv(send_bytes)
+        assert res.data is None  # the payload never moves through here
+        assert np.array_equal(res.rank_times, comm.alltoallv_time(send_bytes))
+        assert res.breakdown == {"alltoallv": res.max_time}
+        assert res.raw_bytes == send_bytes.sum()
+        # Self-messages are pointer hand-offs, not wire traffic.
+        assert res.wire_bytes == send_bytes.sum() - np.trace(send_bytes)
 
     def test_alltoallv_empty_messages_free(self):
         comm = make_comm(nodes=2, ppn=2)
         n = comm.num_ranks
-        send = [[np.zeros(0, np.int64) for _ in range(n)] for _ in range(n)]
-        res = comm.alltoallv(send)
+        res = comm.alltoallv(np.zeros((n, n), dtype=np.int64))
         assert res.max_time == 0.0
 
     def test_alltoallv_shape_checked(self):
         comm = make_comm(nodes=2, ppn=2)
         with pytest.raises(CommunicationError):
-            comm.alltoallv([[np.zeros(0, np.int64)]])
+            comm.alltoallv(np.zeros((1, 1), dtype=np.int64))
 
     def test_inter_faster_than_intra_for_small_latency(self):
         """Sanity: shm copies have lower latency but lower per-flow

@@ -200,6 +200,25 @@ class TestBatchValidation:
         for root, bat in zip(roots, results):
             assert_identical(seq.run(root), bat, ("convenience", root))
 
+    def test_one_shot_iterable_under_recording_tracer(self, graph, cluster):
+        """``roots`` is read once: a generator must survive the traced
+        path's lane bookkeeping and still reach the traversal."""
+        from repro.obs.tracer import SpanTracer
+
+        roots = roots_for(graph, 3, seed=9)
+        tracer = SpanTracer()
+        ms = MultiSourceEngine(graph, cluster, tracer=tracer)
+        results = ms.run_batch(r for r in roots)
+        assert [res.root for res in results] == roots
+        (run,) = [sp for sp in tracer.spans if sp.name == "batch.run"]
+        assert run.attrs["lanes"] == 3 and run.attrs["sources"] == roots
+        lanes = [sp for sp in tracer.spans if sp.name == "batch.lane"]
+        assert [sp.attrs["source"] for sp in lanes] == roots
+        # Tracing changes nothing functional, comm events included.
+        plain = MultiSourceEngine(graph, cluster).run_batch(roots)
+        for a, b in zip(results, plain):
+            assert_identical(a, b, "traced-vs-plain")
+
     def test_shares_prepared_graph(self, graph, cluster):
         ms = MultiSourceEngine(graph, cluster)
         assert ms.prepared is ms.engine.prepared

@@ -195,15 +195,25 @@ class TestEngineTelemetry:
     def test_per_rank_kernel_spans(self, traced):
         spans = traced.telemetry.spans
         scans = [s for s in spans if s.name == "bu.scan"]
-        expands = [s for s in spans if s.name == "td.expand"]
         num_ranks = traced.counts.num_ranks
-        bu_levels = sum(
-            1 for lc in traced.counts.levels if lc.direction == "bottom_up"
-        )
-        td_levels = traced.levels - bu_levels
+        td_counts = [
+            lc for lc in traced.counts.levels if lc.direction == "top_down"
+        ]
+        bu_levels = traced.levels - len(td_counts)
         assert len(scans) == bu_levels * num_ranks
-        assert len(expands) == td_levels * num_ranks
         assert all("examined_edges" in s.attrs for s in scans)
+        # Top-down is rank-global: one span per stage and level, carrying
+        # the per-rank arrays (one row per lane; a run is one lane).
+        expands = [s for s in spans if s.name == "phase.td_expand"]
+        applies = [s for s in spans if s.name == "phase.td_apply"]
+        assert len(expands) == len(applies) == len(td_counts)
+        for lc, ex, ap in zip(td_counts, expands, applies):
+            assert ex.attrs["frontier"] == [lc.frontier_local.tolist()]
+            assert ex.attrs["examined_edges"] == [lc.examined_edges.tolist()]
+            assert ap.attrs["discovered"] == [lc.discovered.tolist()]
+            assert ap.attrs["received_pairs"] == [
+                (lc.td_send_bytes.sum(axis=0) // 16).tolist()
+            ]
 
     def test_direction_markers(self, traced):
         markers = [
