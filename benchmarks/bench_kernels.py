@@ -2,9 +2,10 @@
 
 These are *wall-clock* benchmarks of the reproduction's own code (unlike
 the figure benches, which report simulated time): bitmap operations, the
-bottom-up scan under every registered kernel backend, the R-MAT
-generator and a full engine run.  They guard against performance
-regressions in the simulator itself.
+bottom-up scan (single-source and 64-lane) under every registered
+kernel backend, the R-MAT generator, a full engine run and a full
+64-source batch.  They guard against performance regressions in the
+simulator itself.
 
 The bottom-up benchmarks run each backend on a *real* mid-BFS level
 (the scan right after level 1 from a high-degree root), which is where
@@ -27,6 +28,7 @@ import pytest
 
 from repro.core import BFSConfig, BFSEngine, Bitmap, SummaryBitmap, compute_levels
 from repro.core.kernels import available_backends, get_backend
+from repro.core.multisource import MultiSourceEngine
 from repro.core.state import RankState
 from repro.graph import Partition1D, generate_rmat_edges, rmat_graph
 from repro.graph.builder import build_graph
@@ -53,6 +55,17 @@ def mid_level(graph):
     frontier = np.flatnonzero(levels == 1)
     visited = np.flatnonzero((levels >= 0) & (levels <= 1))
     return frontier, visited
+
+
+def _skip_unless_runnable(backend, backend_name, lanes=False):
+    if backend.name != backend_name:
+        # Resolution degraded (e.g. cnative without a toolchain): skip
+        # rather than record another backend's numbers under this label.
+        pytest.skip(f"backend {backend_name!r} unavailable here")
+    if lanes and backend.lane_chunk is None and SCALE > 14:
+        # The reference lane scan gathers a dense (candidates, max
+        # degree) block in its one round: gigabytes at scale 16.
+        pytest.skip(f"{backend_name} lane scan needs too much memory")
 
 
 def test_bitmap_set_and_count(benchmark):
@@ -116,10 +129,7 @@ def test_bottom_up_scan(benchmark, graph, mid_level, backend_name):
     by >= 10x at the default scale)."""
     frontier, visited = mid_level
     backend = get_backend(backend_name)
-    if backend.name != backend_name:
-        # Resolution degraded (e.g. cnative without a toolchain): skip
-        # rather than record another backend's numbers under this label.
-        pytest.skip(f"backend {backend_name!r} unavailable here")
+    _skip_unless_runnable(backend, backend_name)
     part = Partition1D(graph.num_vertices, 1)
     in_queue = Bitmap.from_indices(graph.num_vertices, frontier)
     summary = SummaryBitmap.build(in_queue, 64)
@@ -154,9 +164,70 @@ def test_full_engine_run(benchmark, graph, backend_name):
     engine = BFSEngine(
         graph, cluster, BFSConfig(kernel=backend_name, label="Original.ppn=8")
     )
-    if engine.kernel.name != backend_name:
-        pytest.skip(f"backend {backend_name!r} unavailable here")
+    _skip_unless_runnable(engine.kernel, backend_name)
     root = int(np.argmax(graph.degrees()))
     result = benchmark.pedantic(engine.run, args=(root,), rounds=1, iterations=1)
     assert result.visited > 0
     benchmark.extra_info.update(backend=backend_name, scale=SCALE)
+
+
+@pytest.fixture(scope="module")
+def batch_roots(graph):
+    """The 64 highest-degree vertices: one lane each."""
+    return [int(r) for r in np.argsort(graph.degrees())[-64:][::-1]]
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_lane_scan(benchmark, graph, batch_roots, backend_name):
+    """The 64-lane scan of the same mid-BFS level as
+    ``test_bottom_up_scan``, once per lane's own root: every lane has
+    visited its root and level 1 (the root's neighbours), which is its
+    published frontier."""
+    backend = get_backend(backend_name)
+    _skip_unless_runnable(backend, backend_name, lanes=True)
+    n = graph.num_vertices
+    parent = np.full((64, n), -1, dtype=np.int64)
+    in_queues, summaries = [], []
+    for lane, root in enumerate(batch_roots):
+        frontier = np.setdiff1d(graph.neighbors(root), [root])
+        parent[lane, frontier] = root
+        parent[lane, root] = root
+        in_queues.append(Bitmap.from_indices(n, frontier))
+        summaries.append(SummaryBitmap.build(in_queues[-1], 64))
+    rows = np.arange(64, dtype=np.int64)
+
+    result = benchmark.pedantic(
+        backend.bottom_up_scan_batch,
+        args=(graph, parent, rows, in_queues, summaries),
+        rounds=10,
+        warmup_rounds=1,
+    )
+    assert result.disc_lane.size > 0
+    benchmark.extra_info.update(
+        backend=backend_name,
+        scale=SCALE,
+        lanes=64,
+        candidates=int(result.candidates.sum()),
+        examined_edges=int(result.examined_edges.sum()),
+        inqueue_reads=int(result.inqueue_reads.sum()),
+        discovered=int(result.disc_lane.size),
+        gathered_edges=result.gathered_edges,
+        chunk_rounds=result.chunk_rounds,
+    )
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_run_batch_64(benchmark, graph, batch_roots, backend_name):
+    """One whole 64-source batch — ``test_full_engine_run``'s cluster and
+    config, so per-query cost compares with one engine run."""
+    engine = MultiSourceEngine(
+        graph,
+        paper_cluster(nodes=2),
+        BFSConfig(kernel=backend_name, label="Original.ppn=8"),
+    )
+    _skip_unless_runnable(engine.engine.kernel, backend_name, lanes=True)
+    results = benchmark.pedantic(
+        engine.run_batch, args=(batch_roots,), rounds=1, iterations=1
+    )
+    assert all(r.visited > 0 for r in results)
+    benchmark.extra_info.update(backend=backend_name, scale=SCALE, lanes=64)

@@ -17,9 +17,10 @@ be swapped without touching the engines.  Three backends ship:
     Native compiled kernels
     (:class:`~repro.core.kernels.cnative.CNativeBackend`) — a small C
     source compiled on first use and called through ctypes; the true
-    per-vertex early exit.  Requires a system C compiler: when none is
-    found (or the build fails) the backend reports itself unavailable
-    and resolution degrades to ``activeset`` with a structured warning.
+    per-vertex early exit, for one source or a 64-lane batch.  Requires
+    a system C compiler: when none is found (or the build fails) the
+    backend reports itself unavailable and resolution degrades to
+    ``activeset`` with a structured warning.
 
 Selection precedence: ``BFSConfig.kernel`` (explicit) → the
 ``REPRO_KERNEL`` environment variable → :data:`DEFAULT_BACKEND`.  Every

@@ -69,6 +69,11 @@ class ActiveSetBackend(KernelBackend):
             raise ConfigError(f"kernel chunk must be >= 1, got {chunk}")
         self.chunk = int(chunk)
 
+    @property
+    def lane_chunk(self) -> int:
+        """The batched lane scan starts its width doubling at ``chunk`` too."""
+        return self.chunk
+
     @classmethod
     def from_config(cls, config) -> "ActiveSetBackend":
         """Instance honouring ``BFSConfig.kernel_chunk``."""
@@ -183,23 +188,4 @@ class ActiveSetBackend(KernelBackend):
             inqueue_reads=inqueue_reads,
             gathered_edges=gathered,
             chunk_rounds=rounds,
-        )
-
-    def bottom_up_scan_batch(
-        self, local, active_lanes, inq_lanes, summary_lanes, granularity,
-        groups=None, num_groups=1,
-    ):
-        """Batched scan with this backend's chunk-doubling schedule."""
-        from repro.core.kernels.batched import lane_scan
-
-        return lane_scan(
-            local,
-            active_lanes,
-            inq_lanes,
-            summary_lanes,
-            granularity,
-            initial_width=self.chunk,
-            max_width=self.MAX_CHUNK,
-            groups=groups,
-            num_groups=num_groups,
         )

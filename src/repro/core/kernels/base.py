@@ -166,6 +166,11 @@ class KernelBackend(abc.ABC):
 
     name: ClassVar[str]
 
+    #: First-round chunk width of the numpy lane scan this backend's
+    #: default :meth:`bottom_up_scan_batch` runs (None: every candidate's
+    #: whole adjacency in one round).
+    lane_chunk: int | None = 2
+
     @classmethod
     def from_config(cls, config: "BFSConfig | None") -> "KernelBackend":
         """Instance configured from a :class:`BFSConfig` (default: no knobs)."""
@@ -202,35 +207,42 @@ class KernelBackend(abc.ABC):
     def bottom_up_scan_batch(
         self,
         local: "LocalGraph",
-        active_lanes: np.ndarray,
-        inq_lanes: np.ndarray,
-        summary_lanes: np.ndarray | None,
-        granularity: int,
+        parent: np.ndarray,
+        rows: np.ndarray,
+        in_queues: "list[Bitmap]",
+        summaries: "list[SummaryBitmap] | None",
         groups: np.ndarray | None = None,
         num_groups: int = 1,
     ) -> "LaneScanResult":
         """Batched bottom-up scan: one pass serving up to 64 sources.
 
-        ``local`` may be a per-rank :class:`LocalGraph` or any CSR view
-        with ``offsets``/``targets`` (the engine passes the whole graph
-        and splits the counts per rank via ``groups``).  Lane semantics
-        and the bit-identity contract live in
-        :mod:`repro.core.kernels.batched`.  The default implementation
-        is the pure-numpy active-set lane scan, so backends without a
-        native batched kernel (e.g. the compiled ``cnative`` backend)
-        transparently fall back to it — accounting stays bit-identical
-        because the counts are chunk-schedule-independent.
+        ``local`` is a CSR view with ``offsets``/``targets`` over the
+        vertices the ``parent`` matrix has columns for (the engine passes
+        the whole graph and splits the counts per rank via ``groups``).
+        Lane ``b`` is the traversal with parent array ``parent[rows[b]]``
+        (read, never written), published frontier ``in_queues[b]`` and
+        summary ``summaries[b]`` (``summaries`` is None when the
+        structure is disabled); building the lane words from them is the
+        kernel's business.  Lane semantics and the bit-identity contract
+        live in :mod:`repro.core.kernels.batched`.  This default packs
+        the lane words with numpy and runs the numpy lane scan on the
+        backend's chunk schedule (:attr:`lane_chunk`); the counts
+        are chunk-schedule-independent, so every backend — the compiled
+        ``cnative`` one, which overrides this with a C pass, included —
+        returns the same result.
         """
-        from repro.core.kernels.batched import lane_scan
+        from repro.core.kernels.batched import lane_scan, pack_level
 
+        active, inq, summary = pack_level(
+            local, parent, rows, in_queues, summaries
+        )
         return lane_scan(
             local,
-            active_lanes,
-            inq_lanes,
-            summary_lanes,
-            granularity,
-            initial_width=2,
-            max_width=1 << 16,
+            active,
+            inq,
+            summary,
+            summaries[0].granularity if summaries is not None else 0,
+            initial_width=self.lane_chunk,
             groups=groups,
             num_groups=num_groups,
         )

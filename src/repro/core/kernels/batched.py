@@ -43,7 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LaneScanResult", "lane_scan", "pack_lanes", "MAX_LANES"]
+from repro.util import bitops
+
+__all__ = [
+    "LaneScanResult",
+    "lane_scan",
+    "pack_lanes",
+    "pack_level",
+    "MAX_LANES",
+]
 
 #: Lanes per batch — one bit per source in a lane word.
 MAX_LANES = 64
@@ -98,6 +106,30 @@ def pack_lanes(bools: np.ndarray) -> np.ndarray:
         .reshape(n, dt.itemsize)
         .view(dt)[:, 0]
     )
+
+
+def pack_level(lg, parent, rows, in_queues, summaries):
+    """Lane words of one batched bottom-up level, built with numpy.
+
+    Lane ``b`` is the traversal whose parent array is ``parent[rows[b]]``
+    and whose published frontier is ``in_queues[b]`` (``summaries[b]``
+    its summary; ``summaries`` is None when the structure is disabled).
+    Returns ``(active_lanes, inq_lanes, summary_lanes)`` as
+    :func:`lane_scan` takes them: a lane seeks a vertex it has not
+    reached (negative parent) that has an adjacency to scan.
+    """
+    def pack(bitmaps, nbits):
+        return pack_lanes(
+            np.stack([bitops.bits_to_bool(b.words, nbits) for b in bitmaps])
+        )
+
+    active = pack_lanes(
+        (parent[rows] < 0) & (lg.offsets[1:] > lg.offsets[:-1])
+    )
+    inq = pack(in_queues, in_queues[0].nbits)
+    if summaries is None:
+        return active, inq, None
+    return active, inq, pack(summaries, summaries[0].nblocks)
 
 
 def _unpack_lanes(words: np.ndarray) -> np.ndarray:

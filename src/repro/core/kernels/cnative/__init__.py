@@ -3,10 +3,12 @@
 A thin ctypes wrapper over ``bfs_kernels.c`` (compiled and cached by
 :mod:`repro.core.kernels.cnative.build`): the bottom-up scan runs the
 *true* per-vertex early-exit loop — summary-bitmap probe, first-hit
-break, zero temporaries — directly on the numpy buffers (no copies).
-The top-down expansion is the shared rank-global one every backend
-inherits.  Accounting is bit-identical to the reference backend; see
-docs/PERFORMANCE.md for the algorithm sketch and the
+break, zero temporaries — directly on the numpy buffers (no copies),
+and the batched scan runs the same loop once for up to 64 sources on
+``uint64`` lane words it packs itself (:func:`lane_scan`).  The top-down
+expansion is the shared rank-global one every backend inherits.
+Accounting is bit-identical to the reference backend; see
+docs/PERFORMANCE.md for the algorithm sketches and the
 build/cache/fallback semantics.
 
 The class always registers so the name shows up in
@@ -25,10 +27,92 @@ from repro.core.kernels.base import (
     KernelBackend,
     register_backend,
 )
+from repro.core.kernels.batched import MAX_LANES, LaneScanResult
 from repro.core.kernels.cnative import build
 from repro.core.kernels.cnative.build import _i64, _u64
+from repro.errors import ConfigError
 
-__all__ = ["CNativeBackend", "build"]
+__all__ = ["CNativeBackend", "build", "lane_scan"]
+
+
+def lane_scan(
+    lg,
+    active_lanes: np.ndarray,
+    inq_lanes: np.ndarray,
+    summary_lanes: np.ndarray | None,
+    granularity: int,
+    *,
+    groups: np.ndarray | None = None,
+    num_groups: int = 1,
+) -> LaneScanResult:
+    """The native lane scan: :func:`repro.core.kernels.batched.lane_scan`'s
+    contract and result, computed by one C pass (``repro_lane_scan``).
+
+    Lane words of any unsigned dtype are widened to ``uint64``; the count
+    arrays always come back ``(num_groups, 64)``.  Unlike the numpy scan
+    the C loop probes the summary *before* reading ``inq_lanes`` (as the
+    paper's kernel does), so ``summary_lanes`` must cover ``inq_lanes`` —
+    a lane's block bit set wherever one of the block's vertices is.
+    """
+    lib = build.load_library()
+    # Keep every buffer referenced in a local for the call's duration.
+    offsets = np.ascontiguousarray(lg.offsets, dtype=np.int64)
+    targets = np.ascontiguousarray(lg.targets, dtype=np.int64)
+    act = np.ascontiguousarray(active_lanes, dtype=np.uint64)
+    inq = np.ascontiguousarray(inq_lanes, dtype=np.uint64)
+    n = act.size
+    if offsets.size != n + 1:
+        raise ConfigError(
+            f"{n} active lane words for a CSR of {offsets.size - 1} rows"
+        )
+    if summary_lanes is None:
+        summary, summary_ptr, granularity = None, None, 0
+    else:
+        summary = np.ascontiguousarray(summary_lanes, dtype=np.uint64)
+        summary_ptr = _u64(summary)
+        if granularity < 1 or summary.size * granularity < inq.size:
+            raise ConfigError(
+                f"{summary.size} summary blocks of {granularity} vertices "
+                f"do not cover {inq.size} lane words"
+            )
+    if groups is None:
+        grp, grp_ptr = None, None
+    else:
+        grp = np.ascontiguousarray(groups, dtype=np.int64)
+        grp_ptr = _i64(grp)
+        if grp.size != n or (
+            n and not 0 <= int(grp.min()) <= int(grp.max()) < num_groups
+        ):
+            raise ConfigError(
+                f"groups must assign each of {n} rows one of "
+                f"{num_groups} groups"
+            )
+
+    # candidates, examined, skipped (examined on a zero summary bit).
+    counts = np.zeros((3, num_groups, MAX_LANES), dtype=np.int64)
+    # Discoveries cannot outnumber the (vertex, lane) candidate pairs;
+    # pages of the buffers the scan never reaches are never touched.
+    capacity = lib.repro_lane_popcount(n, _u64(act))
+    tmp_hit = np.empty(capacity, dtype=np.uint64)
+    tmp = np.empty((2, capacity), dtype=np.int64)
+    disc = np.empty((3, capacity), dtype=np.int64)
+    found = lib.repro_lane_scan(
+        n, _i64(offsets), _i64(targets), _u64(act), _u64(inq),
+        summary_ptr, granularity, grp_ptr, num_groups, _i64(counts),
+        _u64(tmp_hit), _i64(tmp[0]), _i64(tmp[1]),
+        _i64(disc[0]), _i64(disc[1]), _i64(disc[2]),
+    )
+    return LaneScanResult(
+        candidates=counts[0],
+        examined_edges=counts[1],
+        inqueue_reads=counts[1] - counts[2],
+        disc_lane=disc[0, :found],
+        disc_local=disc[1, :found],
+        disc_parent=disc[2, :found],
+        # Like the single-source loop: nothing materialized, one pass.
+        gathered_edges=0,
+        chunk_rounds=1,
+    )
 
 
 @register_backend
@@ -89,3 +173,52 @@ class CNativeBackend(KernelBackend):
             gathered_edges=0,
             chunk_rounds=1,
         )
+
+    def bottom_up_scan_batch(
+        self, local, parent, rows, in_queues, summaries,
+        groups=None, num_groups=1,
+    ) -> LaneScanResult:
+        """Batched scan in C: pack the lane words, then :func:`lane_scan`.
+
+        The active words come straight from the sign bits of the
+        ``parent`` rows and the frontier words from the published
+        bitmaps' set bits — no per-lane boolean arrays in between.
+        """
+        lib = build.load_library()
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        offsets = np.ascontiguousarray(local.offsets, dtype=np.int64)
+        lanes, n = rows.size, offsets.size - 1
+        if (
+            parent.dtype != np.int64 or not parent.flags.c_contiguous
+            or parent.ndim != 2 or parent.shape[1] != n
+            or not 0 < lanes <= MAX_LANES or len(in_queues) != lanes
+            or not 0 <= int(rows.min()) <= int(rows.max()) < parent.shape[0]
+        ):
+            raise ConfigError(
+                f"need a C-contiguous int64 (sources, {n}) parent matrix, "
+                f"1..{MAX_LANES} of its rows and one in_queue per row"
+            )
+        active = np.empty(n, dtype=np.uint64)
+        lib.repro_lane_active(
+            n, lanes, _i64(parent), _i64(rows), _i64(offsets), _u64(active)
+        )
+        inq = self._pack(lib, in_queues)[: in_queues[0].nbits]
+        if summaries is None:
+            summary, granularity = None, 0
+        else:
+            summary = self._pack(lib, summaries)[: summaries[0].nblocks]
+            granularity = summaries[0].granularity
+        return lane_scan(
+            local, active, inq, summary, granularity,
+            groups=groups, num_groups=num_groups,
+        )
+
+    @staticmethod
+    def _pack(lib, bitmaps) -> np.ndarray:
+        """Lane words from one (summary) bitmap per lane."""
+        words = np.stack([bm.words for bm in bitmaps])
+        out = np.empty(words.shape[1] * 64, dtype=np.uint64)
+        lib.repro_lane_pack(
+            words.shape[1], words.shape[0], _u64(words), _u64(out)
+        )
+        return out

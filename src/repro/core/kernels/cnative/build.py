@@ -155,6 +155,19 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_int64, i64p, i64p, u64p, u64p, c_int64, i64p, i64p, i64p,
     ]
     lib.repro_bu_scan.restype = c_int64
+    lib.repro_lane_pack.argtypes = [c_int64, c_int64, u64p, u64p]
+    lib.repro_lane_pack.restype = None
+    lib.repro_lane_active.argtypes = [
+        c_int64, c_int64, i64p, i64p, i64p, u64p,
+    ]
+    lib.repro_lane_active.restype = None
+    lib.repro_lane_popcount.argtypes = [c_int64, u64p]
+    lib.repro_lane_popcount.restype = c_int64
+    lib.repro_lane_scan.argtypes = [
+        c_int64, i64p, i64p, u64p, u64p, u64p, c_int64, i64p, c_int64,
+        i64p, u64p, i64p, i64p, i64p, i64p, i64p,
+    ]
+    lib.repro_lane_scan.restype = c_int64
     return lib
 
 
@@ -167,11 +180,14 @@ def _u64(arr: np.ndarray):
 
 
 def _smoke_check(lib: ctypes.CDLL) -> None:
-    """Run the scan on a tiny known graph; mismatch = unusable library.
+    """Run the kernels on a tiny known graph; mismatch = unusable library.
 
     The graph is the path 0–1–2–3 with frontier {1} and visited {0, 1}:
     candidate 2 must retire on its first edge with parent 1, candidate 3
-    must scan its single edge and miss.
+    must scan its single edge and miss.  The lane kernels see that
+    traversal as lane 0 and, as lane 1, one with frontier {0} that still
+    seeks vertex 2 only: it walks both of 2's edges and exhausts them
+    while lane 0 retires on the first.
     """
     offsets = np.array([0, 1, 3, 5, 6], dtype=np.int64)
     targets = np.array([1, 0, 2, 1, 3, 2], dtype=np.int64)
@@ -191,6 +207,36 @@ def _smoke_check(lib: ctypes.CDLL) -> None:
             "smoke check failed for repro_bu_scan: "
             f"n={n} new={new.tolist()} parent={parent.tolist()} "
             f"counts={counts.tolist()}"
+        )
+
+    parents = np.array([[0, 1, -1, -1], [0, 1, -1, 3]], dtype=np.int64)
+    bitmaps = np.array([[1 << 1], [1 << 0]], dtype=np.uint64)
+    rows = np.arange(2, dtype=np.int64)
+    act = np.empty(4, dtype=np.uint64)
+    inq_lanes = np.empty(64, dtype=np.uint64)
+    lib.repro_lane_active(
+        4, 2, _i64(parents), _i64(rows), _i64(offsets), _u64(act)
+    )
+    lib.repro_lane_pack(1, 2, _u64(bitmaps), _u64(inq_lanes))
+    pairs = lib.repro_lane_popcount(4, _u64(act))
+    lane_counts = np.zeros((3, 64), dtype=np.int64)
+    tmp_hit = np.zeros(3, dtype=np.uint64)
+    buf = np.zeros((5, 3), dtype=np.int64)  # tmp local/parent, disc triple
+    n = lib.repro_lane_scan(
+        4, _i64(offsets), _i64(targets), _u64(act), _u64(inq_lanes),
+        None, 0, None, 1, _i64(lane_counts), _u64(tmp_hit),
+        _i64(buf[0]), _i64(buf[1]), _i64(buf[2]), _i64(buf[3]), _i64(buf[4]),
+    )
+    if (
+        act.tolist() != [0, 0, 3, 1] or inq_lanes[:4].tolist() != [2, 1, 0, 0]
+        or pairs != 3 or n != 1 or buf[2:, 0].tolist() != [0, 2, 1]
+        or lane_counts[:, :2].tolist() != [[2, 1], [2, 2], [0, 0]]
+    ):
+        raise NativeBuildError(
+            "smoke check failed for repro_lane_scan: "
+            f"act={act.tolist()} inq={inq_lanes[:4].tolist()} pairs={pairs} "
+            f"n={n} disc={buf[2:, 0].tolist()} "
+            f"counts={lane_counts[:, :2].tolist()}"
         )
 
 

@@ -29,6 +29,10 @@ class ReferenceBackend(KernelBackend):
     """Full-materialization kernels — simple, memory-hungry, and the oracle."""
 
     name = "reference"
+    #: The batched scan in the reference style too: one round over every
+    #: candidate's full adjacency (it only spends more memory — the
+    #: counts are chunk-schedule-independent).
+    lane_chunk = None
 
     def bottom_up_scan(self, state, in_queue, summary) -> BottomUpResult:
         """Scan by materializing every candidate's full adjacency at once."""
@@ -78,24 +82,4 @@ class ReferenceBackend(KernelBackend):
             inqueue_reads=inqueue_reads,
             gathered_edges=total,
             chunk_rounds=1 if total else 0,
-        )
-
-    def bottom_up_scan_batch(
-        self, local, active_lanes, inq_lanes, summary_lanes, granularity,
-        groups=None, num_groups=1,
-    ):
-        """Batched scan in the reference style: materialize every
-        candidate's full adjacency in a single round (the counts are
-        chunk-schedule-independent, so this only spends more memory)."""
-        from repro.core.kernels.batched import lane_scan
-
-        return lane_scan(
-            local,
-            active_lanes,
-            inq_lanes,
-            summary_lanes,
-            granularity,
-            initial_width=None,
-            groups=groups,
-            num_groups=num_groups,
         )

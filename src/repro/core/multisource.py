@@ -40,7 +40,7 @@ from repro.core.config import BFSConfig
 from repro.core.counts import Direction, LevelCounts, RunCounts
 from repro.core.engine import BFSEngine, BFSResult
 from repro.core.hybrid import DirectionPolicy, FrontierStats
-from repro.core.kernels.batched import MAX_LANES, pack_lanes
+from repro.core.kernels.batched import MAX_LANES
 from repro.core.prepared import PreparedGraph
 from repro.core.timing import CostConstants, assemble
 from repro.obs.tracer import NULL_TRACER
@@ -184,16 +184,11 @@ class MultiSourceEngine:
 
         np_ranks = eng.mapping.num_ranks
         partition = eng.partition
-        bounds = partition.bounds
         degrees = eng.prepared.degrees
         config = eng.config
 
         parent = np.full((num, n), -1, dtype=np.int64)
-        deg_csum = np.concatenate(
-            [[0], np.cumsum(degrees, dtype=np.int64)]
-        )
-        rank_deg = deg_csum[bounds[1:]] - deg_csum[bounds[:-1]]
-        unexplored = np.tile(rank_deg, (num, 1))
+        unexplored = np.tile(eng.prepared.rank_degree, (num, 1))
 
         frontiers: list[np.ndarray] = []
         for s, root in enumerate(roots):
@@ -340,42 +335,29 @@ class MultiSourceEngine:
         but the scan itself is a single lane pass over the graph.
         """
         eng = self.engine
-        graph = eng.graph
-        n = graph.num_vertices
         np_ranks = eng.mapping.num_ranks
         degrees = eng.prepared.degrees
-        granularity = eng.config.granularity
-        use_summary = eng.config.use_summary
         B = len(bu)
 
-        inq_bools = np.zeros((B, n), dtype=bool)
-        if use_summary:
-            nblocks = -(-n // granularity)
-            sum_bools = np.zeros((B, nblocks), dtype=bool)
-        for b, s in enumerate(bu):
+        in_queues, summaries = [], []
+        for s in bu:
             in_queue, summary = eng._publish_frontier(
                 frontiers[s], lcs[s], shared,
                 None if visited_words is None else visited_words[s],
             )
-            inq_bools[b] = bitops.bits_to_bool(in_queue.words, n)
-            if use_summary:
-                sum_bools[b] = bitops.bits_to_bool(summary.words, nblocks)
-
-        inq_lanes = pack_lanes(inq_bools)
-        summary_lanes = pack_lanes(sum_bools) if use_summary else None
-        bu_arr = np.asarray(bu, dtype=np.int64)
-        act_lanes = pack_lanes((parent[bu_arr] < 0) & (degrees > 0))
+            in_queues.append(in_queue)
+            summaries.append(summary)
 
         # One scan over the whole graph: the counts come back split per
         # rank via the owner groups, and — partitions being contiguous
         # ascending ranges — the (lane, vertex) discovery order is
         # already the sequential rank-major order.
         res = eng.kernel.bottom_up_scan_batch(
-            graph,
-            act_lanes,
-            inq_lanes,
-            summary_lanes,
-            granularity,
+            eng.graph,
+            parent,
+            np.asarray(bu, dtype=np.int64),
+            in_queues,
+            summaries if eng.config.use_summary else None,
             groups=self._owner_of,
             num_groups=np_ranks,
         )

@@ -119,6 +119,9 @@ class PreparedGraph:
     degrees: np.ndarray = field(repr=False)
     #: Owning rank of every vertex (partitions are contiguous ranges).
     owner_of: np.ndarray = field(repr=False)
+    #: Summed degree of each rank's vertices — every traversal's initial
+    #: per-rank unexplored-edge count.
+    rank_degree: np.ndarray = field(repr=False)
 
     @classmethod
     def prepare(
@@ -158,6 +161,8 @@ class PreparedGraph:
             np.arange(np_ranks, dtype=np.int64), np.diff(bounds)
         )
         owner_of.flags.writeable = False
+        rank_degree = np.diff(graph.offsets[bounds]).astype(np.int64)
+        rank_degree.flags.writeable = False
         return cls(
             graph=graph,
             cluster=cluster,
@@ -171,6 +176,7 @@ class PreparedGraph:
             word_starts=word_starts,
             degrees=degrees,
             owner_of=owner_of,
+            rank_degree=rank_degree,
         )
 
     @property
@@ -196,6 +202,7 @@ class PreparedGraph:
             int(self.word_starts.nbytes)
             + int(self.degrees.nbytes)
             + int(self.owner_of.nbytes)
+            + int(self.rank_degree.nbytes)
         )
         for obj in (self.partition, *self.locals):
             attrs = getattr(obj, "__dict__", None) or {

@@ -12,6 +12,7 @@ and without a compiler).
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import BFSConfig, BFSEngine
@@ -123,6 +124,27 @@ class TestGracefulDegradation:
         result = engine.run(0)
         assert result.visited > 0
 
+    def test_batch_runs_on_fallback_numpy_lane_scan(
+        self, fresh_probe, monkeypatch
+    ):
+        """No toolchain: a ``cnative`` batch is an ``activeset`` batch —
+        the numpy lane scan — with unchanged results."""
+        from repro.core.multisource import MultiSourceEngine
+
+        graph = rmat_graph(scale=10, edgefactor=8, seed=1)
+        cluster = paper_cluster(nodes=2)
+        roots = [0, 5, 9]
+        want = MultiSourceEngine(
+            graph, cluster, BFSConfig(kernel="activeset")
+        ).run_batch(roots)
+
+        monkeypatch.setenv("CC", "/bin/false")
+        ms = MultiSourceEngine(graph, cluster, BFSConfig(kernel="cnative"))
+        assert ms.engine.kernel.name == "activeset"
+        for a, b in zip(want, ms.run_batch(roots)):
+            assert np.array_equal(a.parent, b.parent)
+            assert a.timing.total_seconds == b.timing.total_seconds
+
     def test_env_var_selection_falls_back(self, fresh_probe, monkeypatch):
         monkeypatch.setenv("CC", "/bin/false")
         monkeypatch.setenv("REPRO_KERNEL", "cnative")
@@ -142,6 +164,34 @@ class TestGracefulDegradation:
         # re-running the compiler.
         ok, reason = build.availability()
         assert not ok and reason
+
+
+class TestSmokeCheck:
+    """A library that loads but computes wrong answers must not serve."""
+
+    @pytest.mark.parametrize("kernel, intact, broken", [
+        ("repro_bu_scan", "if (TEST_BIT(inq_words, v)) {", "if (0) {"),
+        (
+            "repro_lane_scan",
+            "const uint64_t hit = inq[u] & probe;",
+            "const uint64_t hit = 0;",
+        ),
+    ])
+    def test_miscompiled_kernel_marks_backend_unavailable(
+        self, fresh_probe, monkeypatch, tmp_path, kernel, intact, broken
+    ):
+        _toolchain_or_skip()
+        build.reset()
+        source = build.source_path().read_text()
+        assert source.count(intact) == 1
+        tampered = tmp_path / "bfs_kernels.c"
+        tampered.write_text(source.replace(intact, broken))
+        monkeypatch.setattr(build, "_SOURCE", tampered)
+
+        ok, reason = build.availability()
+        assert not ok
+        assert f"smoke check failed for {kernel}" in reason
+        assert get_backend("cnative").name == "activeset"
 
 
 class TestCacheLifecycle:

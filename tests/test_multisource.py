@@ -4,8 +4,10 @@ The contract under test (:mod:`repro.core.multisource`): a batch of K
 sources produces, for every source, *exactly* what a sequential
 ``BFSEngine.run`` produces — parent tree, per-level per-rank counts,
 byte accounting, and therefore priced simulated seconds.  The sweep
-covers both python kernel backends, the sharing variants, frontier
-codecs, summary on/off, and batch widths 1, 3 and the full 64 lanes.
+covers every kernel backend (``cnative`` — the kernel the serving
+benchmark runs — when this machine can build it), the sharing variants,
+frontier codecs, summary on/off, and batch widths 1, 3 and the full 64
+lanes.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 from repro.core.config import BFSConfig, CommConfig
 from repro.core.engine import BFSEngine
+from repro.core.kernels import available_backends
 from repro.core.multisource import MultiSourceEngine, run_bfs_batch
 from repro.errors import ConfigError, GraphError
 from repro.graph.rmat import rmat_graph
@@ -123,10 +126,13 @@ CONFIGS = {
 class TestBitIdentity:
     """Batch of K == K sequential runs, over the full config sweep."""
 
-    @pytest.mark.parametrize("kernel", ["reference", "activeset"])
+    @pytest.mark.parametrize("kernel", ["reference", "activeset", "cnative"])
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 64])
     def test_sweep(self, graph, cluster, kernel, name, k):
+        ok, reason = available_backends(detail=True)[kernel]
+        if not ok:
+            pytest.skip(f"{kernel} unavailable here: {reason}")
         config = CONFIGS[name](kernel)
         roots = roots_for(graph, k, seed=5 + k)
         run_and_compare(graph, cluster, config, roots, f"{name}/{kernel}")

@@ -79,6 +79,31 @@ class TestPreparedGraph:
                 BFSConfig(ppn=config.resolve_ppn(cluster), degree_balanced=True),
             )
 
+    @pytest.mark.parametrize("degree_balanced", [False, True])
+    def test_rank_degree_prepared_once_and_shared(
+        self, graph, cluster, degree_balanced
+    ):
+        """The per-rank degree sums every batch starts its unexplored
+        counts from are partition state: built by ``prepare``, frozen,
+        and the same array for every engine over the prepared graph."""
+        from repro.core.multisource import MultiSourceEngine
+
+        config = BFSConfig(degree_balanced=degree_balanced)
+        prepared = PreparedGraph.prepare(graph, cluster, config)
+        bounds = prepared.partition.bounds
+        want = [
+            int(prepared.degrees[bounds[r]:bounds[r + 1]].sum())
+            for r in range(prepared.num_ranks)
+        ]
+        assert prepared.rank_degree.tolist() == want
+        assert not prepared.rank_degree.flags.writeable
+
+        a = MultiSourceEngine(graph, cluster, config, prepared=prepared)
+        b = MultiSourceEngine(graph, cluster, config, prepared=prepared)
+        assert a.prepared.rank_degree is b.prepared.rank_degree
+        a.run_batch([0, 1])  # a batch copies it, never writes it
+        assert prepared.rank_degree.tolist() == want
+
     def test_per_query_knobs_do_not_invalidate(self, graph, cluster):
         config = BFSConfig.original_ppn8()
         prepared = PreparedGraph.prepare(graph, cluster, config)
