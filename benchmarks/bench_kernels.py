@@ -2,10 +2,10 @@
 
 These are *wall-clock* benchmarks of the reproduction's own code (unlike
 the figure benches, which report simulated time): bitmap operations, the
-bottom-up scan (single-source and 64-lane) under every registered
-kernel backend, the R-MAT generator, a full engine run and a full
-64-source batch.  They guard against performance regressions in the
-simulator itself.
+bottom-up scan (a single-source level over all ranks, and 64 lanes)
+under every registered kernel backend, the R-MAT generator, a full
+engine run and a full 64-source batch.  They guard against performance
+regressions in the simulator itself.
 
 The bottom-up benchmarks run each backend on a *real* mid-BFS level
 (the scan right after level 1 from a high-degree root), which is where
@@ -29,8 +29,7 @@ import pytest
 from repro.core import BFSConfig, BFSEngine, Bitmap, SummaryBitmap, compute_levels
 from repro.core.kernels import available_backends, get_backend
 from repro.core.multisource import MultiSourceEngine
-from repro.core.state import RankState
-from repro.graph import Partition1D, generate_rmat_edges, rmat_graph
+from repro.graph import generate_rmat_edges, rmat_graph
 from repro.graph.builder import build_graph
 from repro.machine import paper_cluster
 from repro.util import segments
@@ -46,15 +45,16 @@ def graph():
 
 @pytest.fixture(scope="module")
 def mid_level(graph):
-    """Frontier/visited sets of a real mid-BFS level: the bottom-up scan
+    """Frontier/visited sets of a real mid-BFS level — the bottom-up scan
     right after level 1, started from the highest-degree vertex (the
-    densest level of the traversal, where early exit matters most)."""
+    densest level of the traversal, where early exit matters most) —
+    and the rank bounds of the engine that ran it."""
     root = int(np.argmax(graph.degrees()))
-    result = BFSEngine(graph, paper_cluster(nodes=1), BFSConfig()).run(root)
-    levels = compute_levels(graph, root, result.parent)
+    engine = BFSEngine(graph, paper_cluster(nodes=1), BFSConfig())
+    levels = compute_levels(graph, root, engine.run(root).parent)
     frontier = np.flatnonzero(levels == 1)
     visited = np.flatnonzero((levels >= 0) & (levels <= 1))
-    return frontier, visited
+    return frontier, visited, engine.partition.bounds
 
 
 def _skip_unless_runnable(backend, backend_name, lanes=False):
@@ -123,25 +123,23 @@ def test_csr_build(benchmark):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_bottom_up_scan(benchmark, graph, mid_level, backend_name):
-    """One mid-BFS bottom-up scan per backend (the acceptance metrics:
-    activeset must beat reference by >= 2x, cnative must beat activeset
-    by >= 10x at the default scale)."""
-    frontier, visited = mid_level
+def test_bottom_up_level(benchmark, graph, mid_level, backend_name):
+    """One mid-BFS bottom-up level per backend: the one kernel call that
+    scans all 8 ranks of ``paper_cluster(nodes=1)``."""
+    frontier, visited, bounds = mid_level
     backend = get_backend(backend_name)
     _skip_unless_runnable(backend, backend_name)
-    part = Partition1D(graph.num_vertices, 1)
     in_queue = Bitmap.from_indices(graph.num_vertices, frontier)
     summary = SummaryBitmap.build(in_queue, 64)
 
-    def fresh_state():
-        state = RankState(part.extract_local(graph, 0))
-        state.discover(visited, visited)
-        return (state, in_queue, summary), {}
+    def fresh_level():
+        parent = np.full(graph.num_vertices, -1, dtype=np.int64)
+        parent[visited] = visited
+        return (graph, parent, in_queue, summary, bounds), {}
 
     result = benchmark.pedantic(
         backend.bottom_up_scan,
-        setup=fresh_state,
+        setup=fresh_level,
         rounds=30,
         warmup_rounds=3,
     )
@@ -149,10 +147,12 @@ def test_bottom_up_scan(benchmark, graph, mid_level, backend_name):
     benchmark.extra_info.update(
         backend=backend_name,
         scale=SCALE,
+        ranks=int(bounds.size - 1),
         frontier=int(frontier.size),
-        candidates=result.candidates,
+        candidates=int(result.rank_candidates.sum()),
         examined_edges=result.examined_edges,
-        inqueue_reads=result.inqueue_reads,
+        inqueue_reads=int(result.rank_inqueue_reads.sum()),
+        discovered=int(result.discovered.size),
         gathered_edges=result.gathered_edges,
         chunk_rounds=result.chunk_rounds,
     )
@@ -180,7 +180,7 @@ def batch_roots(graph):
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_lane_scan(benchmark, graph, batch_roots, backend_name):
     """The 64-lane scan of the same mid-BFS level as
-    ``test_bottom_up_scan``, once per lane's own root: every lane has
+    ``test_bottom_up_level``, once per lane's own root: every lane has
     visited its root and level 1 (the root's neighbours), which is its
     published frontier."""
     backend = get_backend(backend_name)

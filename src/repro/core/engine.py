@@ -24,7 +24,13 @@ Fig. 11):
   :class:`~repro.core.multisource.MultiSourceEngine`:
   ``_publish_frontier`` and the rank-global ``_top_down_step``
   (see :mod:`repro.core.topdown`);
-* compute step; barrier (stall accounting); termination allreduce.
+* compute step — one kernel call per level covering every rank
+  (:meth:`~repro.core.kernels.KernelBackend.bottom_up_scan` or the
+  top-down step); barrier (stall accounting); termination allreduce.
+
+The run state is global, as the kernels are: one parent array, one
+per-rank unexplored-degree vector, and one rank-major frontier array
+(all of rank 0's members, then rank 1's, ...).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core import bottomup, topdown
+from repro.core import topdown
 from repro.core.bitmap import Bitmap, SummaryBitmap, summary_words_for
 from repro.core.config import BFSConfig
 from repro.core.counts import Direction, LevelCounts, RunCounts
@@ -42,7 +48,6 @@ from repro.core.hybrid import DirectionPolicy, FrontierStats
 from repro.core.kernels import resolve_backend
 from repro.core.kernels.base import PAIR_BYTES
 from repro.core.prepared import PreparedGraph
-from repro.core.state import RankState
 from repro.core.timing import BfsTiming, CostConstants, StructureSizes, assemble
 from repro.errors import FaultError, GraphError
 from repro.faults.checkpoint import BFSCheckpoint
@@ -181,7 +186,7 @@ class BFSEngine:
         self.comm.injector = self.injector
         np_ranks = self.mapping.num_ranks
         self.partition = prepared.partition
-        self._locals = prepared.locals
+        self._rank_ids = np.arange(np_ranks + 1)
         self._part_words = prepared.part_words
         # Word offset of each rank's slice in the concatenated bitmap
         # (partition bounds are 64-aligned, so slices tile exactly); used
@@ -205,28 +210,10 @@ class BFSEngine:
             for node in range(self.cluster.nodes)
         ]
 
-    def _global_frontier(self, frontier_lists: list[np.ndarray]) -> np.ndarray:
-        """The per-rank local frontier lists as one rank-major array of
-        global vertex ids."""
-        bounds = self.partition.bounds
-        return np.concatenate(
-            [lst + bounds[r] for r, lst in enumerate(frontier_lists)]
-        )
-
-    def _global_stats(
-        self, states: list[RankState], frontier_lists: list[np.ndarray]
-    ) -> FrontierStats:
-        n_f = sum(len(lst) for lst in frontier_lists)
-        m_f = sum(
-            int(st.degrees[np.asarray(lst, dtype=np.int64)].sum())
-            for st, lst in zip(states, frontier_lists)
-        )
-        m_u = sum(st.unexplored_degree for st in states)
-        return FrontierStats(
-            frontier_vertices=n_f,
-            frontier_edges=m_f,
-            unexplored_edges=m_u,
-            num_vertices=self.graph.num_vertices,
+    def _rank_sizes(self, frontier: np.ndarray) -> np.ndarray:
+        """Members per rank of a rank-major frontier."""
+        return np.diff(
+            np.searchsorted(self.prepared.owner_of[frontier], self._rank_ids)
         )
 
     # ---- the run -----------------------------------------------------------
@@ -237,11 +224,14 @@ class BFSEngine:
         if not 0 <= root < graph.num_vertices:
             raise GraphError(f"root {root} out of range")
         np_ranks = self.mapping.num_ranks
-        # One global parent array; each rank's state works on its view.
+        degrees = self.prepared.degrees
+        owner_of = self.prepared.owner_of
         parent = np.full(graph.num_vertices, -1, dtype=np.int64)
-        states = [
-            RankState(lg, parent=parent[lg.lo:lg.hi]) for lg in self._locals
-        ]
+        parent[root] = root
+        # m_u of Beamer's alpha test, per rank, maintained decrementally.
+        unexplored = self.prepared.rank_degree.copy()
+        unexplored[owner_of[root]] -= degrees[root]
+        frontier = np.array([root], dtype=np.int64)
         counts = RunCounts(
             num_vertices=graph.num_vertices, num_ranks=np_ranks
         )
@@ -269,24 +259,19 @@ class BFSEngine:
             res_cfg.store.clear()
         last_ckpt_level = -1
 
-        owner = int(self.partition.owner(root))
-        root_local = states[owner].to_local(np.array([root]))
-        states[owner].discover(root_local, np.array([root]))
-        frontier_lists: list[np.ndarray] = [
-            np.zeros(0, dtype=np.int64) for _ in range(np_ranks)
-        ]
-        frontier_lists[owner] = root_local
-
         tr = self.tracer
         hp = self.hostprof
         level = 0
         prev_direction: str | None = None
         with tr.span("bfs.run", cat="run", root=root), hp.phase("run"):
-            while True:
+            while frontier.size:
                 with hp.phase("frontier_stats"):
-                    stats = self._global_stats(states, frontier_lists)
-                if stats.frontier_vertices == 0:
-                    break
+                    stats = FrontierStats(
+                        frontier_vertices=int(frontier.size),
+                        frontier_edges=int(degrees[frontier].sum()),
+                        unexplored_edges=int(unexplored.sum()),
+                        num_vertices=graph.num_vertices,
+                    )
                 if (
                     tolerant
                     and res_cfg.checkpoint_every > 0
@@ -301,8 +286,8 @@ class BFSEngine:
                     last_ckpt_level = level
                     with hp.phase("checkpoint"):
                         self._checkpoint(
-                            level, prev_direction, policy, states,
-                            frontier_lists, visited_words, log,
+                            level, prev_direction, policy, parent,
+                            unexplored, frontier, visited_words, log,
                         )
                 if inj is not None:
                     inj.begin_level(level)
@@ -315,9 +300,7 @@ class BFSEngine:
                 lc.switched = (
                     prev_direction is not None and prev_direction != direction
                 )
-                lc.frontier_local = np.array(
-                    [len(lst) for lst in frontier_lists], dtype=np.int64
-                )
+                lc.frontier_local = self._rank_sizes(frontier)
 
                 try:
                     with tr.span(
@@ -329,28 +312,31 @@ class BFSEngine:
                         frontier=stats.frontier_vertices,
                     ):
                         if direction == Direction.TOP_DOWN:
-                            frontier_lists = self._top_down_level(
-                                states, frontier_lists, lc, parent
+                            (frontier,), disc_degree = self._top_down_step(
+                                [frontier],
+                                parent[None, :],
+                                np.zeros(1, dtype=np.int64),
+                                [lc],
                             )
+                            unexplored -= disc_degree[0]
                         else:
-                            frontier_lists = self._bottom_up_level(
-                                states, frontier_lists, lc, shared,
+                            frontier = self._bottom_up_level(
+                                frontier, parent, unexplored, lc, shared,
                                 visited_words,
                             )
                 except PayloadCorruptionFault as exc:
                     # Checksum mismatch: the gathered frontier is not
                     # trustworthy; nothing durable was mutated yet, so
                     # roll back and replay from the last snapshot.
-                    frontier_lists, level, prev_direction = self._rollback(
-                        "corruption", exc, level, policy, states, counts,
-                        visited_words, log, lost_through=level,
+                    frontier, level, prev_direction = self._rollback(
+                        "corruption", exc, level, policy, parent,
+                        unexplored, counts, visited_words, log,
+                        lost_through=level,
                     )
                     last_ckpt_level = level
                     continue
 
-                lc.discovered = np.array(
-                    [len(lst) for lst in frontier_lists], dtype=np.int64
-                )
+                lc.discovered = self._rank_sizes(frontier)
                 counts.levels.append(lc)
                 prev_direction = direction
                 level += 1
@@ -362,23 +348,19 @@ class BFSEngine:
                     # replayed from the last snapshot.
                     crash = inj.take_crash(level - 1)
                     if crash is not None:
-                        frontier_lists, level, prev_direction = (
-                            self._rollback(
-                                "crash", None, level - 1, policy, states,
-                                counts, visited_words, log,
-                                lost_through=level - 1, rank=crash.rank,
-                            )
+                        frontier, level, prev_direction = self._rollback(
+                            "crash", None, level - 1, policy, parent,
+                            unexplored, counts, visited_words, log,
+                            lost_through=level - 1, rank=crash.rank,
                         )
                         last_ckpt_level = level
                         continue
 
-            counts.visited_vertices = sum(st.visited_count() for st in states)
+            counts.visited_vertices = int(np.count_nonzero(parent >= 0))
+            # Reached degree = all arcs minus the unexplored ones.
             counts.traversed_edges = (
-                sum(
-                    int(st.degrees[st.parent >= 0].sum()) for st in states
-                )
-                // 2
-            )
+                graph.num_directed_edges - int(unexplored.sum())
+            ) // 2
             with tr.span("bfs.price", cat="pricing"), hp.phase("price"):
                 timing = assemble(
                     counts, self.comm, self.config, self.sizes, self.constants
@@ -463,18 +445,31 @@ class BFSEngine:
 
     # ---- fault tolerance -----------------------------------------------------
 
+    def _rank_parents(self, parent: np.ndarray) -> list[np.ndarray]:
+        """Each rank's view of the global parent array."""
+        bounds = self.partition.bounds
+        return [parent[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
     def _checkpoint(
-        self, level, prev_direction, policy, states, frontier_lists,
+        self, level, prev_direction, policy, parent, unexplored, frontier,
         visited_words, log,
     ) -> None:
-        """Snapshot the run at a level boundary and price the capture."""
+        """Snapshot the run at a level boundary and price the capture.
+
+        The snapshot keeps the per-rank layout recovery pricing and the
+        on-disk format are defined over: parent slices, unexplored
+        degrees and local-id frontier lists."""
         res_cfg = self.resilience
+        parts = np.split(frontier, np.cumsum(self._rank_sizes(frontier))[:-1])
         ckpt = BFSCheckpoint.capture(
             level=level,
             prev_direction=prev_direction,
             policy=policy,
-            states=states,
-            frontier_lists=frontier_lists,
+            parents=self._rank_parents(parent),
+            unexplored=unexplored,
+            frontier_lists=[
+                part - lo for part, lo in zip(parts, self.partition.bounds)
+            ],
             visited_words=visited_words,
         )
         with self.tracer.span(
@@ -494,8 +489,8 @@ class BFSEngine:
             )
 
     def _rollback(
-        self, kind, cause, at_level, policy, states, counts, visited_words,
-        log, *, lost_through, rank=None,
+        self, kind, cause, at_level, policy, parent, unexplored, counts,
+        visited_words, log, *, lost_through, rank=None,
     ):
         """Restore the latest snapshot after a fault at ``at_level``.
 
@@ -504,9 +499,9 @@ class BFSEngine:
         level) and logs the lost executions — levels ``ckpt.level``
         through ``lost_through`` inclusive ran once for nothing, so
         :meth:`RecoveryLog.overhead_ns` charges each of them once more at
-        its final price.  Returns ``(frontier_lists, level,
-        prev_direction)`` to resume from; ``visited_words`` is restored
-        in place so live views stay valid.
+        its final price.  Returns ``(frontier, level, prev_direction)``
+        to resume from; ``parent``, ``unexplored`` and ``visited_words``
+        are restored in place so live views stay valid.
         """
         res_cfg = self.resilience
         if res_cfg is None:
@@ -533,9 +528,14 @@ class BFSEngine:
             "recovery.rollback", cat="recovery",
             kind=kind, from_level=at_level, to_level=ckpt.level,
         ):
-            frontier_lists, visited = ckpt.restore(policy, states)
+            frontier_lists, visited = ckpt.restore(
+                policy, self._rank_parents(parent), unexplored
+            )
             if visited_words is not None and visited is not None:
                 visited_words[:] = visited
+        frontier = np.concatenate(
+            [f + lo for f, lo in zip(frontier_lists, self.partition.bounds)]
+        )
         del counts.levels[ckpt.level:]
         log.replayed_levels.extend(range(ckpt.level, lost_through + 1))
         overhead = res_cfg.cost.restore_ns(ckpt.nbytes, res_cfg.on_disk)
@@ -548,7 +548,7 @@ class BFSEngine:
         )
         if self.metrics is not None:
             self.metrics.counter("recovery.rollbacks_total", kind=kind).inc()
-        return frontier_lists, ckpt.level, ckpt.prev_direction
+        return frontier, ckpt.level, ckpt.prev_direction
 
     def _exchange(self, op, level, fn):
         """Run one collective with bounded retry on transient faults.
@@ -682,29 +682,6 @@ class BFSEngine:
                 )
         return new_frontiers, disc_degree
 
-    def _top_down_level(
-        self,
-        states: list[RankState],
-        frontier_lists: list[np.ndarray],
-        lc: LevelCounts,
-        parent: np.ndarray,
-    ) -> list[np.ndarray]:
-        (frontier,), disc_degree = self._top_down_step(
-            [self._global_frontier(frontier_lists)],
-            parent[None, :],
-            np.zeros(1, dtype=np.int64),
-            [lc],
-        )
-        bounds = self.partition.bounds
-        cuts = np.searchsorted(
-            self.prepared.owner_of[frontier], np.arange(len(states) + 1)
-        )
-        new_lists = []
-        for r, st in enumerate(states):
-            st.unexplored_degree -= int(disc_degree[0, r])
-            new_lists.append(frontier[cuts[r]:cuts[r + 1]] - bounds[r])
-        return new_lists
-
     def _publish_frontier(
         self,
         frontier: np.ndarray,
@@ -824,40 +801,37 @@ class BFSEngine:
 
     def _bottom_up_level(
         self,
-        states: list[RankState],
-        frontier_lists: list[np.ndarray],
+        frontier: np.ndarray,
+        parent: np.ndarray,
+        unexplored: np.ndarray,
         lc: LevelCounts,
         shared: list[NodeSharedBuffer] | None,
-        visited_words: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
-        np_ranks = self.mapping.num_ranks
+        visited_words: np.ndarray | None,
+    ) -> np.ndarray:
+        """Publish ``frontier``, then scan every rank in one kernel call;
+        returns the next frontier (global ids, ascending)."""
         tr = self.tracer
         hp = self.hostprof
         in_queue, summary = self._publish_frontier(
-            self._global_frontier(frontier_lists), lc, shared, visited_words
+            frontier, lc, shared, visited_words
         )
-
-        new_lists = []
-        cand = np.zeros(np_ranks, dtype=np.int64)
-        examined = np.zeros(np_ranks, dtype=np.int64)
-        inq_reads = np.zeros(np_ranks, dtype=np.int64)
-        gathered = np.zeros(np_ranks, dtype=np.int64)
-        rounds = np.zeros(np_ranks, dtype=np.int64)
-        with tr.span("phase.bu_scan", cat="phase"), hp.phase("bu_scan"):
-            for r in range(np_ranks):
-                out = bottomup.scan(
-                    states[r], in_queue, summary,
-                    tracer=tr, rank=r, backend=self.kernel,
+        with tr.span("phase.bu_scan", cat="phase") as sp, hp.phase("bu_scan"):
+            res = self.kernel.bottom_up_scan(
+                self.graph, parent, in_queue, summary, self.partition.bounds
+            )
+            if tr.enabled:
+                sp.set(
+                    backend=self.kernel.name,
+                    candidates=res.rank_candidates.tolist(),
+                    examined_edges=res.rank_examined_edges.tolist(),
+                    inqueue_reads=res.rank_inqueue_reads.tolist(),
+                    gathered_edges=res.gathered_edges,
+                    chunk_rounds=res.chunk_rounds,
                 )
-                cand[r] = out.candidates
-                examined[r] = out.examined_edges
-                inq_reads[r] = out.inqueue_reads
-                gathered[r] = out.gathered_edges
-                rounds[r] = out.chunk_rounds
-                new_lists.append(out.new_local)
-        lc.candidates = cand
-        lc.examined_edges = examined
-        lc.inqueue_reads = inq_reads
+        lc.candidates = res.rank_candidates
+        lc.examined_edges = res.rank_examined_edges
+        lc.inqueue_reads = res.rank_inqueue_reads
+        unexplored -= res.rank_disc_degree
         if self.metrics is not None:
             # Per-level active-set diagnostics (never priced): how much
             # adjacency the backend materialized to produce the level's
@@ -865,11 +839,11 @@ class BFSEngine:
             m = self.metrics
             m.counter(
                 "bfs.bu.gathered_edges_total", backend=self.kernel.name
-            ).inc(float(gathered.sum()))
+            ).inc(float(res.gathered_edges))
             m.counter(
                 "bfs.bu.scan_examined_edges_total", backend=self.kernel.name
-            ).inc(float(examined.sum()))
+            ).inc(float(res.examined_edges))
             m.histogram(
                 "bfs.bu.chunk_rounds", backend=self.kernel.name
-            ).observe(float(rounds.max(initial=0)))
-        return new_lists
+            ).observe(float(res.chunk_rounds))
+        return res.discovered

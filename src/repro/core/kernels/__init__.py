@@ -1,8 +1,8 @@
 """Pluggable BFS kernel backends.
 
-The engines' compute kernels (the per-rank and per-lane-batch bottom-up
-scans, plus the one rank-global top-down expansion every backend
-shares) live behind a small registry so alternative implementations can
+The engines' compute kernels (the bottom-up scans — one call per level
+over every rank, or per lane batch — plus the one rank-global top-down
+expansion every backend shares) live behind a small registry so alternative implementations can
 be swapped without touching the engines.  Three backends ship:
 
 ``reference``

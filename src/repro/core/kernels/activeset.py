@@ -43,6 +43,7 @@ from repro.core.kernels.base import (
     BottomUpResult,
     KernelBackend,
     register_backend,
+    scan_rank_slices,
 )
 from repro.errors import ConfigError
 from repro.util import bitops
@@ -81,21 +82,18 @@ class ActiveSetBackend(KernelBackend):
             return cls()
         return cls(chunk=config.kernel_chunk)
 
-    def bottom_up_scan(self, state, in_queue, summary) -> BottomUpResult:
-        """Scan unvisited local vertices in early-exiting chunks."""
-        lg = state.local
-        cand = state.unvisited_local()
-        ncand = int(cand.size)
-        if ncand == 0:
-            return BottomUpResult(
-                new_local=np.zeros(0, dtype=np.int64),
-                candidates=0,
-                examined_edges=0,
-                inqueue_reads=0,
-            )
+    def bottom_up_scan(
+        self, graph, parent, in_queue, summary, bounds
+    ) -> BottomUpResult:
+        """Scan each rank's candidates in early-exiting chunks."""
+        return scan_rank_slices(
+            self._scan, graph, parent, in_queue, summary, bounds
+        )
 
-        starts = lg.offsets[cand]
-        degs = (lg.offsets[cand + 1] - starts).astype(np.int64)
+    def _scan(self, graph, cand, in_queue, summary):
+        ncand = int(cand.size)
+        starts = graph.offsets[cand]
+        degs = (graph.offsets[cand + 1] - starts).astype(np.int64)
         last = starts + degs - 1  # clamp target for row padding
 
         found = np.zeros(ncand, dtype=bool)
@@ -121,7 +119,7 @@ class ActiveSetBackend(KernelBackend):
             pos = done[:, None] + col[None, :]
             pos += starts[active][:, None]
             np.minimum(pos, last[active][:, None], out=pos)
-            neighbors = lg.targets[pos]
+            neighbors = graph.targets[pos]
             row_len = np.minimum(rem, w)  # real (unpadded) cells per row
             gathered += int(row_len.sum())
 
@@ -175,17 +173,7 @@ class ActiveSetBackend(KernelBackend):
             active = active[live]
             width = min(width * 2, self.MAX_CHUNK)
 
-        new_local = cand[found]
-        parents = first_parent[found]
-        discovered = state.discover(new_local, parents)
-        if discovered.size != new_local.size:  # pragma: no cover - invariant
-            raise AssertionError("bottom-up rediscovered a visited vertex")
-
-        return BottomUpResult(
-            new_local=new_local,
-            candidates=ncand,
-            examined_edges=examined_total,
-            inqueue_reads=inqueue_reads,
-            gathered_edges=gathered,
-            chunk_rounds=rounds,
+        return (
+            found, first_parent[found], examined_total, inqueue_reads,
+            gathered, rounds,
         )

@@ -1,8 +1,9 @@
 """Kernel backend contract and shared machinery of the BFS compute path.
 
 A *kernel backend* supplies the compute kernels the engines run every
-level: the bottom-up frontier scan (per rank, or per lane batch) and the
-top-down frontier expansion.  Backends are interchangeable
+level: the bottom-up frontier scan (one call per level covering every
+rank, or per lane batch) and the top-down frontier expansion.  Backends
+are interchangeable
 implementations of the same algorithm — every backend must reproduce
 the paper's accounting **bit-identically** (``examined_edges`` and
 ``inqueue_reads`` per Section II.B.2, the parent of every discovered
@@ -12,9 +13,10 @@ differ in is how much temporary memory and how many bitmap probes they
 spend producing them.
 
 This module holds the contract (:class:`KernelBackend`), the result
-dataclasses, the backend registry, and the one top-down expansion —
-rank-global, fused across lanes, and shared by every backend (the
-paper's optimizations only concern the bottom-up phase).
+dataclasses, the backend registry, the rank-slice loop of the numpy
+bottom-up scans (:func:`scan_rank_slices`), and the one top-down
+expansion — rank-global, fused across lanes, and shared by every
+backend (the paper's optimizations only concern the bottom-up phase).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.bitmap import Bitmap, SummaryBitmap
     from repro.core.config import BFSConfig
     from repro.core.kernels.batched import LaneScanResult
-    from repro.core.state import RankState
     from repro.graph.partition import LocalGraph
     from repro.graph.types import Graph
 
@@ -45,6 +46,7 @@ __all__ = [
     "available_backends",
     "get_backend",
     "dedup_first_parent",
+    "scan_rank_slices",
     "DENSE_DEDUP_FRACTION",
     "FALLBACK_BACKEND",
     "PAIR_BYTES",
@@ -56,24 +58,76 @@ PAIR_BYTES = 16
 
 @dataclass
 class BottomUpResult:
-    """Outcome of one rank's bottom-up scan.
+    """Outcome of one bottom-up level: every rank scanned once.
 
-    The first four fields are the paper's accounting and must be
-    backend-invariant; the last two are backend diagnostics (how much
-    work the kernel *materialized* to produce those counts) and are never
-    priced.
+    ``discovered`` and the four per-rank arrays are the paper's
+    accounting and must be backend-invariant; the last two fields are
+    backend diagnostics (how much work the kernel *materialized* to
+    produce those counts) and are never priced.
     """
 
-    new_local: np.ndarray  # newly discovered local vertex ids
-    candidates: int
-    examined_edges: int
-    inqueue_reads: int
+    discovered: np.ndarray  # newly discovered global ids, ascending
+    # Per-rank int64 arrays, shape (ranks,):
+    rank_candidates: np.ndarray
+    rank_examined_edges: np.ndarray
+    rank_inqueue_reads: np.ndarray
+    rank_disc_degree: np.ndarray  # degree sum of the rank's discoveries
     # Diagnostics: edges actually gathered/tested by the kernel and the
-    # number of wavefront rounds it took.  The reference backend gathers
+    # most wavefront rounds any rank took.  The reference backend gathers
     # the full candidate adjacency in one round; the active-set backend
     # gathers roughly the examined prefix over a few rounds.
     gathered_edges: int = 0
     chunk_rounds: int = 0
+
+    @property
+    def examined_edges(self) -> int:
+        """Edges examined over all ranks."""
+        return int(self.rank_examined_edges.sum())
+
+
+def scan_rank_slices(
+    scan, graph, parent, in_queue, summary, bounds
+) -> BottomUpResult:
+    """One bottom-up level for a numpy backend, one rank slice at a time.
+
+    ``scan(graph, cand, in_queue, summary)`` early-exit scans the
+    (non-empty, ascending) global candidate ids ``cand`` and returns
+    ``(found, parents, examined_edges, inqueue_reads, gathered_edges,
+    chunk_rounds)``: ``found`` masks the candidates with a frontier
+    neighbour and ``parents`` holds their first ones.  Slicing by rank
+    is what the per-rank counts need anyway, and it keeps each scan's
+    temporaries rank-sized — cache-resident, where one whole-graph
+    wavefront is measurably slower.
+    """
+    offsets = graph.offsets
+    ranks = len(bounds) - 1
+    counts = np.zeros((4, ranks), dtype=np.int64)
+    discovered = [np.zeros(0, dtype=np.int64)]
+    gathered = rounds = 0
+    for r in range(ranks):
+        lo, hi = int(bounds[r]), int(bounds[r + 1])
+        rows = offsets[lo:hi + 1]
+        cand = lo + np.flatnonzero(
+            (parent[lo:hi] < 0) & (rows[1:] > rows[:-1])
+        )
+        if cand.size == 0:
+            continue
+        found, parents, examined, reads, g, k = scan(
+            graph, cand, in_queue, summary
+        )
+        hit = cand[found]
+        parent[hit] = parents
+        counts[:, r] = (
+            cand.size, examined, reads,
+            (offsets[hit + 1] - offsets[hit]).sum(),
+        )
+        discovered.append(hit)
+        gathered += g
+        rounds = max(rounds, k)
+    return BottomUpResult(
+        np.concatenate(discovered), *counts,
+        gathered_edges=gathered, chunk_rounds=rounds,
+    )
 
 
 @dataclass
@@ -192,16 +246,22 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def bottom_up_scan(
         self,
-        state: "RankState",
+        graph: "Graph",
+        parent: np.ndarray,
         in_queue: "Bitmap",
         summary: "SummaryBitmap | None",
+        bounds: np.ndarray,
     ) -> BottomUpResult:
-        """Scan unvisited local vertices against the frontier bitmap.
+        """One bottom-up level: scan every rank's unvisited vertices.
 
-        Must discover exactly the candidates with a frontier neighbour,
-        assign each its *first* frontier neighbour as parent, and return
-        the Section II.B.2 counts bit-identically to the reference
-        backend.
+        ``graph`` is the global CSR (``offsets``/``targets``), ``parent``
+        the run's one global int64 parent array and rank ``r`` owns the
+        vertices ``[bounds[r], bounds[r + 1])``.  Candidates are the
+        unvisited vertices with an adjacency.  Must discover exactly the
+        candidates with a frontier neighbour, write each one's *first*
+        frontier neighbour into ``parent``, and return the discoveries
+        ascending with the per-rank Section II.B.2 counts bit-identical
+        to the reference backend.
         """
 
     def bottom_up_scan_batch(

@@ -3,7 +3,8 @@
 A thin ctypes wrapper over ``bfs_kernels.c`` (compiled and cached by
 :mod:`repro.core.kernels.cnative.build`): the bottom-up scan runs the
 *true* per-vertex early-exit loop — summary-bitmap probe, first-hit
-break, zero temporaries — directly on the numpy buffers (no copies),
+break, zero temporaries — for every rank of a level in one call,
+directly on the numpy buffers (no copies),
 and the batched scan runs the same loop once for up to 64 sources on
 ``uint64`` lane words it packs itself (:func:`lane_scan`).  The top-down
 expansion is the shared rank-global one every backend inherits.
@@ -127,51 +128,52 @@ class CNativeBackend(KernelBackend):
         """Delegate to the build machinery's (memoized) probe."""
         return build.availability()
 
-    def bottom_up_scan(self, state, in_queue, summary) -> BottomUpResult:
-        """Scan with the native fused loop (one C call per level).
+    def bottom_up_scan(
+        self, graph, parent, in_queue, summary, bounds
+    ) -> BottomUpResult:
+        """The whole level in one C call (``repro_bu_scan``).
 
-        Candidate selection, the early-exit walk and the discovery
-        writes all happen inside the C pass, directly on
-        ``state.parent`` (zero-copy); only the ``unexplored_degree``
-        bookkeeping — returned as a counter — is applied here.
+        The C side loops the ranks itself: candidate selection, the
+        early-exit walk, the ``parent`` writes and the rebase of each
+        rank's discoveries to global ids all happen there, zero-copy on
+        the global CSR, parent array and bitmaps.
         """
         lib = build.load_library()
-        lg = state.local
-        nlocal = int(lg.num_local_vertices)
-
+        offsets, targets, n = graph.offsets, graph.targets, parent.size
         # Keep every buffer referenced in a local for the call's duration.
-        offsets = np.ascontiguousarray(lg.offsets, dtype=np.int64)
-        targets = np.ascontiguousarray(lg.targets, dtype=np.int64)
-        inq_words = np.ascontiguousarray(in_queue.words, dtype=np.uint64)
-        parent = state.parent
-        assert parent.dtype == np.int64 and parent.flags.c_contiguous
+        inq = np.ascontiguousarray(in_queue.words)
         if summary is None:
             summary_words, summary_ptr, granularity = None, None, 0
         else:
-            summary_words = np.ascontiguousarray(
-                summary.words, dtype=np.uint64
+            summary_words = np.ascontiguousarray(summary.words)
+            summary_ptr, granularity = _u64(summary_words), summary.granularity
+        if (
+            any(
+                a.dtype != np.int64 or not a.flags.c_contiguous
+                for a in (offsets, targets, parent, bounds)
             )
-            summary_ptr = _u64(summary_words)
-            granularity = int(summary.granularity)
-        out_new = np.empty(nlocal, dtype=np.int64)
-        counts = np.zeros(4, dtype=np.int64)
-
+            or offsets.size != n + 1 or in_queue.nbits < n
+            or (summary is not None and summary.nbits < n)
+            or bounds.size < 2 or bounds[0] < 0 or bounds[-1] > n
+            or np.any(bounds[1:] < bounds[:-1])
+        ):
+            raise ConfigError(
+                f"bottom_up_scan needs C-contiguous int64 CSR, parent and "
+                f"bounds arrays over {n} vertices, non-decreasing bounds "
+                f"within them and bitmaps covering them"
+            )
+        ranks = bounds.size - 1
+        out_new = np.empty(n, dtype=np.int64)
+        counts = np.zeros((4, ranks), dtype=np.int64)
         nfound = lib.repro_bu_scan(
-            nlocal, _i64(offsets), _i64(targets),
-            _u64(inq_words), summary_ptr, granularity,
+            ranks, _i64(bounds), _i64(offsets), _i64(targets),
+            _u64(inq), summary_ptr, granularity,
             _i64(parent), _i64(out_new), _i64(counts),
         )
-        state.unexplored_degree -= int(counts[3])
-
+        # The native loop materializes nothing: it reads the CSR in
+        # place and retires candidates inline, in one pass.
         return BottomUpResult(
-            new_local=out_new[:nfound],
-            candidates=int(counts[0]),
-            examined_edges=int(counts[1]),
-            inqueue_reads=int(counts[2]),
-            # The native loop materializes nothing: it reads the CSR in
-            # place and retires candidates inline, in one pass.
-            gathered_edges=0,
-            chunk_rounds=1,
+            out_new[:nfound], *counts, gathered_edges=0, chunk_rounds=1
         )
 
     def bottom_up_scan_batch(

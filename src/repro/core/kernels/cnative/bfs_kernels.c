@@ -12,9 +12,8 @@
  *   - vertex ids, CSR offsets and counters are int64;
  *   - bitmaps are little-endian-within-word uint64 arrays: bit i lives
  *     at word i>>6, position i&63 (util/bitops.py);
- *   - `offsets` is the rank-local CSR (rebased so offsets[0] == 0) and
- *     `targets` holds *global* neighbour ids, exactly as LocalGraph
- *     stores them;
+ *   - `offsets`/`targets` are the global CSR (targets hold global
+ *     neighbour ids); a rank's rows are the slice offsets + lo;
  *   - a summary bit covers `granularity` base bits and is set iff any
  *     of them is set, so a zero summary bit proves an in_queue miss
  *     without reading the base bitmap (Section III.C).
@@ -51,17 +50,19 @@ static int summary_shift(int64_t granularity)
     return granularity == 1 ? shift : -1;
 }
 
-/* Bottom-up scan over the whole local vertex range, discovery included.
+/* Bottom-up scan of one rank's vertex range, discovery included.
  *
- * Candidate selection (parent < 0 and degree > 0 — exactly
- * RankState.unvisited_local), the early-exit adjacency walk, *and* the
- * state update are fused into one pass so the Python side does no
- * per-level O(n) work at all.  For each candidate (ascending local id)
- * the adjacency is walked in CSR order until the first neighbour whose
- * in_queue bit is set; that neighbour is written into parent[] and the
- * candidate retires.  Writing parent during the scan cannot perturb
- * later candidates: the walk only reads the frontier bitmaps, never
- * parent, and candidates are visited in ascending order exactly once.
+ * `offsets` and `parent` point at the rank's first row (global CSR
+ * offsets + lo, global parent + lo), so local id u is global id lo + u.
+ * Candidate selection (parent < 0 and degree > 0), the early-exit
+ * adjacency walk, *and* the state update are fused into one pass so the
+ * Python side does no per-level O(n) work at all.  For each candidate
+ * (ascending id) the adjacency is walked in CSR order until the first
+ * neighbour whose in_queue bit is set; that neighbour is written into
+ * parent[] and the candidate retires.  Writing parent during the scan
+ * cannot perturb later candidates: the walk only reads the frontier
+ * bitmaps, never parent, and candidates are visited in ascending order
+ * exactly once.
  *
  * Accounting (identical to the reference backend): every edge of the
  * walked prefix counts as examined; an edge falls through to an
@@ -70,13 +71,14 @@ static int summary_shift(int64_t granularity)
  * base bitmap, so skipping the read can never hide a hit.
  *
  * Outputs: out_new[k] = local id of the k-th discovery (ascending, the
- * discovery order), parent[out_new[k]] its global parent id,
- * out_counts = {candidates, examined_edges, inqueue_reads,
- * discovered_degree_sum} (the last maintains unexplored_degree).
- * Returns the number of discoveries.  out_new needs capacity nlocal.
- * summary_words may be NULL (granularity is then ignored).
+ * discovery order), parent[out_new[k]] its global parent id, and
+ * counts[0..4) += {candidates, examined_edges, inqueue_reads,
+ * discovered_degree_sum} at a stride of `stride` words (the last
+ * maintains the rank's unexplored degree).  Returns the number of
+ * discoveries.  out_new needs capacity nlocal.  summary_words may be
+ * NULL (granularity is then ignored).
  */
-int64_t repro_bu_scan(
+static int64_t scan_rank(
     int64_t nlocal,
     const int64_t *offsets,
     const int64_t *targets,
@@ -85,7 +87,8 @@ int64_t repro_bu_scan(
     int64_t granularity,
     int64_t *parent,
     int64_t *out_new,
-    int64_t *out_counts)
+    int64_t *counts,
+    int64_t stride)
 {
     int64_t candidates = 0;
     int64_t examined = 0;
@@ -132,10 +135,48 @@ int64_t repro_bu_scan(
             }
         }
     }
-    out_counts[0] = candidates;
-    out_counts[1] = examined;
-    out_counts[2] = reads;
-    out_counts[3] = deg_sum;
+    counts[0] = candidates;
+    counts[stride] = examined;
+    counts[2 * stride] = reads;
+    counts[3 * stride] = deg_sum;
+    return nfound;
+}
+
+/* One bottom-up level over every rank: rank r owns the global vertices
+ * [bounds[r], bounds[r + 1]) and is scanned by scan_rank on its slice
+ * of the global CSR and parent array.  Its discoveries are rebased to
+ * global ids in place and appended to out_new, so out_new ends up
+ * ascending — rank-major — with no Python work between ranks.
+ * out_counts is laid out [4][nranks] = candidates, examined_edges,
+ * inqueue_reads, discovered degree.  out_new needs capacity
+ * bounds[nranks] - bounds[0]: a rank's candidate buffer starts after
+ * the earlier ranks' discoveries, which never outnumber their
+ * vertices.  Returns the total number of discoveries.
+ */
+int64_t repro_bu_scan(
+    int64_t nranks,
+    const int64_t *bounds,
+    const int64_t *offsets,
+    const int64_t *targets,
+    const uint64_t *inq_words,
+    const uint64_t *summary_words,
+    int64_t granularity,
+    int64_t *parent,
+    int64_t *out_new,
+    int64_t *out_counts)
+{
+    int64_t nfound = 0;
+    for (int64_t r = 0; r < nranks; r++) {
+        const int64_t lo = bounds[r];
+        int64_t *found = out_new + nfound;
+        const int64_t k = scan_rank(
+            bounds[r + 1] - lo, offsets + lo, targets, inq_words,
+            summary_words, granularity, parent + lo, found,
+            out_counts + r, nranks);
+        for (int64_t i = 0; i < k; i++)
+            found[i] += lo;
+        nfound += k;
+    }
     return nfound;
 }
 

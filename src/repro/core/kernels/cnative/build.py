@@ -152,7 +152,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Declare the exported signatures (raises if a symbol is missing)."""
     i64p, u64p = POINTER(c_int64), POINTER(c_uint64)
     lib.repro_bu_scan.argtypes = [
-        c_int64, i64p, i64p, u64p, u64p, c_int64, i64p, i64p, i64p,
+        c_int64, i64p, i64p, i64p, u64p, u64p, c_int64, i64p, i64p, i64p,
     ]
     lib.repro_bu_scan.restype = c_int64
     lib.repro_lane_pack.argtypes = [c_int64, c_int64, u64p, u64p]
@@ -182,26 +182,32 @@ def _u64(arr: np.ndarray):
 def _smoke_check(lib: ctypes.CDLL) -> None:
     """Run the kernels on a tiny known graph; mismatch = unusable library.
 
-    The graph is the path 0–1–2–3 with frontier {1} and visited {0, 1}:
-    candidate 2 must retire on its first edge with parent 1, candidate 3
-    must scan its single edge and miss.  The lane kernels see that
-    traversal as lane 0 and, as lane 1, one with frontier {0} that still
-    seeks vertex 2 only: it walks both of 2's edges and exhausts them
-    while lane 0 retires on the first.
+    The graph is the path 0–1–2–3 with frontier {1}.  The single-source
+    level runs on two ranks, {0, 1} and {2, 3}, with only vertex 1
+    visited: candidates 0 and 2 must retire on their first edge with
+    parent 1, candidate 3 must scan its single edge and miss — so a
+    rank that ignores its start ``lo`` (CSR rows, parent slice or the
+    rebase of its discovery ids) shows up in the ids or the counts.
+    The lane kernels see the traversal with visited {0, 1} as lane 0
+    and, as lane 1, one with frontier {0} that still seeks vertex 2
+    only: it walks both of 2's edges and exhausts them while lane 0
+    retires on the first.
     """
     offsets = np.array([0, 1, 3, 5, 6], dtype=np.int64)
     targets = np.array([1, 0, 2, 1, 3, 2], dtype=np.int64)
-    parent = np.array([0, 1, -1, -1], dtype=np.int64)
+    bounds = np.array([0, 2, 4], dtype=np.int64)
+    parent = np.array([-1, 1, -1, -1], dtype=np.int64)
     inq = np.array([1 << 1], dtype=np.uint64)  # bit 1 set
     new = np.zeros(4, dtype=np.int64)
-    counts = np.zeros(4, dtype=np.int64)
+    counts = np.zeros((4, 2), dtype=np.int64)
     n = lib.repro_bu_scan(
-        4, _i64(offsets), _i64(targets), _u64(inq),
+        2, _i64(bounds), _i64(offsets), _i64(targets), _u64(inq),
         None, 0, _i64(parent), _i64(new), _i64(counts),
     )
     if (
-        n != 1 or new[0] != 2 or parent.tolist() != [0, 1, 1, -1]
-        or counts.tolist() != [2, 2, 2, 2]
+        n != 2 or new[:2].tolist() != [0, 2]
+        or parent.tolist() != [1, 1, 1, -1]
+        or counts.tolist() != [[1, 2]] * 4
     ):
         raise NativeBuildError(
             "smoke check failed for repro_bu_scan: "

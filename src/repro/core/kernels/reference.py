@@ -18,6 +18,7 @@ from repro.core.kernels.base import (
     BottomUpResult,
     KernelBackend,
     register_backend,
+    scan_rank_slices,
 )
 from repro.util.segments import gather_adjacency, segment_first_true_and_counts
 
@@ -34,34 +35,25 @@ class ReferenceBackend(KernelBackend):
     #: counts are chunk-schedule-independent).
     lane_chunk = None
 
-    def bottom_up_scan(self, state, in_queue, summary) -> BottomUpResult:
-        """Scan by materializing every candidate's full adjacency at once."""
-        lg = state.local
-        cand = state.unvisited_local()
-        if cand.size == 0:
-            return BottomUpResult(
-                new_local=np.zeros(0, dtype=np.int64),
-                candidates=0,
-                examined_edges=0,
-                inqueue_reads=0,
-            )
+    def bottom_up_scan(
+        self, graph, parent, in_queue, summary, bounds
+    ) -> BottomUpResult:
+        """Scan each rank by materializing its candidates' full adjacency."""
+        return scan_rank_slices(
+            self._scan, graph, parent, in_queue, summary, bounds
+        )
 
-        gather = gather_adjacency(lg.offsets, cand)
+    @staticmethod
+    def _scan(graph, cand, in_queue, summary):
+        gather = gather_adjacency(graph.offsets, cand)
         total = int(gather.seg_offsets[-1])
-        neighbors = lg.targets[gather.pos]
+        neighbors = graph.targets[gather.pos]
 
         hits = in_queue.test(neighbors)
         first, examined = segment_first_true_and_counts(
             hits, gather.seg_offsets
         )
-
         found = first >= 0
-        new_local = cand[found]
-        parents = neighbors[first[found]]
-        discovered = state.discover(new_local, parents)
-        if discovered.size != new_local.size:  # pragma: no cover - invariant
-            raise AssertionError("bottom-up rediscovered a visited vertex")
-
         examined_total = int(examined.sum())
         if summary is None:
             # Without the summary structure every examined edge reads in_queue.
@@ -74,12 +66,7 @@ class ReferenceBackend(KernelBackend):
             )
             summary_hits = summary.test_vertices(neighbors)
             inqueue_reads = int(np.count_nonzero(within_prefix & summary_hits))
-
-        return BottomUpResult(
-            new_local=new_local,
-            candidates=int(cand.size),
-            examined_edges=examined_total,
-            inqueue_reads=inqueue_reads,
-            gathered_edges=total,
-            chunk_rounds=1 if total else 0,
+        return (
+            found, neighbors[first[found]], examined_total, inqueue_reads,
+            total, 1 if total else 0,
         )

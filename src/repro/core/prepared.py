@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.graph.partition import (
-    LocalGraph,
     Partition1D,
     degree_balanced_bounds,
     word_aligned_bounds,
@@ -98,8 +97,7 @@ class PreparedGraph:
 
     Instances are immutable and safe to share across engines, threads
     and concurrent queries: the contained numpy arrays are never written
-    after construction (per-query state lives on
-    :class:`~repro.core.state.RankState`).
+    after construction (per-query state lives in the engines' runs).
     """
 
     graph: Graph
@@ -109,8 +107,7 @@ class PreparedGraph:
     degree_balanced: bool
     mapping: ProcessMapping = field(repr=False)
     partition: Partition1D = field(repr=False)
-    locals: tuple[LocalGraph, ...] = field(repr=False)
-    #: Words per rank's bitmap slice, index-aligned with ``locals``.
+    #: Words per rank's bitmap slice.
     part_words: tuple[int, ...] = field(repr=False)
     #: Word offset of each rank's slice in the concatenated bitmap
     #: (bounds are 64-aligned, so the slices tile exactly).
@@ -145,9 +142,6 @@ class PreparedGraph:
         else:
             bounds = word_aligned_bounds(n, np_ranks)
         partition = Partition1D(n, np_ranks, bounds=bounds)
-        locals_ = tuple(
-            partition.extract_local(graph, r) for r in range(np_ranks)
-        )
         part_words = tuple(
             bitops.words_for_bits(partition.size_of(r))
             for r in range(np_ranks)
@@ -171,7 +165,6 @@ class PreparedGraph:
             degree_balanced=config.degree_balanced,
             mapping=mapping,
             partition=partition,
-            locals=locals_,
             part_words=part_words,
             word_starts=word_starts,
             degrees=degrees,
@@ -192,28 +185,18 @@ class PreparedGraph:
     def nbytes(self) -> int:
         """Estimated resident bytes of the partition state.
 
-        Sums the numpy arrays this object *owns* — the per-rank CSR
-        extractions, partition bounds, word layout, degrees, owner table
-        — but not the input graph, which the caller holds regardless of
-        caching.
+        Sums the numpy arrays this object *owns* — partition bounds,
+        word layout, degrees, owner table — but not the input graph,
+        which the caller holds regardless of caching.
         Used by :class:`PreparedGraphCache`'s optional byte bound.
         """
-        total = (
-            int(self.word_starts.nbytes)
+        return (
+            int(self.partition.bounds.nbytes)
+            + int(self.word_starts.nbytes)
             + int(self.degrees.nbytes)
             + int(self.owner_of.nbytes)
             + int(self.rank_degree.nbytes)
         )
-        for obj in (self.partition, *self.locals):
-            attrs = getattr(obj, "__dict__", None) or {
-                f: getattr(obj, f, None)
-                for f in getattr(obj, "__dataclass_fields__", ())
-            }
-            for value in attrs.values():
-                nb = getattr(value, "nbytes", None)
-                if nb is not None:
-                    total += int(nb)
-        return total
 
     def check(self, graph: Graph, cluster: ClusterSpec, config) -> None:
         """Raise :class:`ConfigError` unless this prepared state matches

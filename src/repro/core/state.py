@@ -1,4 +1,8 @@
-"""Per-rank mutable BFS state."""
+"""Per-rank mutable BFS state of the 2-D engine (:mod:`repro.core.twod`).
+
+The 1-D engines keep their run state global instead — one parent
+array, one unexplored-degree vector — because their kernels scan every
+rank in one call."""
 
 from __future__ import annotations
 
@@ -19,19 +23,16 @@ class RankState:
     local: LocalGraph
     # parent[i] is the global parent id of local vertex (lo + i); -1 while
     # undiscovered; the root is its own parent (Graph500 convention).
-    # The engine passes this rank's view of the run's one global parent
-    # array (all -1); standalone states allocate their own.
-    parent: np.ndarray | None = None
+    parent: np.ndarray = field(init=False)
     # Sum of degrees of still-undiscovered local vertices; used by the
     # hybrid policy (m_u of Beamer's alpha test), maintained decrementally.
     unexplored_degree: int = field(init=False)
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.parent is None:
-            self.parent = np.full(
-                self.local.num_local_vertices, -1, dtype=np.int64
-            )
+        self.parent = np.full(
+            self.local.num_local_vertices, -1, dtype=np.int64
+        )
         self.degrees = np.diff(self.local.offsets)
         self.unexplored_degree = int(self.degrees.sum())
 
@@ -69,10 +70,6 @@ class RankState:
         self.parent[ids] = parents[fresh]
         self.unexplored_degree -= int(self.degrees[ids].sum())
         return ids
-
-    def unvisited_local(self) -> np.ndarray:
-        """Local ids of undiscovered vertices with at least one edge."""
-        return np.flatnonzero((self.parent < 0) & (self.degrees > 0))
 
     def visited_count(self) -> int:
         """Number of discovered local vertices."""

@@ -1,8 +1,9 @@
 """Level-granular checkpointing of BFS engine state.
 
 A :class:`BFSCheckpoint` captures everything the engine needs to resume
-a run at the start of a level: the per-rank parent arrays and unexplored
-degrees, the frontier lists, the codec's common-knowledge visited mask,
+a run at the start of a level: the per-rank parent slices and unexplored
+degrees, the per-rank frontier lists (local ids), the codec's
+common-knowledge visited mask,
 the direction-policy state and the level counter.  Checkpoints are deep
 copies — later mutation of the live run never leaks in — and round-trip
 bit-identically through the on-disk ``.npz`` format.
@@ -72,18 +73,20 @@ class BFSCheckpoint:
         level: int,
         prev_direction: str | None,
         policy,
-        states,
+        parents: list[np.ndarray],
+        unexplored,
         frontier_lists: list[np.ndarray],
         visited_words: np.ndarray | None,
     ) -> "BFSCheckpoint":
-        """Deep-copy the engine's mutable state at a level boundary."""
+        """Deep-copy the engine's mutable state at a level boundary:
+        per rank, its parent slice, unexplored degree and frontier."""
         return cls(
             level=int(level),
             prev_direction=prev_direction,
             policy_direction=str(policy._direction),
             policy_finished_bottom_up=bool(policy._finished_bottom_up),
-            parents=[st.parent.copy() for st in states],
-            unexplored=[int(st.unexplored_degree) for st in states],
+            parents=[p.copy() for p in parents],
+            unexplored=[int(u) for u in unexplored],
             frontier_lists=[
                 np.array(f, dtype=np.int64, copy=True) for f in frontier_lists
             ],
@@ -92,30 +95,31 @@ class BFSCheckpoint:
             ),
         )
 
-    def restore(self, policy, states) -> tuple[list[np.ndarray], np.ndarray | None]:
+    def restore(
+        self, policy, parents: list[np.ndarray], unexplored: np.ndarray
+    ) -> tuple[list[np.ndarray], np.ndarray | None]:
         """Write this snapshot back into live engine state.
 
-        Mutates ``states`` and ``policy`` in place; returns fresh copies
-        of the frontier lists and visited mask (so the store's copy stays
-        pristine for repeated rollbacks).
+        Writes the per-rank ``parents`` views, the ``unexplored`` vector
+        and ``policy`` in place; returns fresh copies of the frontier
+        lists and visited mask (so the store's copy stays pristine for
+        repeated rollbacks).
         """
-        if len(states) != len(self.parents):
+        if len(parents) != len(self.parents):
             raise CheckpointError(
                 f"checkpoint captured {len(self.parents)} ranks, engine has "
-                f"{len(states)}",
+                f"{len(parents)}",
                 level=self.level,
             )
-        for st, parent, unexplored in zip(
-            states, self.parents, self.unexplored
-        ):
-            if st.parent.shape != parent.shape:
+        for rank, (live, saved) in enumerate(zip(parents, self.parents)):
+            if live.shape != saved.shape:
                 raise CheckpointError(
                     "checkpoint parent shape mismatch",
-                    rank=st.rank,
+                    rank=rank,
                     level=self.level,
                 )
-            st.parent[:] = parent
-            st.unexplored_degree = int(unexplored)
+            live[:] = saved
+        unexplored[:] = self.unexplored
         policy._direction = self.policy_direction
         policy._finished_bottom_up = self.policy_finished_bottom_up
         frontier = [f.copy() for f in self.frontier_lists]

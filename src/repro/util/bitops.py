@@ -57,17 +57,29 @@ def get_bits(words: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return ((w >> shift) & np.uint64(1)).astype(bool)
 
 
+def _index_words(nwords: int, idx: np.ndarray) -> np.ndarray:
+    """``nwords`` words with exactly the bits at ``idx`` set.
+
+    A bool scatter plus one ``packbits`` pass over the whole bitmap:
+    repeated indices just rewrite the same flag.  Several times faster
+    than the unbuffered ``np.bitwise_or.at`` unless ``idx`` covers only a
+    tiny fraction of the bits (a bottom-up frontier never does).
+    """
+    flags = np.zeros(nwords * WORD_BITS, dtype=bool)
+    flags[idx] = True
+    return np.packbits(flags, bitorder="little").view(WORD_DTYPE)
+
+
 def set_bits(words: np.ndarray, idx: np.ndarray) -> None:
     """Set (to 1) the bits at positions ``idx`` in place.
 
-    Handles repeated indices correctly via ``np.bitwise_or.at``.
+    ``idx`` may contain repeated positions and is not required to be sorted.
     """
     _check_words(words)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size == 0:
         return
-    masks = np.uint64(1) << (idx & 63).astype(np.uint64)
-    np.bitwise_or.at(words, idx >> 6, masks)
+    np.bitwise_or(words, _index_words(words.size, idx), out=words)
 
 
 def clear_bits(words: np.ndarray, idx: np.ndarray) -> None:
@@ -76,8 +88,7 @@ def clear_bits(words: np.ndarray, idx: np.ndarray) -> None:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size == 0:
         return
-    masks = ~(np.uint64(1) << (idx & 63).astype(np.uint64))
-    np.bitwise_and.at(words, idx >> 6, masks)
+    np.bitwise_and(words, ~_index_words(words.size, idx), out=words)
 
 
 def popcount_words(words: np.ndarray) -> np.ndarray:

@@ -115,14 +115,19 @@ class TestGracefulDegradation:
         assert stream.getvalue().splitlines() == lines
 
     def test_engine_runs_on_fallback(self, fresh_probe, monkeypatch):
-        monkeypatch.setenv("CC", "/bin/false")
+        """No toolchain: a ``cnative`` run is an ``activeset`` run, with
+        unchanged results."""
         graph = rmat_graph(scale=10, edgefactor=8, seed=1)
-        engine = BFSEngine(
-            graph, paper_cluster(nodes=2), BFSConfig(kernel="cnative")
-        )
+        cluster = paper_cluster(nodes=2)
+        want = BFSEngine(graph, cluster, BFSConfig(kernel="activeset")).run(0)
+
+        monkeypatch.setenv("CC", "/bin/false")
+        engine = BFSEngine(graph, cluster, BFSConfig(kernel="cnative"))
         assert engine.kernel.name == "activeset"
         result = engine.run(0)
         assert result.visited > 0
+        assert np.array_equal(result.parent, want.parent)
+        assert result.timing.total_seconds == want.timing.total_seconds
 
     def test_batch_runs_on_fallback_numpy_lane_scan(
         self, fresh_probe, monkeypatch
@@ -171,6 +176,10 @@ class TestSmokeCheck:
 
     @pytest.mark.parametrize("kernel, intact, broken", [
         ("repro_bu_scan", "if (TEST_BIT(inq_words, v)) {", "if (0) {"),
+        # A rank scanned from the start of the CSR, or whose discoveries
+        # keep their rank-local ids, must fail the two-rank probe.
+        ("repro_bu_scan", "offsets + lo, targets", "offsets, targets"),
+        ("repro_bu_scan", "found[i] += lo;", "found[i] += 0;"),
         (
             "repro_lane_scan",
             "const uint64_t hit = inq[u] & probe;",

@@ -1,11 +1,11 @@
-"""Tests for the per-rank BFS kernels (state, top-down, bottom-up) and
-the hybrid direction policy."""
+"""Tests for the BFS kernels (rank state, top-down, bottom-up) and the
+hybrid direction policy."""
 
 import numpy as np
 import pytest
 
 from repro.core import BFSConfig, Bitmap, SummaryBitmap, TraversalMode
-from repro.core import bottomup, topdown
+from repro.core import topdown
 from repro.core.counts import Direction
 from repro.core.hybrid import DirectionPolicy, FrontierStats
 from repro.core.kernels import TopDownPairs, default_backend
@@ -18,6 +18,21 @@ from repro.graph.generators import cycle_graph
 def single_rank_state(graph):
     part = Partition1D(graph.num_vertices, 1)
     return RankState(part.extract_local(graph, 0)), part
+
+
+def bottom_up(graph, parent, in_queue, summary):
+    """One bottom-up level on one rank with the default backend."""
+    bounds = np.array([0, graph.num_vertices], dtype=np.int64)
+    return default_backend().bottom_up_scan(
+        graph, parent, in_queue, summary, bounds
+    )
+
+
+def visited(n, *vertices):
+    """A parent array with ``vertices`` visited (their own parents)."""
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[list(vertices)] = vertices
+    return parent
 
 
 class TestRankState:
@@ -34,13 +49,6 @@ class TestRankState:
         before = st.unexplored_degree
         st.discover(np.array([0]), np.array([0]))
         assert st.unexplored_degree == before - 4
-
-    def test_unvisited_local_excludes_isolated(self):
-        from repro.graph import from_edge_arrays
-
-        g = from_edge_arrays(4, [0], [1])  # vertices 2, 3 isolated
-        st, _ = single_rank_state(g)
-        assert st.unvisited_local().tolist() == [0, 1]
 
     def test_to_local_range_check(self):
         g = path_graph(8)
@@ -198,55 +206,50 @@ class TestBottomUp:
     def setup_method(self):
         # Path 0-1-2-3-4-5, frontier = {2}; unvisited = all but 2.
         self.g = path_graph(6)
-        self.part = Partition1D(6, 1)
-        self.st = RankState(self.part.extract_local(self.g, 0))
-        self.st.discover(np.array([2]), np.array([2]))
+        self.parent = visited(6, 2)
         self.inq = Bitmap.from_indices(6, np.array([2]))
 
     def test_scan_finds_neighbors_of_frontier(self):
-        res = bottomup.scan(self.st, self.inq, None)
-        assert sorted(res.new_local.tolist()) == [1, 3]
-        assert self.st.parent[1] == 2
-        assert self.st.parent[3] == 2
-        assert res.candidates == 5  # all unvisited non-isolated
+        res = bottom_up(self.g, self.parent, self.inq, None)
+        assert res.discovered.tolist() == [1, 3]
+        assert self.parent[1] == 2
+        assert self.parent[3] == 2
+        assert res.rank_candidates.tolist() == [5]  # unvisited, non-isolated
+        assert res.rank_disc_degree.tolist() == [4]
 
     def test_early_exit_examined_counts(self):
-        res = bottomup.scan(self.st, self.inq, None)
+        res = bottom_up(self.g, self.parent, self.inq, None)
         # v0: checks 1 -> miss (1 edge). v1: checks 0 (miss), 2 (hit) -> 2.
         # v3: checks 2 (hit) -> 1. v4: 3, 5 -> 2 misses. v5: 4 -> 1 miss.
         assert res.examined_edges == 1 + 2 + 1 + 2 + 1
-        assert res.inqueue_reads == res.examined_edges  # no summary
+        # No summary: every examined edge reads in_queue.
+        assert np.array_equal(res.rank_inqueue_reads, res.rank_examined_edges)
 
     def test_summary_reduces_inqueue_reads(self):
         # Frontier block is bits 0..63; all of path fits in one block, so
         # use a bigger graph for a meaningful filter.
         g = path_graph(256)
-        part = Partition1D(256, 1)
-        st = RankState(part.extract_local(g, 0))
-        st.discover(np.array([100]), np.array([100]))
         inq = Bitmap.from_indices(256, np.array([100]))
         summary = SummaryBitmap.build(inq, 64)
-        res = bottomup.scan(st, inq, summary)
-        st2 = RankState(part.extract_local(g, 0))
-        st2.discover(np.array([100]), np.array([100]))
-        res_nosum = bottomup.scan(st2, inq, None)
+        res = bottom_up(g, visited(256, 100), inq, summary)
+        res_nosum = bottom_up(g, visited(256, 100), inq, None)
         assert res.examined_edges > 0
-        assert res.inqueue_reads < res.examined_edges
+        assert res.rank_inqueue_reads.sum() < res.examined_edges
         # The summary never changes what is discovered or examined.
         assert res.examined_edges == res_nosum.examined_edges
+        assert np.array_equal(res.discovered, res_nosum.discovered)
 
     def test_scan_without_candidates(self):
-        st, part = self.st, self.part
-        st.discover(np.arange(6)[st.parent < 0], np.zeros(5, dtype=np.int64))
-        res = bottomup.scan(st, self.inq, None)
-        assert res.candidates == 0
-        assert res.new_local.size == 0
+        res = bottom_up(self.g, visited(6, *range(6)), self.inq, None)
+        assert res.rank_candidates.tolist() == [0]
+        assert res.discovered.size == 0
 
     def test_empty_frontier_discovers_nothing(self):
-        res = bottomup.scan(self.st, Bitmap(6), None)
-        assert res.new_local.size == 0
+        res = bottom_up(self.g, self.parent, Bitmap(6), None)
+        assert res.discovered.size == 0
         # Every unvisited vertex scanned its whole adjacency.
-        assert res.examined_edges == self.st.degrees[self.st.parent < 0].sum()
+        degrees = self.g.degrees()
+        assert res.examined_edges == degrees[self.parent < 0].sum()
 
 
 class TestDirectionPolicy:

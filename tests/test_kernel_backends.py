@@ -2,17 +2,22 @@
 
 Every kernel backend must reproduce the paper's accounting
 bit-identically — parents, discovery order, ``examined_edges`` and
-``inqueue_reads`` (Section II.B.2) — because the cost model and Fig. 16
-consume those counts.  These tests pin that invariant on randomized
-R-MAT graphs and on the adversarial shapes the chunked scan is most
-likely to get wrong: isolated vertices, an empty frontier, a single
-giant-degree hub, and pathological chunk widths.
+``inqueue_reads`` (Section II.B.2) per rank — because the cost model
+and Fig. 16 consume those counts.  These tests pin that invariant on
+randomized R-MAT graphs, on the adversarial shapes the chunked scan is
+most likely to get wrong (isolated vertices, an empty frontier, a
+single giant-degree hub, pathological chunk widths), and against a
+brute-force per-vertex oracle of the level contract on random CSRs.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import BFSConfig, BFSEngine, Bitmap, CommConfig, SummaryBitmap, bottomup
+from repro.core import BFSConfig, BFSEngine, Bitmap, CommConfig, SummaryBitmap
 from repro.core.kernels import (
     ActiveSetBackend,
     CNativeBackend,
@@ -23,7 +28,6 @@ from repro.core.kernels import (
     resolve_backend,
 )
 from repro.core.kernels.base import _dedup_dense, _dedup_sorted, dedup_first_parent
-from repro.core.state import RankState
 from repro.errors import ConfigError
 from repro.graph import (
     Partition1D,
@@ -55,28 +59,34 @@ if CNATIVE_AVAILABLE:
 VARIANTS = sorted(k for k in BACKENDS if k != "reference")
 
 
-def scan_outcome(graph, backend, visited, frontier, granularity):
-    """Run one bottom-up scan from a reproducible state; return all
-    accounting plus the post-scan parent array."""
-    part = Partition1D(graph.num_vertices, 1)
-    state = RankState(part.extract_local(graph, 0))
+def scan_level(graph, backend, visited, frontier, granularity, ranks=3):
+    """Run one bottom-up level from a reproducible state over ``ranks``
+    block ranks; return the result and the post-scan parent array."""
+    n = graph.num_vertices
+    parent = np.full(n, -1, dtype=np.int64)
     visited = np.asarray(visited, dtype=np.int64)
-    if visited.size:
-        state.discover(visited, visited)  # parent=self is fine for setup
-    in_queue = Bitmap.from_indices(graph.num_vertices, frontier)
+    parent[visited] = visited  # parent=self is fine for setup
+    in_queue = Bitmap.from_indices(n, frontier)
     summary = (
         SummaryBitmap.build(in_queue, granularity) if granularity else None
     )
-    out = backend.bottom_up_scan(state, in_queue, summary)
+    bounds = Partition1D(n, ranks).bounds
+    out = backend.bottom_up_scan(graph, parent, in_queue, summary, bounds)
+    return out, parent
+
+
+def scan_outcome(graph, backend, visited, frontier, granularity):
+    """All accounting of one level plus the post-scan parent array."""
+    out, parent = scan_level(graph, backend, visited, frontier, granularity)
     return {
-        "new_local": out.new_local.tolist(),
-        "candidates": out.candidates,
-        "examined_edges": out.examined_edges,
-        "inqueue_reads": out.inqueue_reads,
-        "parent": state.parent.tolist(),
+        "discovered": out.discovered.tolist(),
+        "candidates": out.rank_candidates.tolist(),
+        "examined_edges": out.rank_examined_edges.tolist(),
+        "inqueue_reads": out.rank_inqueue_reads.tolist(),
+        "parent": parent.tolist(),
         # The hybrid policy's m_u must stay in sync no matter how a
-        # backend applies discoveries (cnative updates state in C).
-        "unexplored_degree": state.unexplored_degree,
+        # backend applies discoveries (cnative does it in C).
+        "disc_degree": out.rank_disc_degree.tolist(),
     }
 
 
@@ -160,17 +170,125 @@ class TestScanEquivalence:
         frontier = visited
 
         def gathered(backend):
-            part = Partition1D(n, 1)
-            state = RankState(part.extract_local(graph, 0))
-            state.discover(visited, visited)
-            inq = Bitmap.from_indices(n, frontier)
-            return backend.bottom_up_scan(state, inq, None)
+            return scan_level(graph, backend, visited, frontier, None)[0]
 
         ref = gathered(BACKENDS["reference"])
         act = gathered(BACKENDS["activeset"])
         assert ref.gathered_edges > 0
         assert act.gathered_edges < ref.gathered_edges / 4
         assert act.examined_edges == ref.examined_edges
+
+
+def random_csr(rng, n):
+    """Random CSR over ``n`` vertices with zero-degree rows, duplicate
+    edges and self-loops."""
+    degs = rng.integers(0, 9, n) * (rng.random(n) < 0.8)
+    offsets = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+    targets = rng.integers(0, n, int(offsets[-1])).astype(np.int64)
+    for v in np.flatnonzero(degs >= 2)[::3]:
+        targets[offsets[v] + 1] = targets[offsets[v]]  # duplicate edge
+        if v % 2:
+            targets[offsets[v]] = v  # self-loop
+    return SimpleNamespace(offsets=offsets, targets=targets)
+
+
+def oracle_level(graph, parent, frontier, granularity, bounds):
+    """The bottom-up level contract one vertex at a time: per rank,
+    ascending, walk each candidate's row until its first frontier
+    neighbour, reading in_queue only behind a non-empty summary block.
+    Writes ``parent``; returns the discoveries and the (4, ranks)
+    candidates / examined / in_queue reads / discovered degree."""
+    frontier = set(frontier.tolist())
+    lit = None if granularity is None else {u // granularity for u in frontier}
+    counts = np.zeros((4, len(bounds) - 1), dtype=np.int64)
+    discovered = []
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        for v in range(lo, hi):
+            row = graph.targets[graph.offsets[v]:graph.offsets[v + 1]]
+            if parent[v] >= 0 or row.size == 0:
+                continue
+            counts[0, r] += 1
+            for u in row.tolist():
+                counts[1, r] += 1
+                if lit is not None and u // granularity not in lit:
+                    continue  # empty summary block: a proven miss
+                counts[2, r] += 1
+                if u in frontier:
+                    parent[v] = u
+                    discovered.append(v)
+                    counts[3, r] += row.size
+                    break
+    return discovered, counts
+
+
+class TestLevelContract:
+    """``bottom_up_scan`` of every backend against :func:`oracle_level`
+    on random small CSRs over 1-8 word-aligned ranks (empty ranks
+    included), with pre-visited vertices and every summary shape."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        words=st.integers(1, 8),
+        ranks=st.integers(1, 8),
+        granularity=st.sampled_from([None, 64, 256, 192]),
+        visited_density=st.sampled_from([0.0, 0.3, 0.9]),
+        frontier_density=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_backends_match_brute_force_oracle(
+        self, seed, words, ranks, granularity, visited_density,
+        frontier_density,
+    ):
+        rng = np.random.default_rng(seed)
+        n = 64 * words
+        graph = random_csr(rng, n)
+        cuts = np.sort(rng.integers(0, words + 1, ranks - 1))
+        bounds = 64 * np.concatenate(([0], cuts, [words])).astype(np.int64)
+        parent = np.where(
+            rng.random(n) < visited_density, rng.integers(0, n, n), -1
+        ).astype(np.int64)
+        frontier = np.flatnonzero(rng.random(n) < frontier_density)
+        in_queue = Bitmap.from_indices(n, frontier)
+        summary = (
+            None if granularity is None
+            else SummaryBitmap.build(in_queue, granularity)
+        )
+        want_parent = parent.copy()
+        want_disc, want_counts = oracle_level(
+            graph, want_parent, frontier, granularity, bounds
+        )
+        for name, backend in BACKENDS.items():
+            got_parent = parent.copy()
+            res = backend.bottom_up_scan(
+                graph, got_parent, in_queue, summary, bounds
+            )
+            got_counts = np.stack([
+                res.rank_candidates, res.rank_examined_edges,
+                res.rank_inqueue_reads, res.rank_disc_degree,
+            ])
+            assert res.discovered.tolist() == want_disc, name
+            assert np.array_equal(got_counts, want_counts), name
+            assert np.array_equal(got_parent, want_parent), name
+            assert res.examined_edges == want_counts[1].sum(), name
+
+    @pytest.mark.skipif(not CNATIVE_AVAILABLE, reason="no usable C toolchain")
+    def test_native_level_rejects_bad_buffers(self):
+        """Buffers are checked before the C loop gets their pointers."""
+        graph = path_graph(128)
+        parent = np.full(128, -1, dtype=np.int64)
+        bounds = np.array([0, 64, 128], dtype=np.int64)
+        for p, b, nbits in (
+            (parent.astype(np.int32), bounds, 128),  # wrong dtype
+            (parent[::2], bounds[:2], 128),  # not contiguous
+            (parent[:64], bounds[:2], 128),  # CSR/parent size mismatch
+            (parent, bounds, 64),  # frontier bitmap too short
+            (parent, np.array([0, 64, 192], dtype=np.int64), 128),
+            (parent, np.array([0, 96, 64, 128], dtype=np.int64), 128),
+        ):
+            with pytest.raises(ConfigError):
+                CNativeBackend().bottom_up_scan(
+                    graph, p, Bitmap(nbits), None, b
+                )
 
 
 class TestEngineEquivalence:
@@ -294,11 +412,7 @@ class TestRegistryAndResolution:
             ActiveSetBackend(chunk=0)
 
     def test_scan_wrapper_uses_process_default(self, monkeypatch):
-        graph = path_graph(6)
-        part = Partition1D(6, 1)
-        state = RankState(part.extract_local(graph, 0))
-        state.discover(np.array([2]), np.array([2]))
         monkeypatch.setenv("REPRO_KERNEL", "reference")
-        out = bottomup.scan(state, Bitmap.from_indices(6, np.array([2])), None)
+        out, _ = scan_level(path_graph(6), default_backend(), [2], [2], None)
         assert out.chunk_rounds == 1  # reference: one full pass
-        assert sorted(out.new_local.tolist()) == [1, 3]
+        assert out.discovered.tolist() == [1, 3]

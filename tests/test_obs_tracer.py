@@ -194,16 +194,19 @@ class TestEngineTelemetry:
 
     def test_per_rank_kernel_spans(self, traced):
         spans = traced.telemetry.spans
-        scans = [s for s in spans if s.name == "bu.scan"]
-        num_ranks = traced.counts.num_ranks
-        td_counts = [
-            lc for lc in traced.counts.levels if lc.direction == "top_down"
-        ]
-        bu_levels = traced.levels - len(td_counts)
-        assert len(scans) == bu_levels * num_ranks
-        assert all("examined_edges" in s.attrs for s in scans)
-        # Top-down is rank-global: one span per stage and level, carrying
-        # the per-rank arrays (one row per lane; a run is one lane).
+        levels = traced.counts.levels
+        # Both level kinds are rank-global: one span per stage and level,
+        # carrying the per-rank arrays.  Bottom-up: one scan per level.
+        bu_counts = [lc for lc in levels if lc.direction == "bottom_up"]
+        scans = [s for s in spans if s.name == "phase.bu_scan"]
+        assert bu_counts and len(scans) == len(bu_counts)
+        assert not [s for s in spans if s.name == "bu.scan"]
+        for lc, sc in zip(bu_counts, scans):
+            assert sc.attrs["candidates"] == lc.candidates.tolist()
+            assert sc.attrs["examined_edges"] == lc.examined_edges.tolist()
+            assert sc.attrs["inqueue_reads"] == lc.inqueue_reads.tolist()
+        # Top-down: one row per lane (a run is one lane).
+        td_counts = [lc for lc in levels if lc.direction == "top_down"]
         expands = [s for s in spans if s.name == "phase.td_expand"]
         applies = [s for s in spans if s.name == "phase.td_apply"]
         assert len(expands) == len(applies) == len(td_counts)

@@ -111,3 +111,35 @@ def test_property_pack_unpack(flags):
     w = bitops.bool_to_bits(flags)
     assert np.array_equal(bitops.bits_to_bool(w, flags.size), flags)
     assert bitops.count_set_bits(w) == int(flags.sum())
+
+
+def naive_words(start, idx, value):
+    """``start`` with the bits at ``idx`` set (``value``) or cleared, one
+    Python int at a time."""
+    out = [int(x) for x in start]
+    for i in idx:
+        if value:
+            out[i >> 6] |= 1 << (i & 63)
+        else:
+            out[i >> 6] &= ~(1 << (i & 63)) & (2**64 - 1)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nbits=st.integers(min_value=1, max_value=700),
+    data=st.data(),
+)
+def test_property_set_and_clear_match_naive_loop(nbits, data):
+    """Word-for-word equal to a per-bit loop, on a non-empty starting
+    bitmap, with repeated indices and ``nbits`` not a multiple of 64."""
+    positions = st.integers(min_value=0, max_value=nbits - 1)
+    idx = data.draw(st.lists(positions, max_size=120))
+    if idx:  # repeats of drawn positions
+        idx += data.draw(st.lists(st.sampled_from(idx), max_size=20))
+    start = make_words(nbits)
+    start[:] = naive_words(start, data.draw(st.lists(positions)), True)
+    for fn, value in ((bitops.set_bits, True), (bitops.clear_bits, False)):
+        w = start.copy()
+        fn(w, np.array(idx, dtype=np.int64))
+        assert [int(x) for x in w] == naive_words(start, idx, value)
