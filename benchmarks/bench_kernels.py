@@ -159,6 +159,41 @@ def test_bottom_up_level(benchmark, graph, mid_level, backend_name):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
+def test_top_down_level(benchmark, graph, mid_level, backend_name):
+    """The same mid-BFS level expanded top-down instead (as pure
+    top-down mode runs it): the one ``top_down_expand`` call that
+    covers all 8 ranks, discoveries applied."""
+    frontier, visited, bounds = mid_level
+    backend = get_backend(backend_name)
+    _skip_unless_runnable(backend, backend_name)
+    n = graph.num_vertices
+    owner_of = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    rows = np.zeros(1, dtype=np.int64)
+
+    def fresh_level():
+        parent = np.full((1, n), -1, dtype=np.int64)
+        parent[0, visited] = visited
+        return (graph, [frontier], parent, rows, owner_of, bounds), {}
+
+    result = benchmark.pedantic(
+        backend.top_down_expand,
+        setup=fresh_level,
+        rounds=30,
+        warmup_rounds=3,
+    )
+    assert result.frontiers[0].size > 0
+    benchmark.extra_info.update(
+        backend=backend_name,
+        scale=SCALE,
+        ranks=int(bounds.size - 1),
+        frontier=int(frontier.size),
+        examined_edges=int(result.examined_edges.sum()),
+        send_bytes=int(result.send_bytes.sum()),
+        discovered=int(result.frontiers[0].size),
+    )
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
 def test_full_engine_run(benchmark, graph, backend_name):
     cluster = paper_cluster(nodes=2)
     engine = BFSEngine(

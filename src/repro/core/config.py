@@ -338,6 +338,15 @@ class BFSConfig:
             )
         if comm is None:
             comm = CommConfig()
+        try:
+            # A string mode must not slip through: the direction policy
+            # compares members by identity.
+            mode = TraversalMode(mode)
+        except ValueError:
+            raise ConfigError(
+                f"unknown traversal mode {mode!r}; valid: "
+                f"{', '.join(m.value for m in TraversalMode)}"
+            ) from None
         object.__setattr__(self, "ppn", ppn)
         object.__setattr__(self, "binding", binding)
         object.__setattr__(self, "comm", comm)

@@ -40,7 +40,6 @@ from functools import partial
 
 import numpy as np
 
-from repro.core import topdown
 from repro.core.bitmap import Bitmap, SummaryBitmap, summary_words_for
 from repro.core.config import BFSConfig
 from repro.core.counts import Direction, LevelCounts, RunCounts
@@ -632,29 +631,42 @@ class BFSEngine:
 
         ``frontiers[b]`` is lane ``b``'s frontier (global ids, rank-major),
         ``parent`` the ``(sources, n)`` parent table, ``rows[b]`` the row
-        lane ``b`` writes and ``lcs[b]`` its level record.  Returns
-        :func:`repro.core.topdown.apply_received`'s outcome: the next
-        frontiers and the per-(lane, rank) discovered degree.
+        lane ``b`` writes and ``lcs[b]`` its level record.  The kernel
+        call is the whole step, discoveries included; what is left here
+        is pricing each lane's ``alltoallv``.  Applying before pricing is
+        safe: faults corrupt only allgather payloads, an exhausted retry
+        aborts the run and a crash rolls ``parent`` back from the
+        checkpoint.  Returns the next frontiers and the per-(lane, rank)
+        discovered degree.
         """
         np_ranks = self.mapping.num_ranks
+        owner_of = self.prepared.owner_of
         tr = self.tracer
         hp = self.hostprof
         with tr.span("phase.td_expand", cat="phase") as sp, hp.phase(
             "td_expand"
         ):
-            pairs = self.kernel.top_down_expand(
-                self.graph, frontiers, self.prepared.owner_of, np_ranks
+            res = self.kernel.top_down_expand(
+                self.graph, frontiers, parent, rows, owner_of,
+                self.partition.bounds,
             )
             if tr.enabled:
                 sp.set(
                     frontier=[lc.frontier_local.tolist() for lc in lcs],
-                    examined_edges=pairs.examined_edges.tolist(),
+                    examined_edges=res.examined_edges.tolist(),
+                    received_pairs=(
+                        res.send_bytes.sum(axis=1) // PAIR_BYTES
+                    ).tolist(),
+                    discovered=[
+                        np.bincount(owner_of[f], minlength=np_ranks).tolist()
+                        for f in res.frontiers
+                    ],
                 )
         for b, lc in enumerate(lcs):
-            lc.examined_edges = pairs.examined_edges[b]
+            lc.examined_edges = res.examined_edges[b]
             lc.candidates = np.zeros(np_ranks, dtype=np.int64)
             lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
-            lc.td_send_bytes = pairs.send_bytes[b]
+            lc.td_send_bytes = res.send_bytes[b]
         with tr.span("phase.td_exchange", cat="phase"), hp.phase(
             "td_exchange"
         ):
@@ -663,24 +675,7 @@ class BFSEngine:
                     "alltoallv", lc.level,
                     partial(self.comm.alltoallv, lc.td_send_bytes),
                 )
-        with tr.span("phase.td_apply", cat="phase") as sp, hp.phase(
-            "td_apply"
-        ):
-            new_frontiers, disc_degree = topdown.apply_received(
-                pairs, parent, rows, self.prepared.degrees, np_ranks
-            )
-            if tr.enabled:
-                owner_of = self.prepared.owner_of
-                sp.set(
-                    received_pairs=(
-                        pairs.send_bytes.sum(axis=1) // PAIR_BYTES
-                    ).tolist(),
-                    discovered=[
-                        np.bincount(owner_of[f], minlength=np_ranks).tolist()
-                        for f in new_frontiers
-                    ],
-                )
-        return new_frontiers, disc_degree
+        return res.frontiers, res.disc_degree
 
     def _publish_frontier(
         self,

@@ -1,9 +1,10 @@
 """Pluggable BFS kernel backends.
 
 The engines' compute kernels (the bottom-up scans — one call per level
-over every rank, or per lane batch — plus the one rank-global top-down
-expansion every backend shares) live behind a small registry so alternative implementations can
-be swapped without touching the engines.  Three backends ship:
+over every rank, or per lane batch — and the top-down step, one call per
+level over every rank and lane) live behind a small registry so
+alternative implementations can be swapped without touching the
+engines.  Three backends ship:
 
 ``reference``
     The original full-materialization kernels
@@ -17,7 +18,8 @@ be swapped without touching the engines.  Three backends ship:
     Native compiled kernels
     (:class:`~repro.core.kernels.cnative.CNativeBackend`) — a small C
     source compiled on first use and called through ctypes; the true
-    per-vertex early exit, for one source or a 64-lane batch.  Requires
+    per-vertex early exit, for one source or a 64-lane batch, and a
+    fused top-down step that materializes no pairs.  Requires
     a system C compiler: when none is found (or the build fails) the
     backend reports itself unavailable and resolution degrades to
     ``activeset`` with a structured warning.
@@ -37,9 +39,8 @@ from repro.core.kernels.base import (
     FALLBACK_BACKEND,
     BottomUpResult,
     KernelBackend,
-    TopDownPairs,
+    TopDownResult,
     available_backends,
-    dedup_first_parent,
     get_backend,
     register_backend,
 )
@@ -55,9 +56,8 @@ __all__ = [
     "FALLBACK_BACKEND",
     "KernelBackend",
     "ReferenceBackend",
-    "TopDownPairs",
+    "TopDownResult",
     "available_backends",
-    "dedup_first_parent",
     "default_backend",
     "get_backend",
     "register_backend",

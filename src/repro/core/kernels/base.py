@@ -2,8 +2,8 @@
 
 A *kernel backend* supplies the compute kernels the engines run every
 level: the bottom-up frontier scan (one call per level covering every
-rank, or per lane batch) and the top-down frontier expansion.  Backends
-are interchangeable
+rank, or per lane batch) and the top-down step (one call per level
+covering every rank and lane).  Backends are interchangeable
 implementations of the same algorithm — every backend must reproduce
 the paper's accounting **bit-identically** (``examined_edges`` and
 ``inqueue_reads`` per Section II.B.2, the parent of every discovered
@@ -13,10 +13,9 @@ differ in is how much temporary memory and how many bitmap probes they
 spend producing them.
 
 This module holds the contract (:class:`KernelBackend`), the result
-dataclasses, the backend registry, the rank-slice loop of the numpy
-bottom-up scans (:func:`scan_rank_slices`), and the one top-down
-expansion — rank-global, fused across lanes, and shared by every
-backend (the paper's optimizations only concern the bottom-up phase).
+dataclasses, the backend registry and the rank-slice loop of the numpy
+bottom-up scans (:func:`scan_rank_slices`).  The numpy top-down step
+every backend but ``cnative`` inherits lives in :mod:`repro.core.topdown`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.log import get_logger
-from repro.util.segments import gather_adjacency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.bitmap import Bitmap, SummaryBitmap
@@ -40,14 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 __all__ = [
     "BottomUpResult",
-    "TopDownPairs",
+    "TopDownResult",
     "KernelBackend",
     "register_backend",
     "available_backends",
     "get_backend",
-    "dedup_first_parent",
     "scan_rank_slices",
-    "DENSE_DEDUP_FRACTION",
     "FALLBACK_BACKEND",
     "PAIR_BYTES",
 ]
@@ -131,91 +127,30 @@ def scan_rank_slices(
 
 
 @dataclass
-class TopDownPairs:
-    """Outcome of one top-down expansion: every lane, every rank.
+class TopDownResult:
+    """Outcome of one top-down level: every lane, every rank.
 
-    The five pair arrays are index-aligned and hold what the senders'
-    coalescing buffers would: one (child, parent) pair per distinct
-    child per (lane, sender), ordered by (lane, sender, child).
+    The discoveries are already in the parent table; what comes back is
+    what the engine prices and carries into the next level.
     """
 
-    lane: np.ndarray
-    sender: np.ndarray  # rank owning the parent
-    owner: np.ndarray  # rank owning the child (the destination)
-    child: np.ndarray
-    parent: np.ndarray
+    # Lane b's next frontier: global ids in (owner, sender, child) order.
+    frontiers: list[np.ndarray]
     # (lanes, ranks): adjacency entries each sender walked.
     examined_edges: np.ndarray
     # (lanes, ranks, ranks): bytes sender i ships to owner j.
     send_bytes: np.ndarray
-
-
-# Switch the (child, parent) dedup to the linear scatter path once the
-# pair count reaches 1/DENSE_DEDUP_FRACTION of the vertex space; below
-# that, zeroing two vertex-sized arrays costs more than sorting the few
-# pairs.
-DENSE_DEDUP_FRACTION = 8
-
-
-def _dedup_sorted(
-    children: np.ndarray, parents: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort dedup: ``O(E log E)``, no vertex-sized temporaries."""
-    order = np.argsort(children, kind="stable")
-    children = children[order]
-    parents = parents[order]
-    keep = np.empty(children.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(children[1:], children[:-1], out=keep[1:])
-    return children[keep], parents[keep]
-
-
-def _dedup_dense(
-    children: np.ndarray, parents: np.ndarray, num_vertices: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter dedup: ``O(E + n)`` with two vertex-sized temporaries.
-
-    Scattering the pairs in *reverse* order makes the first occurrence's
-    parent the last (surviving) write, matching the stable-sort path
-    exactly; ``flatnonzero`` then yields the children ascending, which is
-    the owner-bucketed order the contiguous 1-D partition needs.
-    """
-    present = np.zeros(num_vertices, dtype=bool)
-    present[children] = True
-    first_parent = np.empty(num_vertices, dtype=np.int64)
-    first_parent[children[::-1]] = parents[::-1]
-    kept = np.flatnonzero(present)
-    return kept, first_parent[kept]
-
-
-def dedup_first_parent(
-    children: np.ndarray, parents: np.ndarray, num_vertices: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One (child, parent) pair per distinct child, children ascending.
-
-    For duplicate children the *first* occurrence's parent wins, as in
-    the reference code's coalescing send buffers.  ``children`` may be
-    any non-negative keys below ``num_vertices`` (the top-down step
-    passes composite (lane, rank, vertex) keys).  Dense inputs (mid-BFS
-    top-down levels, where the pair count rivals the key space) take a
-    linear scatter path instead of the historic ``O(E log E)`` stable
-    argsort; both paths produce bit-identical output, so the choice is
-    purely a performance heuristic.
-    """
-    if children.size == 0:
-        return children, parents
-    if children.size * DENSE_DEDUP_FRACTION >= num_vertices:
-        return _dedup_dense(children, parents, num_vertices)
-    return _dedup_sorted(children, parents)
+    # (lanes, ranks): degree sum of what each owner discovered.
+    disc_degree: np.ndarray
 
 
 class KernelBackend(abc.ABC):
     """One interchangeable implementation of the BFS compute kernels.
 
     Subclasses set ``name`` (the registry key) and implement
-    :meth:`bottom_up_scan`.  The top-down expansion is shared and
-    rank-global: the paper's kernel-level optimizations all concern the
-    bottom-up phase, so differing there would only risk divergence.
+    :meth:`bottom_up_scan`; :meth:`bottom_up_scan_batch` and
+    :meth:`top_down_expand` have numpy defaults a backend may override
+    with a faster pass of identical results.
     """
 
     name: ClassVar[str]
@@ -311,65 +246,31 @@ class KernelBackend(abc.ABC):
         self,
         graph: "Graph",
         frontiers: list[np.ndarray],
+        parent: np.ndarray,
+        rows: np.ndarray,
         owner_of: np.ndarray,
-        num_ranks: int,
-    ) -> TopDownPairs:
-        """Expand every lane's frontier on every rank in one pass.
+        bounds: np.ndarray,
+    ) -> TopDownResult:
+        """One top-down level for every lane on every rank (the
+        ``mpi_simple`` step; a single-source run is one lane).
 
-        ``frontiers[b]`` holds lane ``b``'s frontier as global vertex ids
-        in rank-major order (all of rank 0's members, then rank 1's, ...)
-        and ``owner_of`` maps a vertex to its owning rank.  Pairs are
-        deduplicated per child within each (lane, sender) — first parent
-        encountered wins — as the reference code's per-destination
-        coalescing buffers do; ``send_bytes`` counts what survives.
+        ``frontiers[b]`` is lane ``b``'s frontier as global vertex ids in
+        rank-major order (all of rank 0's members, then rank 1's, ...),
+        ``parent`` the C-contiguous ``(sources, n)`` parent table whose
+        row ``rows[b]`` lane ``b`` owns, and rank ``r`` owns the vertices
+        ``[bounds[r], bounds[r + 1])`` (``owner_of`` maps each vertex to
+        its rank).  Each (lane, sender) keeps the first offer per child in
+        frontier and CSR order — ``send_bytes`` counts those pairs,
+        already-visited children included — and a child unvisited before
+        the level takes its parent from the lowest sender; discoveries
+        are written into ``parent`` and returned as the next frontiers in
+        (owner, sender, child) order, which feeds the next level's
+        first-offer rule.  This default runs the numpy stages of
+        :mod:`repro.core.topdown`; ``cnative`` fuses them into one C pass.
         """
-        lanes = len(frontiers)
-        frontier = np.concatenate(frontiers)
-        lane_of = np.repeat(
-            np.arange(lanes, dtype=np.int64), [f.size for f in frontiers]
-        )
-        sender_of = owner_of[frontier]
-        gather = gather_adjacency(graph.offsets, frontier)
-        examined = np.bincount(
-            lane_of * num_ranks + sender_of,
-            weights=gather.lens,
-            minlength=lanes * num_ranks,
-        )
-        # One dedup group per (lane, sender): the composite key packs
-        # lane | sender | child into bit fields (splitting it back is a
-        # shift and a mask, not an int64 division), keeps groups apart,
-        # and ascends in (lane, sender, child) order.
-        child_bits = max(graph.num_vertices - 1, 1).bit_length()
-        rank_bits = max(num_ranks - 1, 1).bit_length()
-        key = graph.targets[gather.pos]
-        key += np.repeat(
-            ((lane_of << rank_bits) | sender_of) << child_bits, gather.lens
-        )
-        key, parent = dedup_first_parent(
-            key,
-            np.repeat(frontier, gather.lens),
-            lanes << (rank_bits + child_bits),
-        )
-        child = key & ((1 << child_bits) - 1)
-        sender = (key >> child_bits) & ((1 << rank_bits) - 1)
-        lane = key >> (child_bits + rank_bits)
-        owner = owner_of[child]
-        send_pairs = np.bincount(
-            (lane * num_ranks + sender) * num_ranks + owner,
-            minlength=lanes * num_ranks * num_ranks,
-        )
-        return TopDownPairs(
-            lane=lane,
-            sender=sender,
-            owner=owner,
-            child=child,
-            parent=parent,
-            examined_edges=examined.astype(np.int64).reshape(
-                lanes, num_ranks
-            ),
-            send_bytes=send_pairs.reshape(lanes, num_ranks, num_ranks)
-            * PAIR_BYTES,
-        )
+        from repro.core import topdown
+
+        return topdown.step(graph, frontiers, parent, rows, owner_of, bounds)
 
 
 _REGISTRY: dict[str, type[KernelBackend]] = {}

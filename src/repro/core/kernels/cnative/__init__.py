@@ -7,7 +7,9 @@ break, zero temporaries — for every rank of a level in one call,
 directly on the numpy buffers (no copies),
 and the batched scan runs the same loop once for up to 64 sources on
 ``uint64`` lane words it packs itself (:func:`lane_scan`).  The top-down
-expansion is the shared rank-global one every backend inherits.
+step is one call per level too, for every rank and lane: expansion,
+per-sender dedup, the receivers' discovery and the next frontiers'
+order, fused so no (child, parent) pair is ever materialized.
 Accounting is bit-identical to the reference backend; see
 docs/PERFORMANCE.md for the algorithm sketches and the
 build/cache/fallback semantics.
@@ -26,11 +28,12 @@ import numpy as np
 from repro.core.kernels.base import (
     BottomUpResult,
     KernelBackend,
+    TopDownResult,
     register_backend,
 )
 from repro.core.kernels.batched import MAX_LANES, LaneScanResult
 from repro.core.kernels.cnative import build
-from repro.core.kernels.cnative.build import _i64, _u64
+from repro.core.kernels.cnative.build import _ptr, _td_scratch_words
 from repro.errors import ConfigError
 
 __all__ = ["CNativeBackend", "build", "lane_scan"]
@@ -70,7 +73,7 @@ def lane_scan(
         summary, summary_ptr, granularity = None, None, 0
     else:
         summary = np.ascontiguousarray(summary_lanes, dtype=np.uint64)
-        summary_ptr = _u64(summary)
+        summary_ptr = _ptr(summary)
         if granularity < 1 or summary.size * granularity < inq.size:
             raise ConfigError(
                 f"{summary.size} summary blocks of {granularity} vertices "
@@ -80,7 +83,7 @@ def lane_scan(
         grp, grp_ptr = None, None
     else:
         grp = np.ascontiguousarray(groups, dtype=np.int64)
-        grp_ptr = _i64(grp)
+        grp_ptr = _ptr(grp)
         if grp.size != n or (
             n and not 0 <= int(grp.min()) <= int(grp.max()) < num_groups
         ):
@@ -93,15 +96,15 @@ def lane_scan(
     counts = np.zeros((3, num_groups, MAX_LANES), dtype=np.int64)
     # Discoveries cannot outnumber the (vertex, lane) candidate pairs;
     # pages of the buffers the scan never reaches are never touched.
-    capacity = lib.repro_lane_popcount(n, _u64(act))
+    capacity = lib.repro_lane_popcount(n, _ptr(act))
     tmp_hit = np.empty(capacity, dtype=np.uint64)
     tmp = np.empty((2, capacity), dtype=np.int64)
     disc = np.empty((3, capacity), dtype=np.int64)
     found = lib.repro_lane_scan(
-        n, _i64(offsets), _i64(targets), _u64(act), _u64(inq),
-        summary_ptr, granularity, grp_ptr, num_groups, _i64(counts),
-        _u64(tmp_hit), _i64(tmp[0]), _i64(tmp[1]),
-        _i64(disc[0]), _i64(disc[1]), _i64(disc[2]),
+        n, _ptr(offsets), _ptr(targets), _ptr(act), _ptr(inq),
+        summary_ptr, granularity, grp_ptr, num_groups, _ptr(counts),
+        _ptr(tmp_hit), _ptr(tmp[0]), _ptr(tmp[1]),
+        _ptr(disc[0]), _ptr(disc[1]), _ptr(disc[2]),
     )
     return LaneScanResult(
         candidates=counts[0],
@@ -146,7 +149,7 @@ class CNativeBackend(KernelBackend):
             summary_words, summary_ptr, granularity = None, None, 0
         else:
             summary_words = np.ascontiguousarray(summary.words)
-            summary_ptr, granularity = _u64(summary_words), summary.granularity
+            summary_ptr, granularity = _ptr(summary_words), summary.granularity
         if (
             any(
                 a.dtype != np.int64 or not a.flags.c_contiguous
@@ -166,9 +169,9 @@ class CNativeBackend(KernelBackend):
         out_new = np.empty(n, dtype=np.int64)
         counts = np.zeros((4, ranks), dtype=np.int64)
         nfound = lib.repro_bu_scan(
-            ranks, _i64(bounds), _i64(offsets), _i64(targets),
-            _u64(inq), summary_ptr, granularity,
-            _i64(parent), _i64(out_new), _i64(counts),
+            ranks, _ptr(bounds), _ptr(offsets), _ptr(targets),
+            _ptr(inq), summary_ptr, granularity,
+            _ptr(parent), _ptr(out_new), _ptr(counts),
         )
         # The native loop materializes nothing: it reads the CSR in
         # place and retires candidates inline, in one pass.
@@ -202,7 +205,7 @@ class CNativeBackend(KernelBackend):
             )
         active = np.empty(n, dtype=np.uint64)
         lib.repro_lane_active(
-            n, lanes, _i64(parent), _i64(rows), _i64(offsets), _u64(active)
+            n, lanes, _ptr(parent), _ptr(rows), _ptr(offsets), _ptr(active)
         )
         inq = self._pack(lib, in_queues)[: in_queues[0].nbits]
         if summaries is None:
@@ -215,12 +218,75 @@ class CNativeBackend(KernelBackend):
             groups=groups, num_groups=num_groups,
         )
 
+    def top_down_expand(
+        self, graph, frontiers, parent, rows, owner_of, bounds
+    ) -> TopDownResult:
+        """The whole top-down level in one C call (``repro_td_step``).
+
+        Expansion, per-(lane, sender) dedup, the receivers'
+        lowest-sender-wins discovery and the next frontiers' (owner,
+        sender, child) order all happen there, zero-copy on the global
+        CSR and parent table, with O(n) scratch and no pair arrays.
+        Owners come from ``bounds`` (``owner_of`` is not read).  The C
+        side checks the frontiers' range and rank-major order, the rows
+        and the bounds before it writes anything.
+        """
+        lib = build.load_library()
+        offsets, targets = graph.offsets, graph.targets
+        n, lanes, ranks = offsets.size - 1, len(frontiers), bounds.size - 1
+        # rows | front_cuts | out_cuts, one int64 table for the C call.
+        table = np.zeros(3 * lanes + 2, dtype=np.int64)
+        if lanes == 1:
+            front = frontiers[0]
+            table[2] = front.size
+        else:
+            front = np.concatenate(frontiers)
+            np.cumsum(
+                [f.size for f in frontiers], out=table[lanes + 1:2 * lanes + 1]
+            )
+        if (
+            any(
+                a.dtype != np.int64 or not a.flags.c_contiguous
+                for a in (offsets, targets, parent, bounds, front)
+            )
+            or parent.ndim != 2 or parent.shape[1] != n
+            or len(rows) != lanes or ranks < 1
+        ):
+            raise ConfigError(
+                f"top_down_expand needs C-contiguous int64 CSR, bounds and "
+                f"frontiers, a (sources, {n}) int64 parent table and one "
+                f"row per frontier"
+            )
+        table[:lanes] = rows
+        scratch = np.zeros(_td_scratch_words(n, ranks, lanes), np.int64)
+        out = np.empty(lanes * n, dtype=np.int64)
+        found = lib.repro_td_step(
+            n, _ptr(offsets), _ptr(targets), ranks, _ptr(bounds), lanes,
+            _ptr(front), _ptr(table), parent.shape[0], _ptr(parent),
+            _ptr(scratch), _ptr(out),
+        )
+        if found < 0:
+            raise ConfigError(
+                f"top_down_expand needs bounds tiling [0, {n}), rows inside "
+                f"the parent table and rank-major frontiers of vertex ids"
+            )
+        cuts = table[2 * lanes + 1:].tolist()
+        lr = lanes * ranks
+        # A copy, so the level records do not pin the O(n) scratch.
+        counts = scratch[:lr * (ranks + 2)].copy()
+        return TopDownResult(
+            frontiers=[out[cuts[b]:cuts[b + 1]] for b in range(lanes)],
+            examined_edges=counts[:lr].reshape(lanes, ranks),
+            send_bytes=counts[lr:-lr].reshape(lanes, ranks, ranks),
+            disc_degree=counts[-lr:].reshape(lanes, ranks),
+        )
+
     @staticmethod
     def _pack(lib, bitmaps) -> np.ndarray:
         """Lane words from one (summary) bitmap per lane."""
         words = np.stack([bm.words for bm in bitmaps])
         out = np.empty(words.shape[1] * 64, dtype=np.uint64)
         lib.repro_lane_pack(
-            words.shape[1], words.shape[0], _u64(words), _u64(out)
+            words.shape[1], words.shape[0], _ptr(words), _ptr(out)
         )
         return out

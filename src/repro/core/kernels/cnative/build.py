@@ -34,7 +34,7 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
-from ctypes import POINTER, c_int64, c_uint64
+from ctypes import c_int64, c_void_p
 from pathlib import Path
 
 import numpy as np
@@ -149,34 +149,48 @@ def _compile(compiler: list[str], out: Path) -> None:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the exported signatures (raises if a symbol is missing)."""
-    i64p, u64p = POINTER(c_int64), POINTER(c_uint64)
-    lib.repro_bu_scan.argtypes = [
-        c_int64, i64p, i64p, i64p, u64p, u64p, c_int64, i64p, i64p, i64p,
-    ]
-    lib.repro_bu_scan.restype = c_int64
-    lib.repro_lane_pack.argtypes = [c_int64, c_int64, u64p, u64p]
+    """Declare the exported signatures (raises if a symbol is missing).
+
+    Buffers go over as bare addresses (:func:`_ptr`): the kernels are
+    called a few times per level, and ``data_as`` costs about twice what
+    the ``c_void_p`` handoff does.
+    """
+    i64, ptr = c_int64, c_void_p
+    lib.repro_bu_scan.argtypes = (
+        [i64, ptr, ptr, ptr, ptr, ptr, i64] + [ptr] * 3
+    )
+    lib.repro_bu_scan.restype = i64
+    lib.repro_lane_pack.argtypes = [i64, i64, ptr, ptr]
     lib.repro_lane_pack.restype = None
-    lib.repro_lane_active.argtypes = [
-        c_int64, c_int64, i64p, i64p, i64p, u64p,
-    ]
+    lib.repro_lane_active.argtypes = [i64, i64, ptr, ptr, ptr, ptr]
     lib.repro_lane_active.restype = None
-    lib.repro_lane_popcount.argtypes = [c_int64, u64p]
-    lib.repro_lane_popcount.restype = c_int64
-    lib.repro_lane_scan.argtypes = [
-        c_int64, i64p, i64p, u64p, u64p, u64p, c_int64, i64p, c_int64,
-        i64p, u64p, i64p, i64p, i64p, i64p, i64p,
+    lib.repro_lane_popcount.argtypes = [i64, ptr]
+    lib.repro_lane_popcount.restype = i64
+    lib.repro_lane_scan.argtypes = (
+        [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64] + [ptr] * 7
+    )
+    lib.repro_lane_scan.restype = i64
+    lib.repro_td_step.argtypes = [
+        i64, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr,
     ]
-    lib.repro_lane_scan.restype = c_int64
+    lib.repro_td_step.restype = i64
     return lib
 
 
-def _i64(arr: np.ndarray):
-    return arr.ctypes.data_as(POINTER(c_int64))
+def _ptr(arr: np.ndarray) -> int:
+    """Address of ``arr``'s first element, for a ``c_void_p`` argument."""
+    return arr.ctypes.data
 
 
-def _u64(arr: np.ndarray):
-    return arr.ctypes.data_as(POINTER(c_uint64))
+def _td_scratch_words(n: int, ranks: int, lanes: int) -> int:
+    """Size in int64 words of ``repro_td_step``'s zeroed scratch: the
+    three count tables, the (owner, sender) claims, two bitmaps and the
+    int32 owner of every word (layout in bfs_kernels.c)."""
+    words = -(-n // 64)
+    return (
+        lanes * ranks * (ranks + 2) + ranks * ranks + 2 * words
+        + (words + 1) // 2
+    )
 
 
 def _smoke_check(lib: ctypes.CDLL) -> None:
@@ -191,7 +205,10 @@ def _smoke_check(lib: ctypes.CDLL) -> None:
     The lane kernels see the traversal with visited {0, 1} as lane 0
     and, as lane 1, one with frontier {0} that still seeks vertex 2
     only: it walks both of 2's edges and exhausts them while lane 0
-    retires on the first.
+    retires on the first.  The top-down step gets its own small graph
+    (see the comment there): a race between senders, a child repeated
+    within one sender, an already-visited child, unaligned rank bounds
+    and a second lane.
     """
     offsets = np.array([0, 1, 3, 5, 6], dtype=np.int64)
     targets = np.array([1, 0, 2, 1, 3, 2], dtype=np.int64)
@@ -201,8 +218,8 @@ def _smoke_check(lib: ctypes.CDLL) -> None:
     new = np.zeros(4, dtype=np.int64)
     counts = np.zeros((4, 2), dtype=np.int64)
     n = lib.repro_bu_scan(
-        2, _i64(bounds), _i64(offsets), _i64(targets), _u64(inq),
-        None, 0, _i64(parent), _i64(new), _i64(counts),
+        2, _ptr(bounds), _ptr(offsets), _ptr(targets), _ptr(inq),
+        None, 0, _ptr(parent), _ptr(new), _ptr(counts),
     )
     if (
         n != 2 or new[:2].tolist() != [0, 2]
@@ -221,17 +238,17 @@ def _smoke_check(lib: ctypes.CDLL) -> None:
     act = np.empty(4, dtype=np.uint64)
     inq_lanes = np.empty(64, dtype=np.uint64)
     lib.repro_lane_active(
-        4, 2, _i64(parents), _i64(rows), _i64(offsets), _u64(act)
+        4, 2, _ptr(parents), _ptr(rows), _ptr(offsets), _ptr(act)
     )
-    lib.repro_lane_pack(1, 2, _u64(bitmaps), _u64(inq_lanes))
-    pairs = lib.repro_lane_popcount(4, _u64(act))
+    lib.repro_lane_pack(1, 2, _ptr(bitmaps), _ptr(inq_lanes))
+    pairs = lib.repro_lane_popcount(4, _ptr(act))
     lane_counts = np.zeros((3, 64), dtype=np.int64)
     tmp_hit = np.zeros(3, dtype=np.uint64)
     buf = np.zeros((5, 3), dtype=np.int64)  # tmp local/parent, disc triple
     n = lib.repro_lane_scan(
-        4, _i64(offsets), _i64(targets), _u64(act), _u64(inq_lanes),
-        None, 0, None, 1, _i64(lane_counts), _u64(tmp_hit),
-        _i64(buf[0]), _i64(buf[1]), _i64(buf[2]), _i64(buf[3]), _i64(buf[4]),
+        4, _ptr(offsets), _ptr(targets), _ptr(act), _ptr(inq_lanes),
+        None, 0, None, 1, _ptr(lane_counts), _ptr(tmp_hit),
+        _ptr(buf[0]), _ptr(buf[1]), _ptr(buf[2]), _ptr(buf[3]), _ptr(buf[4]),
     )
     if (
         act.tolist() != [0, 0, 3, 1] or inq_lanes[:4].tolist() != [2, 1, 0, 0]
@@ -243,6 +260,52 @@ def _smoke_check(lib: ctypes.CDLL) -> None:
             f"act={act.tolist()} inq={inq_lanes[:4].tolist()} pairs={pairs} "
             f"n={n} disc={buf[2:, 0].tolist()} "
             f"counts={lane_counts[:, :2].tolist()}"
+        )
+
+    # Top-down: 8 vertices over the unaligned ranks {0, 1, 2} and
+    # {3, ..., 7}.  Lane 0 (parent row 1, visited {0, 1, 2, 4}) expands
+    # 0 -> [5, 2] and 1 -> [5, 6] on rank 0 and 4 -> [3, 6] on rank 1:
+    # 5 is repeated within rank 0 (first offer wins, one pair), rank 1
+    # loses the race for 6 to rank 0, and visited 2 costs a pair but is
+    # not discovered.  The next frontier is rank 1's [5, 6] from sender
+    # 0, then [3] from sender 1.  Lane 1 (row 0, visited {0}) expands
+    # 0 alone, after lane 0 left its stamps and discovery bits behind.
+    offsets = np.array([0, 2, 4, 4, 5, 7, 8, 9, 9], dtype=np.int64)
+    targets = np.array([5, 2, 5, 6, 4, 3, 6, 0, 1], dtype=np.int64)
+    bounds = np.array([0, 3, 8], dtype=np.int64)
+    front = np.array([0, 1, 4, 0], dtype=np.int64)
+    # rows [1, 0], front_cuts [0, 3, 4], out_cuts (written).
+    lanes = np.array([1, 0, 0, 3, 4, -1, -1, -1], dtype=np.int64)
+    parents = np.full((2, 8), -1, dtype=np.int64)
+    parents[:, 0] = 0
+    parents[1, [1, 2, 4]] = [0, 0, 1]
+    scratch = np.zeros(_td_scratch_words(8, 2, 2), dtype=np.int64)
+    out = np.zeros(16, dtype=np.int64)
+    n = lib.repro_td_step(
+        8, _ptr(offsets), _ptr(targets), 2, _ptr(bounds), 2, _ptr(front),
+        _ptr(lanes), 2, _ptr(parents), _ptr(scratch), _ptr(out),
+    )
+    # Examined (lanes x ranks), send bytes (lanes x ranks x ranks),
+    # discovered degree (lanes x ranks).
+    got = scratch[:16].tolist()
+    if (
+        n != 5 or out[:5].tolist() != [5, 6, 3, 2, 5]
+        or lanes[5:].tolist() != [0, 3, 5]
+        or parents.tolist() != [
+            [0, -1, 0, -1, -1, 0, -1, -1], [0, 0, 0, 4, 1, 0, 1, -1],
+        ]
+        or got != [
+            4, 2, 2, 0, 16, 32, 0, 32, 16, 16, 0, 0, 0, 3, 0, 1,
+        ]
+        # Claim counts and both bitmaps are cleared again (and the one
+        # word's owner is rank 0).
+        or any(scratch[16:].tolist())
+    ):
+        raise NativeBuildError(
+            "smoke check failed for repro_td_step: "
+            f"n={n} out={out[:max(n, 0)].tolist()} "
+            f"cuts={lanes[5:].tolist()} parent={parents.tolist()} "
+            f"counts={got}"
         )
 
 

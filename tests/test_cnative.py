@@ -11,11 +11,12 @@ and without a compiler).
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import BFSConfig, BFSEngine
+from repro.core import BFSConfig, BFSEngine, TraversalMode
 from repro.core.kernels import CNativeBackend, get_backend, resolve_backend
 from repro.core.kernels import base as kernels_base
 from repro.core.kernels.cnative import build
@@ -129,6 +130,22 @@ class TestGracefulDegradation:
         assert np.array_equal(result.parent, want.parent)
         assert result.timing.total_seconds == want.timing.total_seconds
 
+    def test_pure_top_down_runs_on_fallback(self, fresh_probe, monkeypatch):
+        """No toolchain: every level of a pure top-down ``cnative`` run
+        takes the numpy step, with unchanged results."""
+        graph = rmat_graph(scale=10, edgefactor=8, seed=1)
+        cluster = paper_cluster(nodes=2)
+        config = BFSConfig(kernel="activeset", mode=TraversalMode.TOP_DOWN)
+        want = BFSEngine(graph, cluster, config).run(0)
+        assert want.levels > 2
+
+        monkeypatch.setenv("CC", "/bin/false")
+        engine = BFSEngine(graph, cluster, replace(config, kernel="cnative"))
+        assert engine.kernel.name == "activeset"
+        result = engine.run(0)
+        assert np.array_equal(result.parent, want.parent)
+        assert result.timing.total_seconds == want.timing.total_seconds
+
     def test_batch_runs_on_fallback_numpy_lane_scan(
         self, fresh_probe, monkeypatch
     ):
@@ -184,6 +201,16 @@ class TestSmokeCheck:
             "repro_lane_scan",
             "const uint64_t hit = inq[u] & probe;",
             "const uint64_t hit = 0;",
+        ),
+        # A top-down step that counts a sender's repeated child twice,
+        # rediscovers a visited child, or drops the sender from the
+        # next frontier's order must fail the two-rank, two-lane probe.
+        ("repro_td_step", "if (offered[v >> 6] & bit)", "if (0)"),
+        ("repro_td_step", "if (p[v] < 0) {", "if (1) {"),
+        (
+            "repro_td_step",
+            "out[slot[owner_at(block_owner, bounds, p[v])]++] = v;",
+            "out[slot[0]++] = v;",
         ),
     ])
     def test_miscompiled_kernel_marks_backend_unavailable(

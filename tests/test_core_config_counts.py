@@ -1,6 +1,8 @@
 """Tests for BFSConfig presets/validation, count scaling and the timing
 assembler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import (
     CommConfig,
     RunCounts,
     StructureSizes,
+    TraversalMode,
     assemble,
     paper_variants,
 )
@@ -92,6 +95,23 @@ class TestBFSConfig:
             CommConfig(codec="no-such-codec")
         with pytest.raises(ConfigError):
             BFSConfig(ppn=0)
+
+    def test_string_mode_is_the_enum_mode(self):
+        enum_cfg = BFSConfig(mode=TraversalMode.TOP_DOWN)
+        assert BFSConfig(mode="top_down") == enum_cfg
+        assert replace(BFSConfig(), mode="top_down") == enum_cfg
+        assert BFSConfig(mode="top_down").mode is TraversalMode.TOP_DOWN
+        with pytest.raises(ConfigError, match="hybrid, top_down, bottom_up"):
+            BFSConfig(mode="sideways")
+
+    def test_string_mode_run_is_all_top_down(self):
+        g = rmat_graph(scale=10, seed=4)
+        config = BFSConfig(mode="top_down")
+        res = BFSEngine(g, paper_cluster(nodes=1), config).run(
+            int(np.argmax(g.degrees()))
+        )
+        assert res.levels > 2
+        assert {lc.direction for lc in res.counts.levels} == {"top_down"}
 
     def test_resolve_ppn(self):
         cluster = paper_cluster(nodes=1)

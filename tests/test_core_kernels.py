@@ -3,15 +3,18 @@ hybrid direction policy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BFSConfig, Bitmap, SummaryBitmap, TraversalMode
 from repro.core import topdown
 from repro.core.counts import Direction
 from repro.core.hybrid import DirectionPolicy, FrontierStats
-from repro.core.kernels import TopDownPairs, default_backend
+from repro.core.kernels import CNativeBackend, default_backend, get_backend
 from repro.core.state import RankState
-from repro.errors import SimulationError
-from repro.graph import Partition1D, path_graph, star_graph
+from repro.core.topdown import TopDownPairs
+from repro.errors import ConfigError, SimulationError
+from repro.graph import Graph, Partition1D, path_graph, star_graph
 from repro.graph.generators import cycle_graph
 
 
@@ -65,14 +68,112 @@ class TestRankState:
 
 
 def expand(graph, part, *frontiers):
-    """Run the shared expansion with one lane per given frontier."""
+    """Run the numpy expansion stage with one lane per given frontier."""
     owner_of = part.owner(np.arange(graph.num_vertices))
-    return default_backend().top_down_expand(
+    return topdown.expand_pairs(
         graph,
         [np.asarray(f, dtype=np.int64) for f in frontiers],
         owner_of,
         part.num_parts,
     )
+
+
+def oracle_step(graph, bounds, frontiers, parent, rows):
+    """The top-down level contract with Python dicts and sets.
+
+    Per lane and sender the first offer of each child (frontier order,
+    then CSR order) survives and costs 16 bytes to the child's owner,
+    visited or not; a child unvisited before the level takes the lowest
+    sender's offer; discoveries come out in (owner, sender, child)
+    order.  Writes ``parent``; returns (frontiers, examined, send_bytes,
+    disc_degree) like :class:`TopDownResult`.
+    """
+    n, ranks, lanes = graph.num_vertices, len(bounds) - 1, len(frontiers)
+    owner = np.searchsorted(bounds, np.arange(n), side="right") - 1
+    adj = [
+        graph.targets[graph.offsets[v]:graph.offsets[v + 1]].tolist()
+        for v in range(n)
+    ]
+    examined = np.zeros((lanes, ranks), dtype=np.int64)
+    send = np.zeros((lanes, ranks, ranks), dtype=np.int64)
+    degree = np.zeros((lanes, ranks), dtype=np.int64)
+    new = []
+    for b, frontier in enumerate(frontiers):
+        offered = [dict() for _ in range(ranks)]  # sender -> child -> parent
+        for u in frontier.tolist():
+            examined[b, owner[u]] += len(adj[u])
+            for v in adj[u]:
+                offered[owner[u]].setdefault(v, u)
+        for i in range(ranks):
+            for v in offered[i]:
+                send[b, i, owner[v]] += 16
+        row = int(rows[b])
+        found = sorted(
+            (owner[v], min(i for i in range(ranks) if v in offered[i]), v)
+            for v in set().union(*offered)
+            if parent[row, v] < 0
+        )
+        for o, i, v in found:
+            parent[row, v] = offered[i][v]
+            degree[b, o] += len(adj[v])
+        new.append([v for _, _, v in found])
+    return new, examined, send, degree
+
+
+def assert_step_matches_oracle(
+    backend, graph, bounds, frontiers, parent, rows
+):
+    """``backend.top_down_expand`` against :func:`oracle_step`."""
+    want_parent = parent.copy()
+    want = oracle_step(graph, bounds, frontiers, want_parent, rows)
+    n = graph.num_vertices
+    owner_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
+    res = backend.top_down_expand(
+        graph, frontiers, parent, rows, owner_of, bounds
+    )
+    assert [f.tolist() for f in res.frontiers] == want[0], backend.name
+    assert np.array_equal(res.examined_edges, want[1]), backend.name
+    assert np.array_equal(res.send_bytes, want[2]), backend.name
+    assert np.array_equal(res.disc_degree, want[3]), backend.name
+    assert np.array_equal(parent, want_parent), backend.name
+
+
+def rank_major(rng, owner, vertices):
+    """``vertices`` shuffled, then stably grouped by owner: rank-major
+    with an arbitrary order within each rank."""
+    vertices = rng.permutation(vertices)
+    return vertices[np.argsort(owner[vertices], kind="stable")].astype(
+        np.int64
+    )
+
+
+def random_step_case(seed):
+    """A random graph, partition, lane frontiers and parent table."""
+    from repro.graph import from_edge_arrays
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    ranks = int(rng.integers(1, 5))
+    lanes = int(rng.integers(1, 4))
+    m = int(rng.integers(n, 4 * n))
+    g = from_edge_arrays(n, rng.integers(0, n, m), rng.integers(0, n, m))
+    part = Partition1D(n, ranks)
+    owner = part.owner(np.arange(n))
+    parent = np.full((lanes, n), -1, dtype=np.int64)
+    parent[rng.random((lanes, n)) < 0.3] = 0  # already visited
+    frontiers = [
+        rank_major(rng, owner, rng.permutation(n)[: int(rng.integers(0, n))])
+        for _ in range(lanes)
+    ]
+    rows = rng.permutation(lanes)  # lane b writes parent row rows[b]
+    return g, part.bounds, frontiers, parent, rows
+
+
+def native_backend():
+    ok, reason = CNativeBackend.availability()
+    if not ok:
+        pytest.skip(f"cnative unavailable: {reason}")
+    return CNativeBackend()
 
 
 class TestTopDown:
@@ -140,66 +241,95 @@ class TestTopDown:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_step_matches_brute_force(self, seed):
-        """Expand + apply against per-rank Python sets on tiny graphs:
-        ``send_bytes[i, j]`` is 16 x the distinct children of sender i
-        owned by j, and every fresh child gets the lowest sender's first
-        occurrence as parent, discovered in (owner, sender, child)
-        order."""
-        from repro.graph import from_edge_arrays
+        """Every numpy backend's ``top_down_expand`` against
+        :func:`oracle_step` on tiny graphs."""
+        for name in ("reference", "activeset"):
+            assert_step_matches_oracle(
+                get_backend(name), *random_step_case(seed)
+            )
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_native_step_matches_brute_force(self, seed):
+        """The same cases through ``cnative``'s one C call."""
+        assert_step_matches_oracle(native_backend(), *random_step_case(seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        words=st.integers(1, 4),
+        aligned=st.booleans(),
+        ranks=st.integers(1, 8),
+        lanes=st.sampled_from([1, 2, 3, 4, 5, 64]),
+        visited_density=st.sampled_from([0.0, 0.3, 0.9]),
+        frontier_density=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_backends_match_brute_force_oracle(
+        self, seed, words, aligned, ranks, lanes, visited_density,
+        frontier_density,
+    ):
+        """Every backend against :func:`oracle_step` on random CSRs with
+        zero-degree rows, duplicate edges and self-loops, over 1-8 ranks
+        whose bounds are word-aligned or not (empty ranks included)."""
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(8, 40))
-        ranks = int(rng.integers(1, 5))
-        lanes = int(rng.integers(1, 4))
-        m = int(rng.integers(n, 4 * n))
-        g = from_edge_arrays(n, rng.integers(0, n, m), rng.integers(0, n, m))
-        part = Partition1D(n, ranks)
-        owner = [int(part.owner(v)) for v in range(n)]
-        adj = [
-            g.targets[g.offsets[v]:g.offsets[v + 1]].tolist()
-            for v in range(n)
+        n = 64 * words if aligned else int(rng.integers(1, 64 * words + 1))
+        degs = rng.integers(0, 9, n) * (rng.random(n) < 0.8)
+        offsets = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+        targets = rng.integers(0, n, int(offsets[-1])).astype(np.int64)
+        for v in np.flatnonzero(degs >= 2)[::3]:
+            targets[offsets[v] + 1] = targets[offsets[v]]  # duplicate edge
+            if v % 2:
+                targets[offsets[v]] = v  # self-loop
+        graph = Graph(n, offsets, targets)
+        unit = 64 if aligned else 1
+        cuts = np.sort(rng.integers(0, n // unit + 1, ranks - 1)) * unit
+        bounds = np.concatenate(([0], cuts, [n])).astype(np.int64)
+        owner = np.searchsorted(bounds, np.arange(n), side="right") - 1
+        # One spare parent row, so rows[b] != b is exercised.
+        parent = np.where(
+            rng.random((lanes + 1, n)) < visited_density,
+            rng.integers(0, n, (lanes + 1, n)), -1,
+        ).astype(np.int64)
+        frontiers = [
+            rank_major(rng, owner, np.flatnonzero(
+                rng.random(n) < frontier_density
+            ))
+            for _ in range(lanes)
         ]
-        parent = np.full((lanes, n), -1, dtype=np.int64)
-        parent[rng.random((lanes, n)) < 0.3] = 0  # already visited
-        before = parent.copy()
-        # Rank-major frontiers, arbitrary order within a rank.
-        frontiers = []
-        for _ in range(lanes):
-            f = rng.permutation(n)[: int(rng.integers(0, n))]
-            frontiers.append(f[np.argsort([owner[v] for v in f], kind="stable")])
+        rows = rng.permutation(lanes + 1)[:lanes].astype(np.int64)
+        backends = [get_backend("reference"), get_backend("activeset")]
+        if CNativeBackend.availability()[0]:
+            backends.append(CNativeBackend())
+        for backend in backends:
+            assert_step_matches_oracle(
+                backend, graph, bounds, frontiers, parent.copy(), rows
+            )
 
-        pairs = expand(g, part, *frontiers)
-        rows = rng.permutation(lanes)  # lane b writes parent row rows[b]
-        new, disc_degree = topdown.apply_received(
-            pairs, parent, rows, g.degrees(), ranks
-        )
-
-        for b, frontier in enumerate(frontiers):
-            offered = [dict() for _ in range(ranks)]  # sender -> child -> parent
-            examined = [0] * ranks
-            for u in frontier.tolist():
-                examined[owner[u]] += len(adj[u])
-                for v in adj[u]:
-                    offered[owner[u]].setdefault(v, u)
-            assert pairs.examined_edges[b].tolist() == examined
-            for i in range(ranks):
-                for j in range(ranks):
-                    kids = {v for v in offered[i] if owner[v] == j}
-                    assert pairs.send_bytes[b, i, j] == 16 * len(kids)
-            row = int(rows[b])
-            expected = []
-            for v in range(n):
-                senders = [i for i in range(ranks) if v in offered[i]]
-                if senders and before[row, v] < 0:
-                    assert parent[row, v] == offered[senders[0]][v]
-                    expected.append((owner[v], senders[0], v))
-                else:
-                    assert parent[row, v] == before[row, v]
-            assert new[b].tolist() == [v for _, _, v in sorted(expected)]
-            degree_sum = [0] * ranks
-            for v in new[b].tolist():
-                degree_sum[owner[v]] += len(adj[v])
-            assert disc_degree[b].tolist() == degree_sum
+    def test_native_step_rejects_bad_inputs(self):
+        """Buffers and frontier order are checked before anything is
+        written."""
+        backend = native_backend()
+        g = path_graph(8)
+        bounds = np.array([0, 3, 8], dtype=np.int64)
+        owner_of = np.searchsorted(bounds, np.arange(8), side="right") - 1
+        parent = np.full((1, 8), -1, dtype=np.int64)
+        rows = np.zeros(1, dtype=np.int64)
+        for frontier, p, r, b in (
+            ([5, 1], parent, rows, bounds),  # rank 1's vertex before rank 0's
+            ([9], parent, rows, bounds),  # not a vertex
+            ([1], parent, np.array([1]), bounds),  # no such parent row
+            ([1], parent, rows, np.array([0, 3, 7])),  # bounds miss vertex 7
+            ([1], parent, rows, np.array([0, 5, 3, 8])),  # decreasing
+            ([1], parent.astype(np.int32), rows, bounds),  # wrong dtype
+            ([1], parent[:, :4], rows, bounds),  # parent/CSR size mismatch
+            ([1], parent, np.zeros(2, dtype=np.int64), bounds),  # rows/lanes
+        ):
+            before = p.copy()
+            with pytest.raises(ConfigError):
+                backend.top_down_expand(
+                    g, [np.array(frontier, dtype=np.int64)], p, r, owner_of,
+                    np.asarray(b, dtype=np.int64),
+                )
+            assert np.array_equal(p, before)
 
 
 class TestBottomUp:

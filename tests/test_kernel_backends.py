@@ -10,6 +10,7 @@ single giant-degree hub, pathological chunk widths), and against a
 brute-force per-vertex oracle of the level contract on random CSRs.
 """
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BFSConfig, BFSEngine, Bitmap, CommConfig, SummaryBitmap
+from repro.core import (
+    BFSConfig,
+    BFSEngine,
+    Bitmap,
+    CommConfig,
+    SummaryBitmap,
+    TraversalMode,
+)
+from repro.core.counts import LevelCounts
 from repro.core.kernels import (
     ActiveSetBackend,
     CNativeBackend,
@@ -27,7 +36,7 @@ from repro.core.kernels import (
     get_backend,
     resolve_backend,
 )
-from repro.core.kernels.base import _dedup_dense, _dedup_sorted, dedup_first_parent
+from repro.core.topdown import _dedup_dense, _dedup_sorted, dedup_first_parent
 from repro.errors import ConfigError
 from repro.graph import (
     Partition1D,
@@ -327,6 +336,66 @@ class TestEngineEquivalence:
             # never change a simulated (paper) result.
             assert a.seconds == b.seconds, kernel
             assert a.teps == b.teps, kernel
+
+
+def assert_same_runs(want, got):
+    """Parents, every ``LevelCounts`` field and the priced time agree."""
+    assert np.array_equal(want.parent, got.parent)
+    assert len(want.counts.levels) == len(got.counts.levels)
+    for la, lb in zip(want.counts.levels, got.counts.levels):
+        for f in fields(LevelCounts):
+            a, b = getattr(la, f.name), getattr(lb, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), (la.level, f.name)
+            else:
+                assert a == b, (la.level, f.name)
+    assert want.timing.total_seconds == got.timing.total_seconds
+
+
+@pytest.mark.skipif(not CNATIVE_AVAILABLE, reason="no usable C toolchain")
+class TestPureTopDown:
+    """Whole runs with every level top-down, ``cnative`` vs ``activeset``.
+
+    A wrong discovery order within a level only shows at the *next*
+    top-down level (it decides who offers a child first), which a hybrid
+    run — a top-down level or two, then bottom-up — rarely reaches.
+    """
+
+    @pytest.mark.parametrize("scale, nodes, config_kwargs", [
+        (10, 1, {}),
+        (12, 2, {}),
+        (11, 4, {"degree_balanced": True}),
+    ])
+    def test_runs_match_activeset(self, scale, nodes, config_kwargs):
+        graph = rmat_graph(scale=scale, edgefactor=8, seed=scale)
+        cluster = paper_cluster(nodes=nodes)
+        roots = np.argsort(graph.degrees())[::-max(1, graph.num_vertices // 5)]
+        engines = {
+            kernel: BFSEngine(graph, cluster, BFSConfig(
+                kernel=kernel, mode=TraversalMode.TOP_DOWN, **config_kwargs
+            ))
+            for kernel in ("activeset", "cnative")
+        }
+        for root in roots.tolist():
+            want = engines["activeset"].run(root)
+            assert want.levels > 2 or want.visited < 4
+            assert_same_runs(want, engines["cnative"].run(root))
+
+    @pytest.mark.parametrize("k", [3, 64])
+    def test_batches_match_activeset(self, k):
+        from repro.core.multisource import MultiSourceEngine
+
+        graph = rmat_graph(scale=10, edgefactor=8, seed=7)
+        cluster = paper_cluster(nodes=2)
+        roots = np.argsort(graph.degrees())[::-1][:k].tolist()
+        want, got = (
+            MultiSourceEngine(graph, cluster, BFSConfig(
+                kernel=kernel, mode=TraversalMode.TOP_DOWN
+            )).run_batch(roots)
+            for kernel in ("activeset", "cnative")
+        )
+        for a, b in zip(want, got):
+            assert_same_runs(a, b)
 
 
 class TestTopDownDedup:

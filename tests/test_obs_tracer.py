@@ -205,16 +205,17 @@ class TestEngineTelemetry:
             assert sc.attrs["candidates"] == lc.candidates.tolist()
             assert sc.attrs["examined_edges"] == lc.examined_edges.tolist()
             assert sc.attrs["inqueue_reads"] == lc.inqueue_reads.tolist()
-        # Top-down: one row per lane (a run is one lane).
+        # Top-down: one kernel span per level (the apply runs inside the
+        # kernel), one row per lane (a run is one lane).
         td_counts = [lc for lc in levels if lc.direction == "top_down"]
         expands = [s for s in spans if s.name == "phase.td_expand"]
-        applies = [s for s in spans if s.name == "phase.td_apply"]
-        assert len(expands) == len(applies) == len(td_counts)
-        for lc, ex, ap in zip(td_counts, expands, applies):
+        assert td_counts and len(expands) == len(td_counts)
+        assert not [s for s in spans if s.name == "phase.td_apply"]
+        for lc, ex in zip(td_counts, expands):
             assert ex.attrs["frontier"] == [lc.frontier_local.tolist()]
             assert ex.attrs["examined_edges"] == [lc.examined_edges.tolist()]
-            assert ap.attrs["discovered"] == [lc.discovered.tolist()]
-            assert ap.attrs["received_pairs"] == [
+            assert ex.attrs["discovered"] == [lc.discovered.tolist()]
+            assert ex.attrs["received_pairs"] == [
                 (lc.td_send_bytes.sum(axis=0) // 16).tolist()
             ]
 
