@@ -2,10 +2,10 @@
 
 These are *wall-clock* benchmarks of the reproduction's own code (unlike
 the figure benches, which report simulated time): bitmap operations, the
-bottom-up scan (a single-source level over all ranks, and 64 lanes)
-under every registered kernel backend, the R-MAT generator, a full
-engine run and a full 64-source batch.  They guard against performance
-regressions in the simulator itself.
+bottom-up scan and the top-down step (a single-source level over all
+ranks) under every registered kernel backend, the R-MAT generator, a
+full engine run and a full 64-source batch.  They guard against
+performance regressions in the simulator itself.
 
 The bottom-up benchmarks run each backend on a *real* mid-BFS level
 (the scan right after level 1 from a high-degree root), which is where
@@ -57,15 +57,11 @@ def mid_level(graph):
     return frontier, visited, engine.partition.bounds
 
 
-def _skip_unless_runnable(backend, backend_name, lanes=False):
+def _skip_unless_runnable(backend, backend_name):
     if backend.name != backend_name:
         # Resolution degraded (e.g. cnative without a toolchain): skip
         # rather than record another backend's numbers under this label.
         pytest.skip(f"backend {backend_name!r} unavailable here")
-    if lanes and backend.lane_chunk is None and SCALE > 14:
-        # The reference lane scan gathers a dense (candidates, max
-        # degree) block in its one round: gigabytes at scale 16.
-        pytest.skip(f"{backend_name} lane scan needs too much memory")
 
 
 def test_bitmap_set_and_count(benchmark):
@@ -213,45 +209,6 @@ def batch_roots(graph):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_lane_scan(benchmark, graph, batch_roots, backend_name):
-    """The 64-lane scan of the same mid-BFS level as
-    ``test_bottom_up_level``, once per lane's own root: every lane has
-    visited its root and level 1 (the root's neighbours), which is its
-    published frontier."""
-    backend = get_backend(backend_name)
-    _skip_unless_runnable(backend, backend_name, lanes=True)
-    n = graph.num_vertices
-    parent = np.full((64, n), -1, dtype=np.int64)
-    in_queues, summaries = [], []
-    for lane, root in enumerate(batch_roots):
-        frontier = np.setdiff1d(graph.neighbors(root), [root])
-        parent[lane, frontier] = root
-        parent[lane, root] = root
-        in_queues.append(Bitmap.from_indices(n, frontier))
-        summaries.append(SummaryBitmap.build(in_queues[-1], 64))
-    rows = np.arange(64, dtype=np.int64)
-
-    result = benchmark.pedantic(
-        backend.bottom_up_scan_batch,
-        args=(graph, parent, rows, in_queues, summaries),
-        rounds=10,
-        warmup_rounds=1,
-    )
-    assert result.disc_lane.size > 0
-    benchmark.extra_info.update(
-        backend=backend_name,
-        scale=SCALE,
-        lanes=64,
-        candidates=int(result.candidates.sum()),
-        examined_edges=int(result.examined_edges.sum()),
-        inqueue_reads=int(result.inqueue_reads.sum()),
-        discovered=int(result.disc_lane.size),
-        gathered_edges=result.gathered_edges,
-        chunk_rounds=result.chunk_rounds,
-    )
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
 def test_run_batch_64(benchmark, graph, batch_roots, backend_name):
     """One whole 64-source batch — ``test_full_engine_run``'s cluster and
     config, so per-query cost compares with one engine run."""
@@ -260,7 +217,7 @@ def test_run_batch_64(benchmark, graph, batch_roots, backend_name):
         paper_cluster(nodes=2),
         BFSConfig(kernel=backend_name, label="Original.ppn=8"),
     )
-    _skip_unless_runnable(engine.engine.kernel, backend_name, lanes=True)
+    _skip_unless_runnable(engine.engine.kernel, backend_name)
     results = benchmark.pedantic(
         engine.run_batch, args=(batch_roots,), rounds=1, iterations=1
     )

@@ -19,22 +19,23 @@ Fig. 11):
   changed (queue <-> bitmap);
 * bottom-up levels start by allgathering the out_queue parts into the
   next ``in_queue`` (and its summary — "the two allgathers"); top-down
-  levels exchange (child, parent) pairs instead.  Both are single
-  implementations shared with the batched
-  :class:`~repro.core.multisource.MultiSourceEngine`:
-  ``_publish_frontier`` and the rank-global ``_top_down_step``
-  (see :mod:`repro.core.topdown`);
+  levels exchange (child, parent) pairs instead (``_publish_frontier``
+  and the rank-global ``_top_down_step``, see :mod:`repro.core.topdown`);
 * compute step — one kernel call per level covering every rank
-  (:meth:`~repro.core.kernels.KernelBackend.bottom_up_scan` or the
+  (:meth:`~repro.core.kernels.KernelBackend.bottom_up_scan_batch` or the
   top-down step); barrier (stall accounting); termination allreduce.
 
-The run state is global, as the kernels are: one parent array, one
-per-rank unexplored-degree vector, and one rank-major frontier array
-(all of rank 0's members, then rank 1's, ...).
+That loop is written once, in ``_run_lanes``, over a set of *lanes*: one
+traversal per root, advanced level by level together.  ``run`` is one
+lane; the batched :class:`~repro.core.multisource.MultiSourceEngine`
+runs up to 64.  The state is global, as the kernels are: per lane a row
+of one parent table, a per-rank unexplored-degree vector, and a
+rank-major frontier array (all of rank 0's members, then rank 1's, ...).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -219,163 +220,17 @@ class BFSEngine:
 
     def run(self, root: int) -> BFSResult:
         """Execute one BFS from ``root`` and price it."""
-        graph = self.graph
-        if not 0 <= root < graph.num_vertices:
-            raise GraphError(f"root {root} out of range")
-        np_ranks = self.mapping.num_ranks
-        degrees = self.prepared.degrees
-        owner_of = self.prepared.owner_of
-        parent = np.full(graph.num_vertices, -1, dtype=np.int64)
-        parent[root] = root
-        # m_u of Beamer's alpha test, per rank, maintained decrementally.
-        unexplored = self.prepared.rank_degree.copy()
-        unexplored[owner_of[root]] -= degrees[root]
-        frontier = np.array([root], dtype=np.int64)
-        counts = RunCounts(
-            num_vertices=graph.num_vertices, num_ranks=np_ranks
-        )
-        policy = DirectionPolicy(self.config)
-        shared = self._shared_buffers()
-        # Union of all previously allgathered in_queues: common knowledge
-        # shared by encoder and decoder, which the sieve codec exploits.
-        # Only maintained when a non-identity codec is active — the raw
-        # path stays exactly the seed implementation.
-        visited_words = (
-            np.zeros(bitops.words_for_bits(graph.num_vertices),
-                     dtype=bitops.WORD_DTYPE)
-            if self.codec is not None
-            else None
-        )
-
-        inj = self.injector
-        res_cfg = self.resilience
-        tolerant = res_cfg is not None
-        log = RecoveryLog() if tolerant else None
-        self._log = log
-        if inj is not None:
-            inj.reset()
-        if tolerant:
-            res_cfg.store.clear()
-        last_ckpt_level = -1
-
         tr = self.tracer
-        hp = self.hostprof
-        level = 0
-        prev_direction: str | None = None
-        with tr.span("bfs.run", cat="run", root=root), hp.phase("run"):
-            while frontier.size:
-                with hp.phase("frontier_stats"):
-                    stats = FrontierStats(
-                        frontier_vertices=int(frontier.size),
-                        frontier_edges=int(degrees[frontier].sum()),
-                        unexplored_edges=int(unexplored.sum()),
-                        num_vertices=graph.num_vertices,
-                    )
-                if (
-                    tolerant
-                    and res_cfg.checkpoint_every > 0
-                    and level % res_cfg.checkpoint_every == 0
-                    and level != last_ckpt_level
-                ):
-                    # Top-of-level snapshot: captured *before* the
-                    # direction decision so a rollback replays it too.
-                    # After a rollback the restored level's state is
-                    # identical to the stored snapshot, so it is skipped
-                    # rather than re-captured (and re-priced).
-                    last_ckpt_level = level
-                    with hp.phase("checkpoint"):
-                        self._checkpoint(
-                            level, prev_direction, policy, parent,
-                            unexplored, frontier, visited_words, log,
-                        )
-                if inj is not None:
-                    inj.begin_level(level)
-                direction = policy.decide(stats, tracer=tr)
-                lc = LevelCounts(level=level, direction=direction)
-                # Frontier statistics + termination check: 3 small
-                # allreduces per level (n_f, m_f, m_u), as the hybrid
-                # switch requires.
-                lc.allreduces = 3
-                lc.switched = (
-                    prev_direction is not None and prev_direction != direction
-                )
-                lc.frontier_local = self._rank_sizes(frontier)
-
-                try:
-                    with tr.span(
-                        "level",
-                        cat="level",
-                        level=level,
-                        direction=direction,
-                        switched=lc.switched,
-                        frontier=stats.frontier_vertices,
-                    ):
-                        if direction == Direction.TOP_DOWN:
-                            (frontier,), disc_degree = self._top_down_step(
-                                [frontier],
-                                parent[None, :],
-                                np.zeros(1, dtype=np.int64),
-                                [lc],
-                            )
-                            unexplored -= disc_degree[0]
-                        else:
-                            frontier = self._bottom_up_level(
-                                frontier, parent, unexplored, lc, shared,
-                                visited_words,
-                            )
-                except PayloadCorruptionFault as exc:
-                    # Checksum mismatch: the gathered frontier is not
-                    # trustworthy; nothing durable was mutated yet, so
-                    # roll back and replay from the last snapshot.
-                    frontier, level, prev_direction = self._rollback(
-                        "corruption", exc, level, policy, parent,
-                        unexplored, counts, visited_words, log,
-                        lost_through=level,
-                    )
-                    last_ckpt_level = level
-                    continue
-
-                lc.discovered = self._rank_sizes(frontier)
-                counts.levels.append(lc)
-                prev_direction = direction
-                level += 1
-
-                if inj is not None:
-                    # Crash detection happens at the level barrier — the
-                    # crashed level's work completed on the survivors but
-                    # is lost with the dead rank, so it genuinely gets
-                    # replayed from the last snapshot.
-                    crash = inj.take_crash(level - 1)
-                    if crash is not None:
-                        frontier, level, prev_direction = self._rollback(
-                            "crash", None, level - 1, policy, parent,
-                            unexplored, counts, visited_words, log,
-                            lost_through=level - 1, rank=crash.rank,
-                        )
-                        last_ckpt_level = level
-                        continue
-
-            counts.visited_vertices = int(np.count_nonzero(parent >= 0))
-            # Reached degree = all arcs minus the unexplored ones.
-            counts.traversed_edges = (
-                graph.num_directed_edges - int(unexplored.sum())
-            ) // 2
-            with tr.span("bfs.price", cat="pricing"), hp.phase("price"):
-                timing = assemble(
-                    counts, self.comm, self.config, self.sizes, self.constants
-                )
+        inj = self.injector
+        with tr.span("bfs.run", cat="run", root=root), self.hostprof.phase(
+            "run"
+        ):
+            (result,) = self._run_lanes([root])
             if inj is not None and inj.has_stragglers:
-                self._reprice_stragglers(timing, inj)
-        result = BFSResult(
-            root=root,
-            parent=parent,
-            levels=level,
-            counts=counts,
-            timing=timing,
-        )
-        if tolerant:
+                self._reprice_stragglers(result.timing, inj)
+        if self.resilience is not None:
             result.recovery = RecoveryReport.from_log(
-                log, timing, inj.events if inj is not None else []
+                self._log, result.timing, inj.events if inj is not None else []
             )
             if self.metrics is not None:
                 self.metrics.counter("recovery.overhead_sim_ns_total").inc(
@@ -389,6 +244,203 @@ class BFSEngine:
         if self.metrics is not None:
             self._record_metrics(result)
         return result
+
+    def _run_lanes(self, roots: list[int], cancel=None) -> list[BFSResult]:
+        """The level loop over one lane per root; one priced result each.
+
+        A lane is one traversal: its row of the ``(lanes, n)`` parent
+        table, of the ``(lanes, ranks)`` unexplored degrees and of the
+        codec history, plus its own direction policy and level counts.
+        Every round each live lane decides its direction, the top-down
+        lanes share one :meth:`_top_down_step` and the bottom-up lanes one
+        :meth:`_bottom_up_lanes`, so a lane's result is bit-identical to
+        running its root alone.  ``cancel`` (anything with a
+        ``check(where)`` that raises on expiry) is consulted once per
+        round.  The fault block at the level barrier addresses lane 0:
+        only :meth:`run` reaches it with a plan.
+        """
+        graph = self.graph
+        n = graph.num_vertices
+        num = len(roots)
+        np_ranks = self.mapping.num_ranks
+        degrees = self.prepared.degrees
+        owner_of = self.prepared.owner_of
+        parent = np.full((num, n), -1, dtype=np.int64)
+        # m_u of Beamer's alpha test, per lane and rank, maintained
+        # decrementally.
+        unexplored = np.repeat(self.prepared.rank_degree[None], num, axis=0)
+        for s, r in enumerate(roots):
+            if not 0 <= r < n:
+                raise GraphError(
+                    f"root {r} out of range", vertex=r, num_vertices=n
+                )
+            parent[s, r] = r
+            unexplored[s, owner_of[r]] -= degrees[r]
+        frontiers = [np.array([r], dtype=np.int64) for r in roots]
+        policies = [DirectionPolicy(self.config) for _ in roots]
+        counts = [RunCounts(num_vertices=n, num_ranks=np_ranks) for _ in roots]
+        prev_direction: list[str | None] = [None] * num
+        lcs: list[LevelCounts | None] = [None] * num
+        shared = self._shared_buffers()
+        # Per lane, the union of all previously allgathered in_queues:
+        # common knowledge shared by encoder and decoder, which the sieve
+        # codec exploits.  Only maintained when a non-identity codec is
+        # active — the raw path stays exactly the seed implementation.
+        visited_words = (
+            np.zeros((num, bitops.words_for_bits(n)), dtype=bitops.WORD_DTYPE)
+            if self.codec is not None
+            else None
+        )
+        visited0 = None if visited_words is None else visited_words[0]
+
+        inj = self.injector
+        res_cfg = self.resilience
+        log = RecoveryLog() if res_cfg is not None else None
+        self._log = log
+        if inj is not None:
+            inj.reset()
+        if res_cfg is not None:
+            res_cfg.store.clear()
+        last_ckpt_level = -1
+
+        tr = self.tracer
+        hp = self.hostprof
+        level = 0
+        while True:
+            live = [s for s in range(num) if frontiers[s].size]
+            if not live:
+                break
+            if cancel is not None:
+                cancel.check(f"batch round {level}")
+            if (
+                res_cfg is not None
+                and res_cfg.checkpoint_every > 0
+                and level % res_cfg.checkpoint_every == 0
+                and level != last_ckpt_level
+            ):
+                # Top-of-level snapshot: captured *before* the direction
+                # decision so a rollback replays it too.  After a
+                # rollback the restored level's state is identical to the
+                # stored snapshot, so it is skipped rather than
+                # re-captured (and re-priced).
+                last_ckpt_level = level
+                with hp.phase("checkpoint"):
+                    self._checkpoint(
+                        level, prev_direction[0], policies[0], parent[0],
+                        unexplored[0], frontiers[0], visited0, log,
+                    )
+            if inj is not None:
+                inj.begin_level(level)
+
+            top_down, bottom_up = [], []
+            with hp.phase("frontier_stats"):
+                for s in live:
+                    frontier = frontiers[s]
+                    direction = policies[s].decide(
+                        FrontierStats(
+                            frontier_vertices=int(frontier.size),
+                            frontier_edges=int(degrees[frontier].sum()),
+                            unexplored_edges=int(unexplored[s].sum()),
+                            num_vertices=n,
+                        ),
+                        tracer=tr,
+                    )
+                    lc = LevelCounts(level=level, direction=direction)
+                    # Frontier statistics + termination check: 3 small
+                    # allreduces per level (n_f, m_f, m_u), as the hybrid
+                    # switch requires.
+                    lc.allreduces = 3
+                    prev = prev_direction[s]
+                    lc.switched = prev is not None and prev != direction
+                    lc.frontier_local = self._rank_sizes(frontier)
+                    lcs[s] = lc
+                    if direction == Direction.TOP_DOWN:
+                        top_down.append(s)
+                    else:
+                        bottom_up.append(s)
+
+            try:
+                with tr.span(
+                    "level",
+                    cat="level",
+                    level=level,
+                    top_down=len(top_down),
+                    bottom_up=len(bottom_up),
+                ):
+                    if top_down:
+                        new, disc_degree = self._top_down_step(
+                            [frontiers[s] for s in top_down],
+                            parent,
+                            np.asarray(top_down, dtype=np.int64),
+                            [lcs[s] for s in top_down],
+                        )
+                        for s, frontier, disc in zip(
+                            top_down, new, disc_degree
+                        ):
+                            frontiers[s] = frontier
+                            unexplored[s] -= disc
+                    if bottom_up:
+                        self._bottom_up_lanes(
+                            bottom_up, frontiers, parent, unexplored, lcs,
+                            shared, visited_words,
+                        )
+            except PayloadCorruptionFault as exc:
+                # Checksum mismatch: the gathered frontier is not
+                # trustworthy; nothing durable was mutated yet, so roll
+                # back and replay from the last snapshot.
+                frontiers[0], level, prev_direction[0] = self._rollback(
+                    "corruption", exc, level, policies[0], parent[0],
+                    unexplored[0], counts[0], visited0, log,
+                    lost_through=level,
+                )
+                last_ckpt_level = level
+                continue
+
+            for s in live:
+                lc = lcs[s]
+                lc.discovered = self._rank_sizes(frontiers[s])
+                counts[s].levels.append(lc)
+                prev_direction[s] = lc.direction
+            level += 1
+
+            if inj is not None:
+                # Crash detection happens at the level barrier — the
+                # crashed level's work completed on the survivors but is
+                # lost with the dead rank, so it genuinely gets replayed
+                # from the last snapshot.
+                crash = inj.take_crash(level - 1)
+                if crash is not None:
+                    frontiers[0], level, prev_direction[0] = self._rollback(
+                        "crash", None, level - 1, policies[0], parent[0],
+                        unexplored[0], counts[0], visited0, log,
+                        lost_through=level - 1, rank=crash.rank,
+                    )
+                    last_ckpt_level = level
+
+        results = []
+        for s, root in enumerate(roots):
+            run_counts = counts[s]
+            run_counts.visited_vertices = int(np.count_nonzero(parent[s] >= 0))
+            # Reached degree = all arcs minus the unexplored ones.
+            run_counts.traversed_edges = (
+                graph.num_directed_edges - int(unexplored[s].sum())
+            ) // 2
+            with tr.span("bfs.price", cat="pricing"), hp.phase("price"):
+                timing = assemble(
+                    run_counts, self.comm, self.config, self.sizes,
+                    self.constants,
+                )
+            results.append(
+                BFSResult(
+                    root=root,
+                    # A lane's own copy, so a result does not pin the table.
+                    parent=parent[s] if num == 1 else parent[s].copy(),
+                    levels=len(run_counts.levels),
+                    counts=run_counts,
+                    timing=timing,
+                )
+            )
+        return results
 
     def _record_metrics(self, result: BFSResult) -> None:
         """Fold one run's counts and timings into the metrics registry."""
@@ -794,28 +846,56 @@ class BFSEngine:
                 lc.summary_wire_part_bytes = lc.summary_part_words * 8.0
         return in_queue, summary
 
-    def _bottom_up_level(
+    def _bottom_up_lanes(
         self,
-        frontier: np.ndarray,
+        lanes: list[int],
+        frontiers: list[np.ndarray],
         parent: np.ndarray,
         unexplored: np.ndarray,
-        lc: LevelCounts,
+        lcs: list[LevelCounts],
         shared: list[NodeSharedBuffer] | None,
         visited_words: np.ndarray | None,
-    ) -> np.ndarray:
-        """Publish ``frontier``, then scan every rank in one kernel call;
-        returns the next frontier (global ids, ascending)."""
+    ) -> None:
+        """One bottom-up level for every lane in ``lanes``.
+
+        Each lane's frontier is published on its own (codec wire bytes
+        depend on its content), then one
+        :meth:`~repro.core.kernels.KernelBackend.bottom_up_scan_batch`
+        call scans every rank of every lane.  Each lane's next frontier
+        (global ids, ascending) replaces ``frontiers[lane]``; its counts
+        land in ``lcs[lane]`` and its discovered degree leaves
+        ``unexplored[lane]``.
+        """
         tr = self.tracer
         hp = self.hostprof
-        in_queue, summary = self._publish_frontier(
-            frontier, lc, shared, visited_words
-        )
-        with tr.span("phase.bu_scan", cat="phase") as sp, hp.phase("bu_scan"):
-            res = self.kernel.bottom_up_scan(
-                self.graph, parent, in_queue, summary, self.partition.bounds
+        in_queues, summaries = [], []
+        for s in lanes:
+            in_queue, summary = self._publish_frontier(
+                frontiers[s], lcs[s], shared,
+                None if visited_words is None else visited_words[s],
             )
-            if tr.enabled:
-                sp.set(
+            in_queues.append(in_queue)
+            summaries.append(summary)
+        if tr.enabled:
+            start_ns = time.perf_counter_ns()
+        with hp.phase("bu_scan"):
+            results = self.kernel.bottom_up_scan_batch(
+                self.graph, parent, lanes, in_queues, summaries,
+                self.partition.bounds,
+            )
+        if tr.enabled:
+            # One span per lane, as a run records: each spans the round's
+            # one scan call and carries that lane's per-rank counts.
+            end_ns = time.perf_counter_ns()
+            level_span = tr.current_span.index
+            for s, res in zip(lanes, results):
+                tr.record_span(
+                    "phase.bu_scan",
+                    cat="phase",
+                    start_ns=start_ns,
+                    end_ns=end_ns,
+                    parent=level_span,
+                    lane=s,
                     backend=self.kernel.name,
                     candidates=res.rank_candidates.tolist(),
                     examined_edges=res.rank_examined_edges.tolist(),
@@ -823,22 +903,26 @@ class BFSEngine:
                     gathered_edges=res.gathered_edges,
                     chunk_rounds=res.chunk_rounds,
                 )
-        lc.candidates = res.rank_candidates
-        lc.examined_edges = res.rank_examined_edges
-        lc.inqueue_reads = res.rank_inqueue_reads
-        unexplored -= res.rank_disc_degree
-        if self.metrics is not None:
-            # Per-level active-set diagnostics (never priced): how much
-            # adjacency the backend materialized to produce the level's
-            # examined count, and how many wavefront rounds it took.
-            m = self.metrics
-            m.counter(
-                "bfs.bu.gathered_edges_total", backend=self.kernel.name
-            ).inc(float(res.gathered_edges))
-            m.counter(
-                "bfs.bu.scan_examined_edges_total", backend=self.kernel.name
-            ).inc(float(res.examined_edges))
-            m.histogram(
-                "bfs.bu.chunk_rounds", backend=self.kernel.name
-            ).observe(float(res.chunk_rounds))
-        return res.discovered
+        m = self.metrics
+        for s, res in zip(lanes, results):
+            lc = lcs[s]
+            lc.candidates = res.rank_candidates
+            lc.examined_edges = res.rank_examined_edges
+            lc.inqueue_reads = res.rank_inqueue_reads
+            unexplored[s] -= res.rank_disc_degree
+            frontiers[s] = res.discovered
+            if m is not None:
+                # Per-level active-set diagnostics (never priced): how
+                # much adjacency the backend materialized to produce the
+                # level's examined count, and how many wavefront rounds
+                # it took.
+                m.counter(
+                    "bfs.bu.gathered_edges_total", backend=self.kernel.name
+                ).inc(float(res.gathered_edges))
+                m.counter(
+                    "bfs.bu.scan_examined_edges_total",
+                    backend=self.kernel.name,
+                ).inc(float(res.examined_edges))
+                m.histogram(
+                    "bfs.bu.chunk_rounds", backend=self.kernel.name
+                ).observe(float(res.chunk_rounds))

@@ -1,10 +1,10 @@
 """Pluggable BFS kernel backends.
 
-The engines' compute kernels (the bottom-up scans — one call per level
-over every rank, or per lane batch — and the top-down step, one call per
-level over every rank and lane) live behind a small registry so
-alternative implementations can be swapped without touching the
-engines.  Three backends ship:
+The engine's compute kernels (the bottom-up scan — one call per level
+and lane over every rank — and the top-down step, one call per level
+over every rank and lane) live behind a small registry so alternative
+implementations can be swapped without touching the engine.  Three
+backends ship:
 
 ``reference``
     The original full-materialization kernels
@@ -18,8 +18,8 @@ engines.  Three backends ship:
     Native compiled kernels
     (:class:`~repro.core.kernels.cnative.CNativeBackend`) — a small C
     source compiled on first use and called through ctypes; the true
-    per-vertex early exit, for one source or a 64-lane batch, and a
-    fused top-down step that materializes no pairs.  Requires
+    per-vertex early exit and a fused top-down step that materializes
+    no pairs.  Requires
     a system C compiler: when none is found (or the build fails) the
     backend reports itself unavailable and resolution degrades to
     ``activeset`` with a structured warning.

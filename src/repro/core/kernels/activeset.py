@@ -70,11 +70,6 @@ class ActiveSetBackend(KernelBackend):
             raise ConfigError(f"kernel chunk must be >= 1, got {chunk}")
         self.chunk = int(chunk)
 
-    @property
-    def lane_chunk(self) -> int:
-        """The batched lane scan starts its width doubling at ``chunk`` too."""
-        return self.chunk
-
     @classmethod
     def from_config(cls, config) -> "ActiveSetBackend":
         """Instance honouring ``BFSConfig.kernel_chunk``."""

@@ -1,9 +1,9 @@
 """Kernel backend contract and shared machinery of the BFS compute path.
 
-A *kernel backend* supplies the compute kernels the engines run every
-level: the bottom-up frontier scan (one call per level covering every
-rank, or per lane batch) and the top-down step (one call per level
-covering every rank and lane).  Backends are interchangeable
+A *kernel backend* supplies the compute kernels the engine runs every
+level: the bottom-up frontier scan (one call per level and lane covering
+every rank) and the top-down step (one call per level covering every
+rank and lane).  Backends are interchangeable
 implementations of the same algorithm — every backend must reproduce
 the paper's accounting **bit-identically** (``examined_edges`` and
 ``inqueue_reads`` per Section II.B.2, the parent of every discovered
@@ -32,8 +32,6 @@ from repro.obs.log import get_logger
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.bitmap import Bitmap, SummaryBitmap
     from repro.core.config import BFSConfig
-    from repro.core.kernels.batched import LaneScanResult
-    from repro.graph.partition import LocalGraph
     from repro.graph.types import Graph
 
 __all__ = [
@@ -148,17 +146,13 @@ class KernelBackend(abc.ABC):
     """One interchangeable implementation of the BFS compute kernels.
 
     Subclasses set ``name`` (the registry key) and implement
-    :meth:`bottom_up_scan`; :meth:`bottom_up_scan_batch` and
-    :meth:`top_down_expand` have numpy defaults a backend may override
-    with a faster pass of identical results.
+    :meth:`bottom_up_scan`; :meth:`top_down_expand` has a numpy default a
+    backend may override with a faster pass of identical results, and
+    :meth:`bottom_up_scan_batch` is the per-lane :meth:`bottom_up_scan`
+    loop every backend shares.
     """
 
     name: ClassVar[str]
-
-    #: First-round chunk width of the numpy lane scan this backend's
-    #: default :meth:`bottom_up_scan_batch` runs (None: every candidate's
-    #: whole adjacency in one round).
-    lane_chunk: int | None = 2
 
     @classmethod
     def from_config(cls, config: "BFSConfig | None") -> "KernelBackend":
@@ -201,46 +195,27 @@ class KernelBackend(abc.ABC):
 
     def bottom_up_scan_batch(
         self,
-        local: "LocalGraph",
+        graph: "Graph",
         parent: np.ndarray,
-        rows: np.ndarray,
+        rows: "list[int] | np.ndarray",
         in_queues: "list[Bitmap]",
-        summaries: "list[SummaryBitmap] | None",
-        groups: np.ndarray | None = None,
-        num_groups: int = 1,
-    ) -> "LaneScanResult":
-        """Batched bottom-up scan: one pass serving up to 64 sources.
+        summaries: "list[SummaryBitmap | None]",
+        bounds: np.ndarray,
+    ) -> list[BottomUpResult]:
+        """One bottom-up level for every lane: the lane-set counterpart
+        of :meth:`top_down_expand` (a single-source run is one lane).
 
-        ``local`` is a CSR view with ``offsets``/``targets`` over the
-        vertices the ``parent`` matrix has columns for (the engine passes
-        the whole graph and splits the counts per rank via ``groups``).
-        Lane ``b`` is the traversal with parent array ``parent[rows[b]]``
-        (read, never written), published frontier ``in_queues[b]`` and
-        summary ``summaries[b]`` (``summaries`` is None when the
-        structure is disabled); building the lane words from them is the
-        kernel's business.  Lane semantics and the bit-identity contract
-        live in :mod:`repro.core.kernels.batched`.  This default packs
-        the lane words with numpy and runs the numpy lane scan on the
-        backend's chunk schedule (:attr:`lane_chunk`); the counts
-        are chunk-schedule-independent, so every backend — the compiled
-        ``cnative`` one, which overrides this with a C pass, included —
-        returns the same result.
+        Lane ``b`` is the traversal whose parent array is the row
+        ``parent[rows[b]]`` of the C-contiguous ``(sources, n)`` table,
+        with published frontier ``in_queues[b]`` and summary
+        ``summaries[b]`` (None when the structure is disabled).  Each
+        lane is :meth:`bottom_up_scan` on its own row, so the results
+        are that method's, in lane order.
         """
-        from repro.core.kernels.batched import lane_scan, pack_level
-
-        active, inq, summary = pack_level(
-            local, parent, rows, in_queues, summaries
-        )
-        return lane_scan(
-            local,
-            active,
-            inq,
-            summary,
-            summaries[0].granularity if summaries is not None else 0,
-            initial_width=self.lane_chunk,
-            groups=groups,
-            num_groups=num_groups,
-        )
+        return [
+            self.bottom_up_scan(graph, parent[row], in_queue, summary, bounds)
+            for row, in_queue, summary in zip(rows, in_queues, summaries)
+        ]
 
     def top_down_expand(
         self,

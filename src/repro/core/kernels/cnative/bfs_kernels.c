@@ -180,245 +180,6 @@ int64_t repro_bu_scan(
     return nfound;
 }
 
-/* ---- the 64-lane batched bottom-up scan -------------------------------
- *
- * One uint64 *lane word* per vertex generalizes every per-vertex bit of
- * repro_bu_scan to a batch of up to 64 BFS sources: bit j of act[v] says
- * lane j still seeks v, bit j of inq[u] says u is in lane j's frontier,
- * bit j of summary[block] says that block of lane j's in_queue is
- * non-empty (repro/core/kernels/batched.py holds the contract and the
- * numpy oracle).
- */
-
-#if defined(__GNUC__) || defined(__clang__)
-#define CTZ64(x) __builtin_ctzll(x)
-#define POPCOUNT64(x) __builtin_popcountll(x)
-#else
-static int CTZ64(uint64_t x)
-{
-    int n = 0;
-    while (!(x & 1u)) {
-        x >>= 1;
-        n++;
-    }
-    return n;
-}
-static int POPCOUNT64(uint64_t x)
-{
-    int n = 0;
-    for (; x; x &= x - 1)
-        n++;
-    return n;
-}
-#endif
-
-/* Lane words from nlanes bitmaps of nwords words each (row-major):
- * bit b of out[i] = bit i of bitmap b.  out holds nwords * 64 words.
- * Walking set bits costs the frontier sizes, not nlanes * nbits. */
-void repro_lane_pack(
-    int64_t nwords,
-    int64_t nlanes,
-    const uint64_t *bitmaps,
-    uint64_t *out)
-{
-    for (int64_t i = 0; i < nwords * 64; i++)
-        out[i] = 0;
-    for (int64_t b = 0; b < nlanes; b++) {
-        const uint64_t *bm = bitmaps + b * nwords;
-        const uint64_t bit = (uint64_t)1 << b;
-        for (int64_t w = 0; w < nwords; w++)
-            for (uint64_t x = bm[w]; x; x &= x - 1)
-                out[w * 64 + CTZ64(x)] |= bit;
-    }
-}
-
-/* Active lane words from parent rows: bit b of act[v] is set iff
- * parent[rows[b] * n + v] < 0 (lane b has not reached v) and v has an
- * adjacency to scan — per lane, exactly repro_bu_scan's candidate test.
- * The inner loops are branch-free so the compiler vectorizes them. */
-void repro_lane_active(
-    int64_t n,
-    int64_t nlanes,
-    const int64_t *parent,
-    const int64_t *rows,
-    const int64_t *offsets,
-    uint64_t *act)
-{
-    for (int64_t v = 0; v < n; v++)
-        act[v] = 0;
-    for (int64_t b = 0; b < nlanes; b++) {
-        const uint64_t *p = (const uint64_t *)(parent + rows[b] * n);
-        for (int64_t v = 0; v < n; v++)
-            act[v] |= (p[v] >> 63) << b; /* the sign bit */
-    }
-    for (int64_t v = 0; v < n; v++)
-        act[v] &= -(uint64_t)(offsets[v + 1] > offsets[v]);
-}
-
-/* Set bits over n lane words: the number of (vertex, lane) candidate
- * pairs, hence the capacity the scan's discovery buffers need. */
-int64_t repro_lane_popcount(int64_t n, const uint64_t *words)
-{
-    int64_t total = 0;
-    for (int64_t i = 0; i < n; i++)
-        total += POPCOUNT64(words[i]);
-    return total;
-}
-
-/* Per-lane counters kept bit-sliced: plane k holds bit k of all 64
- * lanes' counts, so adding a lane word (+1 to every lane whose bit is
- * set) is a ripple-carry over planes — about two word operations
- * amortized, however many lanes are set.  That is what lets the scan
- * charge an edge to every lane still walking it in O(1), not O(lanes).
- * 64 planes cannot overflow: each lane's count is below 2^63. */
-typedef struct {
-    uint64_t plane[64];
-    int top; /* planes in use */
-} lane_counter;
-
-static void lc_add(lane_counter *c, uint64_t x)
-{
-    int k = 0;
-    /* The low planes change on almost every add: rippling through four
-     * of them unconditionally beats a data-dependent exit the branch
-     * predictor cannot learn. */
-    for (; k < 4; k++) {
-        const uint64_t carry = c->plane[k] & x;
-        c->plane[k] ^= x;
-        x = carry;
-    }
-    for (; x; k++) {
-        const uint64_t carry = c->plane[k] & x;
-        c->plane[k] ^= x;
-        x = carry;
-    }
-    if (k > c->top)
-        c->top = k;
-}
-
-/* Add the 64 counts into out[0..64) and reset the counter. */
-static void lc_flush(lane_counter *c, int64_t *out)
-{
-    for (int k = 0; k < c->top; k++) {
-        for (uint64_t x = c->plane[k]; x; x &= x - 1)
-            out[CTZ64(x)] += (int64_t)1 << k;
-        c->plane[k] = 0;
-    }
-    c->top = 0;
-}
-
-/* Batched bottom-up scan: one pass over the rows whose active word is
- * non-zero, each CSR row walked once for all its lanes.
- *
- * `rem` starts as act[v] and loses a lane at that lane's first frontier
- * neighbour (hit = inq[u] & rem); the walk stops when rem empties or
- * the row ends.  Per lane this is repro_bu_scan's early-exit loop, so
- * the accounting is identical: an edge is examined by every lane still
- * in rem when it is reached, and read by those whose summary block is
- * non-empty (a zero summary bit proves the in_queue bit is zero, so
- * masking rem with the summary word cannot hide a hit).  The scan
- * reports the complement, the examined edges a lane *skipped* on a zero
- * summary bit (inqueue_reads = examined - skipped): mid-BFS the summary
- * is nearly full, that word is almost always zero, and adding zero to a
- * lane counter costs nothing.
- *
- * Counts accumulate per (group, lane) into out_counts, laid out
- * [3][num_groups][64] = candidates, examined, skipped.  `groups`
- * (NULL = one group) gives each row's rank group; counters are flushed
- * additively whenever the group changes, so correctness does not
- * depend on groups being sorted, only speed does.
- *
- * A hit is first staged as one event per (row, edge) — the vertex, the
- * neighbour and the word of lanes it retires, which mid-BFS is many
- * lanes at once — in walk order (ascending vertex); the events are then
- * expanded to one discovery per lane bit in (lane, ascending vertex)
- * order, the sequential per-lane discovery order, by a stable counting
- * sort on lane.  tmp_* and disc_* all need capacity
- * repro_lane_popcount(act).  Returns the number of discoveries.
- */
-int64_t repro_lane_scan(
-    int64_t n,
-    const int64_t *offsets,
-    const int64_t *targets,
-    const uint64_t *act,
-    const uint64_t *inq,
-    const uint64_t *summary,
-    int64_t granularity,
-    const int64_t *groups,
-    int64_t num_groups,
-    int64_t *out_counts,
-    uint64_t *tmp_hit,
-    int64_t *tmp_local,
-    int64_t *tmp_parent,
-    int64_t *disc_lane,
-    int64_t *disc_local,
-    int64_t *disc_parent)
-{
-    /* candidates, examined, skipped — out_counts' first axis. */
-    lane_counter counts[3] = {{{0}, 0}, {{0}, 0}, {{0}, 0}};
-    lane_counter hits = {{0}, 0};
-    int64_t cursor[65] = {0};
-    int64_t nevents = 0;
-    int64_t group = 0;
-
-    const int shift = summary != 0 ? summary_shift(granularity) : -1;
-
-    for (int64_t v = 0; v < n; v++) {
-        uint64_t rem = act[v];
-        if (!rem)
-            continue;
-        if (groups != 0 && groups[v] != group) {
-            for (int c = 0; c < 3; c++)
-                lc_flush(&counts[c],
-                         out_counts + (c * num_groups + group) * 64);
-            group = groups[v];
-        }
-        lc_add(&counts[0], rem);
-        const int64_t end = offsets[v + 1];
-        for (int64_t e = offsets[v]; e < end && rem; e++) {
-            const int64_t u = targets[e];
-            uint64_t probe = rem;
-            lc_add(&counts[1], rem);
-            if (summary != 0) {
-                probe &= summary[shift >= 0 ? (u >> shift)
-                                            : (u / granularity)];
-                lc_add(&counts[2], rem ^ probe);
-                if (!probe)
-                    continue; /* empty block for every lane: no read */
-            }
-            const uint64_t hit = inq[u] & probe;
-            if (hit) {
-                tmp_hit[nevents] = hit;
-                tmp_local[nevents] = v;
-                tmp_parent[nevents] = u;
-                nevents++;
-                lc_add(&hits, hit);
-                rem &= ~hit;
-            }
-        }
-    }
-    for (int c = 0; c < 3; c++)
-        lc_flush(&counts[c], out_counts + (c * num_groups + group) * 64);
-
-    /* cursor[j] = where lane j's discoveries start; disc_lane is then
-     * 64 constant runs, cheaper to fill as such than hit by hit. */
-    lc_flush(&hits, cursor + 1);
-    for (int j = 0; j < 64; j++) {
-        cursor[j + 1] += cursor[j];
-        for (int64_t at = cursor[j]; at < cursor[j + 1]; at++)
-            disc_lane[at] = j;
-    }
-    const int64_t nfound = cursor[64];
-    for (int64_t i = 0; i < nevents; i++) {
-        for (uint64_t x = tmp_hit[i]; x; x &= x - 1) {
-            const int64_t at = cursor[CTZ64(x)]++;
-            disc_local[at] = tmp_local[i];
-            disc_parent[at] = tmp_parent[i];
-        }
-    }
-    return nfound;
-}
-
 /* ---- the top-down step --------------------------------------------------
  *
  * One call per top-down level covering every rank and every lane of a
@@ -429,6 +190,20 @@ int64_t repro_lane_scan(
  */
 
 #define PAIR_BYTES 16 /* a (child, parent) pair of int64 ids */
+
+#if defined(__GNUC__) || defined(__clang__)
+#define CTZ64(x) __builtin_ctzll(x)
+#else
+static int CTZ64(uint64_t x)
+{
+    int n = 0;
+    while (!(x & 1u)) {
+        x >>= 1;
+        n++;
+    }
+    return n;
+}
+#endif
 
 /* Rank owning v.  block_owner[w] is the owner of vertex 64 * w, so at
  * most the ranks that start inside v's word are stepped over — none

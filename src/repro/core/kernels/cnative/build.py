@@ -160,16 +160,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         [i64, ptr, ptr, ptr, ptr, ptr, i64] + [ptr] * 3
     )
     lib.repro_bu_scan.restype = i64
-    lib.repro_lane_pack.argtypes = [i64, i64, ptr, ptr]
-    lib.repro_lane_pack.restype = None
-    lib.repro_lane_active.argtypes = [i64, i64, ptr, ptr, ptr, ptr]
-    lib.repro_lane_active.restype = None
-    lib.repro_lane_popcount.argtypes = [i64, ptr]
-    lib.repro_lane_popcount.restype = i64
-    lib.repro_lane_scan.argtypes = (
-        [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64] + [ptr] * 7
-    )
-    lib.repro_lane_scan.restype = i64
     lib.repro_td_step.argtypes = [
         i64, ptr, ptr, i64, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr,
     ]
@@ -202,13 +192,9 @@ def _smoke_check(lib: ctypes.CDLL) -> None:
     parent 1, candidate 3 must scan its single edge and miss — so a
     rank that ignores its start ``lo`` (CSR rows, parent slice or the
     rebase of its discovery ids) shows up in the ids or the counts.
-    The lane kernels see the traversal with visited {0, 1} as lane 0
-    and, as lane 1, one with frontier {0} that still seeks vertex 2
-    only: it walks both of 2's edges and exhausts them while lane 0
-    retires on the first.  The top-down step gets its own small graph
-    (see the comment there): a race between senders, a child repeated
-    within one sender, an already-visited child, unaligned rank bounds
-    and a second lane.
+    The top-down step gets its own small graph (see the comment there):
+    a race between senders, a child repeated within one sender, an
+    already-visited child, unaligned rank bounds and a second lane.
     """
     offsets = np.array([0, 1, 3, 5, 6], dtype=np.int64)
     targets = np.array([1, 0, 2, 1, 3, 2], dtype=np.int64)
@@ -230,36 +216,6 @@ def _smoke_check(lib: ctypes.CDLL) -> None:
             "smoke check failed for repro_bu_scan: "
             f"n={n} new={new.tolist()} parent={parent.tolist()} "
             f"counts={counts.tolist()}"
-        )
-
-    parents = np.array([[0, 1, -1, -1], [0, 1, -1, 3]], dtype=np.int64)
-    bitmaps = np.array([[1 << 1], [1 << 0]], dtype=np.uint64)
-    rows = np.arange(2, dtype=np.int64)
-    act = np.empty(4, dtype=np.uint64)
-    inq_lanes = np.empty(64, dtype=np.uint64)
-    lib.repro_lane_active(
-        4, 2, _ptr(parents), _ptr(rows), _ptr(offsets), _ptr(act)
-    )
-    lib.repro_lane_pack(1, 2, _ptr(bitmaps), _ptr(inq_lanes))
-    pairs = lib.repro_lane_popcount(4, _ptr(act))
-    lane_counts = np.zeros((3, 64), dtype=np.int64)
-    tmp_hit = np.zeros(3, dtype=np.uint64)
-    buf = np.zeros((5, 3), dtype=np.int64)  # tmp local/parent, disc triple
-    n = lib.repro_lane_scan(
-        4, _ptr(offsets), _ptr(targets), _ptr(act), _ptr(inq_lanes),
-        None, 0, None, 1, _ptr(lane_counts), _ptr(tmp_hit),
-        _ptr(buf[0]), _ptr(buf[1]), _ptr(buf[2]), _ptr(buf[3]), _ptr(buf[4]),
-    )
-    if (
-        act.tolist() != [0, 0, 3, 1] or inq_lanes[:4].tolist() != [2, 1, 0, 0]
-        or pairs != 3 or n != 1 or buf[2:, 0].tolist() != [0, 2, 1]
-        or lane_counts[:, :2].tolist() != [[2, 1], [2, 2], [0, 0]]
-    ):
-        raise NativeBuildError(
-            "smoke check failed for repro_lane_scan: "
-            f"act={act.tolist()} inq={inq_lanes[:4].tolist()} pairs={pairs} "
-            f"n={n} disc={buf[2:, 0].tolist()} "
-            f"counts={lane_counts[:, :2].tolist()}"
         )
 
     # Top-down: 8 vertices over the unaligned ranks {0, 1, 2} and

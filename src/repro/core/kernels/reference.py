@@ -30,10 +30,6 @@ class ReferenceBackend(KernelBackend):
     """Full-materialization kernels — simple, memory-hungry, and the oracle."""
 
     name = "reference"
-    #: The batched scan in the reference style too: one round over every
-    #: candidate's full adjacency (it only spends more memory — the
-    #: counts are chunk-schedule-independent).
-    lane_chunk = None
 
     def bottom_up_scan(
         self, graph, parent, in_queue, summary, bounds

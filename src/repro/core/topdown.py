@@ -10,7 +10,7 @@ only concerns the bottom-up phase.
 
 :meth:`repro.core.kernels.KernelBackend.top_down_expand` is the whole
 step, rank-global and fused across the lanes of a batch (a single-source
-run is one lane); the engines then only price its byte matrix with
+run is one lane); the engine then only prices its byte matrix with
 :meth:`repro.mpi.simcomm.SimComm.alltoallv` (the pairs never move —
 simulated ranks share one address space).  The default implementation,
 which the numpy backends run, is :func:`step` — two stages:

@@ -164,8 +164,8 @@ def serve_chrome_trace(tracer) -> dict:
 
     Unlike :func:`chrome_trace` (one simulated run, simulated clock),
     this renders what the serving process itself did: the scheduler's
-    pipeline — batch assembly, ``batch.run`` / ``batch.level`` engine
-    spans, with each batched lane labelled ``lane L src V`` so
+    pipeline — batch assembly, ``batch.run`` and its per-round ``level``
+    engine spans, with each batched lane labelled ``lane L src V`` so
     multi-source batches are readable in Perfetto — on one track, and
     every request's ``serve.queue_wait`` / ``serve.cache_hit`` span on
     its own per-``trace_id`` track.  ``tracer`` is anything with a
@@ -273,7 +273,7 @@ def request_chain(spans, trace_id: str) -> dict:
     ``serve.queue_wait`` span carries its ``batch_id``; that id names
     the ``serve.batch_assembly`` span, the engine's ``batch.run`` span,
     and the ``batch.lane`` marker whose ``trace_ids`` include this
-    request; the per-round ``batch.level`` spans are ``batch.run``'s
+    request; the per-round ``level`` spans are ``batch.run``'s
     children.  Cache hits short-circuit to their ``serve.cache_hit``
     marker.  Raises ``ValueError`` when any link is missing — the trace
     does not connect — which is exactly what the tracing tests assert
@@ -333,7 +333,7 @@ def request_chain(spans, trace_id: str) -> dict:
             f"trace_id {trace_id!r}: no lane in batch {batch_id!r} "
             f"carries it"
         )
-    levels = [sp for sp in named("batch.level") if sp.parent == run.index]
+    levels = [sp for sp in named("level") if sp.parent == run.index]
     if not levels:
         raise ValueError(
             f"trace_id {trace_id!r}: batch {batch_id!r} ran no levels"

@@ -10,7 +10,7 @@ serving stack for many concurrent ``(graph, source)`` queries:
   every query that agrees on the partition configuration;
 * :class:`~repro.serve.scheduler.BatchScheduler` — an asyncio admission
   queue that coalesces compatible queries into multi-source batches (up
-  to 64 lanes per scan, :mod:`repro.core.multisource`) and memoizes hot
+  to 64 lanes per traversal, :mod:`repro.core.multisource`) and memoizes hot
   ``(graph, source)`` results;
 * :mod:`repro.serve.loadgen` — a deterministic open-loop load generator;
 * :mod:`repro.serve.report` — the ``repro.serve/v1`` latency report and

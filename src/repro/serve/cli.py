@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-batch", type=int, default=32,
-        help="scheduler batch cap (lanes per scan, <= 64)",
+        help="scheduler batch cap (lanes per traversal, <= 64)",
     )
     parser.add_argument(
         "--max-wait-ms", type=float, default=2.0,

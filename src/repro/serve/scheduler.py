@@ -1,7 +1,7 @@
 """Admission scheduler: coalesce concurrent queries into batched scans.
 
-Queries arrive one ``(source)`` at a time; the batched kernel answers up
-to 64 of them with one adjacency scan per level
+Queries arrive one ``(source)`` at a time; the batched engine answers up
+to 64 of them in one level-synchronous pass, one lane per source
 (:mod:`repro.core.multisource`).  The scheduler bridges the two with a
 classic admission queue:
 
@@ -25,9 +25,9 @@ changes *when* a query is answered, never *what* the answer is.
 ``trace_id`` (``req-NNNNNN``).  The id is stamped on a retroactive
 ``serve.queue_wait`` span (enqueue → batch pickup, recorded once the
 wait is known), on the batch's ``serve.batch_assembly`` span, and rides
-into the engine's ``batch.run`` / ``batch.lane`` / ``batch.level``
-spans via the shared ``batch_id`` — one id links the whole
-queue → batch → engine chain in the trace export
+into the engine's ``batch.run`` / ``batch.lane`` spans via the shared
+``batch_id`` (the per-round ``level`` spans nest under ``batch.run``) —
+one id links the whole queue → batch → engine chain in the trace export
 (:func:`repro.obs.export.request_chain`).  With the default
 ``NULL_TRACER`` none of this happens: no ids, no timestamps, no spans —
 the disabled hot path is the pre-tracing one.
@@ -59,7 +59,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.core.kernels.batched import MAX_LANES
+from repro.core.multisource import MAX_LANES
 from repro.errors import (
     ConfigError,
     DeadlineExceededError,

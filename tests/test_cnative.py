@@ -146,11 +146,9 @@ class TestGracefulDegradation:
         assert np.array_equal(result.parent, want.parent)
         assert result.timing.total_seconds == want.timing.total_seconds
 
-    def test_batch_runs_on_fallback_numpy_lane_scan(
-        self, fresh_probe, monkeypatch
-    ):
-        """No toolchain: a ``cnative`` batch is an ``activeset`` batch —
-        the numpy lane scan — with unchanged results."""
+    def test_batch_runs_on_fallback(self, fresh_probe, monkeypatch):
+        """No toolchain: a ``cnative`` batch is an ``activeset`` batch,
+        with unchanged results."""
         from repro.core.multisource import MultiSourceEngine
 
         graph = rmat_graph(scale=10, edgefactor=8, seed=1)
@@ -197,11 +195,6 @@ class TestSmokeCheck:
         # keep their rank-local ids, must fail the two-rank probe.
         ("repro_bu_scan", "offsets + lo, targets", "offsets, targets"),
         ("repro_bu_scan", "found[i] += lo;", "found[i] += 0;"),
-        (
-            "repro_lane_scan",
-            "const uint64_t hit = inq[u] & probe;",
-            "const uint64_t hit = 0;",
-        ),
         # A top-down step that counts a sender's repeated child twice,
         # rediscovers a visited child, or drops the sender from the
         # next frontier's order must fail the two-rank, two-lane probe.

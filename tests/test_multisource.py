@@ -232,6 +232,55 @@ class TestBatchValidation:
         assert ms2.prepared is ms.prepared
 
 
+class TestBatchTracing:
+    """A traced batch records, per lane, what a traced run records."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, graph, cluster):
+        from repro.obs.tracer import SpanTracer
+
+        tracer = SpanTracer()
+        roots = roots_for(graph, 3, seed=9)
+        ms = MultiSourceEngine(graph, cluster, tracer=tracer)
+        return ms.run_batch(roots), tracer.spans
+
+    def test_bu_scan_spans_match_each_lanes_counts(self, traced):
+        results, spans = traced
+        scans = [sp for sp in spans if sp.name == "phase.bu_scan"]
+        by_index = {sp.index: sp for sp in spans}
+        assert scans
+        for lane, res in enumerate(results):
+            bottom_up = [
+                lc for lc in res.counts.levels if lc.direction == "bottom_up"
+            ]
+            mine = [sp for sp in scans if sp.attrs["lane"] == lane]
+            assert len(mine) == len(bottom_up), lane
+            for lc, sp in zip(bottom_up, mine):
+                assert by_index[sp.parent].name == "level"
+                assert by_index[sp.parent].attrs["level"] == lc.level
+                assert sp.attrs["candidates"] == lc.candidates.tolist()
+                assert sp.attrs["examined_edges"] == lc.examined_edges.tolist()
+                assert sp.attrs["inqueue_reads"] == lc.inqueue_reads.tolist()
+
+    def test_one_level_span_per_round(self, traced):
+        results, spans = traced
+        levels = [sp for sp in spans if sp.name == "level"]
+        rounds = max(res.levels for res in results)
+        assert [sp.attrs["level"] for sp in levels] == list(range(rounds))
+        for sp in levels:
+            live = [res for res in results if res.levels > sp.attrs["level"]]
+            directions = [
+                res.counts.levels[sp.attrs["level"]].direction for res in live
+            ]
+            assert sp.attrs["top_down"] == directions.count("top_down")
+            assert sp.attrs["bottom_up"] == directions.count("bottom_up")
+
+    def test_every_lane_decision_is_marked(self, traced):
+        results, spans = traced
+        markers = [sp for sp in spans if sp.name == "direction.decide"]
+        assert len(markers) == sum(res.levels for res in results)
+
+
 class TestCooperativeCancel:
     """The engine-level cancel hook the serving deadline path uses."""
 

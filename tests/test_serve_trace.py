@@ -74,7 +74,7 @@ class TestRequestChains:
         assert len(hits) == 2  # 9 and 17 served from the result cache
         for chain in cold:
             assert chain["batch_id"] is not None
-            assert chain["levels"], "run recorded no batch.level spans"
+            assert chain["levels"], "run recorded no level spans"
 
     def test_coalesced_waiters_share_a_lane(self, graph, cluster):
         scheduler, tracer = traced_scheduler(
@@ -119,10 +119,10 @@ class TestBatchSpans:
         levels = [
             sp
             for sp in tracer.spans
-            if sp.name == "batch.level" and sp.parent == run.index
+            if sp.name == "level" and sp.parent == run.index
         ]
         assert levels
-        assert [sp.attrs["round"] for sp in levels] == list(
+        assert [sp.attrs["level"] for sp in levels] == list(
             range(len(levels))
         )
         for sp in levels:
