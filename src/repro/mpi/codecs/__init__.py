@@ -23,7 +23,10 @@ Selection precedence: ``CommConfig.codec`` (explicit) → the
 ``REPRO_CODEC`` environment variable → :data:`DEFAULT_CODEC`.  Every
 codec is lossless, so the BFS result and all priced event counts are
 bit-identical across codecs — only simulated communication bytes and
-seconds change.  See docs/COMMUNICATION.md.
+seconds change.  One ``encode`` and one ``decode`` call cover every
+rank's part of an allgather (``bounds`` splits the words; each part
+keeps its own payload and framing byte — see :mod:`.base`).  See
+docs/COMMUNICATION.md.
 """
 
 from __future__ import annotations

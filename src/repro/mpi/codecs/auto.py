@@ -83,6 +83,7 @@ class AutoCodec(FrontierCodec):
         self,
         words,
         *,
+        bounds=None,
         nbits: int | None = None,
         visited=None,
     ) -> EncodedFrontier:

@@ -12,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CommunicationError
-from repro.mpi.codecs.base import EncodedFrontier, FrontierCodec, register_codec
+from repro.mpi.codecs.base import (
+    EncodedFrontier,
+    FrontierCodec,
+    part_layout,
+    register_codec,
+)
 from repro.util import bitops
 
 __all__ = ["RawCodec"]
@@ -33,19 +38,20 @@ class RawCodec(FrontierCodec):
         self,
         words: np.ndarray,
         *,
+        bounds: np.ndarray | None = None,
         nbits: int | None = None,
         visited: np.ndarray | None = None,
     ) -> EncodedFrontier:
         """Wrap the words unchanged (no framing byte, no transform)."""
-        if words.dtype != bitops.WORD_DTYPE:
-            raise CommunicationError("raw codec expects uint64 words")
-        nbits = words.size * 64 if nbits is None else nbits
+        bounds, nbits = part_layout(self.name, words, bounds, nbits)
         return EncodedFrontier(
             codec=self.name,
             payload=np.ascontiguousarray(words).view(np.uint8),
             nwords=int(words.size),
-            nbits=int(nbits),
+            nbits=nbits,
             header_bytes=0,
+            bounds=bounds,
+            part_offsets=bounds * 8,
         )
 
     def decode(
@@ -55,8 +61,11 @@ class RawCodec(FrontierCodec):
         visited: np.ndarray | None = None,
     ) -> np.ndarray:
         """Reinterpret the payload bytes as uint64 words."""
-        if enc.payload.size != enc.nwords * 8:
-            raise CommunicationError("raw payload has wrong size")
+        wrong = np.diff(enc.part_offsets) != np.diff(enc.bounds) * 8
+        if wrong.any():
+            raise CommunicationError(
+                "raw payload has wrong size", part=int(np.argmax(wrong))
+            )
         return np.ascontiguousarray(enc.payload).view(bitops.WORD_DTYPE).copy()
 
     def estimate_wire_bytes(

@@ -9,7 +9,8 @@ equal-class words — and ships mixed words verbatim:
 
 where each token is ``(run_length << 2) | tag`` with tag ``0`` = zero
 words, ``1`` = all-ones words, ``2`` = literal words (the run's words
-follow, in order, in the trailing literal block).
+follow, in order, in the trailing literal block).  Runs break at every
+part start, so each part's stream stands alone.
 """
 
 from __future__ import annotations
@@ -17,11 +18,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CommunicationError
-from repro.mpi.codecs.base import EncodedFrontier, FrontierCodec, register_codec
-from repro.mpi.codecs.varint import decode_varints, encode_varints
+from repro.mpi.codecs.base import (
+    EncodedFrontier,
+    FrontierCodec,
+    check_part_ends,
+    interleave,
+    part_layout,
+    part_sums,
+    register_codec,
+    segment_index,
+    segment_offsets,
+)
+from repro.mpi.codecs.varint import encode_counted, read_counted
 from repro.util import bitops
 
-__all__ = ["RleBitmapCodec", "estimate_rle_bytes"]
+__all__ = ["RleBitmapCodec", "estimate_rle_bytes", "rle_encode", "rle_read"]
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _TAG_ZERO, _TAG_ONES, _TAG_LITERAL = 0, 1, 2
@@ -57,19 +68,20 @@ class RleBitmapCodec(FrontierCodec):
         self,
         words: np.ndarray,
         *,
+        bounds: np.ndarray | None = None,
         nbits: int | None = None,
         visited: np.ndarray | None = None,
     ) -> EncodedFrontier:
-        """Tokenize maximal runs of zero/ones/literal words."""
-        if words.dtype != bitops.WORD_DTYPE:
-            raise CommunicationError("rle codec expects uint64 words")
-        nbits = words.size * 64 if nbits is None else nbits
-        payload = rle_encode_words(words)
+        """Tokenize maximal runs of zero/ones/literal words per part."""
+        bounds, nbits = part_layout(self.name, words, bounds, nbits)
+        payload, nbytes = rle_encode(words, bounds)
         return EncodedFrontier(
             codec=self.name,
             payload=payload,
             nwords=int(words.size),
-            nbits=int(nbits),
+            nbits=nbits,
+            bounds=bounds,
+            part_offsets=segment_offsets(nbytes),
         )
 
     def decode(
@@ -78,8 +90,17 @@ class RleBitmapCodec(FrontierCodec):
         *,
         visited: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Expand the token stream back into exactly ``nwords`` words."""
-        return rle_decode_words(enc.payload, enc.nwords)
+        """Expand every part's token stream back into its words."""
+        buf, offsets = enc.payload, enc.part_offsets
+        words, ends = rle_read(
+            buf,
+            np.flatnonzero(buf < 0x80),
+            offsets[:-1],
+            offsets[1:],
+            np.diff(enc.bounds),
+        )
+        check_part_ends(ends, offsets[1:])
+        return words
 
     def estimate_wire_bytes(
         self, nbits: int, set_bits: int, visited_bits: int = 0
@@ -88,48 +109,83 @@ class RleBitmapCodec(FrontierCodec):
         return estimate_rle_bytes(nbits, set_bits)
 
 
-def rle_encode_words(words: np.ndarray) -> np.ndarray:
-    """Encode a uint64 word array as the RLE token stream (uint8)."""
-    nwords = int(words.size)
-    if nwords == 0:
-        return encode_varints(np.array([0], dtype=np.int64))
+def rle_encode(
+    words: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """RLE streams of every part ``words[bounds[r]:bounds[r+1]]``.
+
+    Returns the parts' streams back to back and each part's byte count.
+    """
+    nwords = words.size
     classes = np.full(nwords, _TAG_LITERAL, dtype=np.int64)
     classes[words == np.uint64(0)] = _TAG_ZERO
     classes[words == _ONES] = _TAG_ONES
-    starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(classes)) + 1)
-    ).astype(np.int64)
-    lens = np.diff(np.concatenate((starts, [nwords])))
-    tags = classes[starts]
-    tokens = (lens << 2) | tags
-    literal = words[np.repeat(tags == _TAG_LITERAL, lens)]
-    return np.concatenate(
-        (
-            encode_varints(np.array([tokens.size], dtype=np.int64)),
-            encode_varints(tokens),
-            np.ascontiguousarray(literal).view(np.uint8),
-        )
+    run_start = np.ones(nwords, dtype=bool)
+    run_start[1:] = classes[1:] != classes[:-1]
+    run_start[bounds[:-1][bounds[:-1] < nwords]] = True
+    starts = np.flatnonzero(run_start)
+    lens = np.diff(starts, append=nwords)
+    tokens = (lens << 2) | classes[starts]
+    run_part = np.searchsorted(bounds, starts, side="right") - 1
+    heads, head_nbytes = encode_counted(
+        tokens, np.bincount(run_part, minlength=bounds.size - 1)
+    )
+    literal = classes == _TAG_LITERAL
+    return interleave(
+        [heads, words[literal].view(np.uint8)],
+        [head_nbytes, part_sums(literal, bounds) * 8],
     )
 
 
-def rle_decode_words(payload: np.ndarray, nwords: int) -> np.ndarray:
-    """Decode an RLE token stream back into ``nwords`` uint64 words."""
-    (ntokens,), used = decode_varints(payload, 1)
-    tokens, used2 = decode_varints(payload[used:], int(ntokens))
-    tags = tokens & 3
+def rle_read(
+    buf: np.ndarray,
+    ends: np.ndarray,
+    starts: np.ndarray,
+    limits: np.ndarray,
+    nwords: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the RLE stream at ``starts[r]`` of every part ``r``.
+
+    ``ends`` is the payload's terminator scan (see
+    :func:`~repro.mpi.codecs.varint.read_varints`), ``limits`` the parts'
+    byte ends and ``nwords`` their word counts.  Returns every part's
+    words back to back and where each part's literal block ends.
+    """
+    tokens, token_part, nxt, counts = read_counted(buf, ends, starts, limits)
     lens = tokens >> 2
-    if int(lens.sum()) != nwords:
+    tags = tokens & 3
+    bad = (tokens < 0) | (tags > _TAG_LITERAL)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise CommunicationError(
-            f"rle payload decodes to {int(lens.sum())} words, "
-            f"expected {nwords}"
+            f"invalid rle token {int(tokens[i])}", part=int(token_part[i])
         )
-    out = np.zeros(nwords, dtype=bitops.WORD_DTYPE)
+    # Clipping each run at one past its part's size keeps the sums exact
+    # up to "too many" without int64 overflow on corrupt run lengths.
+    got = part_sums(
+        np.minimum(lens, nwords[token_part] + 1), segment_offsets(counts)
+    )
+    wrong = got != nwords
+    if wrong.any():
+        p = int(np.flatnonzero(wrong)[0])
+        n = int(nwords[p])
+        raise CommunicationError(
+            f"rle payload decodes to "
+            f"{int(got[p]) if got[p] < n else f'more than {n}'} words, "
+            f"expected {n}",
+            part=p,
+        )
     classes = np.repeat(tags, lens)
+    out = np.zeros(classes.size, dtype=bitops.WORD_DTYPE)
     out[classes == _TAG_ONES] = _ONES
-    lit_mask = classes == _TAG_LITERAL
-    nlit = int(lit_mask.sum())
-    lit_bytes = payload[used + used2 : used + used2 + nlit * 8]
-    if lit_bytes.size != nlit * 8:
-        raise CommunicationError("rle literal block truncated")
-    out[lit_mask] = np.ascontiguousarray(lit_bytes).view(bitops.WORD_DTYPE)
-    return out
+    literal = classes == _TAG_LITERAL
+    lit_nbytes = part_sums(literal, segment_offsets(nwords)) * 8
+    lit_end = nxt + lit_nbytes
+    short = lit_end > limits
+    if short.any():
+        raise CommunicationError(
+            "rle literal block truncated",
+            part=int(np.flatnonzero(short)[0]),
+        )
+    out[literal] = buf[segment_index(nxt, lit_nbytes)].view(bitops.WORD_DTYPE)
+    return out, lit_end

@@ -10,7 +10,8 @@ list:
 At fill ratio *f* the average gap is ``1/f``, so each position costs
 about ``max(1, log128(1/f))`` bytes — cheaper than the bitmap below
 roughly 8 % fill (the break-even ``auto`` discovers from the closed
-form below).
+form below).  Positions are local to their part and the deltas restart
+at every part.
 """
 
 from __future__ import annotations
@@ -20,11 +21,24 @@ import math
 import numpy as np
 
 from repro.errors import CommunicationError
-from repro.mpi.codecs.base import EncodedFrontier, FrontierCodec, register_codec
-from repro.mpi.codecs.varint import decode_varints, encode_varints
+from repro.mpi.codecs.base import (
+    EncodedFrontier,
+    FrontierCodec,
+    check_part_ends,
+    part_layout,
+    register_codec,
+    segment_offsets,
+)
+from repro.mpi.codecs.varint import encode_counted, read_counted
 from repro.util import bitops
 
-__all__ = ["SparseIndexCodec", "estimate_sparse_bytes"]
+__all__ = [
+    "SparseIndexCodec",
+    "bit_positions",
+    "encode_position_lists",
+    "estimate_sparse_bytes",
+    "read_position_lists",
+]
 
 
 def estimate_sparse_bytes(nbits: int, set_bits: int) -> float:
@@ -50,19 +64,21 @@ class SparseIndexCodec(FrontierCodec):
         self,
         words: np.ndarray,
         *,
+        bounds: np.ndarray | None = None,
         nbits: int | None = None,
         visited: np.ndarray | None = None,
     ) -> EncodedFrontier:
-        """List the set positions and delta-compress the gaps."""
-        if words.dtype != bitops.WORD_DTYPE:
-            raise CommunicationError("sparse codec expects uint64 words")
-        nbits = words.size * 64 if nbits is None else nbits
-        idx = bitops.nonzero_bit_indices(words, nbits)
+        """List every part's set positions and delta-compress the gaps."""
+        bounds, nbits = part_layout(self.name, words, bounds, nbits)
+        pos, part = bit_positions(words, bounds, nbits)
+        payload, nbytes = encode_position_lists(pos, part, bounds.size - 1)
         return EncodedFrontier(
             codec=self.name,
-            payload=encode_positions(idx),
+            payload=payload,
             nwords=int(words.size),
-            nbits=int(nbits),
+            nbits=nbits,
+            bounds=bounds,
+            part_offsets=segment_offsets(nbytes),
         )
 
     def decode(
@@ -71,13 +87,18 @@ class SparseIndexCodec(FrontierCodec):
         *,
         visited: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Scatter the decoded positions back into a zeroed bitmap."""
-        idx, _ = decode_positions(enc.payload)
+        """Scatter every part's positions back into a zeroed bitmap."""
+        buf, offsets = enc.payload, enc.part_offsets
+        pos, part, ends = read_position_lists(
+            buf,
+            np.flatnonzero(buf < 0x80),
+            offsets[:-1],
+            offsets[1:],
+            enc.part_nbits,
+        )
+        check_part_ends(ends, offsets[1:])
         out = np.zeros(enc.nwords, dtype=bitops.WORD_DTYPE)
-        if idx.size:
-            if int(idx[-1]) >= enc.nwords * 64:
-                raise CommunicationError("sparse payload position out of range")
-            bitops.set_bits(out, idx)
+        bitops.set_bits(out, pos + enc.bounds[part] * 64)
         return out
 
     def estimate_wire_bytes(
@@ -87,21 +108,64 @@ class SparseIndexCodec(FrontierCodec):
         return estimate_sparse_bytes(nbits, set_bits)
 
 
-def encode_positions(idx: np.ndarray) -> np.ndarray:
-    """Encode a sorted position list as count + first + gap varints."""
-    count = np.array([idx.size], dtype=np.int64)
-    if idx.size == 0:
-        return encode_varints(count)
-    deltas = np.empty(idx.size, dtype=np.int64)
-    deltas[0] = idx[0]
-    deltas[1:] = np.diff(idx)
-    return np.concatenate((encode_varints(count), encode_varints(deltas)))
+def bit_positions(
+    words: np.ndarray, bounds: np.ndarray, nbits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Set bits below ``nbits``: ``(position within its part, part)``.
+
+    Only the nonzero bytes are unpacked, so the cost follows the fill.
+    """
+    octets = words.view(np.uint8)
+    nz = np.flatnonzero(octets)
+    row, bit = np.nonzero(
+        np.unpackbits(octets[nz], bitorder="little").reshape(-1, 8)
+    )
+    pos = nz[row] * 8 + bit
+    if nbits < words.size * 64:
+        pos = pos[pos < nbits]
+    part = np.searchsorted(bounds, pos >> 6, side="right") - 1
+    return pos - bounds[part] * 64, part
 
 
-def decode_positions(payload: np.ndarray) -> tuple[np.ndarray, int]:
-    """Decode a position list; returns ``(positions, bytes consumed)``."""
-    (count,), used = decode_varints(payload, 1)
-    if count == 0:
-        return np.zeros(0, dtype=np.int64), used
-    deltas, used2 = decode_varints(payload[used:], int(count))
-    return np.cumsum(deltas), used + used2
+def encode_position_lists(
+    pos: np.ndarray, part: np.ndarray, nparts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``varint(count) · first · gaps`` of every part's position list.
+
+    ``pos``/``part`` are sorted by part, then position.  Returns the
+    parts' streams back to back and each part's byte count.
+    """
+    deltas = pos.copy()
+    deltas[1:] -= pos[:-1]
+    first = np.ones(pos.size, dtype=bool)
+    first[1:] = part[1:] != part[:-1]
+    deltas[first] = pos[first]
+    return encode_counted(deltas, np.bincount(part, minlength=nparts))
+
+
+def read_position_lists(
+    buf: np.ndarray,
+    ends: np.ndarray,
+    starts: np.ndarray,
+    limits: np.ndarray,
+    nbits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the position list at ``starts[r]`` of every part ``r``.
+
+    Every position must lie below its part's ``nbits``.  Returns
+    ``(positions, part ids, next starts)``.
+    """
+    deltas, part, nxt, counts = read_counted(buf, ends, starts, limits)
+    # Deltas restart at every part: a running sum minus its value at
+    # the part's head.
+    sums = segment_offsets(deltas)
+    pos = sums[1:] - np.repeat(sums[segment_offsets(counts)[:-1]], counts)
+    bad = (pos < 0) | (pos >= nbits[part])
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise CommunicationError(
+            f"position {int(pos[i])} out of range for a part of "
+            f"{int(nbits[part[i]])} bits",
+            part=int(part[i]),
+        )
+    return pos, part, nxt

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.errors import CommunicationError
 from repro.mpi.codecs import AutoCodec, FrontierCodec
+from repro.mpi.codecs.base import segment_offsets
 from repro.mpi.sharedmem import NodeSharedBuffer
 from repro.mpi.simcomm import CollectiveResult, SimComm
 from repro.util import bitops
@@ -398,14 +399,19 @@ def allgather(
     the list of filled per-node buffers.  ``breakdown`` holds per-step
     times for the leader-based family (Fig. 6).
 
-    With a non-identity ``codec``, each rank's part is encoded before the
+    With a non-identity ``codec``, the rank parts are encoded before the
     (priced) transmission and decoded on arrival — the delivered data is
     the round-tripped decode, so a lossy codec would corrupt the run
-    rather than silently fake its traffic.  ``visited_parts`` gives the
-    sieve codec its common-knowledge mask (one word array per rank,
-    aligned with ``parts``).  An :class:`~repro.mpi.codecs.AutoCodec`
-    resolves to a concrete codec per call from observed frontier density
-    and the machine's wire/CPU cost slopes; the identity choice is free.
+    rather than silently fake its traffic.  One ``encode`` and one
+    ``decode`` call cover every part (the concatenated words, split at
+    the parts' word offsets); each part keeps its own payload and framing
+    byte, and the schedule is priced at the largest and the summed part
+    wire sizes.  ``visited_parts`` gives the sieve codec its
+    common-knowledge mask (one word array per rank, aligned with
+    ``parts``).  An :class:`~repro.mpi.codecs.AutoCodec` resolves to a
+    concrete codec per call from observed frontier density and the
+    machine's wire/CPU cost slopes; the identity choice is free.
+    Without a codec, or with ``raw``, the parts are only concatenated.
     """
     if len(parts) != comm.num_ranks:
         raise CommunicationError(
@@ -433,52 +439,50 @@ def allgather(
 
     part_bytes = float(max((p.nbytes for p in parts), default=0))
     total_bytes = float(sum(p.nbytes for p in parts))
+    full = _concatenate(parts)
+    coded = codec is not None and not codec.is_identity and total_bytes > 0
+    visited = (
+        _concatenate(visited_parts)
+        if coded and visited_parts is not None
+        else None
+    )
 
     chosen = codec
-    if isinstance(codec, AutoCodec) and total_bytes > 0:
+    if isinstance(codec, AutoCodec) and coded:
         t_full, _ = allgather_time(
             comm, algorithm, part_bytes, total_bytes, subgroups=subgroups
         )
         t_zero, _ = allgather_time(comm, algorithm, 0.0, 0.0, subgroups=subgroups)
-        set_total = sum(int(bitops.popcount_words(p).sum()) for p in parts)
-        vis_total = (
-            sum(int(bitops.popcount_words(v).sum()) for v in visited_parts)
-            if visited_parts is not None
-            else 0
-        )
         chosen = codec.select(
             nbits=int(total_bytes) * 8,
-            set_bits=set_total,
-            visited_bits=vis_total,
+            set_bits=int(bitops.popcount_words(full).sum()),
+            visited_bits=(
+                int(bitops.popcount_words(visited).sum())
+                if visited is not None
+                else 0
+            ),
             ns_per_wire_byte=max(0.0, (t_full - t_zero) / total_bytes),
             model=comm.codec_model,
         )
 
-    codec_name: str | None = None
+    codec_name = None if chosen is None else chosen.name
     wire_part = part_bytes
     wire_total = total_bytes
     breakdown_extra: dict[str, float] = {}
-    if chosen is not None and not chosen.is_identity and total_bytes > 0:
-        codec_name = chosen.name
-        encoded = []
-        decoded = []
-        for r, p in enumerate(parts):
-            vp = visited_parts[r] if visited_parts is not None else None
-            enc = chosen.encode(p, visited=vp)
-            encoded.append(enc)
-            decoded.append(chosen.decode(enc, visited=vp))
-        wire_part = float(max(e.wire_nbytes for e in encoded))
-        wire_total = float(sum(e.wire_nbytes for e in encoded))
+    if coded and not chosen.is_identity:
+        # One encode and one decode cover every rank's part; each part
+        # is framed and priced on its own.
+        bounds = segment_offsets(np.array([p.size for p in parts]))
+        enc = chosen.encode(full, bounds=bounds, visited=visited)
+        full = chosen.decode(enc, visited=visited)
+        part_wire = enc.part_wire_nbytes
+        wire_part = float(part_wire.max())
+        wire_total = float(part_wire.sum())
         # Encode happens on every rank concurrently over its own part
         # (bounded by the largest); decode scans the full gathered
         # payload once per rank.
         breakdown_extra["codec_encode"] = comm.codec_model.encode_time_ns(part_bytes)
         breakdown_extra["codec_decode"] = comm.codec_model.decode_time_ns(wire_total)
-        full = _concatenate(decoded)
-    else:
-        if chosen is not None:
-            codec_name = chosen.name  # identity: recorded, never priced
-        full = _concatenate(parts)
 
     t, breakdown = allgather_time(
         comm, algorithm, wire_part, wire_total, subgroups=subgroups

@@ -29,8 +29,10 @@ WORD_BITS = 64
 WORD_DTYPE = np.uint64
 
 # Lookup table mapping a byte value to its population count; used to
-# popcount uint64 word arrays without Python-level loops.
+# popcount uint64 word arrays without Python-level loops where numpy
+# (< 2.0) has no native ``bitwise_count``.
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_BITWISE_COUNT = getattr(np, "bitwise_count", None)
 
 
 def words_for_bits(nbits: int) -> int:
@@ -94,6 +96,8 @@ def clear_bits(words: np.ndarray, idx: np.ndarray) -> None:
 def popcount_words(words: np.ndarray) -> np.ndarray:
     """Per-word population count of a uint64 array (returned as int64)."""
     _check_words(words)
+    if _BITWISE_COUNT is not None:
+        return _BITWISE_COUNT(words).astype(np.int64)
     by = words.view(np.uint8)
     counts = _POPCOUNT8[by]
     return counts.reshape(words.shape[0], 8).sum(axis=1, dtype=np.int64)

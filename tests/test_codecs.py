@@ -9,7 +9,14 @@ exceptional path, and closes with whole-run engine bit-identity against
 ``raw`` under the ``REPRO_CODEC`` matrix — the acceptance criterion that
 a codec can never change what the BFS computes, only the simulated wire
 bytes and seconds.
+
+Every codec encodes all parts of an allgather in one call;
+``TestMultiPart`` checks each part's payload byte for byte against the
+one-part-per-call oracle in ``tests/codec_oracle.py`` and that every
+malformed part is rejected by index.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -27,6 +34,7 @@ from repro.mpi.codecs import (
     DEFAULT_CODEC,
     ENV_VAR,
     AutoCodec,
+    EncodedFrontier,
     available_codecs,
     decode_varints,
     default_codec,
@@ -36,6 +44,7 @@ from repro.mpi.codecs import (
 )
 from repro.mpi.mapping import BindingPolicy, ProcessMapping
 from repro.util import bitops
+from tests import codec_oracle
 
 #: The concrete wire formats (everything but the ``auto`` chooser).
 CONCRETE = ("raw", "rle-bitmap", "sparse-index", "sieve")
@@ -145,6 +154,195 @@ class TestRoundTrip:
         assert enc.wire_nbytes == enc.raw_nbytes == words.size * 8
         for name in CONCRETE[1:]:
             assert not get_codec(name).is_identity
+
+
+@st.composite
+def part_layouts(draw):
+    """Words split into 1-9 parts (zero-word parts included), a fill,
+    and a visited mask that is absent, disjoint from or overlapping the
+    frontier."""
+    sizes = draw(st.lists(st.integers(0, 10), min_size=1, max_size=9))
+    fill = draw(st.floats(0.0, 1.0))
+    mode = draw(st.sampled_from(("none", "disjoint", "overlap")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    nwords = sum(sizes)
+    bits = rng.random(nwords * 64) < fill
+    # Whole zero / all-ones words, so RLE sees runs at every fill.
+    kind = rng.integers(0, 4, size=nwords)
+    bits.reshape(nwords, 64)[kind == 0] = False
+    bits.reshape(nwords, 64)[kind == 1] = True
+    seen = rng.random(nwords * 64) < rng.random()
+    if mode == "disjoint":
+        seen &= ~bits
+    words = bitops.bool_to_bits(bits)
+    visited = None if mode == "none" else bitops.bool_to_bits(seen)
+    bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    return words, bounds, visited
+
+
+def reframe(enc, part, data):
+    """``enc`` with part ``part``'s payload bytes replaced by ``data``."""
+    offsets = enc.part_offsets
+    parts = [
+        enc.payload[offsets[r] : offsets[r + 1]] for r in range(enc.nparts)
+    ]
+    parts[part] = np.asarray(data, dtype=np.uint8)
+    sizes = np.array([p.size for p in parts], dtype=np.int64)
+    return dataclasses.replace(
+        enc,
+        payload=np.concatenate(parts),
+        part_offsets=np.concatenate(([0], np.cumsum(sizes))),
+    )
+
+
+class TestMultiPart:
+    """One call encodes every part exactly as the per-part oracle does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout=part_layouts())
+    def test_matches_per_part_oracle(self, layout):
+        words, bounds, visited = layout
+        for name in CONCRETE:
+            codec = get_codec(name)
+            enc = codec.encode(words, bounds=bounds, visited=visited)
+            assert enc.nparts == bounds.size - 1
+            for r in range(enc.nparts):
+                sl = slice(bounds[r], bounds[r + 1])
+                part_visited = None if visited is None else visited[sl]
+                expect = codec_oracle.encode_part(
+                    name, words[sl], visited=part_visited
+                )
+                got = enc.payload[enc.part_offsets[r] : enc.part_offsets[r + 1]]
+                assert np.array_equal(got, expect), f"{name} part {r}"
+                assert enc.part_wire_nbytes[r] == (
+                    expect.size + codec_oracle.header_bytes(name)
+                )
+                assert np.array_equal(
+                    codec_oracle.decode_part(
+                        name, got, words[sl].size, visited=part_visited
+                    ),
+                    words[sl],
+                )
+            assert enc.wire_nbytes == int(enc.part_wire_nbytes.sum())
+            assert np.array_equal(codec.decode(enc, visited=visited), words)
+
+    @pytest.mark.parametrize("name", CONCRETE)
+    def test_one_part_is_the_default(self, name):
+        words = random_bitmap(320, 0.1, seed=4)
+        codec = get_codec(name)
+        one = codec.encode(words)
+        same = codec.encode(words, bounds=np.array([0, words.size]))
+        assert one.nparts == 1
+        assert np.array_equal(one.payload, same.payload)
+        assert one.wire_nbytes == int(one.part_wire_nbytes[0])
+
+    @pytest.mark.parametrize("bounds", [[0, 3], [1, 5], [0, 5, 4, 5], [0]])
+    def test_bad_bounds_rejected(self, bounds):
+        words = random_bitmap(320, 0.1, seed=4)
+        with pytest.raises(CommunicationError, match="bounds"):
+            get_codec("sparse-index").encode(words, bounds=np.array(bounds))
+
+    def three_parts(self, name):
+        """Parts of 2, 1 and 2 words (part 1 holds 64 bits)."""
+        words = random_bitmap(5 * 64, 0.3, seed=9)
+        return get_codec(name), get_codec(name).encode(
+            words, bounds=np.array([0, 2, 3, 5])
+        )
+
+    @pytest.mark.parametrize("name", CONCRETE)
+    def test_truncated_part_named(self, name):
+        codec, enc = self.three_parts(name)
+        part = enc.payload[enc.part_offsets[1] : enc.part_offsets[2]]
+        with pytest.raises(CommunicationError) as err:
+            codec.decode(reframe(enc, 1, part[:-1]))
+        assert err.value.context["part"] == 1
+
+    @pytest.mark.parametrize("name", CONCRETE)
+    def test_trailing_bytes_in_one_part_named(self, name):
+        codec, enc = self.three_parts(name)
+        part = enc.payload[enc.part_offsets[1] : enc.part_offsets[2]]
+        junk = np.concatenate((part, [5, 0, 0]))
+        with pytest.raises(CommunicationError) as err:
+            codec.decode(reframe(enc, 1, junk))
+        assert err.value.context["part"] == 1
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("sparse-index", [1, 64]),  # position 64 of a 64-bit part
+            ("sieve", [1, 64, 0, 1, 4]),  # exceptional position 64
+            ("sieve", [0, 1, 1, 64]),  # inner sparse position 64
+        ],
+    )
+    def test_position_out_of_range_named(self, name, data):
+        codec, enc = self.three_parts(name)
+        with pytest.raises(CommunicationError, match="out of range") as err:
+            codec.decode(reframe(enc, 1, data))
+        assert err.value.context["part"] == 1
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("rle-bitmap", [1, (2 << 2) | 0]),  # two zero words, part has one
+            ("sieve", [0, 0, 1, (2 << 2) | 0]),  # same, as the inner stream
+        ],
+    )
+    def test_wrong_rle_word_count_named(self, name, data):
+        codec, enc = self.three_parts(name)
+        with pytest.raises(CommunicationError, match="expected 1") as err:
+            codec.decode(reframe(enc, 1, data))
+        assert err.value.context["part"] == 1
+
+    def test_unknown_sieve_tag_named(self):
+        codec, enc = self.three_parts("sieve")
+        with pytest.raises(CommunicationError, match="tag 7") as err:
+            codec.decode(reframe(enc, 1, [0, 7]))
+        assert err.value.context["part"] == 1
+
+    def test_sieve_rejects_misaligned_visited(self):
+        codec, enc = self.three_parts("sieve")
+        short = np.zeros(4, dtype=bitops.WORD_DTYPE)
+        with pytest.raises(CommunicationError, match="visited"):
+            codec.decode(enc, visited=short)
+        with pytest.raises(CommunicationError, match="visited"):
+            codec.encode(
+                np.zeros(5, dtype=bitops.WORD_DTYPE),
+                bounds=enc.bounds,
+                visited=short,
+            )
+
+
+class TestDecoderStrictness:
+    """Payload bytes a part's fields do not account for are corruption."""
+
+    def test_sparse_rejects_position_in_padding(self):
+        # Position 70 is a padding bit of a 65-bit part: still inside
+        # its two words, but past nbits.
+        enc = EncodedFrontier(
+            codec="sparse-index",
+            payload=encode_varints(np.array([1, 70])),
+            nwords=2,
+            nbits=65,
+        )
+        with pytest.raises(CommunicationError, match="out of range"):
+            get_codec("sparse-index").decode(enc)
+
+    @pytest.mark.parametrize("name", CONCRETE)
+    def test_trailing_bytes_rejected(self, name):
+        codec = get_codec(name)
+        words = random_bitmap(130, 0.2, seed=2)
+        enc = codec.encode(words, nbits=130)
+        padded = EncodedFrontier(
+            codec=enc.codec,
+            payload=np.concatenate(
+                (enc.payload, np.array([5, 0, 0], dtype=np.uint8))
+            ),
+            nwords=enc.nwords,
+            nbits=enc.nbits,
+            header_bytes=enc.header_bytes,
+        )
+        with pytest.raises(CommunicationError):
+            codec.decode(padded)
 
 
 class TestVarints:
@@ -355,6 +553,37 @@ class TestAllgatherWithCodec:
         # At 2% fill on 4 KiB parts, compression must actually win.
         assert res.wire_bytes < res.raw_bytes
         assert res.codec in CONCRETE
+        # Priced at the per-part sizes the one-part oracle produces.
+        sizes = [
+            codec_oracle.encode_part(res.codec, p, visited=v).size
+            + codec_oracle.header_bytes(res.codec)
+            for p, v in zip(parts, visited)
+        ]
+        assert res.wire_part_bytes == max(sizes)
+        assert res.wire_bytes == sum(sizes)
+
+    @pytest.mark.parametrize("name", CONCRETE[1:])
+    def test_one_encode_and_decode_per_collective(self, name, monkeypatch):
+        comm = self.make_comm()
+        rng = np.random.default_rng(5)
+        parts = [
+            bitops.bool_to_bits(rng.random(rng.integers(1, 9) * 64) < 0.1)
+            for _ in range(comm.mapping.num_ranks)
+        ]
+        codec = get_codec(name)
+        calls = []
+        for method in ("encode", "decode"):
+            real = getattr(codec, method)
+            monkeypatch.setattr(
+                codec,
+                method,
+                lambda *a, _real=real, _m=method, **kw: (
+                    calls.append(_m) or _real(*a, **kw)
+                ),
+            )
+        res = allgather(comm, parts, AllgatherAlgorithm.RING, codec=codec)
+        assert calls == ["encode", "decode"]
+        assert np.array_equal(res.data, np.concatenate(parts))
 
     def test_raw_codec_prices_identically_to_no_codec(self):
         comm = self.make_comm()

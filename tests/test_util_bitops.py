@@ -61,6 +61,18 @@ class TestPopcount:
         w = np.array([0, 1, 3, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         assert bitops.popcount_words(w).tolist() == [0, 1, 2, 64]
 
+    def test_lookup_table_matches_native(self, monkeypatch):
+        """The byte-table path (numpy < 2.0) counts like the native one."""
+        w = np.random.default_rng(0).integers(
+            0, 2**63, size=257, dtype=np.int64
+        ).astype(np.uint64) * np.uint64(3)
+        native = bitops.popcount_words(w)
+        monkeypatch.setattr(bitops, "_BITWISE_COUNT", None)
+        table = bitops.popcount_words(w)
+        assert table.dtype == native.dtype == np.int64
+        assert np.array_equal(table, native)
+        assert table.tolist() == [bin(int(x)).count("1") for x in w]
+
     def test_count_with_nbits_masks_padding(self):
         w = make_words(70)
         bitops.set_bits(w, np.arange(70))
