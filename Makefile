@@ -114,7 +114,6 @@ examples:
 	python examples/social_network_analysis.py 13
 	python examples/cluster_design_space.py
 	python examples/granularity_tuning.py 30 8
-	python examples/two_d_partitioning.py 13
 
 all: install test bench report
 

@@ -26,7 +26,7 @@ import numpy as np
 from repro import BFSConfig, BFSEngine, paper_cluster, rmat_graph
 from repro.core.validate import compute_levels
 from repro.graph.degree import degree_statistics, sample_roots
-from repro.util import format_si, format_table, format_time_ns
+from repro.util import format_table, format_time_ns
 
 
 def main(scale: int = 14) -> None:
@@ -70,19 +70,6 @@ def main(scale: int = 14) -> None:
           f"(small-world)")
     print(f"  reachable fraction of the network: "
           f"{np.mean(reachable)*100:.0f}%")
-    print()
-
-    print("== most influential users (distributed PageRank) ==")
-    from repro.analysis import distributed_pagerank
-
-    pr = distributed_pagerank(graph, cluster, tol=1e-10)
-    top = np.argsort(pr.ranks)[::-1][:5]
-    deg = graph.degrees()
-    for rank_pos, user in enumerate(top, 1):
-        print(f"  #{rank_pos}: user {int(user)} "
-              f"(pagerank {pr.ranks[user]:.2e}, {int(deg[user])} friends)")
-    print(f"  converged in {pr.iterations} iterations; the rank-vector "
-          f"allgather is {pr.comm_fraction*100:.0f}% of its simulated cost")
     print()
 
     print("== what this analysis would cost at production scale ==")

@@ -42,7 +42,6 @@ from repro.core.kernels import (
     register_backend,
     resolve_backend,
 )
-from repro.core.state import RankState
 from repro.core.teps import Graph500Result, run_graph500
 from repro.core.timing import (
     BfsTiming,
@@ -52,7 +51,6 @@ from repro.core.timing import (
     assemble,
 )
 from repro.core.trace import gantt, to_csv, to_json, trace_rows
-from repro.core.twod import Grid2D, TwoDBFSEngine, TwoDResult
 from repro.core.validate import compute_levels, validate_parent_tree
 
 __all__ = [
@@ -89,7 +87,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "RankState",
     "Graph500Result",
     "run_graph500",
     "BfsTiming",
@@ -103,7 +100,4 @@ __all__ = [
     "to_csv",
     "to_json",
     "trace_rows",
-    "Grid2D",
-    "TwoDBFSEngine",
-    "TwoDResult",
 ]

@@ -9,8 +9,6 @@ partitioned into 8 parts" placement of Section II.D.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ConfigError, GraphError
@@ -18,41 +16,9 @@ from repro.graph.types import Graph
 
 __all__ = [
     "Partition1D",
-    "LocalGraph",
     "degree_balanced_bounds",
     "word_aligned_bounds",
 ]
-
-
-@dataclass(frozen=True)
-class LocalGraph:
-    """The CSR rows a single rank owns.
-
-    ``offsets`` is re-based so that ``offsets[0] == 0``; local row ``i``
-    corresponds to global vertex ``lo + i``.  ``targets`` keep *global*
-    vertex ids, since bottom-up checks them against the global frontier
-    bitmap.
-    """
-
-    rank: int
-    lo: int
-    hi: int
-    offsets: np.ndarray
-    targets: np.ndarray
-
-    @property
-    def num_local_vertices(self) -> int:
-        """Vertices this rank owns."""
-        return self.hi - self.lo
-
-    @property
-    def num_local_arcs(self) -> int:
-        """Directed arcs stored by this rank."""
-        return int(self.targets.size)
-
-    def memory_bytes(self) -> int:
-        """Bytes of this rank's CSR arrays."""
-        return int(self.offsets.nbytes + self.targets.nbytes)
 
 
 class Partition1D:
@@ -121,22 +87,6 @@ class Partition1D:
             return int(result)
         return result.astype(np.int64)
 
-    def extract_local(self, graph: Graph, part: int) -> LocalGraph:
-        """Slice the CSR rows owned by ``part`` out of a global graph."""
-        if graph.num_vertices != self.num_vertices:
-            raise GraphError(
-                "partition was built for a different vertex count "
-                f"({self.num_vertices} != {graph.num_vertices})"
-            )
-        lo, hi = self.range_of(part)
-        row_start = graph.offsets[lo]
-        row_end = graph.offsets[hi]
-        offsets = (graph.offsets[lo : hi + 1] - row_start).astype(np.int64)
-        targets = graph.targets[row_start:row_end]
-        return LocalGraph(
-            rank=part, lo=lo, hi=hi, offsets=offsets, targets=targets
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Partition1D(num_vertices={self.num_vertices}, "
@@ -196,7 +146,8 @@ def degree_balanced_bounds(
     csum = np.concatenate([[0], np.cumsum(weights, dtype=np.int64)])
     targets = csum[-1] * np.arange(1, num_parts, dtype=np.float64) / num_parts
     cuts = np.searchsorted(csum, targets, side="left")
-    # Round to alignment and force strict monotonicity within [0, n].
+    # Round to alignment, then clip to [0, n] and make the bounds
+    # non-decreasing; equal neighbours give an empty part, which is legal.
     cuts = np.rint(cuts / alignment).astype(np.int64) * alignment
     bounds = np.concatenate([[0], cuts, [n]])
     bounds = np.maximum.accumulate(np.clip(bounds, 0, n))

@@ -18,9 +18,7 @@ The runtime implements the paper's full menu of allgather algorithms:
 """
 
 from repro.mpi.mapping import BindingPolicy, ProcessMapping
-from repro.mpi.p2p import ANY, Message, MessageLedger
 from repro.mpi.schedule import ScheduleStep, explain_allgather
-from repro.mpi.subcomm import SubComm, split
 from repro.mpi.sharedmem import NodeSharedBuffer
 from repro.mpi.simcomm import SimComm, CollectiveResult
 from repro.mpi.codecs import (
@@ -41,13 +39,8 @@ from repro.mpi.collectives import (
 __all__ = [
     "BindingPolicy",
     "ProcessMapping",
-    "ANY",
-    "Message",
-    "MessageLedger",
     "ScheduleStep",
     "explain_allgather",
-    "SubComm",
-    "split",
     "NodeSharedBuffer",
     "SimComm",
     "CollectiveResult",

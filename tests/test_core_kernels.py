@@ -1,5 +1,5 @@
-"""Tests for the BFS kernels (rank state, top-down, bottom-up) and the
-hybrid direction policy."""
+"""Tests for the BFS kernels (top-down, bottom-up) and the hybrid
+direction policy."""
 
 import numpy as np
 import pytest
@@ -11,16 +11,10 @@ from repro.core import topdown
 from repro.core.counts import Direction
 from repro.core.hybrid import DirectionPolicy, FrontierStats
 from repro.core.kernels import CNativeBackend, default_backend, get_backend
-from repro.core.state import RankState
 from repro.core.topdown import TopDownPairs
-from repro.errors import ConfigError, SimulationError
-from repro.graph import Graph, Partition1D, path_graph, star_graph
+from repro.errors import ConfigError
+from repro.graph import Graph, Partition1D, path_graph
 from repro.graph.generators import cycle_graph
-
-
-def single_rank_state(graph):
-    part = Partition1D(graph.num_vertices, 1)
-    return RankState(part.extract_local(graph, 0)), part
 
 
 def bottom_up(graph, parent, in_queue, summary):
@@ -36,35 +30,6 @@ def visited(n, *vertices):
     parent = np.full(n, -1, dtype=np.int64)
     parent[list(vertices)] = vertices
     return parent
-
-
-class TestRankState:
-    def test_discover_skips_visited(self):
-        st, _ = single_rank_state(path_graph(5))
-        st.discover(np.array([2]), np.array([1]))
-        new = st.discover(np.array([2]), np.array([3]))
-        assert new.size == 0
-        assert st.parent[2] == 1
-
-    def test_unexplored_degree_tracked(self):
-        g = star_graph(5)
-        st, _ = single_rank_state(g)
-        before = st.unexplored_degree
-        st.discover(np.array([0]), np.array([0]))
-        assert st.unexplored_degree == before - 4
-
-    def test_to_local_range_check(self):
-        g = path_graph(8)
-        part = Partition1D(8, 2)
-        st = RankState(part.extract_local(g, 1))
-        assert st.to_local(np.array([4])).tolist() == [0]
-        with pytest.raises(SimulationError):
-            st.to_local(np.array([3]))
-
-    def test_discover_shape_mismatch(self):
-        st, _ = single_rank_state(path_graph(3))
-        with pytest.raises(SimulationError):
-            st.discover(np.array([0, 1]), np.array([0]))
 
 
 def expand(graph, part, *frontiers):

@@ -30,7 +30,6 @@ class TestExamplesRun:
             "social_network_analysis",
             "cluster_design_space",
             "granularity_tuning",
-            "two_d_partitioning",
         } <= names
 
     def test_quickstart(self, capsys):
@@ -59,12 +58,6 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "recommended granularity" in out
         assert "zero fraction" in out
-
-    def test_two_d_partitioning(self, capsys):
-        load_example("two_d_partitioning").main(scale=13)
-        out = capsys.readouterr().out
-        assert "composable" in out
-        assert "2-D" in out
 
     def test_quickstart_optimized_wins_at_paper_scale(self, capsys):
         """The example's core message: the optimization stack beats the

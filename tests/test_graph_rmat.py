@@ -113,22 +113,6 @@ class TestPartition1D:
         with pytest.raises(ConfigError):
             Partition1D(10, 3).range_of(3)
 
-    def test_extract_local_preserves_adjacency(self):
-        g = rmat_graph(scale=7, seed=2)
-        p = Partition1D(g.num_vertices, 4)
-        for part in range(4):
-            local = p.extract_local(g, part)
-            lo, hi = p.range_of(part)
-            assert local.num_local_vertices == hi - lo
-            for i in range(0, local.num_local_vertices, 17):
-                got = local.targets[local.offsets[i] : local.offsets[i + 1]]
-                assert np.array_equal(got, g.neighbors(lo + i))
-
-    def test_extract_local_wrong_graph(self):
-        p = Partition1D(8, 2)
-        with pytest.raises(GraphError):
-            p.extract_local(star_graph(5), 0)
-
 
 class TestDegree:
     def test_statistics(self):
