@@ -10,6 +10,13 @@ parallel-allgather variants of ``paper_variants``, codecs, the three
 traversal modes, and one faulty run (transient ``alltoallv`` failures
 plus a crash rollback).
 
+``GOLDEN_TIMING`` (generated at ``5f4f327``, before the pricing was
+vectorised) pins the pricing level by level: per case, a sha256
+over every ``LevelTiming`` (per-rank compute ns, mean, max, comm ns, the
+sorted ``comm_steps``, switch and stall).  ``GOLDEN`` hashes only the
+run total, so a pricing change that moved time between levels or
+collective steps would slip past it.
+
 Regenerate (only when a change is *meant* to move simulated results)::
 
     PYTHONPATH=src python tests/test_golden_bfs.py
@@ -97,6 +104,26 @@ GOLDEN = {
 }
 
 
+GOLDEN_TIMING = {
+    "s12-n1-ppn8": "fb67e08aa3aa60fda79fb15c62e3dcbe66a57ce562a442926af30a981dab291e",
+    "s12-n1-ppn1": "fcc68516ea7516808d60e6dacae80ca84f3e06771fdf2595cd7f3b22745d3df4",
+    "s12-n4-ppn1": "6bf9f591dca442b23d08c4dd41d4154223335ff3e1cfb13023ec648150c5e7d5",
+    "s12-n4-share-inq": "916c1a0a14233146a9c3b082c31d638d89a4638416aa15c36b16d58f9f570f2d",
+    "s12-n4-share-all": "16c6e15bcce3ea95950f67db9c5354101afc0b0b1c4f8b055db836a8d253b51b",
+    "s13-n16-par-allgather": "348ead0802fcde8b103fbc966ee9e33a1f33d316ce6f88b325d130f6437e541b",
+    "s13-n16-granularity": "b2c1983acfa03b88f325258dc0e55d9199788b61662d133196dfb076a3aedb50",
+    "s13-n16-ppn1-balanced": "3c6fd5d1af35fa6974ee6d5583eff791f56f364807f5c09489674932e8311631",
+    "s12-n4-balanced": "84a9f855fdddeec580a525be5643b2c2897d5d55d565fbc545b256a9f97b07d3",
+    "s12-n4-auto": "9b82df7d9db65b39d8ad5032c3327358eb397271ba12be89217cdf72673c023b",
+    "s12-n4-parallel-sieve": "ea9d6d744a11a9e5473fa9ccd995a54948db413ae3dd89461ddb916f792a606b",
+    "s13-n1-no-summary-rle": "f2ddf65710d907b33fb7c7c31e6765b0817f9d40b07a0639849db9d8f4d0a968",
+    "s12-n1-top-down": "6002f5400a4a7375627bcc08cd1efec2703c64faec16109f38e38daee5abc25f",
+    "s13-n4-top-down": "272b384b69f335e7a5f8b5a04ca262b72e9eb9a009f6a766a4cec3126ba9152f",
+    "s12-n4-bottom-up": "00828dc1fb88531ba3400166edd51906beb543ef07f10211bb228d0ffebdc3dc",
+    "s12-n4-faulty": "2b363de4ee8fb0b9cee27c1dd0ed9c1978b626fd7cc1fcee10fb8c65452905e0",
+}
+
+
 def _feed(h, value) -> None:
     if isinstance(value, np.ndarray):
         h.update(str(value.shape).encode())
@@ -123,6 +150,23 @@ def run_digest(result) -> str:
     return h.hexdigest()
 
 
+def timing_digest(result) -> str:
+    """sha256 over every level's priced time, step by step."""
+    h = hashlib.sha256()
+    for lt in result.timing.levels:
+        h.update(repr((lt.level, lt.direction)).encode())
+        h.update(np.ascontiguousarray(lt.compute_rank_ns, np.float64).tobytes())
+        for value in (
+            lt.compute_mean_ns, lt.compute_max_ns, lt.comm_ns,
+            lt.switch_ns, lt.stall_ns,
+        ):
+            h.update(struct.pack("<d", value))
+        for step, ns in sorted(lt.comm_steps.items()):
+            h.update(step.encode())
+            h.update(struct.pack("<d", ns))
+    return h.hexdigest()
+
+
 def run_case(case_id: str):
     scale, nodes, config, plan = CASES[case_id]
     if config.comm.codec is None:
@@ -142,6 +186,11 @@ def test_run_matches_golden_digest(case_id):
     assert run_digest(run_case(case_id)) == GOLDEN[case_id]
 
 
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_level_timings_match_golden_digest(case_id):
+    assert timing_digest(run_case(case_id)) == GOLDEN_TIMING[case_id]
+
+
 def test_faulty_case_exercises_retry_and_rollback():
     """The pinned faulty run really takes both recovery paths."""
     rec = run_case("s12-n4-faulty").recovery
@@ -153,7 +202,9 @@ def test_faulty_case_exercises_retry_and_rollback():
 
 
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for cid in CASES:
-        print(f'    "{cid}": "{run_digest(run_case(cid))}",')
-    print("}")
+    results = {cid: run_case(cid) for cid in CASES}
+    for name, digest in (("GOLDEN", run_digest), ("GOLDEN_TIMING", timing_digest)):
+        print(f"{name} = {{")
+        for cid, result in results.items():
+            print(f'    "{cid}": "{digest(result)}",')
+        print("}")
