@@ -186,7 +186,6 @@ class BFSEngine:
         self.comm.injector = self.injector
         np_ranks = self.mapping.num_ranks
         self.partition = prepared.partition
-        self._rank_ids = np.arange(np_ranks + 1)
         self._part_words = prepared.part_words
         # Word offset of each rank's slice in the concatenated bitmap
         # (partition bounds are 64-aligned, so slices tile exactly); used
@@ -211,10 +210,17 @@ class BFSEngine:
         ]
 
     def _rank_sizes(self, frontier: np.ndarray) -> np.ndarray:
-        """Members per rank of a rank-major frontier."""
-        return np.diff(
-            np.searchsorted(self.prepared.owner_of[frontier], self._rank_ids)
-        )
+        """Members per rank of a frontier partitioned by the rank bounds
+        (rank-major from the top-down step, ascending from the
+        bottom-up scan): a binary search per bound, O(R log F)."""
+        return np.diff(np.searchsorted(frontier, self.partition.bounds))
+
+    def _frontier_facts(self, frontier: np.ndarray) -> tuple[np.ndarray, int]:
+        """A frontier's per-rank sizes and degree sum, from scratch.  The
+        level loop carries both forward from each step instead, and
+        calls this only for a root or a frontier restored by rollback."""
+        degree = int(self.prepared.degrees[frontier].sum())
+        return self._rank_sizes(frontier), degree
 
     # ---- the run -----------------------------------------------------------
 
@@ -277,6 +283,11 @@ class BFSEngine:
             parent[s, r] = r
             unexplored[s, owner_of[r]] -= degrees[r]
         frontiers = [np.array([r], dtype=np.int64) for r in roots]
+        # Per lane, its frontier's per-rank sizes (this level's
+        # frontier_local, the last level's discovered) and degree sum.
+        facts = [self._frontier_facts(f) for f in frontiers]
+        sizes = [size for size, _ in facts]
+        frontier_edges = [edges for _, edges in facts]
         policies = [DirectionPolicy(self.config) for _ in roots]
         counts = [RunCounts(num_vertices=n, num_ranks=np_ranks) for _ in roots]
         prev_direction: list[str | None] = [None] * num
@@ -339,7 +350,7 @@ class BFSEngine:
                     direction = policies[s].decide(
                         FrontierStats(
                             frontier_vertices=int(frontier.size),
-                            frontier_edges=int(degrees[frontier].sum()),
+                            frontier_edges=frontier_edges[s],
                             unexplored_edges=int(unexplored[s].sum()),
                             num_vertices=n,
                         ),
@@ -352,7 +363,7 @@ class BFSEngine:
                     lc.allreduces = 3
                     prev = prev_direction[s]
                     lc.switched = prev is not None and prev != direction
-                    lc.frontier_local = self._rank_sizes(frontier)
+                    lc.frontier_local = sizes[s]
                     lcs[s] = lc
                     if direction == Direction.TOP_DOWN:
                         top_down.append(s)
@@ -367,23 +378,19 @@ class BFSEngine:
                     top_down=len(top_down),
                     bottom_up=len(bottom_up),
                 ):
+                    stepped = []
                     if top_down:
-                        new, disc_degree = self._top_down_step(
+                        stepped.append((top_down, self._top_down_step(
                             [frontiers[s] for s in top_down],
                             parent,
                             np.asarray(top_down, dtype=np.int64),
                             [lcs[s] for s in top_down],
-                        )
-                        for s, frontier, disc in zip(
-                            top_down, new, disc_degree
-                        ):
-                            frontiers[s] = frontier
-                            unexplored[s] -= disc
+                        )))
                     if bottom_up:
-                        self._bottom_up_lanes(
-                            bottom_up, frontiers, parent, unexplored, lcs,
-                            shared, visited_words,
-                        )
+                        stepped.append((bottom_up, self._bottom_up_lanes(
+                            bottom_up, frontiers, parent, lcs, shared,
+                            visited_words,
+                        )))
             except PayloadCorruptionFault as exc:
                 # Checksum mismatch: the gathered frontier is not
                 # trustworthy; nothing durable was mutated yet, so roll
@@ -393,12 +400,18 @@ class BFSEngine:
                     unexplored[0], counts[0], visited0, log,
                     lost_through=level,
                 )
+                sizes[0], frontier_edges[0] = self._frontier_facts(frontiers[0])
                 last_ckpt_level = level
                 continue
 
+            for lanes, (new, disc_degree) in stepped:
+                for s, frontier, disc in zip(lanes, new, disc_degree):
+                    frontiers[s] = frontier
+                    unexplored[s] -= disc
+                    frontier_edges[s] = int(disc.sum())
             for s in live:
                 lc = lcs[s]
-                lc.discovered = self._rank_sizes(frontiers[s])
+                lc.discovered = sizes[s] = self._rank_sizes(frontiers[s])
                 counts[s].levels.append(lc)
                 prev_direction[s] = lc.direction
             level += 1
@@ -414,6 +427,9 @@ class BFSEngine:
                         "crash", None, level - 1, policies[0], parent[0],
                         unexplored[0], counts[0], visited0, log,
                         lost_through=level - 1, rank=crash.rank,
+                    )
+                    sizes[0], frontier_edges[0] = self._frontier_facts(
+                        frontiers[0]
                     )
                     last_ckpt_level = level
 
@@ -466,10 +482,9 @@ class BFSEngine:
             ).inc(float(lc.examined_edges.sum()))
             if lc.switched:
                 m.counter("bfs.direction_switches_total").inc()
-            if lt.compute_rank_ns is not None:
-                comp_max = float(lt.compute_rank_ns.max(initial=0.0))
-                for t in lt.compute_rank_ns:
-                    stall_hist.observe(comp_max - float(t))
+            comp_max = float(lt.compute_rank_ns.max(initial=0.0))
+            for t in lt.compute_rank_ns:
+                stall_hist.observe(comp_max - float(t))
             if lc.direction == Direction.BOTTOM_UP:
                 codec = lc.codec or "raw"
                 raw_b = lc.inq_raw_total_bytes + lc.summary_raw_total_bytes
@@ -648,8 +663,6 @@ class BFSEngine:
         """
         bd = timing.breakdown
         for lt in timing.levels:
-            if lt.compute_rank_ns is None or len(lt.compute_rank_ns) == 0:
-                continue
             factors = np.array(
                 [
                     inj.straggler_factor(r, lt.level)
@@ -684,12 +697,15 @@ class BFSEngine:
         ``frontiers[b]`` is lane ``b``'s frontier (global ids, rank-major),
         ``parent`` the ``(sources, n)`` parent table, ``rows[b]`` the row
         lane ``b`` writes and ``lcs[b]`` its level record.  The kernel
-        call is the whole step, discoveries included; what is left here
-        is pricing each lane's ``alltoallv``.  Applying before pricing is
-        safe: faults corrupt only allgather payloads, an exhausted retry
-        aborts the run and a crash rolls ``parent`` back from the
-        checkpoint.  Returns the next frontiers and the per-(lane, rank)
-        discovered degree.
+        call is the whole step, discoveries included, and it records each
+        lane's alltoallv byte matrix, which :func:`assemble` prices once
+        per run.  The data-less :meth:`SimComm.alltoallv` runs here only
+        to give a fault injector its attempt and a tracer its comm event,
+        so without either it is skipped.  Applying before that is safe:
+        faults corrupt only allgather payloads, an exhausted retry aborts
+        the run and a crash rolls ``parent`` back from the checkpoint.
+        Returns the next frontiers and the per-(lane, rank) discovered
+        degree.
         """
         np_ranks = self.mapping.num_ranks
         owner_of = self.prepared.owner_of
@@ -710,8 +726,7 @@ class BFSEngine:
                         res.send_bytes.sum(axis=1) // PAIR_BYTES
                     ).tolist(),
                     discovered=[
-                        np.bincount(owner_of[f], minlength=np_ranks).tolist()
-                        for f in res.frontiers
+                        self._rank_sizes(f).tolist() for f in res.frontiers
                     ],
                 )
         for b, lc in enumerate(lcs):
@@ -719,14 +734,15 @@ class BFSEngine:
             lc.candidates = np.zeros(np_ranks, dtype=np.int64)
             lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
             lc.td_send_bytes = res.send_bytes[b]
-        with tr.span("phase.td_exchange", cat="phase"), hp.phase(
-            "td_exchange"
-        ):
-            for lc in lcs:
-                self._exchange(
-                    "alltoallv", lc.level,
-                    partial(self.comm.alltoallv, lc.td_send_bytes),
-                )
+        if self.injector is not None or tr.enabled:
+            with tr.span("phase.td_exchange", cat="phase"), hp.phase(
+                "td_exchange"
+            ):
+                for lc in lcs:
+                    self._exchange(
+                        "alltoallv", lc.level,
+                        partial(self.comm.alltoallv, lc.td_send_bytes),
+                    )
         return res.frontiers, res.disc_degree
 
     def _publish_frontier(
@@ -851,20 +867,19 @@ class BFSEngine:
         lanes: list[int],
         frontiers: list[np.ndarray],
         parent: np.ndarray,
-        unexplored: np.ndarray,
         lcs: list[LevelCounts],
         shared: list[NodeSharedBuffer] | None,
         visited_words: np.ndarray | None,
-    ) -> None:
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """One bottom-up level for every lane in ``lanes``.
 
         Each lane's frontier is published on its own (codec wire bytes
         depend on its content), then one
         :meth:`~repro.core.kernels.KernelBackend.bottom_up_scan_batch`
-        call scans every rank of every lane.  Each lane's next frontier
-        (global ids, ascending) replaces ``frontiers[lane]``; its counts
-        land in ``lcs[lane]`` and its discovered degree leaves
-        ``unexplored[lane]``.
+        call scans every rank of every lane.  Each lane's counts land in
+        ``lcs[lane]``.  Returns, per lane, the next frontier (global ids,
+        ascending) and the per-rank discovered degree, as
+        :meth:`_top_down_step` does.
         """
         tr = self.tracer
         hp = self.hostprof
@@ -909,8 +924,6 @@ class BFSEngine:
             lc.candidates = res.rank_candidates
             lc.examined_edges = res.rank_examined_edges
             lc.inqueue_reads = res.rank_inqueue_reads
-            unexplored[s] -= res.rank_disc_degree
-            frontiers[s] = res.discovered
             if m is not None:
                 # Per-level active-set diagnostics (never priced): how
                 # much adjacency the backend materialized to produce the
@@ -926,3 +939,7 @@ class BFSEngine:
                 m.histogram(
                     "bfs.bu.chunk_rounds", backend=self.kernel.name
                 ).observe(float(res.chunk_rounds))
+        return (
+            [res.discovered for res in results],
+            [res.rank_disc_degree for res in results],
+        )

@@ -133,18 +133,6 @@ class StructureSizes:
         """Bytes of one rank's CSR partition."""
         return self.num_arcs / self.num_ranks * 8.0 + self.local_vertices * 8.0
 
-    @classmethod
-    def from_counts(
-        cls, counts: RunCounts, num_arcs: int, config: BFSConfig
-    ) -> "StructureSizes":
-        """Sizes implied by a run's counts at its own scale."""
-        return cls(
-            num_vertices=counts.num_vertices,
-            num_arcs=num_arcs,
-            num_ranks=counts.num_ranks,
-            granularity=config.granularity,
-        )
-
 
 @dataclass
 class LevelTiming:
@@ -159,7 +147,7 @@ class LevelTiming:
     # compute durations behind mean/max, and the collective's per-step
     # time split (e.g. inq_intra_gather / inq_inter for the leader
     # allgather family).
-    compute_rank_ns: np.ndarray | None = None
+    compute_rank_ns: np.ndarray
     comm_steps: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -170,24 +158,16 @@ class LevelTiming:
     @property
     def critical_rank(self) -> int:
         """The straggler: rank with the largest compute time this level
-        (the one every other rank waits for at the barrier); -1 when no
-        per-rank detail was recorded."""
-        if self.compute_rank_ns is None or len(self.compute_rank_ns) == 0:
-            return -1
+        (the one every other rank waits for at the barrier)."""
         return int(np.argmax(self.compute_rank_ns))
 
     @property
     def compute_imbalance(self) -> float:
         """Load-imbalance ratio max/mean of the per-rank compute times
-        (1.0 = perfectly balanced; falls back to max/mean of the scalar
-        aggregates when per-rank detail is absent)."""
+        (1.0 = perfectly balanced)."""
         arr = self.compute_rank_ns
-        if arr is not None and len(arr) > 0:
-            mean = float(np.mean(arr))
-            return float(np.max(arr)) / mean if mean > 0 else 1.0
-        if self.compute_mean_ns > 0:
-            return self.compute_max_ns / self.compute_mean_ns
-        return 1.0
+        mean = float(np.mean(arr))
+        return float(np.max(arr)) / mean if mean > 0 else 1.0
 
     def comm_components(self) -> dict[str, float]:
         """This level's communication time per attribution component
@@ -267,7 +247,8 @@ def _roofline(
 
 
 class _Pricer:
-    """Precomputes per-structure latencies/bandwidths for one run."""
+    """Precomputes per-structure latencies/bandwidths for one
+    ``(comm, config, sizes, constants)``; :func:`_pricer` memoises it."""
 
     def __init__(
         self,
@@ -320,13 +301,19 @@ class _Pricer:
                 config.summary_placement(private), self.threads_sockets
             ).shared_sockets,
         )
+        self.allreduce_ns = comm.allreduce_time()
+        self._raw_levels: dict = {}
 
     def _lat(self, name: str, size: float, placement: Placement) -> float:
         return self.memory.access_latency(
             StructureAccess(name, size, placement), self.threads_sockets
         )
 
-    # ---- per-level compute pricing -----------------------------------------
+    # ---- compute pricing, every level of one direction at once ------------
+    #
+    # Inputs are ``(levels, ranks)`` float64 stacks of the per-rank counts;
+    # every operation is elementwise, so each row is bit-identical to
+    # pricing its level alone.
 
     def _adjacency_reads(
         self, vertices: np.ndarray, examined: np.ndarray
@@ -342,14 +329,11 @@ class _Pricer:
         entries_per_line = self.line_bytes / self.c.bytes_per_adjacency_entry
         return vertices + examined / entries_per_line
 
-    def top_down_compute(self, lc: LevelCounts) -> np.ndarray:
-        examined = lc.examined_edges.astype(np.float64)
-        frontier = lc.frontier_local.astype(np.float64)
-        received = (
-            lc.td_send_bytes.sum(axis=0) / 16.0
-            if lc.td_send_bytes is not None
-            else np.zeros_like(examined)
-        )
+    def top_down_compute(
+        self, examined: np.ndarray, frontier: np.ndarray, send: np.ndarray
+    ) -> np.ndarray:
+        """``send`` is the ``(levels, ranks, ranks)`` alltoallv byte stack."""
+        received = send.sum(axis=1) / 16.0  # (child, parent) pairs
         graph_reads = self._adjacency_reads(frontier, examined)
         lat = (
             graph_reads * self.lat_graph
@@ -368,10 +352,12 @@ class _Pricer:
             self.socket.frequency_hz,
         )
 
-    def bottom_up_compute(self, lc: LevelCounts) -> np.ndarray:
-        examined = lc.examined_edges.astype(np.float64)
-        candidates = lc.candidates.astype(np.float64)
-        inq_reads = lc.inqueue_reads.astype(np.float64)
+    def bottom_up_compute(
+        self,
+        examined: np.ndarray,
+        candidates: np.ndarray,
+        inq_reads: np.ndarray,
+    ) -> np.ndarray:
         graph_reads = self._adjacency_reads(candidates, examined)
         # The reference code probes summary and in_queue *simultaneously*
         # (II.B.2): on a zero summary bit the scan proceeds as soon as the
@@ -421,16 +407,19 @@ class _Pricer:
         )
         return stream_t + cpu_t
 
-    # ---- per-level communication pricing ------------------------------------
+    # ---- communication pricing -------------------------------------------
 
-    def top_down_comm(self, lc: LevelCounts) -> tuple[float, dict[str, float]]:
-        steps = {"alltoallv": 0.0}
-        if lc.td_send_bytes is not None:
-            steps["alltoallv"] = float(
-                self.comm.alltoallv_time(lc.td_send_bytes).max(initial=0.0)
-            )
-        steps["allreduce"] = lc.allreduces * self.comm.allreduce_time()
-        return sum(steps.values()), steps
+    def top_down_comm(
+        self, send: np.ndarray, allreduces: list[int]
+    ) -> list[tuple[float, dict[str, float]]]:
+        """Every top-down level's exchange: one alltoallv pricing call
+        over the ``(levels, ranks, ranks)`` byte stack."""
+        worst = self.comm.alltoallv_time(send).max(axis=1, initial=0.0)
+        out = []
+        for a2a, n in zip(worst.tolist(), allreduces):
+            steps = {"alltoallv": a2a, "allreduce": n * self.allreduce_ns}
+            out.append((sum(steps.values()), steps))
+        return out
 
     def _allgather_steps(
         self,
@@ -472,7 +461,14 @@ class _Pricer:
         return t, steps
 
     def bottom_up_comm(self, lc: LevelCounts) -> tuple[float, dict[str, float]]:
+        """A bottom-up level's allgathers and allreduces.  Uncompressed
+        levels depend on three counts only, so their price is memoised
+        (a run repeats one key every level)."""
         encoded = lc.codec not in (None, "raw")
+        key = (lc.inq_part_words, lc.summary_part_words, lc.allreduces)
+        if not encoded and key in self._raw_levels:
+            total, steps = self._raw_levels[key]
+            return total, dict(steps)
         inq_t, inq_steps = self._allgather_steps(
             self.config.in_queue_algorithm(),
             raw_part_bytes=lc.inq_part_words * 8.0,
@@ -492,9 +488,28 @@ class _Pricer:
             )
             total += sum_t
             steps.update({f"summary_{k}": v for k, v in sum_steps.items()})
-        steps["allreduce"] = lc.allreduces * self.comm.allreduce_time()
+        steps["allreduce"] = lc.allreduces * self.allreduce_ns
         total += steps["allreduce"]
+        if not encoded:
+            self._raw_levels[key] = (total, dict(steps))
         return total, steps
+
+
+def _pricer(
+    comm: SimComm,
+    config: BFSConfig,
+    sizes: StructureSizes,
+    constants: CostConstants,
+) -> _Pricer:
+    """The pricer of one pricing context, memoised on the communicator.
+    The injector is part of the key: its link derating enters the
+    collective prices."""
+    pricers = comm.pricers
+    key = (config, sizes, constants, comm.injector)
+    pricer = pricers.get(key)
+    if pricer is None:
+        pricer = pricers[key] = _Pricer(comm, config, sizes, constants)
+    return pricer
 
 
 def assemble(
@@ -504,27 +519,65 @@ def assemble(
     sizes: StructureSizes,
     constants: CostConstants = CostConstants(),
 ) -> BfsTiming:
-    """Price a run's counts on the machine model."""
+    """Price a run's counts on the machine model.
+
+    Each direction's compute is priced in one pass over ``(levels,
+    ranks)`` stacks and every top-down exchange in one alltoallv call;
+    the per-level results are then folded into the breakdown in level
+    order, so the totals are those of pricing level by level.
+    """
     counts.validate()
     if counts.num_ranks != comm.num_ranks:
         raise SimulationError(
             f"counts recorded for {counts.num_ranks} ranks, communicator "
             f"has {comm.num_ranks}"
         )
-    pricer = _Pricer(comm, config, sizes, constants)
+    pricer = _pricer(comm, config, sizes, constants)
+    levels = counts.levels
+    shape = (len(levels), counts.num_ranks)
+    frontier, examined, candidates, inq_reads = np.array(
+        [
+            (lc.frontier_local, lc.examined_edges, lc.candidates,
+             lc.inqueue_reads)
+            for lc in levels
+        ],
+        np.float64,
+    ).reshape(shape[0], 4, shape[1]).transpose(1, 0, 2)
+    td = np.array([lc.direction == Direction.TOP_DOWN for lc in levels], bool)
+    td_levels = [lc for lc in levels if lc.direction == Direction.TOP_DOWN]
+    no_send = np.zeros(shape[1:] * 2, dtype=np.int64)
+    send = np.array([
+        no_send if lc.td_send_bytes is None else lc.td_send_bytes
+        for lc in td_levels
+    ]).reshape(-1, *no_send.shape)
+    td_comm = iter(
+        pricer.top_down_comm(send, [lc.allreduces for lc in td_levels])
+    )
+    bu = ~td
+    comp = np.empty(shape)
+    comp[td] = pricer.top_down_compute(examined[td], frontier[td], send)
+    comp[bu] = pricer.bottom_up_compute(
+        examined[bu], candidates[bu], inq_reads[bu]
+    )
+    comp *= pricer.omp_penalty
+
     timing = BfsTiming()
     bd = timing.breakdown
-    for lc in counts.levels:
+    for lc, row, comp_mean, comp_max in zip(
+        levels, comp, comp.mean(axis=1).tolist(), comp.max(axis=1).tolist()
+    ):
         if lc.direction == Direction.TOP_DOWN:
-            comp = pricer.top_down_compute(lc) * pricer.omp_penalty
-            comm_t, comm_steps = pricer.top_down_comm(lc)
+            comm_t, comm_steps = next(td_comm)
+            bd.td_compute += comp_mean
+            bd.td_comm += comm_t
         else:
-            comp = pricer.bottom_up_compute(lc) * pricer.omp_penalty
             comm_t, comm_steps = pricer.bottom_up_comm(lc)
+            bd.bu_compute += comp_mean
+            bd.bu_comm += comm_t
         switch_t = pricer.switch_time(lc)
-        comp_mean = float(comp.mean())
-        comp_max = float(comp.max())
         stall = comp_max - comp_mean
+        bd.switch += switch_t
+        bd.stall += stall
         timing.levels.append(
             LevelTiming(
                 level=lc.level,
@@ -534,16 +587,8 @@ def assemble(
                 comm_ns=comm_t,
                 switch_ns=switch_t,
                 stall_ns=stall,
-                compute_rank_ns=comp.copy(),
+                compute_rank_ns=row,
                 comm_steps=comm_steps,
             )
         )
-        if lc.direction == Direction.TOP_DOWN:
-            bd.td_compute += comp_mean
-            bd.td_comm += comm_t
-        else:
-            bd.bu_compute += comp_mean
-            bd.bu_comm += comm_t
-        bd.switch += switch_t
-        bd.stall += stall
     return timing

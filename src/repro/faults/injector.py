@@ -5,8 +5,8 @@ for the duration of a run.  The hooks are:
 
 * :meth:`begin_level` — the engine announces each level before expanding
   it, so collective-level decisions know where they are;
-* :meth:`collective_attempt` — every simulated collective calls this
-  after computing its (priced) result but before delivering data; a
+* :meth:`collective_attempt` — each functional collective (``allgather``,
+  ``alltoallv``) calls this after pricing, before delivering data; a
   scheduled transient failure raises
   :class:`TransientCollectiveFault` carrying the wasted simulated time
   (the full attempt is re-transmitted on retry);
@@ -170,7 +170,8 @@ class FaultInjector:
     # ---- collective hooks ------------------------------------------------
 
     def collective_attempt(self, op: str, wasted_ns: float = 0.0) -> None:
-        """Consulted by every collective after pricing, before delivery.
+        """Consulted by each functional collective after pricing, before
+        delivery (the counted-only allreduces never call it).
 
         Raises :class:`TransientCollectiveFault` when the plan schedules
         a transient failure for this invocation.

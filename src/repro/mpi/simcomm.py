@@ -1,11 +1,12 @@
 """The simulated communicator.
 
 ``SimComm`` owns the channel timing primitives (shared-memory copies
-inside a node, InfiniBand transfers between nodes) and the small
-collectives the BFS engine needs besides allgather (``alltoallv`` for
-the top-down queue exchange, ``allreduce`` for frontier counts and
-termination detection, ``barrier`` for stall accounting).  The
-allgather family lives in :mod:`repro.mpi.collectives`.
+inside a node, InfiniBand transfers between nodes) and what the BFS
+engine needs besides allgather: ``alltoallv`` for the top-down queue
+exchange and the latency of the small ``allreduce`` that carries the
+frontier counts and the termination check (counted per level, priced
+by ``allreduce_time``).  The allgather family lives in
+:mod:`repro.mpi.collectives`.
 
 Ranks execute bulk-synchronously in one Python process, so a collective
 receives every rank's contribution at once and returns the received
@@ -79,7 +80,7 @@ class SimComm:
         # both read this so functional events and assembled timings agree.
         self.codec_model = CodecCostModel()
         self.num_ranks = mapping.num_ranks
-        # Telemetry sink: every collective emits one CommEvent with its
+        # Telemetry sink: each collective call emits one CommEvent with its
         # per-rank simulated durations; the default null tracer makes
         # that a no-op guarded by a single attribute check.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -88,12 +89,10 @@ class SimComm:
         # degradation.  None (the default) keeps the hot path unchanged —
         # each hook is a single attribute check.
         self.injector = None
+        # repro.core.timing's pricers, memoised per pricing context.
+        self.pricers: dict = {}
 
     # ---- channel primitives ------------------------------------------------
-
-    def same_node(self, r1: int, r2: int) -> bool:
-        """True when two ranks share a node."""
-        return self.mapping.node_of(r1) == self.mapping.node_of(r2)
 
     def shm_copy_time(self, nbytes: float, concurrent_flows: int = 1) -> float:
         """Time (ns) for one rank to copy ``nbytes`` within its node while
@@ -116,11 +115,13 @@ class SimComm:
             return 0.0
         return self.network.transfer_time(nbytes, flows=flows, node_index=node_index)
 
-    def _rank_topology(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _rank_topology(self) -> tuple[np.ndarray, ...]:
         """Memoized per-rank topology arrays for the pricing hot path:
-        owning node per rank, the rank×rank same-node mask, and each
-        rank's *static* network derating (the injector's dynamic link
-        derating is applied by the caller — it can change run to run)."""
+        owning node per rank, the rank×rank same-node mask, each rank's
+        *static* network derating (the injector's dynamic link derating
+        is applied by the caller — it can change run to run), and the
+        alltoallv pair classes: off-diagonal same-node pairs (shared
+        memory) and cross-node pairs (InfiniBand)."""
         cached = getattr(self, "_rank_topo", None)
         if cached is None:
             nodes = np.array(
@@ -132,7 +133,8 @@ class SimComm:
                 [self.cluster.network_derating(int(n)) for n in nodes],
                 dtype=np.float64,
             )
-            cached = (nodes, same, base)
+            intra = same & ~np.eye(self.num_ranks, dtype=bool)
+            cached = (nodes, same, base, intra, ~same)
             self._rank_topo = cached
         return cached
 
@@ -158,23 +160,6 @@ class SimComm:
 
     # ---- small collectives ---------------------------------------------------
 
-    def barrier(self, clocks: np.ndarray) -> np.ndarray:
-        """Stall times that align every rank to the latest clock."""
-        clocks = np.asarray(clocks, dtype=np.float64)
-        if clocks.shape != (self.num_ranks,):
-            raise CommunicationError(
-                f"barrier expects {self.num_ranks} clocks, got {clocks.shape}",
-                collective="barrier",
-            )
-        stalls = clocks.max() - clocks
-        if self.tracer.enabled:
-            self.tracer.comm_event(
-                "barrier",
-                rank_times=stalls,
-                breakdown={"stall": float(stalls.max(initial=0.0))},
-            )
-        return stalls
-
     def allreduce_time(self) -> float:
         """Latency of a small-payload allreduce: log2(np) rounds, each at
         the latency of the slowest channel class in use."""
@@ -185,74 +170,21 @@ class SimComm:
             per_round = self.cluster.node.shm_latency_ns
         return rounds * per_round
 
-    def allreduce_sum(self, values: np.ndarray) -> CollectiveResult:
-        """Sum a per-rank scalar (or vector) across all ranks."""
-        values = np.asarray(values)
-        if values.shape[0] != self.num_ranks:
-            raise CommunicationError(
-                f"allreduce expects one value per rank ({self.num_ranks})",
-                collective="allreduce_sum",
-            )
-        if self.injector is not None:
-            self.injector.collective_attempt(
-                "allreduce", wasted_ns=self.allreduce_time()
-            )
-        total = values.sum(axis=0)
-        t = self.allreduce_time()
-        result = CollectiveResult(
-            data=total,
-            rank_times=np.full(self.num_ranks, t),
-            breakdown={"allreduce": t},
-        )
-        if self.tracer.enabled:
-            self.tracer.comm_event(
-                "allreduce_sum",
-                nbytes=float(values.nbytes),
-                rank_times=result.rank_times,
-                breakdown=result.breakdown,
-            )
-        return result
-
-    def allreduce_max(self, values: np.ndarray) -> CollectiveResult:
-        """Elementwise maximum across all ranks."""
-        values = np.asarray(values)
-        if values.shape[0] != self.num_ranks:
-            raise CommunicationError(
-                f"allreduce expects one value per rank ({self.num_ranks})",
-                collective="allreduce_max",
-            )
-        if self.injector is not None:
-            self.injector.collective_attempt(
-                "allreduce", wasted_ns=self.allreduce_time()
-            )
-        total = values.max(axis=0)
-        t = self.allreduce_time()
-        result = CollectiveResult(
-            data=total,
-            rank_times=np.full(self.num_ranks, t),
-            breakdown={"allreduce": t},
-        )
-        if self.tracer.enabled:
-            self.tracer.comm_event(
-                "allreduce_max",
-                nbytes=float(values.nbytes),
-                rank_times=result.rank_times,
-                breakdown=result.breakdown,
-            )
-        return result
-
     # ---- alltoallv ------------------------------------------------------------
 
     def alltoallv_time(self, send_bytes: np.ndarray) -> np.ndarray:
         """Per-rank time of an alltoallv given its byte matrix.
 
-        ``send_bytes[i, j]`` is the payload rank ``i`` sends to rank ``j``;
-        self-messages are free (local pointer hand-off).  A rank's time is
-        the maximum of its send side and its receive side.
+        ``send_bytes[..., i, j]`` is the payload rank ``i`` sends to rank
+        ``j``; self-messages are free (local pointer hand-off).  A rank's
+        time is the maximum of its send side and its receive side.  A
+        stack of matrices, shape ``(..., R, R)``, prices every one in one
+        pass and returns ``(..., R)`` — each row bit-identical to pricing
+        its matrix alone.
         """
         np_ranks = self.num_ranks
         send_bytes = np.asarray(send_bytes, dtype=np.float64)
-        if send_bytes.shape != (np_ranks, np_ranks):
+        if send_bytes.shape[-2:] != (np_ranks, np_ranks):
             raise CommunicationError(
                 f"alltoallv expects a {np_ranks}x{np_ranks} byte matrix",
                 collective="alltoallv",
@@ -263,26 +195,26 @@ class SimComm:
         inter_bw = self.network.flow_bandwidth(max(1, ppn))
         intra_bw = self.memory.copy_bandwidth(max(1, ppn))
 
-        nodes, same_node, derate = self._rank_topology()
-        nonzero = send_bytes > 0
-        np.fill_diagonal(nonzero, False)
+        nodes, _, derate, intra, inter = self._rank_topology()
         if self.injector is not None:
             derate = derate * np.array(
                 [self.injector.link_derating(int(n)) for n in nodes]
             )
-
-        intra_mask = nonzero & same_node
-        inter_mask = nonzero & ~same_node
+        nonzero = send_bytes > 0
+        intra_mask = nonzero & intra
+        inter_mask = nonzero & inter
+        intra_bytes = send_bytes * intra_mask
+        inter_bytes = send_bytes * inter_mask
         send_t = (
-            intra_mask.sum(axis=1) * shm_lat
-            + (send_bytes * intra_mask).sum(axis=1) / intra_bw * 1e9
-            + inter_mask.sum(axis=1) * ib_lat
-            + (send_bytes * inter_mask).sum(axis=1) / (inter_bw * derate) * 1e9
+            intra_mask.sum(axis=-1) * shm_lat
+            + intra_bytes.sum(axis=-1) / intra_bw * 1e9
+            + inter_mask.sum(axis=-1) * ib_lat
+            + inter_bytes.sum(axis=-1) / (inter_bw * derate) * 1e9
         )
         recv_t = (
-            nonzero.sum(axis=0) * min(ib_lat, shm_lat)
-            + (send_bytes * intra_mask).sum(axis=0) / intra_bw * 1e9
-            + (send_bytes * inter_mask).sum(axis=0) / inter_bw * 1e9
+            (intra_mask | inter_mask).sum(axis=-2) * min(ib_lat, shm_lat)
+            + intra_bytes.sum(axis=-2) / intra_bw * 1e9
+            + inter_bytes.sum(axis=-2) / inter_bw * 1e9
         )
         return np.maximum(send_t, recv_t)
 
@@ -315,7 +247,7 @@ class SimComm:
             wire_bytes=total - self_bytes,
         )
         if self.tracer.enabled:
-            _, same_node, _ = self._rank_topology()
+            same_node = self._rank_topology()[1]
             intra = float(send_bytes[same_node].sum()) - self_bytes
             self.tracer.comm_event(
                 "alltoallv",

@@ -533,7 +533,9 @@ def _trace_drift(
     without the other (the exact failure mode the PR-3 codec pricing
     mirrors guard against).  Only ops that execute functionally are
     compared: the summary allgather is priced but never transmitted, and
-    the control allreduces are counted, not executed.
+    the control allreduces are counted, not executed.  A traced run
+    executes every level's ``alltoallv``, which ``assemble`` prices in
+    one stacked call: equal sums pin that call to the per-level one.
     """
     per_op: dict[str, float] = {}
     for ev in telemetry.comm_events:

@@ -20,6 +20,8 @@ from repro.graph import (
 )
 from repro.machine import paper_cluster
 from repro.mpi import BindingPolicy
+from repro.mpi.simcomm import SimComm
+from repro.obs.tracer import SpanTracer
 
 
 def to_networkx(graph):
@@ -219,6 +221,55 @@ class TestEngineAccounting:
         total_from_levels = sum(lt.total_ns for lt in res.timing.levels)
         assert total_from_levels == pytest.approx(bd.total, rel=1e-9)
         assert bd.bu_comm > 0 and bd.bu_compute > 0
+
+    def test_alltoallv_priced_once_per_run(self, monkeypatch):
+        """Fault-free and untraced, the level loop skips the data-less
+        alltoallv: the run's one ``alltoallv_time`` call is assemble's,
+        over every top-down level's byte matrix at once."""
+        import repro.core.engine as engine_mod
+
+        calls, pricing = [], []
+        price, assemble = SimComm.alltoallv_time, engine_mod.assemble
+
+        def counted(comm, send_bytes):
+            calls.append((bool(pricing), np.shape(send_bytes)))
+            return price(comm, send_bytes)
+
+        def assembling(*args, **kwargs):
+            pricing.append(True)
+            try:
+                return assemble(*args, **kwargs)
+            finally:
+                pricing.pop()
+
+        monkeypatch.setattr(SimComm, "alltoallv_time", counted)
+        monkeypatch.setattr(engine_mod, "assemble", assembling)
+        g = rmat_graph(scale=12, seed=8)
+        res = BFSEngine(g, paper_cluster(nodes=2), BFSConfig()).run(
+            int(np.argmax(g.degrees()))
+        )
+        td = sum(lc.direction == "top_down" for lc in res.counts.levels)
+        ranks = res.counts.num_ranks
+        assert td >= 2
+        assert calls == [(True, (td, ranks, ranks))]
+
+    def test_traced_run_still_emits_alltoallv_events(self):
+        """With a recording tracer every top-down level still runs its
+        alltoallv, and each event's time is the level's priced one."""
+        g = rmat_graph(scale=12, seed=8)
+        res = BFSEngine(
+            g, paper_cluster(nodes=2), BFSConfig(), tracer=SpanTracer()
+        ).run(int(np.argmax(g.degrees())))
+        events = [
+            ev.max_time_ns for ev in res.telemetry.comm_events
+            if ev.op == "alltoallv"
+        ]
+        priced = [
+            lt.comm_steps["alltoallv"] for lt in res.timing.levels
+            if lt.direction == "top_down"
+        ]
+        assert len(priced) >= 2
+        assert events == priced
 
     def test_summary_reads_depend_on_granularity(self):
         """Raising granularity increases in_queue reads (fewer zero summary

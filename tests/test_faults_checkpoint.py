@@ -20,6 +20,7 @@ from repro.faults import (
     DiskCheckpointStore,
     FaultPlan,
     MemoryCheckpointStore,
+    PayloadCorruption,
     RankCrash,
     ResilienceConfig,
 )
@@ -94,6 +95,34 @@ def test_sparse_checkpoint_cadence(graph, store_kind, tmp_path):
     assert result.timing.total_ns == baseline.timing.total_ns
     # crash at 3, last snapshot at 2 -> levels 2 and 3 were lost
     assert result.recovery.replayed_levels == (2, 3)
+
+
+def test_corruption_rollback_to_older_snapshot_resumes_bit_identically(graph):
+    """checkpoint_every=2: a corrupted allgather at an odd level rolls
+    back past the current frontier, so everything the level loop carries
+    across levels must be rebuilt from the restored one."""
+    cluster = paper_cluster(nodes=2)
+    config = _config("activeset", "raw")
+    baseline = BFSEngine(graph, cluster, config).run(ROOT)
+    bottom_up = [
+        lc.level for lc in baseline.counts.levels
+        if lc.direction == "bottom_up" and lc.level % 2
+    ]
+    assert bottom_up
+    for level in bottom_up:
+        plan = FaultPlan(
+            seed=0, corruptions=(PayloadCorruption(level=level, bit_flips=3),)
+        )
+        result = BFSEngine(
+            graph, cluster, config,
+            faults=plan,
+            resilience=ResilienceConfig(
+                checkpoint_every=2, store=MemoryCheckpointStore()
+            ),
+        ).run(ROOT)
+        assert result.recovery.rollbacks == 1, level
+        assert np.array_equal(result.parent, baseline.parent), level
+        assert result.timing.total_ns == baseline.timing.total_ns, level
 
 
 def test_checkpoint_npz_round_trip(tmp_path):

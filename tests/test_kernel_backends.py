@@ -300,6 +300,56 @@ class TestLevelContract:
                 )
 
 
+class TestFrontiersPartitionedByBounds:
+    """The engine sizes a frontier per rank with one binary search per
+    partition bound and takes the next level's frontier edges from the
+    kernel's discovered degree.  Both need every backend's frontiers
+    grouped by owner (rank-major from ``top_down_expand``, ascending from
+    ``bottom_up_scan``) and its degree sums exact."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        words=st.integers(1, 8),
+        ranks=st.integers(1, 8),
+        lanes=st.integers(1, 3),
+    )
+    def test_bounds_sizes_match_bincount(self, seed, words, ranks, lanes):
+        rng = np.random.default_rng(seed)
+        n = 64 * words
+        graph = random_csr(rng, n)
+        graph.num_vertices = n
+        degrees = np.diff(graph.offsets)
+        cuts = np.sort(rng.integers(0, words + 1, ranks - 1))
+        bounds = 64 * np.concatenate(([0], cuts, [words])).astype(np.int64)
+        owner_of = np.repeat(np.arange(ranks, dtype=np.int64), np.diff(bounds))
+        roots = rng.integers(0, n, lanes)
+
+        def check(frontier, disc_degree, name):
+            sizes = np.diff(np.searchsorted(frontier, bounds))
+            want = np.bincount(owner_of[frontier], minlength=ranks)
+            assert np.array_equal(sizes, want), name
+            assert disc_degree.sum() == degrees[frontier].sum(), name
+
+        for name, backend in BACKENDS.items():
+            parent = np.full((lanes, n), -1, dtype=np.int64)
+            parent[np.arange(lanes), roots] = roots
+            frontiers = [np.array([r], dtype=np.int64) for r in roots]
+            for _ in range(3):
+                res = backend.top_down_expand(
+                    graph, frontiers, parent, np.arange(lanes), owner_of,
+                    bounds,
+                )
+                for f, disc in zip(res.frontiers, res.disc_degree):
+                    check(f, disc, name)
+                frontiers = res.frontiers
+            in_queue = Bitmap.from_indices(n, frontiers[0])
+            res = backend.bottom_up_scan(
+                graph, parent[0], in_queue, None, bounds
+            )
+            check(res.discovered, res.rank_disc_degree, name)
+
+
 class TestEngineEquivalence:
     """Whole-run equivalence: parents, per-level counts, priced time."""
 

@@ -209,35 +209,6 @@ class TestAllgatherTiming:
 
 
 class TestSimCommPrimitives:
-    def test_barrier_stalls(self):
-        comm = make_comm(nodes=2, ppn=8)
-        clocks = np.arange(comm.num_ranks, dtype=float)
-        stalls = comm.barrier(clocks)
-        assert stalls.max() == clocks.max()
-        assert stalls[np.argmax(clocks)] == 0.0
-
-    def test_barrier_shape_checked(self):
-        comm = make_comm(nodes=2, ppn=8)
-        with pytest.raises(CommunicationError):
-            comm.barrier(np.zeros(3))
-
-    def test_allreduce_sum(self):
-        comm = make_comm(nodes=2, ppn=8)
-        values = np.arange(comm.num_ranks)
-        res = comm.allreduce_sum(values)
-        assert res.data == values.sum()
-        assert res.max_time > 0
-
-    def test_allreduce_max(self):
-        comm = make_comm(nodes=2, ppn=8)
-        res = comm.allreduce_max(np.arange(comm.num_ranks))
-        assert res.data == comm.num_ranks - 1
-
-    def test_allreduce_shape_checked(self):
-        comm = make_comm(nodes=2, ppn=8)
-        with pytest.raises(CommunicationError):
-            comm.allreduce_sum(np.zeros(2))
-
     def test_alltoallv_prices_byte_matrix(self):
         comm = make_comm(nodes=2, ppn=2)
         n = comm.num_ranks
@@ -249,6 +220,21 @@ class TestSimCommPrimitives:
         assert res.raw_bytes == send_bytes.sum()
         # Self-messages are pointer hand-offs, not wire traffic.
         assert res.wire_bytes == send_bytes.sum() - np.trace(send_bytes)
+
+    @pytest.mark.parametrize("nodes, ppn", [(1, 8), (4, 8), (16, 1)])
+    def test_alltoallv_time_stack_matches_each_matrix(self, nodes, ppn):
+        """A ``(levels, R, R)`` stack prices every matrix bit-identically
+        to pricing it alone (what the one-call-per-run pricing relies on);
+        a stack of none prices to an empty ``(0, R)``."""
+        comm = make_comm(nodes=nodes, ppn=ppn)
+        n = comm.num_ranks
+        rng = np.random.default_rng(nodes * ppn)
+        stack = rng.integers(0, 5000, (5, n, n)) * (rng.random((5, n, n)) < 0.4)
+        times = comm.alltoallv_time(stack)
+        assert times.shape == (5, n)
+        for matrix, row in zip(stack, times):
+            assert np.array_equal(comm.alltoallv_time(matrix), row)
+        assert comm.alltoallv_time(np.zeros((0, n, n))).shape == (0, n)
 
     def test_alltoallv_empty_messages_free(self):
         comm = make_comm(nodes=2, ppn=2)
