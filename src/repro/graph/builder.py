@@ -4,6 +4,15 @@ edge lists.
 Mirrors the preprocessing of the Graph500 reference code: the generator's
 edge list is symmetrized, self-loops are dropped, duplicate edges are
 merged, and the adjacency of every vertex is sorted.
+
+All four steps are one in-place sort of one int64 key per directed arc,
+``src * n + dst``: sorted keys are grouped by source with targets
+ascending, equal keys are identical arcs (so dropping a key equal to its
+predecessor deduplicates, and sort stability is never observable), and
+``a * n + b = b - a (mod n + 1)`` makes a self-loop exactly a key divisible
+by ``n + 1``.  The row offsets are a ``searchsorted`` of ``v * n`` and the
+targets are the keys modulo ``n``, computed in place, so the build holds
+one arc-sized array at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +23,13 @@ from repro.errors import GraphError
 from repro.graph.types import EdgeList, Graph
 
 __all__ = ["build_graph", "from_edge_arrays"]
+
+#: Arcs per block of the compaction pass and of the invariant check, so
+#: their temporaries stay small however large the graph.
+_BLOCK = 1 << 20
+
+#: ``src * n + dst`` must fit in int64: n * n <= 2**63 - 1.
+_MAX_VERTICES = 3_037_000_499
 
 
 def from_edge_arrays(
@@ -33,53 +49,84 @@ def from_edge_arrays(
 
 def build_graph(edges: EdgeList, meta: dict | None = None) -> Graph:
     """Symmetrize, deduplicate, drop self-loops and produce sorted CSR."""
+    return csr_from_keys(arc_keys(edges), edges.num_vertices, meta)
+
+
+def arc_keys(edges: EdgeList) -> np.ndarray:
+    """One int64 key per directed arc of the symmetrized edge list:
+    ``src * n + dst`` for every edge, then ``dst * n + src``."""
     n = edges.num_vertices
+    if n > _MAX_VERTICES:
+        raise GraphError(
+            f"{n} vertices overflow the int64 arc key src * n + dst "
+            f"(at most {_MAX_VERTICES})"
+        )
     src = edges.sources.astype(np.int64, copy=False)
     dst = edges.targets.astype(np.int64, copy=False)
+    m = src.size
+    key = np.empty(2 * m, dtype=np.int64)
+    fwd, rev = key[:m], key[m:]
+    np.multiply(src, n, out=fwd)
+    fwd += dst
+    np.multiply(dst, n, out=rev)
+    rev += src
+    return key
 
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
 
-    # Symmetrize: store both directions.
-    all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
-
-    if all_src.size:
-        # Deduplicate directed arcs by sorting on a combined key.
-        key = all_src * np.int64(n) + all_dst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        uniq = np.empty(key.size, dtype=bool)
-        uniq[0] = True
-        np.not_equal(key[1:], key[:-1], out=uniq[1:])
-        all_src = all_src[order][uniq]
-        all_dst = all_dst[order][uniq]
-
-    counts = np.bincount(all_src, minlength=n).astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    # After the sort, arcs are grouped by source with targets ascending,
-    # so all_dst is already CSR-ordered.
+def csr_from_keys(key: np.ndarray, n: int, meta: dict | None = None) -> Graph:
+    """Sort, deduplicate and decode the arc keys of :func:`arc_keys` into a
+    CSR graph over ``n`` vertices.  ``key`` is consumed: its buffer becomes
+    the graph's ``targets``."""
+    key.sort()
+    # Shrinking reallocates in place and leaves an owned, contiguous
+    # buffer; the block views of _compact are gone by now.
+    key.resize(_compact(key, n), refcheck=False)
+    offsets = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    if key.size:
+        np.remainder(key, n, out=key)
     graph = Graph(
-        num_vertices=n,
-        offsets=offsets,
-        targets=all_dst.astype(np.int64, copy=False),
-        meta=dict(meta or {}),
+        num_vertices=n, offsets=offsets, targets=key, meta=dict(meta or {})
     )
     _check_csr_invariants(graph)
     return graph
 
 
+def _compact(key: np.ndarray, n: int) -> int:
+    """Move the sorted keys worth keeping to the front of ``key``, block by
+    block, and return how many there are.  A key goes if it repeats its
+    predecessor or is a self-loop (divisible by ``n + 1``)."""
+    kept = 0
+    for lo in range(0, key.size, _BLOCK):
+        block = key[lo : lo + _BLOCK]
+        keep = block % (n + 1) != 0
+        keep[1:] &= block[1:] != block[:-1]
+        if lo:
+            # key[lo - 1] is still the original: kept <= lo.
+            keep[0] &= block[0] != key[lo - 1]
+        block = block[keep]
+        key[kept : kept + block.size] = block
+        kept += block.size
+    return kept
+
+
 def _check_csr_invariants(graph: Graph) -> None:
-    """Cheap invariant checks: adjacency sorted, no self loops."""
-    n = graph.num_vertices
-    t = graph.targets
-    if t.size == 0:
-        return
-    # Sorted within each row: a decrease may only happen at row boundaries.
-    dec = np.flatnonzero(t[1:] <= t[:-1]) + 1
-    boundaries = graph.offsets[1:-1]
-    if not np.all(np.isin(dec, boundaries)):
-        raise GraphError("CSR adjacency is not sorted/deduplicated")
-    row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
-    if np.any(row_of == t):
-        raise GraphError("CSR contains self loops")
+    """Cheap invariant checks: adjacency sorted, no self loops.
+
+    Works in blocks of arcs, so its temporaries stay block-sized.  Within
+    a row the targets must strictly increase; across a row boundary (the
+    start of any row, empty rows included) they may do anything.
+    """
+    offsets, t = graph.offsets, graph.targets
+    for lo in range(0, t.size, _BLOCK):
+        hi = min(lo + _BLOCK, t.size)
+        # Rows owning arcs lo-1 .. hi-1 (arc lo-1 links the blocks).
+        first = max(lo - 1, 0)
+        r0 = int(np.searchsorted(offsets, first, side="right")) - 1
+        r1 = int(np.searchsorted(offsets, hi - 1, side="right"))
+        bounds = np.clip(offsets[r0 : r1 + 1], first, hi)
+        rows = np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(bounds))
+        tb = t[first:hi]
+        if np.any((tb[1:] <= tb[:-1]) & (rows[1:] == rows[:-1])):
+            raise GraphError("CSR adjacency is not sorted/deduplicated")
+        if np.any(rows == tb):
+            raise GraphError("CSR contains self loops")
