@@ -370,6 +370,7 @@ class BFSEngine:
                     else:
                         bottom_up.append(s)
 
+            fault = None
             try:
                 with tr.span(
                     "level",
@@ -395,43 +396,36 @@ class BFSEngine:
                 # Checksum mismatch: the gathered frontier is not
                 # trustworthy; nothing durable was mutated yet, so roll
                 # back and replay from the last snapshot.
-                frontiers[0], level, prev_direction[0] = self._rollback(
-                    "corruption", exc, level, policies[0], parent[0],
-                    unexplored[0], counts[0], visited0, log,
-                    lost_through=level,
-                )
-                sizes[0], frontier_edges[0] = self._frontier_facts(frontiers[0])
-                last_ckpt_level = level
-                continue
-
-            for lanes, (new, disc_degree) in stepped:
-                for s, frontier, disc in zip(lanes, new, disc_degree):
-                    frontiers[s] = frontier
-                    unexplored[s] -= disc
-                    frontier_edges[s] = int(disc.sum())
-            for s in live:
-                lc = lcs[s]
-                lc.discovered = sizes[s] = self._rank_sizes(frontiers[s])
-                counts[s].levels.append(lc)
-                prev_direction[s] = lc.direction
-            level += 1
-
-            if inj is not None:
+                fault = ("corruption", exc, level, None)
+            else:
+                for lanes, (new, disc_degree) in stepped:
+                    for s, frontier, disc in zip(lanes, new, disc_degree):
+                        frontiers[s] = frontier
+                        unexplored[s] -= disc
+                        frontier_edges[s] = int(disc.sum())
+                for s in live:
+                    lc = lcs[s]
+                    lc.discovered = sizes[s] = self._rank_sizes(frontiers[s])
+                    counts[s].levels.append(lc)
+                    prev_direction[s] = lc.direction
+                level += 1
                 # Crash detection happens at the level barrier — the
                 # crashed level's work completed on the survivors but is
                 # lost with the dead rank, so it genuinely gets replayed
                 # from the last snapshot.
-                crash = inj.take_crash(level - 1)
+                crash = None if inj is None else inj.take_crash(level - 1)
                 if crash is not None:
-                    frontiers[0], level, prev_direction[0] = self._rollback(
-                        "crash", None, level - 1, policies[0], parent[0],
-                        unexplored[0], counts[0], visited0, log,
-                        lost_through=level - 1, rank=crash.rank,
-                    )
-                    sizes[0], frontier_edges[0] = self._frontier_facts(
-                        frontiers[0]
-                    )
-                    last_ckpt_level = level
+                    fault = ("crash", None, level - 1, crash.rank)
+            if fault is not None:
+                # Restore lane 0 and rebuild what the loop carries across
+                # levels from the restored frontier.
+                kind, cause, at_level, rank = fault
+                frontiers[0], level, prev_direction[0] = self._rollback(
+                    kind, cause, at_level, policies[0], parent[0],
+                    unexplored[0], counts[0], visited0, log, rank=rank,
+                )
+                sizes[0], frontier_edges[0] = self._frontier_facts(frontiers[0])
+                last_ckpt_level = level
 
         results = []
         for s, root in enumerate(roots):
@@ -511,59 +505,47 @@ class BFSEngine:
 
     # ---- fault tolerance -----------------------------------------------------
 
-    def _rank_parents(self, parent: np.ndarray) -> list[np.ndarray]:
-        """Each rank's view of the global parent array."""
-        bounds = self.partition.bounds
-        return [parent[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
     def _checkpoint(
         self, level, prev_direction, policy, parent, unexplored, frontier,
         visited_words, log,
     ) -> None:
-        """Snapshot the run at a level boundary and price the capture.
-
-        The snapshot keeps the per-rank layout recovery pricing and the
-        on-disk format are defined over: parent slices, unexplored
-        degrees and local-id frontier lists."""
+        """Snapshot the run at a level boundary and price the capture."""
         res_cfg = self.resilience
-        parts = np.split(frontier, np.cumsum(self._rank_sizes(frontier))[:-1])
         ckpt = BFSCheckpoint.capture(
             level=level,
             prev_direction=prev_direction,
             policy=policy,
-            parents=self._rank_parents(parent),
+            parent=parent,
             unexplored=unexplored,
-            frontier_lists=[
-                part - lo for part, lo in zip(parts, self.partition.bounds)
-            ],
+            frontier=frontier,
             visited_words=visited_words,
         )
+        nbytes = ckpt.nbytes
         with self.tracer.span(
-            "recovery.checkpoint", cat="recovery",
-            level=level, nbytes=ckpt.nbytes,
+            "recovery.checkpoint", cat="recovery", level=level, nbytes=nbytes,
         ):
             res_cfg.store.put(ckpt)
         log.checkpoints += 1
-        log.checkpoint_bytes += ckpt.nbytes
+        log.checkpoint_bytes += nbytes
         log.fixed_overhead_ns += res_cfg.cost.checkpoint_ns(
-            ckpt.nbytes, res_cfg.on_disk
+            nbytes, res_cfg.on_disk
         )
         if self.metrics is not None:
             self.metrics.counter("recovery.checkpoints_total").inc()
             self.metrics.counter("recovery.checkpoint_bytes_total").inc(
-                float(ckpt.nbytes)
+                float(nbytes)
             )
 
     def _rollback(
         self, kind, cause, at_level, policy, parent, unexplored, counts,
-        visited_words, log, *, lost_through, rank=None,
+        visited_words, log, *, rank=None,
     ):
         """Restore the latest snapshot after a fault at ``at_level``.
 
         Rewinds the live state, truncates the already-recorded level
         counts (the final pricing must never double-count a replayed
         level) and logs the lost executions — levels ``ckpt.level``
-        through ``lost_through`` inclusive ran once for nothing, so
+        through ``at_level`` inclusive ran once for nothing, so
         :meth:`RecoveryLog.overhead_ns` charges each of them once more at
         its final price.  Returns ``(frontier, level, prev_direction)``
         to resume from; ``parent``, ``unexplored`` and ``visited_words``
@@ -594,16 +576,11 @@ class BFSEngine:
             "recovery.rollback", cat="recovery",
             kind=kind, from_level=at_level, to_level=ckpt.level,
         ):
-            frontier_lists, visited = ckpt.restore(
-                policy, self._rank_parents(parent), unexplored
-            )
+            frontier, visited = ckpt.restore(policy, parent, unexplored)
             if visited_words is not None and visited is not None:
                 visited_words[:] = visited
-        frontier = np.concatenate(
-            [f + lo for f, lo in zip(frontier_lists, self.partition.bounds)]
-        )
         del counts.levels[ckpt.level:]
-        log.replayed_levels.extend(range(ckpt.level, lost_through + 1))
+        log.replayed_levels.extend(range(ckpt.level, at_level + 1))
         overhead = res_cfg.cost.restore_ns(ckpt.nbytes, res_cfg.on_disk)
         if kind == "crash":
             overhead += res_cfg.cost.crash_detect_ns + res_cfg.cost.respawn_ns

@@ -33,7 +33,6 @@ from repro.faults.injector import (
     FaultEvent,
     FaultInjector,
     PayloadCorruptionFault,
-    RankCrashFault,
     TransientCollectiveFault,
     words_checksum,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "PayloadCorruptionFault",
-    "RankCrashFault",
     "TransientCollectiveFault",
     "words_checksum",
     "FaultPlan",

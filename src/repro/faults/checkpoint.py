@@ -1,12 +1,13 @@
 """Level-granular checkpointing of BFS engine state.
 
 A :class:`BFSCheckpoint` captures everything the engine needs to resume
-a run at the start of a level: the per-rank parent slices and unexplored
-degrees, the per-rank frontier lists (local ids), the codec's
-common-knowledge visited mask,
-the direction-policy state and the level counter.  Checkpoints are deep
-copies — later mutation of the live run never leaks in — and round-trip
-bit-identically through the on-disk ``.npz`` format.
+a run at the start of a level, as the run's own global arrays: the
+parent array, the per-rank unexplored degrees, the frontier (global
+ids, in the level loop's order), the codec's common-knowledge visited
+mask, the direction-policy state and the level counter.  Checkpoints
+are deep copies — later mutation of the live run never leaks in — and
+round-trip bit-identically through the on-disk ``.npz`` format (format
+2: one archive member per array).
 
 Stores implement a two-method protocol (``put`` / ``latest``):
 :class:`MemoryCheckpointStore` keeps copies in RAM,
@@ -33,7 +34,7 @@ __all__ = [
     "DiskCheckpointStore",
 ]
 
-_FORMAT = 1
+_FORMAT = 2
 
 
 @dataclass
@@ -44,25 +45,21 @@ class BFSCheckpoint:
     prev_direction: str | None
     policy_direction: str
     policy_finished_bottom_up: bool
-    parents: list[np.ndarray]
-    unexplored: list[int]
-    frontier_lists: list[np.ndarray]
+    parent: np.ndarray
+    unexplored: np.ndarray
+    frontier: np.ndarray
     visited_words: np.ndarray | None
 
     @property
-    def num_ranks(self) -> int:
-        """Rank count this snapshot was captured from."""
-        return len(self.parents)
-
-    @property
     def nbytes(self) -> int:
-        """Payload size (the quantity recovery pricing charges)."""
-        total = sum(int(p.nbytes) for p in self.parents)
-        total += sum(int(f.nbytes) for f in self.frontier_lists)
+        """Payload size (the quantity recovery pricing charges): what
+        the ranks would write — parent slices, frontiers, one unexplored
+        degree each — plus the codec's visited mask."""
+        total = self.parent.nbytes + self.frontier.nbytes
+        total += 8 * self.unexplored.size
         if self.visited_words is not None:
-            total += int(self.visited_words.nbytes)
-        total += 8 * len(self.unexplored)
-        return total
+            total += self.visited_words.nbytes
+        return int(total)
 
     # ---- capture / restore ------------------------------------------------
 
@@ -73,58 +70,49 @@ class BFSCheckpoint:
         level: int,
         prev_direction: str | None,
         policy,
-        parents: list[np.ndarray],
-        unexplored,
-        frontier_lists: list[np.ndarray],
+        parent: np.ndarray,
+        unexplored: np.ndarray,
+        frontier: np.ndarray,
         visited_words: np.ndarray | None,
     ) -> "BFSCheckpoint":
-        """Deep-copy the engine's mutable state at a level boundary:
-        per rank, its parent slice, unexplored degree and frontier."""
+        """Deep-copy the engine's mutable state at a level boundary."""
         return cls(
             level=int(level),
             prev_direction=prev_direction,
             policy_direction=str(policy._direction),
             policy_finished_bottom_up=bool(policy._finished_bottom_up),
-            parents=[p.copy() for p in parents],
-            unexplored=[int(u) for u in unexplored],
-            frontier_lists=[
-                np.array(f, dtype=np.int64, copy=True) for f in frontier_lists
-            ],
+            parent=parent.copy(),
+            unexplored=unexplored.copy(),
+            frontier=frontier.copy(),
             visited_words=(
                 None if visited_words is None else visited_words.copy()
             ),
         )
 
     def restore(
-        self, policy, parents: list[np.ndarray], unexplored: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray | None]:
+        self, policy, parent: np.ndarray, unexplored: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Write this snapshot back into live engine state.
 
-        Writes the per-rank ``parents`` views, the ``unexplored`` vector
-        and ``policy`` in place; returns fresh copies of the frontier
-        lists and visited mask (so the store's copy stays pristine for
-        repeated rollbacks).
+        Writes ``parent``, ``unexplored`` and ``policy`` in place;
+        returns fresh copies of the frontier and visited mask (so the
+        store's copy stays pristine for repeated rollbacks).
         """
-        if len(parents) != len(self.parents):
-            raise CheckpointError(
-                f"checkpoint captured {len(self.parents)} ranks, engine has "
-                f"{len(parents)}",
-                level=self.level,
-            )
-        for rank, (live, saved) in enumerate(zip(parents, self.parents)):
+        for name, live, saved in (
+            ("parent", parent, self.parent),
+            ("unexplored", unexplored, self.unexplored),
+        ):
             if live.shape != saved.shape:
                 raise CheckpointError(
-                    "checkpoint parent shape mismatch",
-                    rank=rank,
+                    f"checkpoint {name} shape {saved.shape} does not match "
+                    f"the engine's {live.shape}",
                     level=self.level,
                 )
             live[:] = saved
-        unexplored[:] = self.unexplored
         policy._direction = self.policy_direction
         policy._finished_bottom_up = self.policy_finished_bottom_up
-        frontier = [f.copy() for f in self.frontier_lists]
         visited = None if self.visited_words is None else self.visited_words.copy()
-        return frontier, visited
+        return self.frontier.copy(), visited
 
     # ---- persistence ------------------------------------------------------
 
@@ -145,17 +133,13 @@ class BFSCheckpoint:
             "prev_direction": self.prev_direction,
             "policy_direction": self.policy_direction,
             "policy_finished_bottom_up": self.policy_finished_bottom_up,
-            "num_ranks": self.num_ranks,
-            "unexplored": list(self.unexplored),
-            "has_visited": self.visited_words is not None,
         }
         arrays = {
             "meta": np.bytes_(json.dumps(meta).encode("utf-8")),
+            "parent": self.parent,
+            "unexplored": self.unexplored,
+            "frontier": self.frontier,
         }
-        for r, parent in enumerate(self.parents):
-            arrays[f"parent_{r}"] = parent
-        for r, frontier in enumerate(self.frontier_lists):
-            arrays[f"frontier_{r}"] = frontier
         if self.visited_words is not None:
             arrays["visited_words"] = self.visited_words
         path = Path(path)
@@ -184,10 +168,10 @@ class BFSCheckpoint:
                 meta = json.loads(bytes(data["meta"]).decode("utf-8"))
                 if meta.get("format") != _FORMAT:
                     raise CheckpointError(
-                        f"{path}: unsupported checkpoint format "
-                        f"{meta.get('format')!r}"
+                        f"{path}: checkpoint format {meta.get('format')!r} "
+                        f"is not supported; this version reads format "
+                        f"{_FORMAT} only"
                     )
-                nr = int(meta["num_ranks"])
                 return cls(
                     level=int(meta["level"]),
                     prev_direction=meta["prev_direction"],
@@ -195,14 +179,12 @@ class BFSCheckpoint:
                     policy_finished_bottom_up=bool(
                         meta["policy_finished_bottom_up"]
                     ),
-                    parents=[data[f"parent_{r}"] for r in range(nr)],
-                    unexplored=[int(u) for u in meta["unexplored"]],
-                    frontier_lists=[
-                        data[f"frontier_{r}"] for r in range(nr)
-                    ],
+                    parent=data["parent"],
+                    unexplored=data["unexplored"],
+                    frontier=data["frontier"],
                     visited_words=(
                         data["visited_words"]
-                        if meta["has_visited"]
+                        if "visited_words" in data.files
                         else None
                     ),
                 )

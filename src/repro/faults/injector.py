@@ -36,7 +36,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "TransientCollectiveFault",
-    "RankCrashFault",
     "PayloadCorruptionFault",
     "words_checksum",
 ]
@@ -52,10 +51,6 @@ class TransientCollectiveFault(FaultError):
     def __init__(self, message: str, wasted_ns: float = 0.0, **context) -> None:
         super().__init__(message, **context)
         self.wasted_ns = float(wasted_ns)
-
-
-class RankCrashFault(FaultError):
-    """A rank crashed; recovery needs a checkpoint restore."""
 
 
 class PayloadCorruptionFault(FaultError):

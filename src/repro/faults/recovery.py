@@ -16,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.faults.checkpoint import CheckpointStore, MemoryCheckpointStore
+from repro.faults.checkpoint import (
+    CheckpointStore,
+    DiskCheckpointStore,
+    MemoryCheckpointStore,
+)
 
 __all__ = [
     "RecoveryCostModel",
@@ -104,8 +108,6 @@ class ResilienceConfig:
     @property
     def on_disk(self) -> bool:
         """True when checkpoints go through the disk store."""
-        from repro.faults.checkpoint import DiskCheckpointStore
-
         return isinstance(self.store, DiskCheckpointStore)
 
 

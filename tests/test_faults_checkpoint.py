@@ -7,13 +7,19 @@ identical simulated nanoseconds.  These tests sweep that matrix and pin
 the on-disk ``.npz`` format round trip.
 """
 
+import json
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import BFSConfig
 from repro.core.engine import BFSEngine
+from repro.core.hybrid import DirectionPolicy
+from repro.core.multisource import MultiSourceEngine
 from repro.errors import CheckpointError
 from repro.faults import (
     BFSCheckpoint,
@@ -127,33 +133,43 @@ def test_corruption_rollback_to_older_snapshot_resumes_bit_identically(graph):
 
 def test_checkpoint_npz_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    ckpt = BFSCheckpoint(
+    full = BFSCheckpoint(
         level=4,
         prev_direction="bottom_up",
         policy_direction="top_down",
         policy_finished_bottom_up=True,
-        parents=[rng.integers(-1, 100, size=32).astype(np.int64)
-                 for _ in range(3)],
-        unexplored=[7, 0, 123],
-        frontier_lists=[np.array([1, 5], dtype=np.int64),
-                        np.zeros(0, dtype=np.int64),
-                        np.array([9], dtype=np.int64)],
+        parent=rng.integers(-1, 100, size=96).astype(np.int64),
+        unexplored=np.array([7, 0, 123], dtype=np.int64),
+        # Rank-major, not ascending: the loop's own top-down order.
+        frontier=np.array([5, 1, 40, 90, 70], dtype=np.int64),
         visited_words=rng.integers(0, 2**63, size=6).astype(np.uint64),
     )
-    path = tmp_path / "ckpt.npz"
-    ckpt.save(path)
-    loaded = BFSCheckpoint.load(path)
-    assert loaded.level == ckpt.level
-    assert loaded.prev_direction == ckpt.prev_direction
-    assert loaded.policy_direction == ckpt.policy_direction
-    assert loaded.policy_finished_bottom_up is True
-    assert loaded.unexplored == ckpt.unexplored
-    for a, b in zip(loaded.parents, ckpt.parents):
-        assert np.array_equal(a, b)
-    for a, b in zip(loaded.frontier_lists, ckpt.frontier_lists):
-        assert np.array_equal(a, b)
-    assert np.array_equal(loaded.visited_words, ckpt.visited_words)
-    assert loaded.nbytes == ckpt.nbytes
+    bare = replace(
+        full,
+        prev_direction=None,
+        policy_finished_bottom_up=False,
+        frontier=np.zeros(0, dtype=np.int64),
+        visited_words=None,
+    )
+    for name, ckpt in (("full", full), ("bare", bare)):
+        path = tmp_path / f"{name}.npz"
+        ckpt.save(path)
+        loaded = BFSCheckpoint.load(path)
+        assert loaded.level == ckpt.level
+        assert loaded.prev_direction == ckpt.prev_direction
+        assert loaded.policy_direction == ckpt.policy_direction
+        assert (
+            loaded.policy_finished_bottom_up
+            is ckpt.policy_finished_bottom_up
+        )
+        for field in ("parent", "unexplored", "frontier"):
+            a, b = getattr(loaded, field), getattr(ckpt, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, field)
+        if ckpt.visited_words is None:
+            assert loaded.visited_words is None
+        else:
+            assert np.array_equal(loaded.visited_words, ckpt.visited_words)
+        assert loaded.nbytes == ckpt.nbytes
 
 
 def test_checkpoint_load_rejects_garbage(tmp_path):
@@ -163,21 +179,49 @@ def test_checkpoint_load_rejects_garbage(tmp_path):
         BFSCheckpoint.load(path)
 
 
+def test_checkpoint_load_rejects_format_1(tmp_path):
+    """The per-rank archive layout (``parent_{r}``/``frontier_{r}``,
+    local frontier ids) is not read back into the global layout."""
+    meta = {
+        "format": 1,
+        "level": 2,
+        "prev_direction": "top_down",
+        "policy_direction": "top_down",
+        "policy_finished_bottom_up": False,
+        "num_ranks": 2,
+        "unexplored": [5, 6],
+        "has_visited": False,
+    }
+    path = tmp_path / "old.npz"
+    np.savez_compressed(
+        path,
+        meta=np.bytes_(json.dumps(meta).encode("utf-8")),
+        parent_0=np.full(4, -1, dtype=np.int64),
+        parent_1=np.full(4, -1, dtype=np.int64),
+        frontier_0=np.array([1], dtype=np.int64),
+        frontier_1=np.zeros(0, dtype=np.int64),
+    )
+    with pytest.raises(CheckpointError, match="format 1.*format 2"):
+        BFSCheckpoint.load(path)
+
+
+def _small_checkpoint(level: int = 1) -> BFSCheckpoint:
+    return BFSCheckpoint(
+        level=level,
+        prev_direction=None,
+        policy_direction="top_down",
+        policy_finished_bottom_up=False,
+        parent=np.arange(8, dtype=np.int64),
+        unexplored=np.array([3], dtype=np.int64),
+        frontier=np.array([2, 4], dtype=np.int64),
+        visited_words=None,
+    )
+
+
 def test_disk_store_prunes_to_keep(tmp_path):
     store = DiskCheckpointStore(tmp_path, keep=2)
     for level in range(5):
-        store.put(
-            BFSCheckpoint(
-                level=level,
-                prev_direction=None,
-                policy_direction="top_down",
-                policy_finished_bottom_up=False,
-                parents=[np.zeros(8, dtype=np.int64)],
-                unexplored=[0],
-                frontier_lists=[np.zeros(0, dtype=np.int64)],
-                visited_words=None,
-            )
-        )
+        store.put(_small_checkpoint(level))
     remaining = sorted(p.name for p in tmp_path.glob("ckpt_level*.npz"))
     assert remaining == ["ckpt_level00003.npz", "ckpt_level00004.npz"]
     assert store.latest().level == 4
@@ -188,33 +232,110 @@ def test_disk_store_prunes_to_keep(tmp_path):
 def test_memory_store_keeps_latest():
     store = MemoryCheckpointStore(keep=1)
     for level in range(3):
-        store.put(
-            BFSCheckpoint(
-                level=level,
-                prev_direction=None,
-                policy_direction="top_down",
-                policy_finished_bottom_up=False,
-                parents=[np.zeros(8, dtype=np.int64)],
-                unexplored=[0],
-                frontier_lists=[np.zeros(0, dtype=np.int64)],
-                visited_words=None,
-            )
-        )
+        store.put(_small_checkpoint(level))
     assert len(store) == 1
     assert store.latest().level == 2
 
 
-def _small_checkpoint(level: int = 1) -> BFSCheckpoint:
-    return BFSCheckpoint(
-        level=level,
-        prev_direction=None,
-        policy_direction="top_down",
-        policy_finished_bottom_up=False,
-        parents=[np.arange(8, dtype=np.int64)],
-        unexplored=[3],
-        frontier_lists=[np.array([2, 4], dtype=np.int64)],
-        visited_words=None,
+def test_restore_rejects_a_mismatched_shape():
+    ckpt = _small_checkpoint()
+    policy = DirectionPolicy(BFSConfig())
+    with pytest.raises(CheckpointError, match="parent"):
+        ckpt.restore(
+            policy, np.zeros(9, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        )
+    with pytest.raises(CheckpointError, match="unexplored"):
+        ckpt.restore(
+            policy, np.zeros(8, dtype=np.int64), np.zeros(2, dtype=np.int64)
+        )
+
+
+@pytest.fixture(scope="module")
+def baselines(graph):
+    """The fault-free run per codec, shared by the property test."""
+    cluster = paper_cluster(nodes=2)
+    return {
+        codec: BFSEngine(
+            graph, cluster, _config("activeset", codec)
+        ).run(ROOT)
+        for codec in CODECS
+    }
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_recovered_run_equals_fault_free_run(graph, baselines, data):
+    """Any cadence, store and codec, one or two crash/corruption faults
+    at drawn levels: the recovered run is the fault-free run, and each
+    fault replays exactly the levels from the latest snapshot at or
+    before it through its own level.  Two faults may roll back to the
+    same snapshot, so restoring must leave the stored copy pristine."""
+    codec = data.draw(st.sampled_from(CODECS), label="codec")
+    every = data.draw(st.integers(1, 3), label="checkpoint_every")
+    on_disk = data.draw(st.booleans(), label="on_disk")
+    baseline = baselines[codec]
+    bottom_up = [
+        lc.level for lc in baseline.counts.levels
+        if lc.direction == "bottom_up"
+    ]
+    assert bottom_up
+    kinds = data.draw(
+        st.lists(st.sampled_from(["crash", "corruption"]), min_size=1,
+                 max_size=2),
+        label="kinds",
     )
+    crashes, corruptions, drawn = [], [], []
+    for i, kind in enumerate(kinds):
+        # Distinct ranks / flip counts keep two faults at one level
+        # distinct specs (each spec fires once).
+        if kind == "crash":
+            level = data.draw(
+                st.integers(0, baseline.levels - 1), label="crash level"
+            )
+            crashes.append(RankCrash(rank=i, level=level))
+        else:
+            level = data.draw(
+                st.sampled_from(bottom_up), label="corruption level"
+            )
+            corruptions.append(PayloadCorruption(level=level, bit_flips=i + 1))
+        drawn.append((kind, level))
+    plan = FaultPlan(
+        seed=0, crashes=tuple(crashes), corruptions=tuple(corruptions)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        store = DiskCheckpointStore(tmp) if on_disk else MemoryCheckpointStore()
+        result = BFSEngine(
+            graph, paper_cluster(nodes=2), _config("activeset", codec),
+            faults=plan,
+            resilience=ResilienceConfig(checkpoint_every=every, store=store),
+        ).run(ROOT)
+    assert np.array_equal(result.parent, baseline.parent)
+    assert result.levels == baseline.levels
+    assert result.timing.total_ns == baseline.timing.total_ns
+    fired = [(ev["kind"], ev["level"]) for ev in result.recovery.fault_events]
+    assert sorted(fired) == sorted(drawn)
+    assert result.recovery.rollbacks == len(drawn)
+    expected = []
+    for _, level in fired:
+        expected.extend(range(level - level % every, level + 1))
+    assert result.recovery.replayed_levels == tuple(expected)
+
+
+def test_batches_stay_fault_free(graph):
+    """``MultiSourceEngine`` wraps an engine with no fault plan and no
+    resilience config, so a batch never checkpoints or rolls back."""
+    batch = MultiSourceEngine(
+        graph, paper_cluster(nodes=2), _config("activeset", "sieve")
+    )
+    assert batch.engine.injector is None
+    assert batch.engine.resilience is None
+    results = batch.run_batch([ROOT, 0, 7])
+    assert len(results) == 3
+    assert all(r.recovery is None for r in results)
 
 
 class TestCrashSafeSave:
