@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,7 @@ from repro.graph.types import Graph
 from repro.machine.spec import ClusterSpec
 from repro.mpi.mapping import BindingPolicy, ProcessMapping
 from repro.util import bitops
+from repro.util.lru import LRUCache
 
 __all__ = [
     "PreparedGraph",
@@ -224,7 +224,7 @@ class PreparedGraph:
             )
 
 
-class PreparedGraphCache:
+class PreparedGraphCache(LRUCache):
     """Thread-safe LRU of :class:`PreparedGraph` instances.
 
     Keyed by ``(graph digest, cluster, resolved ppn, binding,
@@ -241,18 +241,10 @@ class PreparedGraphCache:
     """
 
     def __init__(self, maxsize: int = 8, max_bytes: int | None = None) -> None:
-        if maxsize < 1:
-            raise ConfigError("prepared-graph cache needs maxsize >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ConfigError("prepared-graph cache max_bytes must be >= 1")
-        self.maxsize = int(maxsize)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self._lock = threading.Lock()
-        #: key -> (prepared, estimated nbytes)
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
+        super().__init__(
+            maxsize, max_bytes,
+            sizeof=PreparedGraph.nbytes, name="prepared-graph cache",
+        )
 
     @staticmethod
     def key_for(graph: Graph, cluster: ClusterSpec, config) -> tuple:
@@ -264,64 +256,13 @@ class PreparedGraphCache:
     ) -> PreparedGraph:
         """Return the cached prepared graph, building it on first use."""
         key = self.key_for(graph, cluster, config)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[0]
-            self.misses += 1
-        # Build outside the lock: preparation is pure and idempotent, so
-        # a rare duplicate build under contention only wastes work.
-        prepared = PreparedGraph.prepare(graph, cluster, config)
-        nbytes = prepared.nbytes()
-        with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                self._bytes -= old[1]
-            self._entries[key] = (prepared, nbytes)
-            self._entries.move_to_end(key)
-            self._bytes += nbytes
-            while len(self._entries) > self.maxsize:
-                _, (_, nb) = self._entries.popitem(last=False)
-                self._bytes -= nb
-            if self.max_bytes is not None:
-                while self._bytes > self.max_bytes and len(self._entries) > 1:
-                    _, (_, nb) = self._entries.popitem(last=False)
-                    self._bytes -= nb
+        prepared = self.get(key)
+        if prepared is None:
+            # Built outside the lock: preparation is pure and idempotent,
+            # so a rare duplicate build under contention only wastes work.
+            prepared = PreparedGraph.prepare(graph, cluster, config)
+            self.put(key, prepared)
         return prepared
-
-    def stats(self) -> dict:
-        """Hit/miss counters and occupancy as a plain dict.
-
-        ``hit_rate`` is 0.0 (not a division error) before the first
-        lookup; ``lookups`` carries the denominator so readers can tell
-        "no traffic yet" from "all misses".
-        """
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "lookups": total,
-                "hit_rate": self.hits / total if total else 0.0,
-                "entries": len(self._entries),
-                "maxsize": self.maxsize,
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-            }
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 _DEFAULT: PreparedGraphCache | None = None

@@ -211,7 +211,7 @@ class FaultySession:
     @property
     def tracer(self):
         """The wrapped session's tracer, if any."""
-        return getattr(self._inner, "tracer", None)
+        return self._inner.tracer
 
     def fresh(self):
         """A clean, *unwrapped* session — retries dodge the injector."""

@@ -269,10 +269,10 @@ def _compare_sequential(service, graph, cluster, config, args) -> dict:
 def _build_resilience(args) -> ResiliencePolicy | None:
     """The resilience policy the flags declare (or None).
 
-    The policy is opt-in: it exists only when ``--resilience`` is
-    given or a knob that needs one (``--deadline-ms``, ``--max-queue``)
-    is set, so the default hot path stays byte-identical to the
-    policy-free scheduler.
+    The policy is opt-in: it exists only when ``--resilience``,
+    ``--max-queue`` or ``--deadline-ms`` is given.  Deadlines hold
+    without a policy too; the flag brings one along so the report's
+    ``resilience`` block carries ``deadline_expired``.
     """
     wants = (
         args.resilience

@@ -109,9 +109,9 @@ async def _drive(
     """Submit every query at its open-loop arrival time; returns the
     wall-clock seconds from first arrival to last completion plus the
     counts of queries shed by admission control and expired on
-    deadline.  Shedding and deadline misses are *expected* outcomes
-    under a resilience policy — they are tallied, not raised — while
-    any other failure still propagates.
+    deadline.  Shedding and deadline misses are *expected* outcomes —
+    they are tallied, not raised — while any other failure still
+    propagates.
 
     When an :class:`~repro.obs.slo.SLOMonitor` rides along, a sampler
     task snapshots the registry at the monitor's interval while load
@@ -194,11 +194,11 @@ def run_load(
     sequence replaces the pool sampling (the sequential-comparison mode
     replays an exact root list).  ``tracer`` threads request-scoped
     tracing through the scheduler; ``slo_monitor`` is sampled while
-    load flows.  ``resilience`` (a
-    :class:`~repro.serve.resilience.ResiliencePolicy`) and
-    ``deadline_ms`` turn admission control and per-query deadlines on —
-    queries shed or expired under them are tallied in the result rather
-    than aborting the campaign.
+    load flows.  ``deadline_ms`` sets a per-query deadline, with or
+    without ``resilience`` (a
+    :class:`~repro.serve.resilience.ResiliencePolicy`, which turns
+    admission control on) — queries shed or expired are tallied in the
+    result rather than aborting the campaign.
     """
     if qps <= 0:
         raise ConfigError("qps must be positive (use inf for a burst)")

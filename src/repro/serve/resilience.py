@@ -22,10 +22,9 @@ it into a production-shaped service:
   into a known-bad batch.
 
 Everything here is policy and bookkeeping — no asyncio, no threads.
-The mechanisms live in the scheduler; keeping them apart means the
-scheduler's legacy behaviour (``resilience=None``) stays byte-for-byte
-what PR 8 shipped, which is also what keeps the no-policy hot path at
-its baseline queries/sec.
+The mechanisms live in the scheduler, which has one path: without a
+policy it runs under an all-off one (unbounded queue, no hedge, no
+retry, a zero-threshold breaker, no supervision).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class ResiliencePolicy:
     """
 
     #: Queued queries admitted before the shed policy kicks in
-    #: (``None`` = unbounded, the legacy behaviour).
+    #: (``None`` = unbounded).
     max_queue_depth: int | None = None
     #: What to do with the overflow: ``reject`` the newcomer,
     #: ``drop-oldest`` from the queue, or enter ``degrade`` mode.
@@ -242,6 +241,8 @@ class CircuitBreaker:
 
     def record_success(self, key) -> None:
         """A batch for ``key`` completed — close the breaker."""
+        if self.threshold == 0:
+            return
         with self._lock:
             self._keys[key] = [0, None, False]
 

@@ -32,19 +32,23 @@ one id links the whole queue → batch → engine chain in the trace export
 ``NULL_TRACER`` none of this happens: no ids, no timestamps, no spans —
 the disabled hot path is the pre-tracing one.
 
-**Resilience** (optional, via a
-:class:`~repro.serve.resilience.ResiliencePolicy`): per-request
-deadlines shed expired queries at batch pickup
-(``serve.shed_total{reason=deadline}``) and cancel whole in-flight
-batches between BFS levels; a bounded admission queue sheds overflow by
-policy (reject / drop-oldest / degrade); straggling batches are hedged
-against a fresh session and failed batches retried once; repeated
-failures per (graph, config) fingerprint trip a circuit breaker that
-fast-fails with :class:`~repro.errors.ServeOverloadError`; and a
-supervisor task restarts a crashed dispatcher with bounded exponential
-backoff, replaying un-acked queue entries exactly once.  With
-``resilience=None`` every one of these paths is skipped and the
-scheduler behaves exactly as before.
+**Deadlines** hold on every scheduler: a query still queued past its
+``deadline_ms`` is shed at batch pickup
+(``serve.shed_total{reason=deadline}``), and a batch whose waiters all
+carry deadlines gets a cancel token that stops the engine between BFS
+levels once the last of them passes.
+
+**Resilience** (via a
+:class:`~repro.serve.resilience.ResiliencePolicy`): a bounded admission
+queue sheds overflow by policy (reject / drop-oldest / degrade);
+straggling batches are hedged against a fresh session and failed
+batches retried once; repeated failures per (graph, config) fingerprint
+trip a circuit breaker that fast-fails with
+:class:`~repro.errors.ServeOverloadError`; and a supervisor task
+restarts a crashed dispatcher with bounded exponential backoff,
+replaying un-acked queue entries exactly once.  ``resilience=None`` is
+the all-off policy on the same path: unbounded queue, no hedge, no
+retry, no breaker, no supervision.
 """
 
 from __future__ import annotations
@@ -52,9 +56,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import functools
-import inspect
 import itertools
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -68,8 +70,15 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.serve.resilience import CancelToken, CircuitBreaker, ResiliencePolicy
+from repro.util.lru import LRUCache
 
 __all__ = ["BatchScheduler", "ResultCache"]
+
+#: What ``resilience=None`` runs under: every mechanism off, deadlines
+#: still honoured.
+_ALL_OFF = ResiliencePolicy(
+    hedge=False, retry_failed=False, breaker_threshold=0, supervise=False
+)
 
 
 def _estimate_result_nbytes(result) -> int:
@@ -92,7 +101,7 @@ def _swallow(future) -> None:
         future.exception()
 
 
-class ResultCache:
+class ResultCache(LRUCache):
     """Thread-safe LRU of completed BFS answers.
 
     Keyed by ``(graph digest, source, config identity)`` so one cache
@@ -115,123 +124,10 @@ class ResultCache:
         ttl_s: float | None = None,
         clock=time.monotonic,
     ) -> None:
-        if maxsize < 1:
-            raise ConfigError("result cache needs maxsize >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ConfigError("result cache max_bytes must be >= 1")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ConfigError("result cache ttl_s must be positive")
-        self.maxsize = int(maxsize)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self.ttl_s = None if ttl_s is None else float(ttl_s)
-        self.clock = clock
-        self._lock = threading.Lock()
-        #: key -> (result, stored_at, estimated_nbytes)
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.stale_hits = 0
-
-    def _evict_over_bounds(self) -> None:
-        while len(self._entries) > self.maxsize:
-            _, (_, _, nbytes) = self._entries.popitem(last=False)
-            self._bytes -= nbytes
-        if self.max_bytes is not None:
-            while self._bytes > self.max_bytes and len(self._entries) > 1:
-                _, (_, _, nbytes) = self._entries.popitem(last=False)
-                self._bytes -= nbytes
-
-    def get(self, key: tuple):
-        """The cached *fresh* result for ``key``, or ``None`` (a miss).
-
-        With a ``ttl_s`` configured, entries older than it count as
-        misses here but stay resident for :meth:`get_stale`.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            result, stored_at, _ = entry
-            if self.ttl_s is not None and (
-                self.clock() - stored_at > self.ttl_s
-            ):
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return result
-
-    def get_stale(self, key: tuple, max_age_s: float | None = None):
-        """A possibly-stale result for ``key`` (degrade-mode serving).
-
-        Returns ``(result, age_s, stale)`` — ``stale`` is True when the
-        entry is past its ``ttl_s`` — or ``None`` when the key is
-        absent or older than ``max_age_s``.  Counts ``stale_hits`` when
-        an expired entry is served.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            result, stored_at, _ = entry
-            age = max(0.0, self.clock() - stored_at)
-            if max_age_s is not None and age > max_age_s:
-                return None
-            stale = self.ttl_s is not None and age > self.ttl_s
-            if stale:
-                self.stale_hits += 1
-            self._entries.move_to_end(key)
-            return result, age, stale
-
-    def put(self, key: tuple, result) -> None:
-        """Insert ``result``, evicting least-recently-used entries past
-        the entry-count and (when configured) byte bounds."""
-        nbytes = _estimate_result_nbytes(result)
-        with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                self._bytes -= old[2]
-            self._entries[key] = (result, self.clock(), nbytes)
-            self._entries.move_to_end(key)
-            self._bytes += nbytes
-            self._evict_over_bounds()
-
-    def invalidate(self, key: tuple) -> bool:
-        """Drop one entry (poison detection); True when it existed."""
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False
-            self._bytes -= entry[2]
-            return True
-
-    def stats(self) -> dict:
-        """Hit/miss counters and occupancy as a plain dict.
-
-        ``hit_rate`` is 0.0 (not a division error) before the first
-        lookup; ``lookups`` carries the denominator so readers can tell
-        "no traffic yet" from "all misses".
-        """
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "lookups": total,
-                "hit_rate": self.hits / total if total else 0.0,
-                "entries": len(self._entries),
-                "maxsize": self.maxsize,
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "ttl_s": self.ttl_s,
-                "stale_hits": self.stale_hits,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(
+            maxsize, max_bytes, ttl_s, clock,
+            sizeof=_estimate_result_nbytes, name="result cache",
+        )
 
 
 @dataclass
@@ -259,12 +155,12 @@ class BatchScheduler:
     engine is not thread-safe — but admission, coalescing and the result
     cache keep concurrency cheap.
 
-    ``resilience`` (a :class:`ResiliencePolicy`) switches on deadlines,
-    load shedding, hedged retries, the circuit breaker and dispatcher
-    supervision; ``faults`` accepts a
+    ``resilience`` (a :class:`ResiliencePolicy`) switches on load
+    shedding, hedged retries, the circuit breaker and dispatcher
+    supervision; ``None`` runs the same path with all of them off.
+    ``faults`` accepts a
     :class:`~repro.faults.serveinject.ServeFaultInjector` whose
     dispatcher-kill and cache-poison hooks the chaos campaign drives.
-    Both default to off, leaving the legacy hot path untouched.
     """
 
     def __init__(
@@ -295,9 +191,9 @@ class BatchScheduler:
             self.results = ResultCache(maxsize=int(result_cache))
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if tracer is None:
-            tracer = getattr(session, "tracer", None)
+            tracer = session.tracer
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.resilience = resilience
+        self.resilience = resilience or _ALL_OFF
         self.queries = 0
         self.batches = 0
         self.batched_queries = 0
@@ -309,22 +205,13 @@ class BatchScheduler:
         self._task: asyncio.Task | None = None
         # Config identity for result-cache keys shared across sessions.
         self._config_key = repr(session.config)
-        # ---- resilience state (all inert when resilience is None) ----
+        # ---- resilience state ----
         self._faults = faults
         self._fingerprint = (session.digest, self._config_key)
-        self._breaker = (
-            CircuitBreaker(
-                resilience.breaker_threshold, resilience.breaker_cooldown_s
-            )
-            if resilience is not None and resilience.breaker_threshold > 0
-            else None
+        self._breaker = CircuitBreaker(
+            self.resilience.breaker_threshold,
+            self.resilience.breaker_cooldown_s,
         )
-        try:
-            self._session_takes_cancel = (
-                "cancel" in inspect.signature(session.run_batch).parameters
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic stubs
-            self._session_takes_cancel = False
         self._resil_counts: collections.Counter = collections.Counter()
         self._degraded = False
         self._supervisor: asyncio.Task | None = None
@@ -344,7 +231,7 @@ class BatchScheduler:
             self._crash_streak = 0
             loop = asyncio.get_running_loop()
             self._task = loop.create_task(self._dispatch())
-            if self.resilience is not None and self.resilience.supervise:
+            if self.resilience.supervise:
                 self._supervisor = loop.create_task(self._supervise())
         return self
 
@@ -530,9 +417,7 @@ class BatchScheduler:
         rejects the queue's oldest waiter and admits the newcomer.
         """
         policy = self.resilience
-        if self._breaker is not None and not self._breaker.allow(
-            self._fingerprint
-        ):
+        if not self._breaker.allow(self._fingerprint):
             self.metrics.counter("serve.errors_total").inc()
             raise self._shed(
                 "circuit_open",
@@ -576,11 +461,11 @@ class BatchScheduler:
 
         Returns the :class:`~repro.core.engine.BFSResult` for
         ``source`` — bit-identical to a sequential single-source run.
-        ``deadline_ms`` (requires a :class:`ResiliencePolicy`) bounds
-        how long the caller will wait: a query still queued past its
-        deadline is rejected with :class:`DeadlineExceededError`, and an
-        in-flight batch whose waiters all expired cancels between BFS
-        levels.
+        ``deadline_ms`` bounds how long the caller will wait, with or
+        without a :class:`ResiliencePolicy`: a query still queued past
+        its deadline is rejected with :class:`DeadlineExceededError`,
+        and an in-flight batch whose waiters all expired cancels
+        between BFS levels.
         """
         if self._task is None:
             raise ConfigError(
@@ -627,8 +512,7 @@ class BatchScheduler:
                             (time.perf_counter() - t0) * 1e3
                         )
                         return result
-        if self.resilience is not None:
-            self._admit(source)
+        self._admit(source)
         deadline = (
             time.monotonic() + float(deadline_ms) / 1e3
             if deadline_ms is not None
@@ -698,10 +582,9 @@ class BatchScheduler:
                     break
                 batch.append(item)
             self.metrics.gauge("serve.queue_depth").set(self._queue.qsize())
-            if policy is not None:
-                batch = self._drop_expired(batch)
-                if not batch:
-                    continue
+            batch = self._drop_expired(batch)
+            if not batch:
+                continue
             self._unacked = batch
             if self._faults is not None:
                 # The injected dispatcher kill: raising here crashes
@@ -713,8 +596,7 @@ class BatchScheduler:
                 self._queue.task_done()
             self._unacked = []
             if (
-                policy is not None
-                and self._degraded
+                self._degraded
                 and policy.shed_policy == "degrade"
                 and self._queue.qsize()
                 <= max(1, (policy.max_queue_depth or 2) // 2)
@@ -758,6 +640,7 @@ class BatchScheduler:
         self.coalesced += len(batch) - len(sources)
         self.metrics.histogram("serve.batch_size").observe(len(sources))
         tracer = self.tracer
+        trace_ids = batch_id = token = None
         # Degrade mode skips trace recording — one less cost under
         # pressure, and the ids were never issued at submit anyway.
         if tracer.enabled and not self._degraded:
@@ -784,34 +667,23 @@ class BatchScheduler:
                 sources=list(sources),
                 trace_ids=[t for ts in traces.values() for t in ts],
             )
-            # Trace kwargs go only to trace-aware sessions; the
-            # untraced call below keeps stub sessions with a plain
-            # run_batch(sources) signature working.
-            run = functools.partial(
-                self.session.run_batch,
-                sources,
-                trace_ids=[tuple(traces[s]) for s in sources],
-                batch_id=batch_id,
-            )
-        else:
-            run = functools.partial(self.session.run_batch, sources)
-        if (
-            self.resilience is not None
-            and self._session_takes_cancel
-            and all(q.deadline is not None for q in batch)
-        ):
+            trace_ids = [tuple(traces[s]) for s in sources]
+        if all(q.deadline is not None for q in batch):
             # Cooperative cancellation: once every waiter's deadline
             # passed, the engine stops between BFS levels.
             token = CancelToken(deadline=max(q.deadline for q in batch))
-            run = functools.partial(run, cancel=token)
+        run = functools.partial(
+            self.session.run_batch,
+            sources,
+            trace_ids=trace_ids,
+            batch_id=batch_id,
+            cancel=token,
+        )
         self._in_flight += 1
         self.metrics.gauge("serve.inflight_batches").set(self._in_flight)
         t0 = time.perf_counter()
         try:
-            if self.resilience is None:
-                results = await loop.run_in_executor(None, run)
-            else:
-                results = await self._execute(loop, run, sources)
+            results = await self._execute(loop, run, sources)
         except Exception as exc:  # propagate to every waiter
             for futures in waiters.values():
                 for future in futures:
@@ -836,12 +708,6 @@ class BatchScheduler:
                     future.set_result(result)
 
     # ---- hedged execution ------------------------------------------------
-
-    def _fresh_session(self):
-        """A clean session for hedges/retries (the stub fallback is the
-        primary itself — good enough for tests without ``fresh()``)."""
-        fresh = getattr(self.session, "fresh", None)
-        return fresh() if callable(fresh) else self.session
 
     def _hedge_threshold_s(self) -> float | None:
         """Seconds after which a running batch counts as straggling.
@@ -870,7 +736,7 @@ class BatchScheduler:
             if not done:
                 self._resil_counts["hedges"] += 1
                 self.metrics.counter("serve.hedge_total").inc()
-                hedge_session = self._fresh_session()
+                hedge_session = self.session.fresh()
                 hedge = loop.run_in_executor(
                     None,
                     functools.partial(hedge_session.run_batch, list(sources)),
@@ -890,7 +756,7 @@ class BatchScheduler:
                 raise
             self._resil_counts["retries"] += 1
             self.metrics.counter("serve.retry_total").inc()
-            retry_session = self._fresh_session()
+            retry_session = self.session.fresh()
             try:
                 results = await loop.run_in_executor(
                     None,
@@ -899,7 +765,7 @@ class BatchScheduler:
             except Exception:
                 self._record_failure(key)
                 raise
-        self._record_success(key)
+        self._breaker.record_success(key)
         return results
 
     async def _race(self, primary, hedge, hedge_session, key):
@@ -933,19 +799,14 @@ class BatchScheduler:
                         self.session = hedge_session
                 for loser in pending:
                     loser.add_done_callback(_swallow)
-                self._record_success(key)
+                self._breaker.record_success(key)
                 return results
         self._record_failure(key)
         raise last_exc
 
-    def _record_success(self, key) -> None:
-        if self._breaker is not None:
-            self._breaker.record_success(key)
-
     def _record_failure(self, key) -> None:
         self._resil_counts["batch_failures"] += 1
-        if self._breaker is not None:
-            self._breaker.record_failure(key)
+        self._breaker.record_failure(key)
 
     # ---- reporting -------------------------------------------------------
 
@@ -1030,17 +891,11 @@ class BatchScheduler:
                 self.results.stats() if self.results is not None else None
             ),
         }
-        if self.resilience is not None:
-            out["resilience"] = {
-                "policy": self.resilience.as_dict(),
-                "degraded": self._degraded,
-                "counts": dict(self._resil_counts),
-                "breaker": (
-                    self._breaker.snapshot()
-                    if self._breaker is not None
-                    else None
-                ),
-            }
-        else:
-            out["resilience"] = None
+        # The report contract: no resilience block without a policy.
+        out["resilience"] = None if self.resilience is _ALL_OFF else {
+            "policy": self.resilience.as_dict(),
+            "degraded": self._degraded,
+            "counts": dict(self._resil_counts),
+            "breaker": self._breaker.snapshot(),
+        }
         return out

@@ -2,10 +2,10 @@
 
 import asyncio
 import threading
-import time
-from dataclasses import dataclass
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.prepared import PreparedGraphCache
 from repro.errors import (
@@ -27,58 +27,7 @@ from repro.serve.resilience import (
 )
 from repro.serve.scheduler import BatchScheduler, ResultCache
 from repro.serve.session import BFSService
-
-
-@dataclass
-class StubResult:
-    """Result double carrying the fields resilience paths inspect."""
-
-    root: int
-    parent: object = None
-
-
-class StubSession:
-    """Engine-free session with injectable latency/failures.
-
-    ``release`` blocks every batch until set; ``fail_times`` makes the
-    first N batches raise; ``delay_s`` sleeps per batch.  ``fresh()``
-    returns the configured ``fresh_session`` (or a fast clean clone),
-    mirroring :meth:`~repro.serve.session.GraphSession.fresh`.
-    """
-
-    digest = "stub-digest"
-    config = "stub-config"
-
-    def __init__(
-        self,
-        release: threading.Event | None = None,
-        fail_times: int = 0,
-        delay_s: float = 0.0,
-        fresh_session=None,
-    ) -> None:
-        self.release = release
-        self.fail_times = fail_times
-        self.delay_s = delay_s
-        self.fresh_session = fresh_session
-        self.batches: list[list[int]] = []
-        self.fresh_calls = 0
-
-    def fresh(self):
-        self.fresh_calls += 1
-        if self.fresh_session is not None:
-            return self.fresh_session
-        return StubSession()
-
-    def run_batch(self, sources):
-        if self.release is not None:
-            assert self.release.wait(timeout=30)
-        if self.delay_s:
-            time.sleep(self.delay_s)
-        if self.fail_times > 0:
-            self.fail_times -= 1
-            raise RuntimeError("stub batch failure")
-        self.batches.append(list(sources))
-        return [StubResult(root=int(s)) for s in sources]
+from tests.serve_stubs import StubResult, StubSession
 
 
 class TestResiliencePolicy:
@@ -287,6 +236,34 @@ class TestDeadlines:
         assert scheduler.stats()["resilience"]["counts"]["shed_deadline"] == 1
         # The expired query never reached the session.
         assert [b for b in session.batches if 1 in b] == []
+
+    def test_expired_in_queue_is_shed_without_policy(self):
+        """Deadlines are not a policy feature: ``resilience=None`` runs
+        the same shedding path."""
+        release = threading.Event()
+        session = StubSession(release=release)
+        scheduler = BatchScheduler(
+            session, max_batch=1, max_wait_ms=0.0, result_cache=None
+        )
+
+        async def go():
+            async with scheduler:
+                blocker = asyncio.ensure_future(scheduler.submit(0))
+                await _pickup(scheduler)
+                victims = [
+                    asyncio.ensure_future(scheduler.submit(s, deadline_ms=1.0))
+                    for s in (1, 2, 3)
+                ]
+                await asyncio.sleep(0.05)  # deadlines expire while queued
+                release.set()
+                assert (await blocker).root == 0
+                return await asyncio.gather(*victims, return_exceptions=True)
+
+        outcomes = asyncio.run(go())
+        assert all(isinstance(o, DeadlineExceededError) for o in outcomes)
+        assert [o.context["source"] for o in outcomes] == [1, 2, 3]
+        assert session.batches == [[0]]
+        assert scheduler.stats()["resilience"] is None
 
 
 class TestAdmissionControl:
@@ -503,12 +480,8 @@ class TestRetryAndBreaker:
         assert resil["counts"]["batch_failures"] == 2
 
     def test_deadline_cancel_is_not_a_breaker_failure(self):
-        class CancelAware(StubSession):
-            def run_batch(self, sources, cancel=None):
-                raise DeadlineExceededError("cancelled", where="test")
-
         scheduler = BatchScheduler(
-            CancelAware(),
+            StubSession(fail_times=1, failure=DeadlineExceededError),
             max_batch=1,
             result_cache=None,
             resilience=ResiliencePolicy(
@@ -686,6 +659,115 @@ class TestShutdownDraining:
         asyncio.run(go())
 
 
+class InjectedError(RuntimeError):
+    """The batch failure the terminal-outcome property injects."""
+
+
+class _KillSwitch:
+    """Fault hook that crashes the dispatcher on the next ``armed``
+    assembled batches (the ``faults=`` surface of the scheduler)."""
+
+    def __init__(self) -> None:
+        self.armed = 0
+
+    def dispatcher_tick(self) -> None:
+        if self.armed:
+            self.armed -= 1
+            raise InjectedError("injected dispatcher kill")
+
+    def maybe_poison(self, result):
+        return result
+
+
+_SUBMIT = st.tuples(
+    st.just("submit"),
+    st.sampled_from(["new", "duplicate", "cached"]),
+    st.sampled_from([None, 0.001, 10_000.0]),  # deadline_ms
+)
+_OPS = st.lists(
+    st.one_of(
+        _SUBMIT,
+        st.sampled_from([("fail",), ("kill",), ("settle",), ("stop",)]),
+    ),
+    min_size=4,
+    max_size=16,
+).filter(lambda ops: ops.count(("kill",)) <= 2)
+
+
+async def _run_ops(ops, resilience):
+    """Play ``ops`` against a stub-backed scheduler; return it with
+    every ``(source, task)`` submitted."""
+    session = StubSession(failure=InjectedError)
+    switch = _KillSwitch()
+    scheduler = BatchScheduler(
+        session,
+        max_batch=4,
+        max_wait_ms=0.0,
+        result_cache=8,
+        resilience=resilience,
+        faults=switch,
+    )
+    await scheduler.start()
+    submitted = []
+    new_sources = iter(range(1000))
+    for op in ops:
+        if op == ("stop",):
+            break
+        if op[0] == "submit":
+            _, which, deadline_ms = op
+            pool = {
+                "duplicate": [s for s, t in submitted if not t.done()],
+                "cached": [
+                    s for s, t in submitted
+                    if t.done() and t.exception() is None
+                ],
+            }.get(which)
+            source = pool[-1] if pool else next(new_sources)
+            submitted.append((source, asyncio.ensure_future(
+                scheduler.submit(source, deadline_ms=deadline_ms)
+            )))
+        elif op == ("fail",):
+            session.fail_times += 1
+        elif op == ("kill",):
+            switch.armed += 1
+        # Let the new submit reach the queue (or the cache) before the
+        # next op; a settle also lets batches run.
+        await asyncio.sleep(0.005 if op == ("settle",) else 0)
+    await asyncio.wait_for(scheduler.stop(), timeout=10.0)
+    await asyncio.wait_for(
+        asyncio.gather(*(t for _, t in submitted), return_exceptions=True),
+        timeout=10.0,
+    )
+    return scheduler, submitted
+
+
+class TestTerminalOutcomeProperty:
+    """Every submitted query ends in exactly one terminal outcome, on
+    the policy-free path and under the default policy alike."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    @given(ops=_OPS)
+    def test_every_future_reaches_one_terminal_outcome(self, ops):
+        for resilience in (None, ResiliencePolicy()):
+            scheduler, submitted = asyncio.run(_run_ops(ops, resilience))
+            for source, task in submitted:
+                assert task.done()
+                exc = task.exception()
+                if exc is None:
+                    assert task.result().root == source
+                else:
+                    assert isinstance(
+                        exc,
+                        (DeadlineExceededError, ServeOverloadError,
+                         InjectedError),
+                    ), repr(exc)
+            assert scheduler.stats()["queries"] == len(submitted)
+
+
 class TestPoisonDetection:
     def test_poisoned_cache_entry_is_dropped_and_recomputed(self):
         session = StubSession()
@@ -757,6 +839,18 @@ class TestLoadgenAccounting:
         assert result.completed == 1
         doc = result.as_dict()
         assert doc["deadline_expired"] == 1 and doc["deadline_ms"] == 25.0
+
+    def test_deadline_expiry_is_tallied_without_policy(self):
+        result = run_load(
+            StubSession(delay_s=0.08),
+            roots=[1, 2],
+            max_batch=1,
+            max_wait_ms=0.0,
+            result_cache=None,
+            deadline_ms=25.0,
+        )
+        assert result.deadline_expired == 1
+        assert result.completed == 1
 
     def test_deadline_validation(self):
         with pytest.raises(ConfigError):

@@ -16,28 +16,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.loadgen import pick_root_pool, run_load
 from repro.serve.scheduler import BatchScheduler, ResultCache
 from repro.serve.session import BFSService
-
-
-class StubSession:
-    """Engine-free session double with a plain run_batch(sources).
-
-    ``release`` (a threading.Event) makes every batch block inside the
-    executor until the test sets it — the knob the concurrency-edge
-    tests use to observe the scheduler mid-batch.
-    """
-
-    digest = "stub-digest"
-    config = "stub-config"
-
-    def __init__(self, release: threading.Event | None = None) -> None:
-        self.release = release
-        self.batches: list[list[int]] = []
-
-    def run_batch(self, sources):
-        if self.release is not None:
-            assert self.release.wait(timeout=30)
-        self.batches.append(list(sources))
-        return [("result", s) for s in sources]
+from tests.serve_stubs import StubSession
 
 SCALE = 10
 
