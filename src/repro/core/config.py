@@ -27,10 +27,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+from repro.core.kernels import resolve_backend
 from repro.errors import ConfigError
 from repro.machine.memory import Placement
 from repro.machine.spec import ClusterSpec
-from repro.mpi.codecs import available_codecs
+from repro.mpi.codecs import available_codecs, resolve_codec
 from repro.mpi.collectives import AllgatherAlgorithm
 from repro.mpi.mapping import BindingPolicy
 
@@ -414,6 +415,38 @@ class BFSConfig:
         """Processes per node (defaults to one per socket)."""
         return cluster.node.sockets if self.ppn is None else self.ppn
 
+    def count_key(self, cluster: ClusterSpec, constants=None) -> tuple:
+        """The settings that decide what a traversal does, resolved.
+
+        Two runs from one root of one graph whose keys are equal produce
+        byte-identical parent arrays and :class:`~repro.core.counts.RunCounts`:
+        the key holds the rank count, the partition rule, the direction
+        policy, the summary layout, and the codec and kernel names as
+        ``REPRO_CODEC``/``REPRO_KERNEL`` resolve them.  Every other
+        setting (binding, sharing, the allgather schedule, ``omp_dynamic``,
+        ``kernel_chunk``, ``label``, the cluster's node model and weak
+        nodes, the cost ``constants``) only prices the run (see
+        :data:`PRICE_ONLY_FIELDS`).  The ``auto`` codec is the exception:
+        its per-level choice reads the cost model, so under ``auto`` the
+        whole communication block, the binding, ``repr(cluster)`` and the
+        constants join the key.
+        """
+        codec = resolve_codec(self).name
+        key = (
+            cluster.nodes * self.resolve_ppn(cluster),
+            self.degree_balanced,
+            self.mode,
+            self.alpha,
+            self.beta,
+            self.comm.summary_granularity,
+            self.comm.use_summary,
+            codec,
+            resolve_backend(self).name,
+        )
+        if codec == "auto":
+            key += (self.comm, self.binding, repr(cluster), repr(constants))
+        return key
+
     def in_queue_algorithm(self) -> AllgatherAlgorithm:
         """Allgather algorithm for in_queue (``comm.in_queue_algorithm``)."""
         return self.comm.in_queue_algorithm()
@@ -468,6 +501,35 @@ class BFSConfig:
             comm=CommConfig.parallel(summary_granularity=granularity),
             label=f"Granularity={granularity}",
         )
+
+
+#: The :class:`BFSConfig` and :class:`CommConfig` fields that
+#: :meth:`BFSConfig.count_key` reads (``ppn`` through the rank count,
+#: ``codec`` and ``kernel`` resolved).
+COUNT_KEY_FIELDS = (
+    "ppn",
+    "degree_balanced",
+    "mode",
+    "alpha",
+    "beta",
+    "summary_granularity",
+    "use_summary",
+    "codec",
+    "kernel",
+)
+
+#: The fields that never change a traversal's parent array or counts,
+#: only its price.  Every field is in exactly one of the two tuples.
+PRICE_ONLY_FIELDS = (
+    "binding",
+    "kernel_chunk",
+    "omp_dynamic",
+    "label",
+    "sharing",
+    "parallel_allgather",
+    "subgroups",
+    "allgather",
+)
 
 
 def paper_variants(best_granularity: int = 256) -> dict[str, BFSConfig]:

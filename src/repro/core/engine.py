@@ -786,10 +786,13 @@ class BFSEngine:
         lc.inq_raw_total_bytes = res.raw_bytes
         lc.inq_wire_total_bytes = res.wire_bytes
         lc.inq_wire_part_bytes = res.wire_part_bytes
-        if shared is not None:
-            full_words = shared[0].data
-        else:
+        # Node-shared buffers hold the result only when the algorithm
+        # delivered into them; an explicit non-shared algorithm override
+        # (allowed under any sharing variant) returns the gathered array.
+        if isinstance(res.data, np.ndarray):
             full_words = res.data
+        else:
+            full_words = res.data[0].data
         if verify:
             got_x, got_s = words_checksum(full_words)
             self._log.fixed_overhead_ns += self.resilience.cost.checksum_ns(

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.config import BFSConfig, CommConfig
 from repro.core.engine import BFSEngine, BFSResult
 from repro.core.prepared import PreparedGraph
-from repro.core.timing import CostConstants, PhaseBreakdown
+from repro.core.timing import BfsTiming, CostConstants, PhaseBreakdown
 from repro.core.validate import validate_parent_tree
 from repro.graph.degree import sample_roots
 from repro.graph.types import Graph
@@ -24,20 +24,18 @@ from repro.machine.spec import ClusterSpec
 from repro.util import harmonic_mean
 from repro.util.stats_util import Summary, describe
 
-__all__ = ["Graph500Result", "run_graph500"]
+__all__ = ["RootAverages", "Graph500Result", "run_graph500"]
 
 GRAPH500_DEFAULT_ROOTS = 64
 
 
-@dataclass
-class Graph500Result:
-    """Aggregate of one Graph500-style evaluation."""
+class RootAverages:
+    """Per-root averages shared by measured and predicted evaluations.
 
-    config: BFSConfig
-    roots: np.ndarray
-    per_root_teps: list[float] = field(default_factory=list)
-    per_root_seconds: list[float] = field(default_factory=list)
-    results: list[BFSResult] = field(default_factory=list)
+    A subclass provides ``per_root_teps``, ``per_root_seconds`` and
+    :meth:`root_timings`, one :class:`~repro.core.timing.BfsTiming` per
+    root in root order.
+    """
 
     @property
     def harmonic_mean_teps(self) -> float:
@@ -49,17 +47,13 @@ class Graph500Result:
         """Arithmetic mean of per-root traversal times."""
         return float(np.mean(self.per_root_seconds))
 
-    def teps_statistics(self) -> Summary:
-        """Five-number summary of the per-root TEPS sample, as the
-        Graph500 output specification reports."""
-        return describe(self.per_root_teps)
-
     def mean_breakdown(self) -> PhaseBreakdown:
         """Per-phase times averaged over the roots (ns)."""
         agg = PhaseBreakdown()
-        k = len(self.results)
-        for res in self.results:
-            bd = res.timing.breakdown
+        timings = self.root_timings()
+        k = len(timings)
+        for timing in timings:
+            bd = timing.breakdown
             agg.td_compute += bd.td_compute / k
             agg.td_comm += bd.td_comm / k
             agg.bu_compute += bd.bu_compute / k
@@ -71,14 +65,33 @@ class Graph500Result:
     def mean_bu_comm_per_level(self) -> float:
         """Average time of each bottom-up communication phase (the Fig. 12
         / Fig. 13 bars), in ns."""
-        times = []
-        for res in self.results:
-            times.extend(
-                lt.comm_ns
-                for lt in res.timing.levels
-                if lt.direction == "bottom_up"
-            )
+        times = [
+            lt.comm_ns
+            for timing in self.root_timings()
+            for lt in timing.levels
+            if lt.direction == "bottom_up"
+        ]
         return float(np.mean(times)) if times else 0.0
+
+
+@dataclass
+class Graph500Result(RootAverages):
+    """Aggregate of one Graph500-style evaluation."""
+
+    config: BFSConfig
+    roots: np.ndarray
+    per_root_teps: list[float] = field(default_factory=list)
+    per_root_seconds: list[float] = field(default_factory=list)
+    results: list[BFSResult] = field(default_factory=list)
+
+    def root_timings(self) -> list[BfsTiming]:
+        """Each root's run as priced by the engine."""
+        return [res.timing for res in self.results]
+
+    def teps_statistics(self) -> Summary:
+        """Five-number summary of the per-root TEPS sample, as the
+        Graph500 output specification reports."""
+        return describe(self.per_root_teps)
 
     def graph500_output(self, graph: Graph) -> str:
         """The official Graph500 result block (the key/value lines the

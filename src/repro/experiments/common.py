@@ -5,18 +5,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
+from repro.core.config import paper_variants
 from repro.graph.rmat import rmat_graph
 from repro.graph.types import Graph
 from repro.machine.spec import ClusterSpec, paper_cluster
 from repro.util.formatting import format_table
 
 __all__ = [
+    "COMM_STACK",
     "ExperimentSettings",
     "ExperimentResult",
     "cached_rmat_graph",
     "cluster_for",
     "paper_scale_for_nodes",
 ]
+
+#: "Original.ppn=8" and the communication optimizations stacked on it, in
+#: order (the bars of Figs. 13-15).
+COMM_STACK = {
+    name: config
+    for name, config in paper_variants().items()
+    if name not in ("Original.ppn=1", "Granularity")
+}
 
 # The paper's weak-scaling pairing: nodes -> graph scale (IV.C-D).
 _PAPER_SCALES = {1: 28, 2: 29, 4: 30, 8: 31, 16: 32}

@@ -15,15 +15,13 @@ import dataclasses
 import numpy as np
 
 from repro.core.config import BFSConfig
-from repro.core.engine import BFSEngine
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     cached_rmat_graph,
 )
-from repro.graph.degree import sample_roots
 from repro.machine.spec import ClusterSpec, NodeSpec, x7550_socket
-from repro.model.extrapolate import extrapolate_result
+from repro.model.predict import predict_graph500
 from repro.mpi.mapping import BindingPolicy
 
 EXPERIMENT_ID = "fig03"
@@ -37,17 +35,16 @@ def _single_node_cluster(sockets: int, cores: int) -> ClusterSpec:
     return ClusterSpec(nodes=1, node=node)
 
 
-def _compute_seconds(
-    graph, cluster, config, roots, target_scale
-) -> float:
+def _compute_seconds(graph, cluster, config, settings) -> float:
     """Mean computation time (compute + stall, no communication) priced
     at the paper scale."""
-    engine = BFSEngine(graph, cluster, config)
+    pred = predict_graph500(
+        graph, cluster, config, PAPER_SCALE,
+        num_roots=settings.num_roots, seed=settings.seed,
+    )
     totals = []
-    for root in roots:
-        res = engine.run(int(root))
-        pred = extrapolate_result(res, engine, target_scale)
-        bd = pred.timing.breakdown
+    for timing in pred.root_timings():
+        bd = timing.breakdown
         totals.append(
             (bd.td_compute + bd.bu_compute + bd.stall + bd.switch) / 1e9
         )
@@ -59,7 +56,6 @@ def run(settings: ExperimentSettings | None = None) -> ExperimentResult:
     settings = settings or ExperimentSettings()
     scale = settings.measured_scale(PAPER_SCALE)
     graph = cached_rmat_graph(scale, settings.graph_seed)
-    roots = sample_roots(graph, settings.num_roots, seed=settings.seed)
 
     cases = {
         "1 core (local)": (
@@ -80,7 +76,7 @@ def run(settings: ExperimentSettings | None = None) -> ExperimentResult:
         ),
     }
     seconds = {
-        name: _compute_seconds(graph, cluster, cfg, roots, PAPER_SCALE)
+        name: _compute_seconds(graph, cluster, cfg, settings)
         for name, (cluster, cfg) in cases.items()
     }
     t1 = seconds["1 core (local)"]

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from repro.core.config import BFSConfig, CommConfig, TraversalMode
 from repro.experiments.common import (
+    COMM_STACK,
     ExperimentResult,
     ExperimentSettings,
     evaluate_variant,
@@ -23,12 +24,7 @@ EXPERIMENT_ID = "fig13"
 TITLE = "Fig. 13: bottom-up communication phase time per optimization"
 NODE_COUNTS = (1, 2, 4, 8, 16)
 
-VARIANTS = {
-    "Original.ppn=8": BFSConfig.original_ppn8(),
-    "Share in_queue": BFSConfig.share_in_queue_variant(),
-    "Share all": BFSConfig.share_all_variant(),
-    "Par allgather": BFSConfig.par_allgather_variant(),
-}
+VARIANTS = COMM_STACK
 
 
 def run(settings: ExperimentSettings | None = None) -> ExperimentResult:

@@ -8,8 +8,8 @@ switch) staying below ~20% even in the optimized build.
 
 from __future__ import annotations
 
-from repro.core.config import BFSConfig
 from repro.experiments.common import (
+    COMM_STACK,
     ExperimentResult,
     ExperimentSettings,
     evaluate_variant,
@@ -20,12 +20,7 @@ EXPERIMENT_ID = "fig14"
 TITLE = "Fig. 14: bottom-up communication proportion per optimization"
 NODE_COUNTS = (1, 2, 4, 8)
 
-VARIANTS = {
-    "Original.ppn=8": BFSConfig.original_ppn8(),
-    "Share in_queue": BFSConfig.share_in_queue_variant(),
-    "Share all": BFSConfig.share_all_variant(),
-    "Par allgather": BFSConfig.par_allgather_variant(),
-}
+VARIANTS = COMM_STACK
 
 
 def run(settings: ExperimentSettings | None = None) -> ExperimentResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.core.config import BFSConfig
 from repro.experiments.common import (
+    COMM_STACK,
     ExperimentResult,
     ExperimentSettings,
     evaluate_variant,
@@ -23,10 +24,7 @@ NODE_COUNTS = (1, 2, 4, 8, 16)
 
 VARIANTS = {
     "Original.ppn=1": BFSConfig(ppn=1, binding=BindingPolicy.INTERLEAVE),
-    "Original.ppn=8": BFSConfig.original_ppn8(),
-    "Share in_queue": BFSConfig.share_in_queue_variant(),
-    "Share all": BFSConfig.share_all_variant(),
-    "Par allgather": BFSConfig.par_allgather_variant(),
+    **COMM_STACK,
 }
 
 

@@ -277,15 +277,18 @@ async def _run_scenario(
     # Distinct root sets per phase: baseline/injection queries each hit a
     # fresh root so every query exercises a real batch; the cache-poison
     # scenario instead *reuses* its injection roots so poisoned entries
-    # get re-read (detection needs a second lookup).
+    # get re-read (detection needs a second lookup).  Its injection phase
+    # is two waves: each root once, awaited, then the duplicates.  A
+    # duplicate sent while the first (poisoned) put is still in flight
+    # would miss the cache, re-run its root and overwrite the poison.
     pool = _distinct_roots(graph, 72, seed=seed)
     roots_a = pool[:24]
     if name == "cache-poison":
         small = pool[24:28]
-        roots_b = np.concatenate([small, small, small])
+        waves_b = [small, np.concatenate([small, small])]
         roots_c = np.resize(small, 44)
     else:
-        roots_b = pool[24:48]
+        waves_b = [pool[24:48]]
         roots_c = np.resize(pool[48:72], 44)
 
     stop_sampling = asyncio.Event()
@@ -310,9 +313,10 @@ async def _run_scenario(
             # queries over many small batches, so every deterministic
             # at_batch offset in the scenario catalogue is reached.
             injector.arm()
-            await _drive_phase(
-                scheduler, roots_b, 300.0, 4000.0, outcomes, answers
-            )
+            for wave in waves_b:
+                await _drive_phase(
+                    scheduler, wave, 300.0, 4000.0, outcomes, answers
+                )
             monitor.sample()
             slo_during = monitor.evaluate()
             # Phase C: recovery — clean traffic long enough that both
@@ -346,7 +350,7 @@ async def _run_scenario(
     checks = {
         "all_queries_terminal": (
             sum(outcomes.values())
-            == len(roots_a) + len(roots_b) + len(roots_c)
+            == len(roots_a) + sum(map(len, waves_b)) + len(roots_c)
         ),
         "no_unstructured_errors": (
             outcomes["error"] == 0 and outcomes["fault"] == 0

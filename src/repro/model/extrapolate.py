@@ -52,16 +52,17 @@ class ScaledPrediction:
 
 
 def extrapolate_result(
-    result: BFSResult, engine: BFSEngine, target_scale: int
+    result: BFSResult | RunCounts, engine: BFSEngine, target_scale: int
 ) -> ScaledPrediction:
-    """Price ``result``'s run at graph scale ``target_scale``.
+    """Price a run (or just its counts) at graph scale ``target_scale``.
 
     The engine provides the communicator, configuration and cost
-    constants the original run was priced with; only the counts and the
-    structure sizes change.
+    constants to price with; only the counts and the structure sizes
+    change.  The measured counts are never written.
     """
-    factor = scale_factor(result.counts.num_vertices, target_scale)
-    scaled_counts = result.counts.scaled(factor)
+    counts = result.counts if isinstance(result, BFSResult) else result
+    factor = scale_factor(counts.num_vertices, target_scale)
+    scaled_counts = counts.scaled(factor)
     sizes = StructureSizes(
         num_vertices=scaled_counts.num_vertices,
         num_arcs=int(round(engine.graph.num_directed_edges * factor)),

@@ -14,7 +14,7 @@ import dataclasses as dc
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.config import BFSConfig
+from repro.core.config import paper_variants
 from repro.errors import ConfigError
 from repro.machine.spec import ClusterSpec, paper_cluster
 from repro.model.analytic import analytic_graph500
@@ -96,14 +96,7 @@ class ClaimOutcome:
 
 def evaluate_claims(cluster: ClusterSpec, scale: int = 32) -> ClaimOutcome:
     """The paper's headline claims on one machine (analytic mode)."""
-    chain = [
-        BFSConfig.original_ppn1(),
-        BFSConfig.original_ppn8(),
-        BFSConfig.share_in_queue_variant(),
-        BFSConfig.share_all_variant(),
-        BFSConfig.par_allgather_variant(),
-        BFSConfig.granularity_variant(256),
-    ]
+    chain = list(paper_variants(best_granularity=256).values())
     seconds = [analytic_graph500(cluster, cfg, scale).seconds for cfg in chain]
     monotone = all(a >= b * 0.999 for a, b in zip(seconds[1:], seconds[2:]))
     return ClaimOutcome(

@@ -270,5 +270,5 @@ class CircuitBreaker:
             "cooldown_s": self.cooldown_s,
             "trips": self.trips,
             "fast_fails": self.fast_fails,
-            "states": {repr(k): self.state(k) for k in keys},
+            "states": {str(k): self.state(k) for k in keys},
         }

@@ -56,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import functools
+import hashlib
 import itertools
 import time
 from collections import OrderedDict
@@ -207,7 +208,12 @@ class BatchScheduler:
         self._config_key = repr(session.config)
         # ---- resilience state ----
         self._faults = faults
-        self._fingerprint = (session.digest, self._config_key)
+        # Breaker key: graph digest, config label and a short hash of
+        # the full config, readable in every report's breaker snapshot.
+        config_hash = hashlib.sha256(self._config_key.encode()).hexdigest()
+        self._fingerprint = (
+            f"{session.digest}/{session.config.label}/{config_hash[:8]}"
+        )
         self._breaker = CircuitBreaker(
             self.resilience.breaker_threshold,
             self.resilience.breaker_cooldown_s,

@@ -10,6 +10,8 @@ import threading
 import time
 from collections import namedtuple
 
+from repro.core.config import BFSConfig
+
 #: One stub answer.  It compares equal to ``("result", root)`` and
 #: carries ``root``, the field poison detection reads.
 StubResult = namedtuple("StubResult", ["tag", "root"], defaults=("result", None))
@@ -28,7 +30,7 @@ class StubSession:
     """
 
     digest = "stub-digest"
-    config = "stub-config"
+    config = BFSConfig(label="stub")
     tracer = None
 
     def __init__(

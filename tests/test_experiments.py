@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.core.engine import BFSEngine
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentSettings,
@@ -14,14 +15,33 @@ from repro.experiments import (
 )
 from repro.experiments import common as exp_common
 from repro.experiments.cli import main as cli_main
+from repro.model import predict as predict_mod
+from repro.mpi.codecs import resolve_codec
 
 FAST = ExperimentSettings(scale_offset=16, num_roots=2)
 
 
+#: Functional BFS runs one pass of every experiment makes at FAST settings.
+BFS_RUNS = []
+
+
 @pytest.fixture(scope="module")
 def results():
-    """Run every experiment once at fast settings and share the output."""
-    return {eid: run_experiment(eid, FAST) for eid in EXPERIMENTS}
+    """Run every experiment once at fast settings, on a cleared counts
+    memo, and share the output."""
+    runs = []
+    real_run = BFSEngine.run
+
+    def counted(self, root):
+        runs.append(root)
+        return real_run(self, root)
+
+    predict_mod._COUNT_MEMO.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BFSEngine, "run", counted)
+        out = {eid: run_experiment(eid, FAST) for eid in EXPERIMENTS}
+    BFS_RUNS.append(len(runs))
+    return out
 
 
 class TestRegistry:
@@ -56,6 +76,15 @@ class TestRegistry:
 
 
 class TestWellFormed:
+    def test_each_distinct_traversal_runs_once(self, results):
+        # Count once, price many: the sweeps re-price memoised counts
+        # (172 runs before the counts memo, 24 with it).  Under the auto
+        # codec the communication block and the cluster join the count
+        # key, so only repeated identical evaluations share (62 runs).
+        assert FAST == ExperimentSettings().quick()
+        bound = 64 if resolve_codec(None).name == "auto" else 40
+        assert BFS_RUNS == [BFS_RUNS[0]] and BFS_RUNS[0] <= bound
+
     def test_every_experiment_renders(self, results):
         for eid, res in results.items():
             text = res.to_text()

@@ -479,6 +479,31 @@ class TestRetryAndBreaker:
         assert resil["breaker"]["fast_fails"] == 1
         assert resil["counts"]["batch_failures"] == 2
 
+    def test_breaker_key_is_a_short_fingerprint(self):
+        broken = StubSession(fail_times=1)
+        broken.fresh_session = broken
+        scheduler = BatchScheduler(
+            broken,
+            max_batch=1,
+            result_cache=None,
+            resilience=ResiliencePolicy(
+                hedge=False, retry_failed=False, supervise=False,
+                breaker_threshold=1, breaker_cooldown_s=60.0,
+            ),
+        )
+
+        async def go():
+            async with scheduler:
+                with pytest.raises(RuntimeError):
+                    await scheduler.submit(1)
+
+        asyncio.run(go())
+        states = scheduler.stats()["resilience"]["breaker"]["states"]
+        ((key, state),) = states.items()
+        digest, label, config_hash = key.split("/")
+        assert (digest, label, state) == ("stub-digest", "stub", "open")
+        assert len(config_hash) == 8 and int(config_hash, 16) >= 0
+
     def test_deadline_cancel_is_not_a_breaker_failure(self):
         scheduler = BatchScheduler(
             StubSession(fail_times=1, failure=DeadlineExceededError),
