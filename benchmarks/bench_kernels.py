@@ -10,7 +10,8 @@ performance regressions in the simulator itself.
 The bottom-up benchmarks run each backend on a *real* mid-BFS level
 (the scan right after level 1 from a high-degree root), which is where
 the active-set backend's early exit pays: most candidates retire within
-their first couple of edges.  ``make bench-baseline`` records the suite
+their first couple of edges; and on an all-bottom-up level 0, where
+nearly every candidate misses.  ``make bench-baseline`` records the suite
 to ``BENCH_kernels.json`` with backend/scale/commit metadata.
 
 Environment knobs: ``REPRO_BENCH_SCALE`` (default 16) sizes the R-MAT
@@ -145,6 +146,50 @@ def test_bottom_up_level(benchmark, graph, mid_level, backend_name):
         scale=SCALE,
         ranks=int(bounds.size - 1),
         frontier=int(frontier.size),
+        candidates=int(result.rank_candidates.sum()),
+        examined_edges=result.examined_edges,
+        inqueue_reads=int(result.rank_inqueue_reads.sum()),
+        discovered=int(result.discovered.size),
+        gathered_edges=result.gathered_edges,
+        chunk_rounds=result.chunk_rounds,
+    )
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_bottom_up_sparse_level(benchmark, graph, mid_level, backend_name):
+    """Level 0 of an all-bottom-up run, per backend: the frontier is one
+    median-degree root (Graph500 draws roots uniformly among vertices of
+    degree >= 1), so nearly every candidate misses and scans its whole
+    row — the shape of the Fig. 13 bottom-up-only rows.  ``activeset``
+    counts it from the frontier's side."""
+    _, _, bounds = mid_level
+    backend = get_backend(backend_name)
+    _skip_unless_runnable(backend, backend_name)
+    n = graph.num_vertices
+    degrees = graph.degrees()
+    order = np.argsort(degrees, kind="stable")
+    reached = order[degrees[order] > 0]
+    root = int(reached[reached.size // 2])
+    in_queue = Bitmap.from_indices(n, np.array([root]))
+    summary = SummaryBitmap.build(in_queue, 64)
+
+    def fresh_level():
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[root] = root
+        return (graph, parent, in_queue, summary, bounds), {}
+
+    result = benchmark.pedantic(
+        backend.bottom_up_scan,
+        setup=fresh_level,
+        rounds=10,
+        warmup_rounds=1,
+    )
+    assert result.discovered.size == graph.degree(root)
+    benchmark.extra_info.update(
+        backend=backend_name,
+        scale=SCALE,
+        ranks=int(bounds.size - 1),
+        frontier=1,
         candidates=int(result.rank_candidates.sum()),
         examined_edges=result.examined_edges,
         inqueue_reads=int(result.rank_inqueue_reads.sum()),

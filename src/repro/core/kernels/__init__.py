@@ -13,7 +13,10 @@ backends ship:
 ``activeset``
     Chunked early-exit scan
     (:class:`~repro.core.kernels.activeset.ActiveSetBackend`) — memory
-    and bitmap probes scale with *examined* edges; the default.
+    and bitmap probes scale with *examined* edges; the default.  On a
+    level whose frontier touches few arcs (an all-bottom-up level 0) it
+    counts every rank at once from the frontier's side, which is exact
+    on a symmetric :class:`~repro.graph.types.Graph`.
 ``cnative``
     Native compiled kernels
     (:class:`~repro.core.kernels.cnative.CNativeBackend`) — a small C

@@ -33,6 +33,33 @@ are ``O(active · width)`` and total gathered cells are ``O(examined)``
 rather than the total candidate degree.  All Section II.B.2 accounting
 is bit-identical to the reference backend; only the
 ``gathered_edges``/``chunk_rounds`` diagnostics differ.
+
+The wavefront runs per rank slice (:func:`scan_rank_slices`) and still
+walks every *missing* candidate's whole row.  On a level whose frontier
+touches few arcs — level 0 of an all-bottom-up run, where the frontier
+is the root — nearly every candidate misses, so the scan costs the whole
+graph.  For a :class:`~repro.graph.types.Graph` the backend then counts
+the level from the frontier's side instead, every rank in one pass:
+
+1. ``hit`` marks the targets of the frontier's arcs.  The CSR is
+   symmetric, deduplicated and loop-free, so a candidate has a frontier
+   neighbour iff it is hit.
+2. A candidate that is not hit examines its whole row (``deg``) and
+   reads ``in_queue`` once per arc into a lit summary block.  By
+   symmetry that is the number of the lit blocks' arcs that point at
+   it — one ``bincount`` over the lit blocks' adjacency.
+3. The hit candidates, few on such a level, run the wavefront above in
+   one call for their parents and early-exit counts.
+
+A two-stage gate picks the path (both count identically): stage (a)
+keeps the dense scan when the lit blocks hold a quarter of the arcs or
+more, which costs O(n/g); stage (b) compares the frontier side's reads
+with an estimate of the dense scan's cells, ``sum(min(deg, 1/p))`` over
+the candidates (``p`` the share of arcs leading into the frontier) plus
+its per-rank overhead.  docs/PERFORMANCE.md has the measurements behind
+both.  On the frontier-side path ``gathered_edges`` is the frontier and
+lit arcs read plus the wavefront's cells, and ``chunk_rounds`` the
+wavefront's rounds.
 """
 
 from __future__ import annotations
@@ -46,9 +73,33 @@ from repro.core.kernels.base import (
     scan_rank_slices,
 )
 from repro.errors import ConfigError
+from repro.graph.types import Graph
 from repro.util import bitops
+from repro.util.segments import gather_adjacency, segment_sums
 
 __all__ = ["ActiveSetBackend"]
+
+# The frontier-side gate (see ActiveSetBackend._frontier_side_plan).  Both
+# paths count a level identically, so these only pick the faster one.
+#: Stage (a): the dense scan once the lit blocks hold 1/_LIT_SHARE of
+#: the scanned vertices' arcs.
+_LIT_SHARE = 4
+#: Stage (b): the frontier side's O(n) passes cost one dense-scan cell
+#: per _VERTICES_PER_CELL scanned vertices ...
+_VERTICES_PER_CELL = 4
+#: ... and the dense scan's per-rank slicing and round overhead about
+#: this many cells per rank.
+_RANK_CELLS = 512
+
+
+def _set_bits(words):
+    """Ascending positions of the set bits of a word array, unpacking
+    only its non-zero words."""
+    nz = np.flatnonzero(words)
+    bits = np.flatnonzero(
+        np.unpackbits(words[nz].view(np.uint8), bitorder="little")
+    )
+    return nz[bits >> 6] * 64 + (bits & 63)
 
 
 @register_backend
@@ -77,15 +128,133 @@ class ActiveSetBackend(KernelBackend):
             return cls()
         return cls(chunk=config.kernel_chunk)
 
+    #: Test seam: None lets the gate choose, True/False forces the
+    #: frontier-side/dense path on a ``Graph``.
+    _force_frontier_side: bool | None = None
+
     def bottom_up_scan(
         self, graph, parent, in_queue, summary, bounds
     ) -> BottomUpResult:
-        """Scan each rank's candidates in early-exiting chunks."""
+        """The level from the frontier's side when that is exact and
+        cheaper, else each rank's candidates in early-exiting chunks."""
+        if isinstance(graph, Graph):
+            plan = self._frontier_side_plan(
+                graph, parent, in_queue, summary, bounds
+            )
+            if plan is not None:
+                return self._frontier_side_scan(
+                    graph, parent, in_queue, summary, bounds, *plan
+                )
         return scan_rank_slices(
             self._scan, graph, parent, in_queue, summary, bounds
         )
 
-    def _scan(self, graph, cand, in_queue, summary):
+    def _frontier_side_plan(self, graph, parent, in_queue, summary, bounds):
+        """The gate: ``(frontier, lit)`` when the frontier side is the
+        cheaper way to count this level, None when the dense scan is.
+
+        ``frontier`` is the frontier's ids and ``lit`` the lit summary
+        blocks as ``(block_edges, blocks)``: block ``b``'s arcs start at
+        ``block_edges[b]`` (None without a summary).
+        """
+        force = self._force_frontier_side
+        if force is False:
+            return None
+        offsets = graph.offsets
+        lo, hi = int(bounds[0]), int(bounds[-1])
+        # Stage (a), O(n/g): the arcs of the lit blocks (of the non-zero
+        # in_queue words without a summary) bound the frontier side's.
+        if summary is None:
+            g, lit_blocks = 64, in_queue.words != 0
+        else:
+            g = summary.granularity
+            lit_blocks = bitops.bits_to_bool(summary.words, summary.nblocks)
+        block_edges = offsets[::g]
+        if block_edges.size == lit_blocks.size:  # a partial last block
+            block_edges = np.append(block_edges, offsets[-1])
+        lit_arcs = int(np.diff(block_edges)[lit_blocks].sum())
+        arcs = offsets[hi] - offsets[lo]
+        if force is None and _LIT_SHARE * lit_arcs >= arcs:
+            return None
+        frontier = _set_bits(in_queue.words)
+        if summary is None:
+            lit, lit_arcs = None, 0
+        else:
+            lit = block_edges, np.flatnonzero(lit_blocks)
+        if force is None:
+            # Stage (b): with a share p of all arcs leading into the
+            # frontier, the dense scan gathers about min(deg, 1/p) cells
+            # per candidate; the frontier side reads the lit and frontier
+            # arcs and makes a few passes over the vertices.
+            f_arcs = int((offsets[frontier + 1] - offsets[frontier]).sum())
+            capped = np.subtract(offsets[lo + 1:hi + 1], offsets[lo:hi])
+            reach = graph.targets.size // max(f_arcs, 1)  # 1/p
+            np.minimum(capped, reach, out=capped)
+            np.putmask(capped, parent[lo:hi] >= 0, 0)
+            dense = int(capped.sum()) + _RANK_CELLS * (len(bounds) - 1)
+            if lit_arcs + f_arcs + (hi - lo) // _VERTICES_PER_CELL >= dense:
+                return None
+        return frontier, lit
+
+    def _frontier_side_scan(
+        self, graph, parent, in_queue, summary, bounds, frontier, lit
+    ) -> BottomUpResult:
+        """The whole level for every rank in one pass from the frontier.
+
+        A ``Graph`` is symmetric, deduplicated and loop-free, so a
+        candidate has a frontier neighbour iff it is a target of a
+        frontier arc.  One that has none examines its whole row and
+        reads in_queue once per arc into a lit block, and those arcs are
+        counted from the lit blocks' side.  Only the candidates that do
+        hit run the wavefront :meth:`_scan`, every rank in one call, for
+        their parents and early-exit counts.  ``gathered_edges`` is the
+        frontier and lit arcs read plus the wavefront's cells.
+        """
+        offsets, targets = graph.offsets, graph.targets
+        n = graph.num_vertices
+        lo, hi = int(bounds[0]), int(bounds[-1])
+        deg = offsets[lo + 1:hi + 1] - offsets[lo:hi]
+        cand = np.flatnonzero((parent[lo:hi] < 0) & (deg > 0))
+        examined = deg[cand]
+        cand += lo
+        f_pos = gather_adjacency(offsets, frontier).pos
+        hit = np.zeros(n, dtype=bool)
+        hit[targets[f_pos]] = True
+        gathered = int(f_pos.size)
+        if lit is None:
+            reads = examined
+        else:
+            l_pos = gather_adjacency(*lit).pos
+            reads = np.bincount(targets[l_pos], minlength=n)[cand]
+            gathered += int(l_pos.size)
+        hits = np.flatnonzero(hit[cand])
+        found = cand[hits]
+        disc_degree = examined[hits]
+        rounds = 0
+        if found.size:
+            _, parents, hit_examined, hit_reads, cells, rounds = self._scan(
+                graph, found, in_queue, summary, per_candidate=True
+            )
+            parent[found] = parents
+            examined[hits] = hit_examined
+            reads[hits] = hit_reads
+            gathered += cells
+        cut = np.searchsorted(cand, bounds)
+        return BottomUpResult(
+            found,
+            np.diff(cut),
+            segment_sums(examined, cut),
+            segment_sums(reads, cut),
+            segment_sums(disc_degree, np.searchsorted(found, bounds)),
+            gathered_edges=gathered,
+            chunk_rounds=rounds,
+        )
+
+    def _scan(self, graph, cand, in_queue, summary, per_candidate=False):
+        """Early-exit scan of the ascending candidate ids ``cand``: the
+        ``scan`` of :func:`scan_rank_slices`.  With ``per_candidate`` the
+        examined and in_queue-read counts come back as per-candidate
+        arrays instead of totals."""
         ncand = int(cand.size)
         starts = graph.offsets[cand]
         degs = (graph.offsets[cand + 1] - starts).astype(np.int64)
@@ -95,6 +264,12 @@ class ActiveSetBackend(KernelBackend):
         first_parent = np.empty(ncand, dtype=np.int64)
         examined_total = 0
         inqueue_reads = 0
+        if per_candidate:
+            cand_examined = np.zeros(ncand, dtype=np.int64)
+            cand_reads = (
+                cand_examined if summary is None
+                else np.zeros(ncand, dtype=np.int64)
+            )
         gathered = 0
         rounds = 0
 
@@ -152,11 +327,12 @@ class ActiveSetBackend(KernelBackend):
                 # restricted to this chunk's slice of the prefix.  The
                 # prefix mask also excludes padded cells (cnt <= row_len).
                 within_prefix = col[None, :] < cnt[:, None]
-                inqueue_reads += int(
-                    np.count_nonzero(
-                        summary_hits.reshape(neighbors.shape) & within_prefix
-                    )
-                )
+                within_prefix &= summary_hits.reshape(neighbors.shape)
+                inqueue_reads += int(np.count_nonzero(within_prefix))
+                if per_candidate:
+                    cand_reads[active] += within_prefix.sum(axis=1)
+            if per_candidate:
+                cand_examined[active] += cnt
 
             rows = np.flatnonzero(has_hit)
             hit_idx = active[rows]
@@ -168,6 +344,8 @@ class ActiveSetBackend(KernelBackend):
             active = active[live]
             width = min(width * 2, self.MAX_CHUNK)
 
+        if per_candidate:
+            examined_total, inqueue_reads = cand_examined, cand_reads
         return (
             found, first_parent[found], examined_total, inqueue_reads,
             gathered, rounds,

@@ -16,7 +16,12 @@ import numpy as np
 from repro.core.config import BFSConfig, CommConfig
 from repro.core.engine import BFSEngine, BFSResult
 from repro.core.prepared import PreparedGraph
-from repro.core.timing import BfsTiming, CostConstants, PhaseBreakdown
+from repro.core.timing import (
+    BfsTiming,
+    CostConstants,
+    PhaseBreakdown,
+    mean_bu_comm_ns,
+)
 from repro.core.validate import validate_parent_tree
 from repro.graph.degree import sample_roots
 from repro.graph.types import Graph
@@ -65,13 +70,7 @@ class RootAverages:
     def mean_bu_comm_per_level(self) -> float:
         """Average time of each bottom-up communication phase (the Fig. 12
         / Fig. 13 bars), in ns."""
-        times = [
-            lt.comm_ns
-            for timing in self.root_timings()
-            for lt in timing.levels
-            if lt.direction == "bottom_up"
-        ]
-        return float(np.mean(times)) if times else 0.0
+        return mean_bu_comm_ns(self.root_timings())
 
 
 @dataclass

@@ -42,6 +42,7 @@ __all__ = [
     "BfsTiming",
     "assemble",
     "comm_component_split",
+    "mean_bu_comm_ns",
 ]
 
 #: Attribution categories for communication time: the two bottom-up
@@ -230,6 +231,18 @@ class BfsTiming:
     def total_seconds(self) -> float:
         """Total simulated seconds."""
         return self.total_ns / 1e9
+
+
+def mean_bu_comm_ns(timings: list[BfsTiming]) -> float:
+    """Average time of each bottom-up communication phase over every
+    level of ``timings`` (the Fig. 12 / Fig. 13 bars), in ns."""
+    times = [
+        lt.comm_ns
+        for timing in timings
+        for lt in timing.levels
+        if lt.direction == "bottom_up"
+    ]
+    return float(np.mean(times)) if times else 0.0
 
 
 def _roofline(

@@ -18,6 +18,7 @@ from repro.core.timing import (
     CostConstants,
     StructureSizes,
     assemble,
+    mean_bu_comm_ns,
 )
 from repro.graph.rmat import GRAPH500_EDGEFACTOR, RmatParams
 from repro.machine.spec import ClusterSpec
@@ -56,12 +57,7 @@ class AnalyticResult:
 
     def mean_bu_comm_per_level(self) -> float:
         """Average cost of one bottom-up communication phase (ns)."""
-        times = [
-            lt.comm_ns
-            for lt in self.timing.levels
-            if lt.direction == "bottom_up"
-        ]
-        return float(sum(times) / len(times)) if times else 0.0
+        return mean_bu_comm_ns([self.timing])
 
 
 def analytic_graph500(

@@ -39,7 +39,9 @@ from repro.core.kernels import (
 from repro.core.topdown import _dedup_dense, _dedup_sorted, dedup_first_parent
 from repro.errors import ConfigError
 from repro.graph import (
+    EdgeList,
     Partition1D,
+    build_graph,
     from_edge_arrays,
     path_graph,
     rmat_graph,
@@ -298,6 +300,123 @@ class TestLevelContract:
                 CNativeBackend().bottom_up_scan(
                     graph, p, Bitmap(nbits), None, b
                 )
+
+
+def random_graph(rng, n):
+    """A ``Graph`` built by ``build_graph`` from a random edge list over
+    ``n`` vertices with duplicate edges and self-loops."""
+    m = int(rng.integers(0, 6 * n + 1))
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    dup = rng.integers(0, m, m // 4) if m else np.zeros(0, dtype=np.int64)
+    loops = rng.integers(0, n, n // 8)
+    return build_graph(EdgeList(
+        n,
+        np.concatenate([src, dst[dup], loops]),
+        np.concatenate([dst, src[dup], loops]),
+    ))
+
+
+def forced_activeset(frontier_side):
+    """An active-set backend whose gate is forced to one path (None: the
+    gate chooses)."""
+    backend = ActiveSetBackend()
+    backend._force_frontier_side = frontier_side
+    return backend
+
+
+class TestFrontierSide:
+    """The active-set frontier-side path counts a level from the
+    frontier's adjacency on a symmetric ``Graph``; it must agree with
+    the dense per-rank scan, the reference backend and the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        words=st.integers(1, 8),
+        ranks=st.integers(1, 8),
+        granularity=st.sampled_from([None, 64, 192, 256]),
+        visited_density=st.sampled_from([0.0, 0.3, 0.9]),
+        frontier=st.sampled_from(["empty", "single", 0.05, 0.5]),
+    )
+    def test_every_path_matches_oracle_on_graphs(
+        self, seed, words, ranks, granularity, visited_density, frontier,
+    ):
+        rng = np.random.default_rng(seed)
+        n = 64 * words
+        graph = random_graph(rng, n)
+        cuts = np.sort(rng.integers(0, words + 1, ranks - 1))
+        bounds = 64 * np.concatenate(([0], cuts, [words])).astype(np.int64)
+        parent = np.where(
+            rng.random(n) < visited_density, rng.integers(0, n, n), -1
+        ).astype(np.int64)
+        if frontier == "empty":
+            ids = np.zeros(0, dtype=np.int64)
+        elif frontier == "single":
+            ids = rng.integers(0, n, 1)
+        else:
+            ids = np.flatnonzero(rng.random(n) < frontier)
+        in_queue = Bitmap.from_indices(n, ids)
+        summary = (
+            None if granularity is None
+            else SummaryBitmap.build(in_queue, granularity)
+        )
+        want_parent = parent.copy()
+        want_disc, want_counts = oracle_level(
+            graph, want_parent, ids, granularity, bounds
+        )
+        backends = {
+            "reference": BACKENDS["reference"],
+            "frontier-side": forced_activeset(True),
+            "dense": forced_activeset(False),
+            "gated": forced_activeset(None),
+        }
+        for name, backend in backends.items():
+            got_parent = parent.copy()
+            res = backend.bottom_up_scan(
+                graph, got_parent, in_queue, summary, bounds
+            )
+            got_counts = np.stack([
+                res.rank_candidates, res.rank_examined_edges,
+                res.rank_inqueue_reads, res.rank_disc_degree,
+            ])
+            assert res.discovered.tolist() == want_disc, name
+            assert np.array_equal(got_counts, want_counts), name
+            assert np.array_equal(got_parent, want_parent), name
+
+    @pytest.mark.parametrize("scale, mode, engaged", [
+        (12, TraversalMode.BOTTOM_UP, True),
+        (14, TraversalMode.HYBRID, False),
+    ], ids=["bottom-up-s12", "hybrid-s14"])
+    def test_gate_engagement(self, monkeypatch, scale, mode, engaged):
+        """All-bottom-up level 0 (a one-vertex frontier) takes the
+        frontier side; no hybrid bottom-up level does, since the
+        frontier is large by the time the hybrid policy switches.
+        Either way the run equals the reference backend's."""
+        taken = []
+        plan = ActiveSetBackend._frontier_side_plan
+
+        def spy(self, *args):
+            out = plan(self, *args)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(ActiveSetBackend, "_frontier_side_plan", spy)
+        graph = rmat_graph(scale=scale, seed=scale)
+        cluster = paper_cluster(nodes=2)
+        root = int(np.argmax(graph.degrees()))
+        want, got = (
+            BFSEngine(graph, cluster, BFSConfig(kernel=kernel, mode=mode))
+            for kernel in ("reference", "activeset")
+        )
+        assert got.partition.bounds.size - 1 == 16
+        want, got = want.run(root), got.run(root)
+        assert len(taken) >= 2  # bottom-up levels, all gated
+        if engaged:
+            assert taken[0]
+        else:
+            assert not any(taken)
+        assert_same_runs(want, got)
 
 
 class TestFrontiersPartitionedByBounds:
