@@ -260,11 +260,6 @@ class BFSConfig:
     # ("activeset").  All backends are bit-identical on the paper's
     # accounting, so this knob never changes a priced result.
     kernel: str | None = None
-    # First-round chunk width of the active-set backend's wavefront
-    # (edges tested per candidate per round; doubles each round).  Mid-BFS
-    # candidates retire within the first edge or two, so the first rounds
-    # should stay tiny.
-    kernel_chunk: int = 2
 
     # Extension beyond the paper: balance the 1-D partition by edge mass
     # instead of vertex count, reducing the stall (load-imbalance) phase.
@@ -290,7 +285,6 @@ class BFSConfig:
         binding: BindingPolicy = BindingPolicy.BIND_TO_SOCKET,
         comm: CommConfig | None = None,
         kernel: str | None = None,
-        kernel_chunk: int = 2,
         degree_balanced: bool = False,
         omp_dynamic: bool = True,
         mode: TraversalMode = TraversalMode.HYBRID,
@@ -352,7 +346,6 @@ class BFSConfig:
         object.__setattr__(self, "binding", binding)
         object.__setattr__(self, "comm", comm)
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "kernel_chunk", kernel_chunk)
         object.__setattr__(self, "degree_balanced", degree_balanced)
         object.__setattr__(self, "omp_dynamic", omp_dynamic)
         object.__setattr__(self, "mode", mode)
@@ -366,8 +359,6 @@ class BFSConfig:
             raise ConfigError("ppn must be positive")
         if not isinstance(self.comm, CommConfig):
             raise ConfigError("comm must be a CommConfig")
-        if self.kernel_chunk < 1:
-            raise ConfigError("kernel_chunk must be >= 1")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("alpha/beta must be positive")
 
@@ -424,12 +415,11 @@ class BFSConfig:
         policy, the summary layout, and the codec and kernel names as
         ``REPRO_CODEC``/``REPRO_KERNEL`` resolve them.  Every other
         setting (binding, sharing, the allgather schedule, ``omp_dynamic``,
-        ``kernel_chunk``, ``label``, the cluster's node model and weak
-        nodes, the cost ``constants``) only prices the run (see
-        :data:`PRICE_ONLY_FIELDS`).  The ``auto`` codec is the exception:
-        its per-level choice reads the cost model, so under ``auto`` the
-        whole communication block, the binding, ``repr(cluster)`` and the
-        constants join the key.
+        ``label``, the cluster's node model and weak nodes, the cost
+        ``constants``) only prices the run (see :data:`PRICE_ONLY_FIELDS`).
+        The ``auto`` codec is the exception: its per-level choice reads
+        the cost model, so under ``auto`` the whole communication block,
+        the binding, ``repr(cluster)`` and the constants join the key.
         """
         codec = resolve_codec(self).name
         key = (
@@ -522,7 +512,6 @@ COUNT_KEY_FIELDS = (
 #: only its price.  Every field is in exactly one of the two tuples.
 PRICE_ONLY_FIELDS = (
     "binding",
-    "kernel_chunk",
     "omp_dynamic",
     "label",
     "sharing",

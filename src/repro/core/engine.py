@@ -31,6 +31,15 @@ lane; the batched :class:`~repro.core.multisource.MultiSourceEngine`
 runs up to 64.  The state is global, as the kernels are: per lane a row
 of one parent table, a per-rank unexplored-degree vector, and a
 rank-major frontier array (all of rank 0's members, then rank 1's, ...).
+
+The loop has no fault-tolerance branches.  Checkpoint, rollback, retry,
+checksums and straggler repricing live in one
+:class:`~repro.faults.recovery.Recovery` object the engine builds once
+from its ``faults=`` and ``resilience=`` arguments; the loop calls it at
+fixed points (run start, top of level, each collective, after the
+gather, level barrier, run end).  A fault-free engine holds the all-off
+instance, :data:`~repro.faults.recovery.ALL_OFF`, whose hooks do
+nothing, and so takes the same loop.
 """
 
 from __future__ import annotations
@@ -49,16 +58,10 @@ from repro.core.kernels import resolve_backend
 from repro.core.kernels.base import PAIR_BYTES
 from repro.core.prepared import PreparedGraph
 from repro.core.timing import BfsTiming, CostConstants, StructureSizes, assemble
-from repro.errors import FaultError, GraphError
-from repro.faults.checkpoint import BFSCheckpoint
-from repro.faults.injector import (
-    FaultInjector,
-    PayloadCorruptionFault,
-    TransientCollectiveFault,
-    words_checksum,
-)
+from repro.errors import GraphError
+from repro.faults.injector import FaultInjector, RollbackFault
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoveryLog, RecoveryReport, ResilienceConfig
+from repro.faults.recovery import ALL_OFF, FaultTolerance, ResilienceConfig
 from repro.graph.types import Graph
 from repro.machine.spec import ClusterSpec
 from repro.mpi.codecs import get_codec, resolve_codec
@@ -72,6 +75,16 @@ from repro.util import bitops
 __all__ = ["BFSEngine", "BFSResult"]
 
 
+class _NeverCancelled:
+    """The cancel token of a traversal nobody can cancel."""
+
+    def check(self, where: str = "") -> None:
+        """Never raises."""
+
+
+NEVER_CANCELLED = _NeverCancelled()
+
+
 @dataclass
 class BFSResult:
     """Everything one BFS run produced."""
@@ -83,7 +96,8 @@ class BFSResult:
     timing: BfsTiming
     # Filled only when the engine ran with a recording tracer.
     telemetry: RunTelemetry | None = None
-    # Filled only when the engine ran with fault tolerance enabled.
+    # The run's repro.faults.recovery.RecoveryReport, filled only when
+    # the engine ran with fault tolerance enabled.
     recovery: RecoveryReport | None = None
 
     @property
@@ -148,19 +162,21 @@ class BFSEngine:
         self.hostprof = hostprof if hostprof is not None else NULL_HOSTPROF
         self.metrics = metrics
         # Fault tolerance is opt-in the same way: with no plan the
-        # injector stays None, no communicator hook fires, and the level
-        # loop takes the exact seed path.  A plan implies a (default)
-        # ResilienceConfig; a ResilienceConfig alone enables
-        # checkpointing/verification without injecting anything.
+        # injector stays None and no communicator hook fires.  A plan
+        # implies a (default) ResilienceConfig; a ResilienceConfig alone
+        # enables checkpointing/verification without injecting anything.
+        # Either builds the engine's recovery object; neither leaves it
+        # the all-off one, whose every hook is a no-op.
         if isinstance(faults, FaultPlan):
             faults = None if faults.empty else FaultInjector(faults)
         self.injector: FaultInjector | None = faults
-        if self.injector is not None:
-            self.injector.bind(tracer=self.tracer, metrics=self.metrics)
-            if resilience is None:
-                resilience = ResilienceConfig()
+        if faults is not None and resilience is None:
+            resilience = ResilienceConfig()
         self.resilience = resilience
-        self._log: RecoveryLog | None = None
+        self.recovery = ALL_OFF if resilience is None else FaultTolerance(
+            resilience, faults,
+            tracer=self.tracer, metrics=metrics, hostprof=self.hostprof,
+        )
         # Kernel backend: config.kernel > $REPRO_KERNEL > registry default.
         # Backends are bit-identical on all priced counts (enforced by the
         # equivalence suite), so this only changes speed and memory.
@@ -227,21 +243,10 @@ class BFSEngine:
     def run(self, root: int) -> BFSResult:
         """Execute one BFS from ``root`` and price it."""
         tr = self.tracer
-        inj = self.injector
         with tr.span("bfs.run", cat="run", root=root), self.hostprof.phase(
             "run"
         ):
             (result,) = self._run_lanes([root])
-            if inj is not None and inj.has_stragglers:
-                self._reprice_stragglers(result.timing, inj)
-        if self.resilience is not None:
-            result.recovery = RecoveryReport.from_log(
-                self._log, result.timing, inj.events if inj is not None else []
-            )
-            if self.metrics is not None:
-                self.metrics.counter("recovery.overhead_sim_ns_total").inc(
-                    result.recovery.overhead_ns
-                )
         if tr.enabled:
             result.telemetry = RunTelemetry.from_tracer(tr, self.metrics)
             from repro.obs.analyze import attribute_run
@@ -251,7 +256,9 @@ class BFSEngine:
             self._record_metrics(result)
         return result
 
-    def _run_lanes(self, roots: list[int], cancel=None) -> list[BFSResult]:
+    def _run_lanes(
+        self, roots: list[int], cancel=NEVER_CANCELLED
+    ) -> list[BFSResult]:
         """The level loop over one lane per root; one priced result each.
 
         A lane is one traversal: its row of the ``(lanes, n)`` parent
@@ -262,8 +269,8 @@ class BFSEngine:
         :meth:`_bottom_up_lanes`, so a lane's result is bit-identical to
         running its root alone.  ``cancel`` (anything with a
         ``check(where)`` that raises on expiry) is consulted once per
-        round.  The fault block at the level barrier addresses lane 0:
-        only :meth:`run` reaches it with a plan.
+        round.  The recovery hooks address lane 0: only :meth:`run`
+        reaches them with fault tolerance on.
         """
         graph = self.graph
         n = graph.num_vertices
@@ -302,18 +309,11 @@ class BFSEngine:
             if self.codec is not None
             else None
         )
-        visited0 = None if visited_words is None else visited_words[0]
-
-        inj = self.injector
-        res_cfg = self.resilience
-        log = RecoveryLog() if res_cfg is not None else None
-        self._log = log
-        if inj is not None:
-            inj.reset()
-        if res_cfg is not None:
-            res_cfg.store.clear()
-        last_ckpt_level = -1
-
+        rec = self.recovery
+        rec.start(
+            policies[0], parent[0], unexplored[0], counts[0],
+            None if visited_words is None else visited_words[0],
+        )
         tr = self.tracer
         hp = self.hostprof
         level = 0
@@ -321,27 +321,8 @@ class BFSEngine:
             live = [s for s in range(num) if frontiers[s].size]
             if not live:
                 break
-            if cancel is not None:
-                cancel.check(f"batch round {level}")
-            if (
-                res_cfg is not None
-                and res_cfg.checkpoint_every > 0
-                and level % res_cfg.checkpoint_every == 0
-                and level != last_ckpt_level
-            ):
-                # Top-of-level snapshot: captured *before* the direction
-                # decision so a rollback replays it too.  After a
-                # rollback the restored level's state is identical to the
-                # stored snapshot, so it is skipped rather than
-                # re-captured (and re-priced).
-                last_ckpt_level = level
-                with hp.phase("checkpoint"):
-                    self._checkpoint(
-                        level, prev_direction[0], policies[0], parent[0],
-                        unexplored[0], frontiers[0], visited0, log,
-                    )
-            if inj is not None:
-                inj.begin_level(level)
+            cancel.check(f"batch round {level}")
+            rec.top_of_level(level, prev_direction[0], frontiers[0])
 
             top_down, bottom_up = [], []
             with hp.phase("frontier_stats"):
@@ -370,7 +351,6 @@ class BFSEngine:
                     else:
                         bottom_up.append(s)
 
-            fault = None
             try:
                 with tr.span(
                     "level",
@@ -392,12 +372,6 @@ class BFSEngine:
                             bottom_up, frontiers, parent, lcs, shared,
                             visited_words,
                         )))
-            except PayloadCorruptionFault as exc:
-                # Checksum mismatch: the gathered frontier is not
-                # trustworthy; nothing durable was mutated yet, so roll
-                # back and replay from the last snapshot.
-                fault = ("corruption", exc, level, None)
-            else:
                 for lanes, (new, disc_degree) in stepped:
                     for s, frontier, disc in zip(lanes, new, disc_degree):
                         frontiers[s] = frontier
@@ -408,24 +382,15 @@ class BFSEngine:
                     lc.discovered = sizes[s] = self._rank_sizes(frontiers[s])
                     counts[s].levels.append(lc)
                     prev_direction[s] = lc.direction
+                rec.barrier(level)
                 level += 1
-                # Crash detection happens at the level barrier — the
-                # crashed level's work completed on the survivors but is
-                # lost with the dead rank, so it genuinely gets replayed
-                # from the last snapshot.
-                crash = None if inj is None else inj.take_crash(level - 1)
-                if crash is not None:
-                    fault = ("crash", None, level - 1, crash.rank)
-            if fault is not None:
-                # Restore lane 0 and rebuild what the loop carries across
-                # levels from the restored frontier.
-                kind, cause, at_level, rank = fault
-                frontiers[0], level, prev_direction[0] = self._rollback(
-                    kind, cause, at_level, policies[0], parent[0],
-                    unexplored[0], counts[0], visited0, log, rank=rank,
-                )
+            except RollbackFault as fault:
+                # A corrupted gather (nothing durable mutated yet) or a
+                # crash at the barrier: restore lane 0 and rebuild what
+                # the loop carries across levels from the restored
+                # frontier.
+                frontiers[0], level, prev_direction[0] = rec.rollback(fault)
                 sizes[0], frontier_edges[0] = self._frontier_facts(frontiers[0])
-                last_ckpt_level = level
 
         results = []
         for s, root in enumerate(roots):
@@ -450,13 +415,13 @@ class BFSEngine:
                     timing=timing,
                 )
             )
+        rec.finish(results[0])
         return results
 
     def _record_metrics(self, result: BFSResult) -> None:
         """Fold one run's counts and timings into the metrics registry."""
         m = self.metrics
         m.counter("bfs.runs_total").inc()
-        m.counter("bfs.kernel_runs_total", backend=self.kernel.name).inc()
         m.gauge("bfs.last_run.teps").set(result.teps)
         m.gauge("bfs.last_run.simulated_seconds").set(result.seconds)
         for phase, ns in result.timing.breakdown.as_dict().items():
@@ -502,163 +467,6 @@ class BFSEngine:
                     m.histogram("bfs.summary_inqueue_read_fraction").observe(
                         float(lc.inqueue_reads.sum()) / examined
                     )
-
-    # ---- fault tolerance -----------------------------------------------------
-
-    def _checkpoint(
-        self, level, prev_direction, policy, parent, unexplored, frontier,
-        visited_words, log,
-    ) -> None:
-        """Snapshot the run at a level boundary and price the capture."""
-        res_cfg = self.resilience
-        ckpt = BFSCheckpoint.capture(
-            level=level,
-            prev_direction=prev_direction,
-            policy=policy,
-            parent=parent,
-            unexplored=unexplored,
-            frontier=frontier,
-            visited_words=visited_words,
-        )
-        nbytes = ckpt.nbytes
-        with self.tracer.span(
-            "recovery.checkpoint", cat="recovery", level=level, nbytes=nbytes,
-        ):
-            res_cfg.store.put(ckpt)
-        log.checkpoints += 1
-        log.checkpoint_bytes += nbytes
-        log.fixed_overhead_ns += res_cfg.cost.checkpoint_ns(
-            nbytes, res_cfg.on_disk
-        )
-        if self.metrics is not None:
-            self.metrics.counter("recovery.checkpoints_total").inc()
-            self.metrics.counter("recovery.checkpoint_bytes_total").inc(
-                float(nbytes)
-            )
-
-    def _rollback(
-        self, kind, cause, at_level, policy, parent, unexplored, counts,
-        visited_words, log, *, rank=None,
-    ):
-        """Restore the latest snapshot after a fault at ``at_level``.
-
-        Rewinds the live state, truncates the already-recorded level
-        counts (the final pricing must never double-count a replayed
-        level) and logs the lost executions — levels ``ckpt.level``
-        through ``at_level`` inclusive ran once for nothing, so
-        :meth:`RecoveryLog.overhead_ns` charges each of them once more at
-        its final price.  Returns ``(frontier, level, prev_direction)``
-        to resume from; ``parent``, ``unexplored`` and ``visited_words``
-        are restored in place so live views stay valid.
-        """
-        res_cfg = self.resilience
-        if res_cfg is None:
-            raise FaultError(
-                f"{kind} fault with fault tolerance disabled",
-                kind=kind, level=at_level, rank=rank,
-            ) from cause
-        ckpt = res_cfg.store.latest()
-        if ckpt is None:
-            raise FaultError(
-                f"{kind} fault at level {at_level} with no checkpoint to "
-                f"restore from",
-                kind=kind, level=at_level, rank=rank,
-            ) from cause
-        if log.rollbacks >= res_cfg.max_rollbacks:
-            raise FaultError(
-                f"rollback budget exhausted after {log.rollbacks} "
-                f"rollbacks",
-                kind=kind, level=at_level, rank=rank,
-                max_rollbacks=res_cfg.max_rollbacks,
-            ) from cause
-        log.rollbacks += 1
-        with self.tracer.span(
-            "recovery.rollback", cat="recovery",
-            kind=kind, from_level=at_level, to_level=ckpt.level,
-        ):
-            frontier, visited = ckpt.restore(policy, parent, unexplored)
-            if visited_words is not None and visited is not None:
-                visited_words[:] = visited
-        del counts.levels[ckpt.level:]
-        log.replayed_levels.extend(range(ckpt.level, at_level + 1))
-        overhead = res_cfg.cost.restore_ns(ckpt.nbytes, res_cfg.on_disk)
-        if kind == "crash":
-            overhead += res_cfg.cost.crash_detect_ns + res_cfg.cost.respawn_ns
-        log.fixed_overhead_ns += overhead
-        log.note(
-            "rollback", kind=kind, from_level=at_level, to_level=ckpt.level,
-            fixed_ns=overhead, rank=rank,
-        )
-        if self.metrics is not None:
-            self.metrics.counter("recovery.rollbacks_total", kind=kind).inc()
-        return frontier, ckpt.level, ckpt.prev_direction
-
-    def _exchange(self, op, level, fn):
-        """Run one collective with bounded retry on transient faults.
-
-        Each failed attempt wasted its full priced duration (the payload
-        is retransmitted from scratch) plus an exponential backoff; both
-        land in the recovery overhead, never in the level's own pricing.
-        Exhausting the attempt budget aborts the run with a typed
-        :class:`~repro.errors.FaultError`.
-        """
-        if self.injector is None:
-            return fn()
-        res_cfg = self.resilience
-        log = self._log
-        last = None
-        for attempt in range(1, res_cfg.max_attempts + 1):
-            try:
-                return fn()
-            except TransientCollectiveFault as exc:
-                last = exc
-                backoff = res_cfg.cost.backoff_ns(attempt)
-                log.retries += 1
-                log.fixed_overhead_ns += exc.wasted_ns + backoff
-                log.note(
-                    "retry", collective=op, level=level, attempt=attempt,
-                    wasted_ns=exc.wasted_ns, backoff_ns=backoff,
-                )
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "recovery.retries_total", collective=op
-                    ).inc()
-        raise FaultError(
-            f"{op} failed after {res_cfg.max_attempts} attempts at level "
-            f"{level}",
-            collective=op, level=level, attempts=res_cfg.max_attempts,
-        ) from last
-
-    def _reprice_stragglers(self, timing: BfsTiming, inj) -> None:
-        """Fold the plan's straggler slowdowns into the final pricing.
-
-        A straggler is a pure pricing perturbation — it changes no
-        functional result, so it is applied after :func:`assemble`:
-        per-rank compute times stretch by the slowdown factor, the level
-        mean/max/stall are recomputed, and the Fig. 11 breakdown absorbs
-        the deltas (everyone waits for the slow rank at the barrier).
-        """
-        bd = timing.breakdown
-        for lt in timing.levels:
-            factors = np.array(
-                [
-                    inj.straggler_factor(r, lt.level)
-                    for r in range(len(lt.compute_rank_ns))
-                ]
-            )
-            if not np.any(factors > 1.0):
-                continue
-            old_mean = lt.compute_mean_ns
-            old_stall = lt.stall_ns
-            lt.compute_rank_ns = lt.compute_rank_ns * factors
-            lt.compute_mean_ns = float(lt.compute_rank_ns.mean())
-            lt.compute_max_ns = float(lt.compute_rank_ns.max())
-            lt.stall_ns = lt.compute_max_ns - lt.compute_mean_ns
-            if lt.direction == Direction.TOP_DOWN:
-                bd.td_compute += lt.compute_mean_ns - old_mean
-            else:
-                bd.bu_compute += lt.compute_mean_ns - old_mean
-            bd.stall += lt.stall_ns - old_stall
 
     # ---- level kernels -------------------------------------------------------
 
@@ -711,12 +519,12 @@ class BFSEngine:
             lc.candidates = np.zeros(np_ranks, dtype=np.int64)
             lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
             lc.td_send_bytes = res.send_bytes[b]
-        if self.injector is not None or tr.enabled:
+        if self.recovery.injects or tr.enabled:
             with tr.span("phase.td_exchange", cat="phase"), hp.phase(
                 "td_exchange"
             ):
                 for lc in lcs:
-                    self._exchange(
+                    self.recovery.exchange(
                         "alltoallv", lc.level,
                         partial(self.comm.alltoallv, lc.td_send_bytes),
                     )
@@ -760,19 +568,10 @@ class BFSEngine:
                 visited_words[word_starts[r]:word_starts[r + 1]]
                 for r in range(np_ranks)
             ]
-        verify = (
-            self.resilience is not None and self.resilience.verify_checksums
-        )
-        if verify:
-            # Sender-side checksum: the gathered concatenation must
-            # reproduce it exactly (codecs are lossless), so any
-            # in-flight bit flip is caught here before a single byte of
-            # it reaches engine state.
-            exp_x, exp_s = words_checksum(words)
         with tr.span("phase.bu_allgather", cat="phase"), hp.phase(
             "bu_allgather"
         ):
-            res = self._exchange(
+            res = self.recovery.exchange(
                 "allgather", lc.level,
                 partial(
                     allgather,
@@ -793,19 +592,7 @@ class BFSEngine:
             full_words = res.data
         else:
             full_words = res.data[0].data
-        if verify:
-            got_x, got_s = words_checksum(full_words)
-            self._log.fixed_overhead_ns += self.resilience.cost.checksum_ns(
-                full_words.size * 8
-            )
-            if (got_x, got_s) != (exp_x, exp_s):
-                raise PayloadCorruptionFault(
-                    "frontier checksum mismatch after allgather",
-                    collective="allgather",
-                    level=lc.level,
-                    expected=f"{exp_x:016x}/{exp_s:016x}",
-                    actual=f"{got_x:016x}/{got_s:016x}",
-                )
+        self.recovery.after_gather(lc.level, words, full_words)
         in_queue = Bitmap(n, words=full_words.copy())
         if visited_words is not None:
             # Fold the just-published frontier into the common-knowledge
@@ -898,27 +685,11 @@ class BFSEngine:
                     gathered_edges=res.gathered_edges,
                     chunk_rounds=res.chunk_rounds,
                 )
-        m = self.metrics
         for s, res in zip(lanes, results):
             lc = lcs[s]
             lc.candidates = res.rank_candidates
             lc.examined_edges = res.rank_examined_edges
             lc.inqueue_reads = res.rank_inqueue_reads
-            if m is not None:
-                # Per-level active-set diagnostics (never priced): how
-                # much adjacency the backend materialized to produce the
-                # level's examined count, and how many wavefront rounds
-                # it took.
-                m.counter(
-                    "bfs.bu.gathered_edges_total", backend=self.kernel.name
-                ).inc(float(res.gathered_edges))
-                m.counter(
-                    "bfs.bu.scan_examined_edges_total",
-                    backend=self.kernel.name,
-                ).inc(float(res.examined_edges))
-                m.histogram(
-                    "bfs.bu.chunk_rounds", backend=self.kernel.name
-                ).observe(float(res.chunk_rounds))
         return (
             [res.discovered for res in results],
             [res.rank_disc_degree for res in results],

@@ -86,8 +86,8 @@ def default_backend() -> KernelBackend:
 def resolve_backend(config=None) -> KernelBackend:
     """Backend for one engine: ``config.kernel`` → env var → default.
 
-    The returned instance honours backend knobs on the config (e.g.
-    ``kernel_chunk`` for the active-set backend).
+    With a config the engine gets its own instance (built by
+    :meth:`KernelBackend.from_config`), not the process-shared one.
     """
     name = getattr(config, "kernel", None) or _env_name()
     return get_backend(name, config=config)

@@ -121,13 +121,6 @@ class ActiveSetBackend(KernelBackend):
             raise ConfigError(f"kernel chunk must be >= 1, got {chunk}")
         self.chunk = int(chunk)
 
-    @classmethod
-    def from_config(cls, config) -> "ActiveSetBackend":
-        """Instance honouring ``BFSConfig.kernel_chunk``."""
-        if config is None:
-            return cls()
-        return cls(chunk=config.kernel_chunk)
-
     #: Test seam: None lets the gate choose, True/False forces the
     #: frontier-side/dense path on a ``Graph``.
     _force_frontier_side: bool | None = None

@@ -29,14 +29,15 @@ still executed for real (one per source per bottom-up level) because
 codec wire bytes depend on each source's frontier content.
 
 Batches are fault-free: the wrapped engine is built without a fault plan
-or resilience config, so the loop's checkpoint/rollback block never
-runs.  Run faulty traversals through ``BFSEngine.run``.
+or resilience config, so it holds the all-off recovery object
+(:data:`~repro.faults.recovery.ALL_OFF`) and the loop's recovery hooks
+do nothing.  Run faulty traversals through ``BFSEngine.run``.
 """
 
 from __future__ import annotations
 
 from repro.core.config import BFSConfig
-from repro.core.engine import BFSEngine, BFSResult
+from repro.core.engine import NEVER_CANCELLED, BFSEngine, BFSResult
 from repro.core.prepared import PreparedGraph
 from repro.core.timing import CostConstants
 from repro.core.validate import validate_parent_tree
@@ -116,7 +117,7 @@ class MultiSourceEngine:
         :class:`repro.serve.resilience.CancelToken`): it is consulted
         once per level-synchronous round, so a batch whose waiters all
         passed their deadlines stops traversing between levels instead
-        of finishing work nobody will read.
+        of finishing work nobody will read.  ``None`` never fires.
         """
         tracer = self.tracer
         roots = [int(r) for r in roots]  # may be a one-shot iterable
@@ -149,7 +150,7 @@ class MultiSourceEngine:
                         batch_id=batch_id,
                         trace_ids=ids,
                     )
-            results = self.engine._run_lanes(roots, cancel=cancel)
+            results = self.engine._run_lanes(roots, cancel or NEVER_CANCELLED)
         if validate:
             for result in results:
                 validate_parent_tree(

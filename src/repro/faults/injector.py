@@ -36,7 +36,9 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "TransientCollectiveFault",
+    "RollbackFault",
     "PayloadCorruptionFault",
+    "RankCrashFault",
     "words_checksum",
 ]
 
@@ -53,9 +55,24 @@ class TransientCollectiveFault(FaultError):
         self.wasted_ns = float(wasted_ns)
 
 
-class PayloadCorruptionFault(FaultError):
+class RollbackFault(FaultError):
+    """A fault recovery answers by restoring the latest checkpoint; its
+    ``level`` context is the level whose work was lost and its ``kind``
+    names it in the recovery log."""
+
+
+class PayloadCorruptionFault(RollbackFault):
     """A frontier checksum mismatched: the collective payload was
     corrupted in transit; recovery rolls back to the last checkpoint."""
+
+    kind = "corruption"
+
+
+class RankCrashFault(RollbackFault):
+    """A rank died during a level, found at that level's barrier; the
+    survivors' work is lost with it, so recovery rolls back."""
+
+    kind = "crash"
 
 
 def words_checksum(words: np.ndarray) -> tuple[int, int]:

@@ -109,6 +109,14 @@ def _compact(key: np.ndarray, n: int) -> int:
     return kept
 
 
+def _arc_rows(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The row (source vertex) of each arc in ``[lo, hi)``, ``lo < hi``."""
+    r0 = int(np.searchsorted(offsets, lo, side="right")) - 1
+    r1 = int(np.searchsorted(offsets, hi - 1, side="right"))
+    bounds = np.clip(offsets[r0 : r1 + 1], lo, hi)
+    return np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(bounds))
+
+
 def _check_csr_invariants(graph: Graph) -> None:
     """Cheap invariant checks: adjacency sorted, no self loops.
 
@@ -121,12 +129,53 @@ def _check_csr_invariants(graph: Graph) -> None:
         hi = min(lo + _BLOCK, t.size)
         # Rows owning arcs lo-1 .. hi-1 (arc lo-1 links the blocks).
         first = max(lo - 1, 0)
-        r0 = int(np.searchsorted(offsets, first, side="right")) - 1
-        r1 = int(np.searchsorted(offsets, hi - 1, side="right"))
-        bounds = np.clip(offsets[r0 : r1 + 1], first, hi)
-        rows = np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(bounds))
+        rows = _arc_rows(offsets, first, hi)
         tb = t[first:hi]
         if np.any((tb[1:] <= tb[:-1]) & (rows[1:] == rows[:-1])):
             raise GraphError("CSR adjacency is not sorted/deduplicated")
         if np.any(rows == tb):
             raise GraphError("CSR contains self loops")
+
+
+def _check_symmetric(graph: Graph) -> None:
+    """Every arc (u, v) has its reverse (v, u).
+
+    Needs rows sorted and deduplicated (:func:`_check_csr_invariants`)
+    and targets in range.  Only the up arcs (u < v) are looked up: if
+    each has its reverse and there are as many down arcs, the pairing
+    is one-to-one and covers every arc.  Works in blocks of arcs: a
+    block's up arcs bisect their target's row for their source in step,
+    so the temporaries stay block-sized.
+    """
+    offsets, t = graph.offsets, graph.targets
+    up = down = 0
+    for lo in range(0, t.size, _BLOCK):
+        hi = min(lo + _BLOCK, t.size)
+        u, v = _arc_rows(offsets, lo, hi), t[lo:hi]
+        is_up = u < v
+        down += int(np.count_nonzero(v < u))
+        u, v = u[is_up], v[is_up]
+        up += u.size
+        a, b = offsets[v], offsets[v + 1]
+        while True:
+            open_ = a < b
+            if not open_.any():
+                break
+            mid = (a + b) // 2
+            below = open_ & (t[np.where(open_, mid, 0)] < u)
+            a = np.where(below, mid + 1, a)
+            b = np.where(open_ & ~below, mid, b)
+        found = a < offsets[v + 1]
+        found[found] = t[a[found]] == u[found]
+        if not found.all():
+            i = int(np.argmin(found))
+            raise GraphError(
+                f"CSR is not symmetric: arc ({int(u[i])}, {int(v[i])}) has "
+                f"no reverse arc",
+                vertex=int(u[i]),
+            )
+    if up != down:
+        raise GraphError(
+            f"CSR is not symmetric: {down} arcs point down (u > v) but "
+            f"{up} point up"
+        )

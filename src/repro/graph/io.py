@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import GraphError
+from repro.graph.builder import _check_csr_invariants, _check_symmetric
 from repro.graph.types import EdgeList, Graph
 
 __all__ = [
@@ -81,7 +82,9 @@ def load_graph(path: str | Path) -> Graph:
 
     Beyond archive integrity (see :func:`load_edge_list`), the CSR
     structure itself is checked — offset monotonicity and agreement with
-    the adjacency length — so a damaged file can never produce a
+    the adjacency length, targets in ``[0, n)``, rows sorted and
+    deduplicated without self loops, and symmetry (every arc's reverse
+    is stored) — so a damaged or hand-made file can never produce a
     silently wrong graph.
     """
     with _open_npz(path) as data:
@@ -118,12 +121,28 @@ def load_graph(path: str | Path) -> Graph:
             f"{path}: CSR offsets decrease at vertex {bad}",
             path=str(path), member="offsets", vertex=bad,
         )
-    return Graph(
+    graph = Graph(
         num_vertices=num_vertices,
         offsets=offsets,
         targets=targets,
         meta=meta,
     )
+    try:
+        if targets.size:
+            lo, hi = int(targets.min()), int(targets.max())
+            if lo < 0 or hi >= num_vertices:
+                raise GraphError(
+                    f"CSR targets span [{lo}, {hi}], outside "
+                    f"[0, {num_vertices})"
+                )
+        _check_csr_invariants(graph)
+        _check_symmetric(graph)
+    except GraphError as exc:
+        raise GraphError(
+            f"{path}: {exc}", path=str(path), member="targets",
+            **exc.context,
+        ) from exc
+    return graph
 
 
 def load_text_edges(

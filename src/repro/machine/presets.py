@@ -25,10 +25,7 @@ from repro.machine.spec import (
 
 __all__ = [
     "commodity_dual_socket_node",
-    "commodity_cluster",
     "quad_socket_node",
-    "quad_socket_cluster",
-    "fat_memory_node",
     "modern_epyc_like_node",
     "modern_cluster",
 ]
@@ -44,26 +41,9 @@ def commodity_dual_socket_node() -> NodeSpec:
     )
 
 
-def commodity_cluster(nodes: int = 64) -> ClusterSpec:
-    """Many thin dual-socket nodes behind single-port InfiniBand."""
-    return ClusterSpec(nodes=nodes, node=commodity_dual_socket_node())
-
-
 def quad_socket_node() -> NodeSpec:
     """A 4-socket NUMA node (the T2K-class machine of the paper's [44])."""
     return NodeSpec(sockets=4, socket=x7550_socket())
-
-
-def quad_socket_cluster(nodes: int = 32) -> ClusterSpec:
-    """Cluster of 4-socket nodes."""
-    return ClusterSpec(nodes=nodes, node=quad_socket_node())
-
-
-def fat_memory_node() -> NodeSpec:
-    """The paper's 8-socket node with all DDR3 channels populated
-    (double the per-socket bandwidth of Table I's half-populated config)."""
-    socket = replace(x7550_socket(), dram_bandwidth=34.2e9)
-    return NodeSpec(sockets=8, socket=socket)
 
 
 def modern_epyc_like_node() -> NodeSpec:

@@ -53,7 +53,6 @@ from repro.util import bitops
 __all__ = [
     "DegreeClasses",
     "rmat_degree_classes",
-    "mean_root_lambda",
     "typical_root_lambda",
     "AnalyticLevel",
     "simulate_level_profile",
@@ -134,19 +133,6 @@ class AnalyticLevel:
     discovered: float
     frontier_density: float  # frontier_vertices / N (vertex-uniform)
     hit_fraction: float  # q: P(random edge endpoint is in the frontier)
-
-
-def mean_root_lambda(classes: DegreeClasses) -> float:
-    """Expected degree of a Graph500 root (uniform over degree >= 1).
-
-    Note the heavy tail makes this much larger than the *typical* root's
-    degree; :func:`typical_root_lambda` is the default for profiles.
-    """
-    nonisolated = classes.count * (1.0 - np.exp(-classes.lam))
-    total = nonisolated.sum()
-    # E[deg | deg >= 1] per class = lam / (1 - exp(-lam)).
-    mean = (nonisolated * classes.lam / (1.0 - np.exp(-classes.lam))).sum()
-    return float(mean / total)
 
 
 def typical_root_lambda(classes: DegreeClasses) -> float:

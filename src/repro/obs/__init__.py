@@ -125,7 +125,6 @@ __all__ = [
     "RunAttribution",
     "attribute_run",
     "attribute_timing",
-    "record_attribution",
     "DriftComponent",
     "ModelDriftReport",
     "detect_model_drift",
@@ -160,7 +159,6 @@ _LAZY = {
     "RunAttribution": "repro.obs.analyze",
     "attribute_run": "repro.obs.analyze",
     "attribute_timing": "repro.obs.analyze",
-    "record_attribution": "repro.obs.analyze",
     "DriftComponent": "repro.obs.analyze",
     "ModelDriftReport": "repro.obs.analyze",
     "detect_model_drift": "repro.obs.analyze",

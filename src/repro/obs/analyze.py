@@ -54,7 +54,6 @@ __all__ = [
     "RunAttribution",
     "attribute_run",
     "attribute_timing",
-    "record_attribution",
     "DriftComponent",
     "ModelDriftReport",
     "detect_model_drift",
@@ -322,25 +321,6 @@ def attribute_run(result: "BFSResult") -> RunAttribution:
     result as ``BFSResult.telemetry.attribution``.
     """
     return attribute_timing(result.timing)
-
-
-def record_attribution(
-    attr: RunAttribution, metrics: "MetricsRegistry"
-) -> None:
-    """Fold an attribution into the metrics registry.
-
-    Emits ``bfs.comm.component_sim_ns_total{component=}`` counters and
-    the ``bfs.level_compute_imbalance{direction=}`` histogram the drift
-    detector and the perf CLI report on.
-    """
-    for comp, ns in attr.comm_ns.items():
-        metrics.counter(
-            "bfs.comm.component_sim_ns_total", component=comp
-        ).inc(ns)
-    for lv in attr.levels:
-        metrics.histogram(
-            "bfs.level_compute_imbalance", direction=lv.direction
-        ).observe(lv.imbalance)
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,8 @@ class TestGracefulDegradation:
 
     def test_config_knobs_survive_the_fallback(self, fresh_probe, monkeypatch):
         monkeypatch.setenv("CC", "/bin/false")
-        backend = resolve_backend(BFSConfig(kernel="cnative", kernel_chunk=7))
+        backend = resolve_backend(BFSConfig(kernel="cnative"))
         assert backend.name == "activeset"
-        assert backend.chunk == 7
 
     def test_direct_load_raises_typed_error(self, fresh_probe, monkeypatch):
         monkeypatch.setenv("CC", "/bin/false")

@@ -99,7 +99,7 @@ _COMM_VARIANTS = [
 def _changes(draw):
     """One drawn price-only change: ``(kind, value)`` for :func:`_apply`."""
     kind = draw(st.sampled_from([
-        "binding", "comm", "omp_dynamic", "kernel_chunk", "label",
+        "binding", "comm", "omp_dynamic", "label",
         "weak_node", "constants",
     ]))
     if kind == "binding":
@@ -108,8 +108,6 @@ def _changes(draw):
         value = draw(st.sampled_from(_COMM_VARIANTS))
     elif kind == "omp_dynamic":
         value = False
-    elif kind == "kernel_chunk":
-        value = draw(st.integers(1, 64))
     elif kind == "label":
         value = draw(st.text(min_size=1, max_size=8))
     elif kind == "weak_node":
@@ -130,7 +128,7 @@ def _apply(kind, value, config, cluster, constants):
         config = dataclasses.replace(
             config, comm=CommConfig(codec=config.comm.codec, **value)
         )
-    elif kind in ("omp_dynamic", "kernel_chunk", "label"):
+    elif kind in ("omp_dynamic", "label"):
         config = dataclasses.replace(config, **{kind: value})
     elif kind == "weak_node":
         cluster = dataclasses.replace(

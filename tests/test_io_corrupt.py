@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.graph import builder
 from repro.graph.io import (
     load_edge_list,
     load_graph,
@@ -167,3 +168,56 @@ def test_edge_list_shape_mismatch(tmp_path):
     with pytest.raises(GraphError) as ei:
         load_edge_list(path)
     assert "equal-length" in str(ei.value)
+
+
+def _write_csr(path, rows):
+    """A hand-made CSR archive: ``rows[u]`` lists u's stored targets."""
+    np.savez_compressed(
+        path,
+        kind=np.bytes_(b"csr_graph"),
+        num_vertices=np.int64(len(rows)),
+        offsets=np.cumsum([0] + [len(r) for r in rows]).astype(np.int64),
+        targets=np.array([v for r in rows for v in r], dtype=np.int64),
+        meta=np.bytes_(b"{}"),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1], [0], [3], []], "not symmetric"),  # 2 -> 3, no 3 -> 2
+        ([[1], [0], [], [2]], "not symmetric"),  # 3 -> 2, no 2 -> 3
+        # 0 -> 2 and 2 -> 1 balance up and down arcs, but neither has
+        # its reverse.
+        ([[2], [], [1], []], "not symmetric"),
+        ([[1], [0, 4], [], []], "outside"),
+        ([[2, 1], [0], [0], []], "not sorted"),
+        ([[1, 1], [0, 0], [], []], "not sorted/deduplicated"),
+        ([[0, 1], [0], [], []], "self loops"),
+    ],
+    ids=[
+        "one-way-up", "one-way-down", "crossed", "out-of-range", "unsorted",
+        "duplicate", "loop",
+    ],
+)
+def test_malformed_csr_is_rejected(tmp_path, rows, message):
+    path = tmp_path / "bad_csr.npz"
+    _write_csr(path, rows)
+    with pytest.raises(GraphError, match=message) as ei:
+        load_graph(path)
+    assert ei.value.context["path"] == str(path)
+    assert str(path) in str(ei.value)
+
+
+@pytest.mark.parametrize("block", [7, 1 << 20])
+def test_rmat_round_trip_passes_the_structure_checks(
+    tmp_path, monkeypatch, block
+):
+    """A 7-arc block makes every check cross block and row boundaries."""
+    monkeypatch.setattr(builder, "_BLOCK", block)
+    graph = rmat_graph(9, seed=5)
+    path = tmp_path / "rmat.npz"
+    save_graph(path, graph)
+    loaded = load_graph(path)
+    assert np.array_equal(loaded.offsets, graph.offsets)
+    assert np.array_equal(loaded.targets, graph.targets)

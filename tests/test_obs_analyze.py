@@ -17,7 +17,6 @@ from repro.obs.analyze import (
     RunAttribution,
     attribute_run,
     detect_model_drift,
-    record_attribution,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SpanTracer
@@ -162,22 +161,6 @@ class TestAttribution:
         assert "run attribution" in text
         assert "per-level attribution" in text
         assert "straggler" in text
-
-    def test_record_attribution_metrics(self, traced):
-        _, result = traced
-        reg = MetricsRegistry()
-        record_attribution(result.telemetry.attribution, reg)
-        snap = reg.as_dict()
-        comp_counters = [
-            k
-            for k in snap["counters"]
-            if k.startswith("bfs.comm.component_sim_ns_total")
-        ]
-        assert comp_counters
-        assert any(
-            k.startswith("bfs.level_compute_imbalance")
-            for k in snap["histograms"]
-        )
 
     def test_engine_records_component_metrics(self, traced):
         engine, result = traced

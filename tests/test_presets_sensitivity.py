@@ -8,13 +8,12 @@ from repro.errors import ConfigError
 from repro.graph import rmat_graph
 from repro.machine import paper_cluster
 from repro.machine.presets import (
-    commodity_cluster,
     commodity_dual_socket_node,
-    fat_memory_node,
     modern_cluster,
     modern_epyc_like_node,
-    quad_socket_cluster,
+    quad_socket_node,
 )
+from repro.machine.spec import ClusterSpec
 from repro.model.analytic import analytic_graph500
 from repro.model.sensitivity import (
     CALIBRATION_CONSTANTS,
@@ -27,15 +26,14 @@ from repro.model.sensitivity import (
 class TestPresets:
     def test_presets_construct_and_validate(self):
         assert commodity_dual_socket_node().sockets == 2
-        assert quad_socket_cluster().total_sockets == 128
-        assert fat_memory_node().socket.dram_bandwidth == pytest.approx(34.2e9)
+        assert quad_socket_node().sockets == 4
         assert modern_epyc_like_node().cores == 128
 
     def test_presets_run_bfs(self):
         """Every preset must be a legal machine for the analytic engine."""
         for cluster in (
-            commodity_cluster(nodes=8),
-            quad_socket_cluster(nodes=8),
+            ClusterSpec(nodes=8, node=commodity_dual_socket_node()),
+            ClusterSpec(nodes=8, node=quad_socket_node()),
             modern_cluster(nodes=4),
         ):
             ppn = cluster.node.sockets
@@ -60,7 +58,8 @@ class TestPresets:
         import dataclasses as dc
 
         thin = paper_cluster(nodes=4)
-        fat = dc.replace(thin, node=fat_memory_node())
+        socket = dc.replace(thin.node.socket, dram_bandwidth=34.2e9)
+        fat = dc.replace(thin, node=dc.replace(thin.node, socket=socket))
         t_thin = analytic_graph500(thin, BFSConfig.original_ppn8(), 28)
         t_fat = analytic_graph500(fat, BFSConfig.original_ppn8(), 28)
         assert t_fat.seconds <= t_thin.seconds * 1.001
