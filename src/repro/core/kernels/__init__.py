@@ -28,7 +28,8 @@ backends ship:
     ``activeset`` with a structured warning.
 
 Selection precedence: ``BFSConfig.kernel`` (explicit) → the
-``REPRO_KERNEL`` environment variable → :data:`DEFAULT_BACKEND`.  Every
+``REPRO_KERNEL`` environment variable → :data:`DEFAULT_BACKEND`; every
+engine that selects a backend shares its one registry instance.  Every
 backend is bit-identical on the paper's accounting, so the choice never
 changes a priced result — see docs/PERFORMANCE.md.
 """
@@ -86,8 +87,6 @@ def default_backend() -> KernelBackend:
 def resolve_backend(config=None) -> KernelBackend:
     """Backend for one engine: ``config.kernel`` → env var → default.
 
-    With a config the engine gets its own instance (built by
-    :meth:`KernelBackend.from_config`), not the process-shared one.
+    Every engine shares the registry's instance of its backend.
     """
-    name = getattr(config, "kernel", None) or _env_name()
-    return get_backend(name, config=config)
+    return get_backend(getattr(config, "kernel", None) or _env_name())

@@ -7,23 +7,32 @@ degree is nearly all ``2E`` local arcs.  The reference backend
 nevertheless materializes the full adjacency.  This backend instead
 processes candidates in degree-bounded chunks (*wavefront peeling*):
 
-1. every still-active candidate contributes its next ``width`` untested
-   neighbours to a dense ``(active, width)`` wavefront (short rows are
-   padded by clamping to the row's last edge — see below);
-2. the wavefront is tested (summary first, then ``in_queue`` only where
-   the summary bit is set — a summary bit covers the base bit, so a zero
-   block proves a miss);
-3. candidates whose row contained a hit retire with that neighbour as
-   parent; candidates with adjacency left stay active; ``width`` doubles
-   so the rounds for a degree-``d`` holdout are ``O(log d)``.
+1. every still-active candidate tests its next ``width`` untested
+   neighbours (fewer when its row ends first);
+2. a neighbour's bits are read from two byte tables built once per
+   level, ``n`` bytes each: ``in_queue`` unpacked to one bool per
+   vertex, and the summary with each block's bit repeated over the
+   ``granularity`` vertices it covers.  Every probe is then one byte
+   gather; the summary bit only decides whether the probe counts as an
+   ``in_queue`` read (a zero block proves a miss, because a summary bit
+   covers its base bits);
+3. candidates that hit retire with that neighbour as parent; candidates
+   with adjacency left stay active; ``width`` doubles so the rounds for
+   a degree-``d`` holdout are ``O(log d)``.
 
-The dense layout is what makes the rounds cheap: the per-row first hit
-is a contiguous ``argmax``, with no segmented searchsorted and no
-``repeat`` expansions.  Padding is correct by construction — a padded
-cell duplicates the bit of its row's *last real* edge, so it can only
-repeat a hit that exists earlier in the row (never create the first
-one), and the examined/read counts are always clipped to the row's real
-length.
+A round's layout follows its width.  Rounds at most ``_COLUMN_WIDTH``
+cells wide — the first few, in which a mid-BFS level's candidates
+mostly retire after an edge or two — run column by column: one
+contiguous gather per column over the rows still going, and a row
+leaves at its first hit, so the first hit, the early-exit count and the
+summary-filtered reads build up column by column.  Wider rounds, the
+hub holdouts whose widths reach the thousands, test a dense
+``(active, width)`` block row-major, the per-row first hit one
+``argmax``, so the Python loop stays ``O(log d)`` per scan.  The block
+pads short rows by clamping to the row's last edge; a padded cell
+duplicates the bit of its row's *last real* edge, so it can only repeat
+a hit that exists earlier in the row (never create the first one), and
+the examined/read counts are always clipped to the row's real length.
 
 Memory stays bounded: a candidate surviving to round ``k`` has already
 consumed ``width₀·(2^k - 1)`` edges, so each round's padding is smaller
@@ -32,7 +41,8 @@ are ``O(active · width)`` and total gathered cells are ``O(examined)``
 — memory and bitmap probes scale with the *examined* edges of the level
 rather than the total candidate degree.  All Section II.B.2 accounting
 is bit-identical to the reference backend; only the
-``gathered_edges``/``chunk_rounds`` diagnostics differ.
+``gathered_edges``/``chunk_rounds`` diagnostics differ (``gathered_edges``
+counts every round's cells, in either layout, up to each row's end).
 
 The wavefront runs per rank slice (:func:`scan_rank_slices`) and still
 walks every *missing* candidate's whole row.  On a level whose frontier
@@ -91,6 +101,11 @@ _VERTICES_PER_CELL = 4
 #: this many cells per rank.
 _RANK_CELLS = 512
 
+#: Wavefront rounds at most this wide run column by column
+#: (:func:`_columns`); wider ones, the hub holdouts, row-major
+#: (:func:`_rows`), where a column loop would run thousands of times.
+_COLUMN_WIDTH = 8
+
 
 def _set_bits(words):
     """Ascending positions of the set bits of a word array, unpacking
@@ -100,6 +115,19 @@ def _set_bits(words):
         np.unpackbits(words[nz].view(np.uint8), bitorder="little")
     )
     return nz[bits >> 6] * 64 + (bits & 63)
+
+
+def _byte_tables(in_queue, summary):
+    """``in_queue`` and the summary as bool tables over the vertices, so
+    every probe is one byte gather: the summary's bit for block ``b`` is
+    repeated over the ``granularity`` vertices it covers (None without a
+    summary)."""
+    n = in_queue.nbits
+    table = bitops.bits_to_bool(in_queue.words, n)
+    if summary is None:
+        return table, None
+    blocks = bitops.bits_to_bool(summary.words, summary.nblocks)
+    return table, np.repeat(blocks, summary.granularity)[:n]
 
 
 @register_backend
@@ -139,7 +167,8 @@ class ActiveSetBackend(KernelBackend):
                     graph, parent, in_queue, summary, bounds, *plan
                 )
         return scan_rank_slices(
-            self._scan, graph, parent, in_queue, summary, bounds
+            self._scan, graph, parent, *_byte_tables(in_queue, summary),
+            bounds,
         )
 
     def _frontier_side_plan(self, graph, parent, in_queue, summary, bounds):
@@ -226,7 +255,8 @@ class ActiveSetBackend(KernelBackend):
         rounds = 0
         if found.size:
             _, parents, hit_examined, hit_reads, cells, rounds = self._scan(
-                graph, found, in_queue, summary, per_candidate=True
+                graph, found, *_byte_tables(in_queue, summary),
+                per_candidate=True,
             )
             parent[found] = parents
             examined[hits] = hit_examined
@@ -245,18 +275,18 @@ class ActiveSetBackend(KernelBackend):
 
     def _scan(self, graph, cand, in_queue, summary, per_candidate=False):
         """Early-exit scan of the ascending candidate ids ``cand``: the
-        ``scan`` of :func:`scan_rank_slices`.  With ``per_candidate`` the
+        ``scan`` of :func:`scan_rank_slices`.  ``in_queue`` and
+        ``summary`` are the level's byte tables (:func:`_byte_tables`;
+        ``summary`` None without one).  With ``per_candidate`` the
         examined and in_queue-read counts come back as per-candidate
         arrays instead of totals."""
+        targets = graph.targets
         ncand = int(cand.size)
-        starts = graph.offsets[cand]
-        degs = (graph.offsets[cand + 1] - starts).astype(np.int64)
-        last = starts + degs - 1  # clamp target for row padding
-
         found = np.zeros(ncand, dtype=bool)
         first_parent = np.empty(ncand, dtype=np.int64)
         examined_total = 0
         inqueue_reads = 0
+        cand_examined = cand_reads = None
         if per_candidate:
             cand_examined = np.zeros(ncand, dtype=np.int64)
             cand_reads = (
@@ -266,75 +296,29 @@ class ActiveSetBackend(KernelBackend):
         gathered = 0
         rounds = 0
 
-        # Indices into the candidate arrays of not-yet-retired candidates
-        # (always ascending, so retirement order matches candidate order).
+        # The not-yet-retired candidates (indices into the candidate
+        # arrays, always ascending, so retirement order matches candidate
+        # order), each one's next untested cell and its untested cells.
         active = np.arange(ncand, dtype=np.int64)
-        progress = np.zeros(ncand, dtype=np.int64)  # edges already tested
+        first = graph.offsets[cand]
+        left = graph.offsets[cand + 1] - first
         width = self.chunk
         while active.size:
             rounds += 1
-            done = progress[active]
-            rem = degs[active] - done
-            w = int(min(width, int(rem.max())))
-            col = np.arange(w, dtype=np.int64)
-            # Dense (active, w) wavefront; short rows repeat their last
-            # real edge, which can never fabricate a row's first hit.
-            pos = done[:, None] + col[None, :]
-            pos += starts[active][:, None]
-            np.minimum(pos, last[active][:, None], out=pos)
-            neighbors = graph.targets[pos]
-            row_len = np.minimum(rem, w)  # real (unpadded) cells per row
+            w = int(min(width, int(left.max())))
+            row_len = np.minimum(left, w)  # cells each row tests
             gathered += int(row_len.sum())
-
-            if summary is None:
-                hits = bitops.get_bits(
-                    in_queue.words, neighbors.ravel()
-                ).reshape(neighbors.shape)
-            else:
-                # Probe in_queue only where the summary bit is set: the
-                # summary covers the base bitmap, so a zero block proves
-                # the neighbour is not in the frontier.
-                summary_hits = bitops.get_bits(
-                    summary.words, neighbors.ravel() // summary.granularity
-                )
-                hits = np.zeros(neighbors.size, dtype=bool)
-                probe = np.flatnonzero(summary_hits)
-                if probe.size:
-                    hits[probe] = bitops.get_bits(
-                        in_queue.words, neighbors.ravel()[probe]
-                    )
-                hits = hits.reshape(neighbors.shape)
-
-            first_rel = hits.argmax(axis=1)
-            has_hit = hits[np.arange(active.size), first_rel]
-            # Early-exit count within this chunk: hit position inclusive,
-            # or every real cell when the whole row missed.
-            cnt = np.where(has_hit, first_rel + 1, row_len)
-            examined_total += int(cnt.sum())
-            if summary is None:
-                # Every examined edge reads in_queue directly.
-                inqueue_reads += int(cnt.sum())
-            else:
-                # Summary-filtered reads within each early-exit prefix —
-                # the same per-edge predicate as the reference accounting,
-                # restricted to this chunk's slice of the prefix.  The
-                # prefix mask also excludes padded cells (cnt <= row_len).
-                within_prefix = col[None, :] < cnt[:, None]
-                within_prefix &= summary_hits.reshape(neighbors.shape)
-                inqueue_reads += int(np.count_nonzero(within_prefix))
-                if per_candidate:
-                    cand_reads[active] += within_prefix.sum(axis=1)
-            if per_candidate:
-                cand_examined[active] += cnt
-
-            rows = np.flatnonzero(has_hit)
-            hit_idx = active[rows]
-            found[hit_idx] = True
-            first_parent[hit_idx] = neighbors[rows, first_rel[rows]]
-
-            progress[active] = done + row_len
-            live = ~has_hit & (rem > w)
-            active = active[live]
+            examined, reads = (_columns if w <= _COLUMN_WIDTH else _rows)(
+                targets, in_queue, summary, active, first, row_len,
+                found, first_parent, cand_examined, cand_reads,
+            )
+            examined_total += examined
+            inqueue_reads += reads
+            first += row_len
+            left -= row_len
+            live = left > 0
+            live &= ~found[active]
+            active, first, left = active[live], first[live], left[live]
             width = min(width * 2, self.MAX_CHUNK)
 
         if per_candidate:
@@ -343,3 +327,79 @@ class ActiveSetBackend(KernelBackend):
             found, first_parent[found], examined_total, inqueue_reads,
             gathered, rounds,
         )
+
+
+def _columns(
+    targets, in_queue, summary, idx, first, row_len, found, first_parent,
+    cand_examined, cand_reads,
+):
+    """One narrow round, column by column: candidate ``idx[i]`` tests its
+    ``row_len[i]`` cells from ``first[i]`` on until its first hit.  Each
+    column is one contiguous gather over the rows still going; a row
+    leaves at its hit (recorded in ``found``/``first_parent``) or its
+    last cell.  Returns the round's examined cells and summary-filtered
+    reads (all examined cells without a summary) and adds them per
+    candidate into ``cand_examined``/``cand_reads`` when those are
+    given."""
+    pos, last = first, first + row_len - 1
+    examined = reads = 0
+    while True:
+        nb = targets[pos]
+        examined += idx.size
+        if cand_examined is not None:
+            cand_examined[idx] += 1
+        if summary is not None:
+            lit = summary[nb]
+            reads += int(np.count_nonzero(lit))
+            if cand_reads is not None:
+                cand_reads[idx] += lit
+        hit = in_queue[nb]
+        h = np.flatnonzero(hit)
+        if h.size:
+            found[idx[h]] = True
+            first_parent[idx[h]] = nb[h]
+        keep = pos < last
+        keep[h] = False
+        if not keep.any():
+            break
+        idx, last = idx[keep], last[keep]
+        pos = pos[keep]
+        pos += 1
+    return examined, (examined if summary is None else reads)
+
+
+def _rows(
+    targets, in_queue, summary, idx, first, row_len, found, first_parent,
+    cand_examined, cand_reads,
+):
+    """One wide round, row-major: the dense ``(rows, width)`` block of
+    the cells each candidate tests, first hit by ``argmax`` per row; same
+    arguments and outputs as :func:`_columns`.  Short rows repeat their
+    last real cell, which can never fabricate a row's first hit, and
+    every count is clipped to the real cells."""
+    col = np.arange(int(row_len.max()), dtype=np.int64)
+    pos = first[:, None] + col[None, :]
+    np.minimum(pos, (first + row_len - 1)[:, None], out=pos)
+    neighbors = targets[pos]
+    hits = in_queue[neighbors]
+    first_rel = hits.argmax(axis=1)
+    has_hit = hits[np.arange(idx.size), first_rel]
+    # Early-exit count: hit position inclusive, or every real cell when
+    # the whole row missed.
+    cnt = np.where(has_hit, first_rel + 1, row_len)
+    examined = int(cnt.sum())
+    reads = examined
+    if summary is not None:
+        # Summary-filtered reads within each early-exit prefix; the
+        # prefix mask also excludes padded cells (cnt <= row_len).
+        within_prefix = col[None, :] < cnt[:, None]
+        within_prefix &= summary[neighbors]
+        reads = int(np.count_nonzero(within_prefix))
+        if cand_reads is not None:
+            cand_reads[idx] += within_prefix.sum(axis=1)
+    if cand_examined is not None:
+        cand_examined[idx] += cnt
+    rows = np.flatnonzero(has_hit)
+    found[idx[rows]] = True
+    first_parent[idx[rows]] = neighbors[rows, first_rel[rows]]
+    return examined, reads

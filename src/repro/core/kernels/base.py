@@ -14,8 +14,10 @@ spend producing them.
 
 This module holds the contract (:class:`KernelBackend`), the result
 dataclasses, the backend registry and the rank-slice loop of the numpy
-bottom-up scans (:func:`scan_rank_slices`).  The numpy top-down step
-every backend but ``cnative`` inherits lives in :mod:`repro.core.topdown`.
+bottom-up scans (:func:`scan_rank_slices`).  The registry holds one
+instance per backend, which every engine shares: a backend keeps no
+state between calls.  The numpy top-down step every backend but
+``cnative`` inherits lives in :mod:`repro.core.topdown`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from repro.obs.log import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.bitmap import Bitmap, SummaryBitmap
-    from repro.core.config import BFSConfig
     from repro.graph.types import Graph
 
 __all__ = [
@@ -155,11 +156,6 @@ class KernelBackend(abc.ABC):
     """
 
     name: ClassVar[str]
-
-    @classmethod
-    def from_config(cls, config: "BFSConfig | None") -> "KernelBackend":
-        """Instance configured from a :class:`BFSConfig` (default: no knobs)."""
-        return cls()
 
     @classmethod
     def availability(cls) -> tuple[bool, str | None]:
@@ -294,12 +290,9 @@ def available_backends(detail: bool = False):
     }
 
 
-def get_backend(name: str, config: "BFSConfig | None" = None) -> KernelBackend:
-    """Backend instance by registry name.
-
-    Without a ``config`` the default-configured instance is shared across
-    callers (backends are stateless between calls); with one, a fresh
-    instance is built via :meth:`KernelBackend.from_config`.
+def get_backend(name: str) -> KernelBackend:
+    """Backend instance by registry name, shared across callers: a
+    backend holds no state between calls.
 
     An *unknown* name raises :class:`ConfigError`; a registered backend
     that reports itself unavailable (no toolchain, failed build) instead
@@ -331,9 +324,7 @@ def get_backend(name: str, config: "BFSConfig | None" = None) -> KernelBackend:
                     "reason": reason,
                 },
             )
-        return get_backend(FALLBACK_BACKEND, config=config)
-    if config is not None:
-        return cls.from_config(config)
+        return get_backend(FALLBACK_BACKEND)
     if name not in _SHARED:
         _SHARED[name] = cls()
     return _SHARED[name]

@@ -161,11 +161,6 @@ class FrontierCodec(abc.ABC):
 
     name: ClassVar[str]
 
-    @classmethod
-    def from_config(cls, config=None) -> "FrontierCodec":
-        """Instance configured from a :class:`BFSConfig` (no knobs yet)."""
-        return cls()
-
     @property
     def is_identity(self) -> bool:
         """True for the raw codec (no transform, no framing byte)."""
@@ -236,7 +231,7 @@ def available_codecs() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def get_codec(name: str, config=None) -> FrontierCodec:
+def get_codec(name: str) -> FrontierCodec:
     """Codec instance by registry name.
 
     Instances are stateless and shared per name; an unknown name raises
@@ -248,8 +243,6 @@ def get_codec(name: str, config=None) -> FrontierCodec:
             f"unknown frontier codec {name!r}; available: "
             f"{', '.join(available_codecs())}"
         )
-    if config is not None:
-        return cls.from_config(config)
     inst = _SHARED.get(name)
     if inst is None:
         inst = _SHARED[name] = cls()
@@ -272,8 +265,7 @@ def resolve_codec(config=None) -> FrontierCodec:
     precedence rules are identical for both plug-in families.
     """
     comm = getattr(config, "comm", None)
-    name = (getattr(comm, "codec", None)) or _env_name()
-    return get_codec(name, config=config)
+    return get_codec(getattr(comm, "codec", None) or _env_name())
 
 
 def part_layout(

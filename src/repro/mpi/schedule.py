@@ -4,7 +4,7 @@ Figures 5a, 5b and 7 of the paper are *mechanism* diagrams; this module
 reproduces them as step-by-step textual schedules computed from the same
 cost functions the simulator charges, so the diagrams can be checked
 against the implementation (``repro-experiment`` prints them via the
-fig06 bench, and ``tests/test_schedule.py`` pins the structure).
+fig06 bench, and ``tests/test_api_schedule.py`` pins the structure).
 """
 
 from __future__ import annotations

@@ -127,10 +127,12 @@ def count_set_bits(words: np.ndarray, nbits: int | None = None) -> int:
 
 
 def bits_to_bool(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Expand a word array to a boolean array of length ``nbits``."""
+    """Expand a word array to a boolean array of length ``nbits``: one
+    unpacking pass, viewed as bool."""
     _check_words(words)
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits[:nbits].astype(bool)
+    return np.unpackbits(
+        words.view(np.uint8), count=nbits, bitorder="little"
+    ).view(bool)
 
 
 def bool_to_bits(flags: np.ndarray) -> np.ndarray:

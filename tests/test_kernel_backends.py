@@ -36,6 +36,7 @@ from repro.core.kernels import (
     get_backend,
     resolve_backend,
 )
+from repro.core.kernels.activeset import _COLUMN_WIDTH
 from repro.core.topdown import _dedup_dense, _dedup_sorted, dedup_first_parent
 from repro.errors import ConfigError
 from repro.graph import (
@@ -417,6 +418,101 @@ class TestFrontierSide:
         else:
             assert not any(taken)
         assert_same_runs(want, got)
+
+
+def hub_level():
+    """A bottom-up level over 512 vertices whose hub holdouts make one
+    active-set scan run both narrow (column-major) and wide (row-major)
+    rounds: four hubs spread over the ranks hold rows of 20 to 321 arcs
+    whose first frontier neighbour sits at the row's end, in its middle
+    or nowhere, among sparse random rows that hit or miss early.
+    Returns the symmetric ``Graph``, the pre-level parent array and the
+    frontier."""
+    rng = np.random.default_rng(46)
+    n = 512
+    frontier = np.array([7, 240, 500, 501, 502], dtype=np.int64)
+    hub_rows = {
+        3: np.append(np.arange(10, 330), 501),  # hit at its last arc
+        70: np.arange(200, 480),  # misses its whole row
+        130: np.append(np.arange(100, 140), 500),  # hit at its last arc
+        260: np.arange(230, 250),  # hit (240) mid-row
+    }
+    src = [rng.integers(0, n, 700)]
+    dst = [rng.integers(0, n, 700)]
+    for hub, row in hub_rows.items():
+        src.append(np.full(row.size, hub))
+        dst.append(row)
+    graph = build_graph(
+        EdgeList(n, np.concatenate(src), np.concatenate(dst))
+    )
+    parent = np.where(rng.random(n) < 0.2, rng.integers(0, n, n), -1)
+    parent[list(hub_rows)] = -1
+    parent[frontier] = frontier
+    return graph, parent.astype(np.int64), frontier
+
+
+def hub_level_outcome(backend, granularity, bounds):
+    """``backend``'s and the oracle's results on :func:`hub_level`."""
+    graph, parent, frontier = hub_level()
+    in_queue = Bitmap.from_indices(graph.num_vertices, frontier)
+    summary = (
+        None if granularity is None
+        else SummaryBitmap.build(in_queue, granularity)
+    )
+    want_parent = parent.copy()
+    want = oracle_level(graph, want_parent, frontier, granularity, bounds)
+    res = backend.bottom_up_scan(graph, parent, in_queue, summary, bounds)
+    return res, parent, want, want_parent
+
+
+def assert_matches_oracle(res, parent, want, want_parent, name):
+    want_disc, want_counts = want
+    got_counts = np.stack([
+        res.rank_candidates, res.rank_examined_edges,
+        res.rank_inqueue_reads, res.rank_disc_degree,
+    ])
+    assert res.discovered.tolist() == want_disc, name
+    assert np.array_equal(got_counts, want_counts), name
+    assert np.array_equal(parent, want_parent), name
+
+
+def assert_wide_rounds(backend, res):
+    """The scan reached a row-major round, after column-major ones
+    whenever its first round was narrow."""
+    assert backend.chunk << (res.chunk_rounds - 1) > _COLUMN_WIDTH
+    if backend.chunk <= _COLUMN_WIDTH:
+        assert res.chunk_rounds > 1
+
+
+class TestHubHoldouts:
+    """The brute-force oracle on a level where one active-set scan runs
+    narrow rounds column by column and the hub holdouts' wide rounds row
+    by row, under every summary shape — granularity 192 included, a
+    multiple of 64 that is not a power of two, which the repeated
+    summary table must cover block by block."""
+
+    @pytest.mark.parametrize("granularity", [None, 64, 192, 256])
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_dense_level_matches_oracle(self, name, granularity):
+        bounds = np.array([0, 64, 192, 320, 512], dtype=np.int64)
+        res, *rest = hub_level_outcome(BACKENDS[name], granularity, bounds)
+        assert_matches_oracle(res, *rest, name)
+        if isinstance(BACKENDS[name], ActiveSetBackend):
+            assert_wide_rounds(BACKENDS[name], res)
+
+    @pytest.mark.parametrize("granularity", [None, 64, 192, 256])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 20])
+    def test_frontier_side_per_candidate_counts(self, chunk, granularity):
+        """Forced onto the frontier side, the three hubs that hit run
+        the hits' one wavefront through both layouts with per-candidate
+        counts; one rank per vertex makes each per-rank count one
+        candidate's."""
+        backend = ActiveSetBackend(chunk=chunk)
+        backend._force_frontier_side = True
+        bounds = np.arange(513, dtype=np.int64)
+        res, *rest = hub_level_outcome(backend, granularity, bounds)
+        assert_matches_oracle(res, *rest, f"chunk={chunk}")
+        assert_wide_rounds(backend, res)
 
 
 class TestFrontiersPartitionedByBounds:
