@@ -42,7 +42,8 @@ are ``O(active · width)`` and total gathered cells are ``O(examined)``
 rather than the total candidate degree.  All Section II.B.2 accounting
 is bit-identical to the reference backend; only the
 ``gathered_edges``/``chunk_rounds`` diagnostics differ (``gathered_edges``
-counts every round's cells, in either layout, up to each row's end).
+counts the cells each round reads: a column round's up to each row's
+first hit, a row round's block up to each row's end).
 
 The wavefront runs per rank slice (:func:`scan_rank_slices`) and still
 walks every *missing* candidate's whole row.  On a level whose frontier
@@ -307,11 +308,13 @@ class ActiveSetBackend(KernelBackend):
             rounds += 1
             w = int(min(width, int(left.max())))
             row_len = np.minimum(left, w)  # cells each row tests
-            gathered += int(row_len.sum())
-            examined, reads = (_columns if w <= _COLUMN_WIDTH else _rows)(
+            columns = w <= _COLUMN_WIDTH
+            examined, reads = (_columns if columns else _rows)(
                 targets, in_queue, summary, active, first, row_len,
                 found, first_parent, cand_examined, cand_reads,
             )
+            # A column round reads a row only up to its first hit.
+            gathered += examined if columns else int(row_len.sum())
             examined_total += examined
             inqueue_reads += reads
             first += row_len

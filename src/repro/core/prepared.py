@@ -69,8 +69,10 @@ def graph_digest(graph: Graph) -> str:
         return cached
     h = hashlib.sha256()
     h.update(str(graph.num_vertices).encode())
-    h.update(np.ascontiguousarray(graph.offsets, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(graph.targets, dtype=np.int64).tobytes())
+    for array in (graph.offsets, graph.targets):
+        # The array's own buffer: a bytes copy of targets is as large as
+        # the graph.
+        h.update(memoryview(np.ascontiguousarray(array, dtype=np.int64)).cast("B"))
     digest = h.hexdigest()[:16]
     graph.meta[_DIGEST_META_KEY] = digest
     return digest

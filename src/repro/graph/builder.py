@@ -7,12 +7,15 @@ merged, and the adjacency of every vertex is sorted.
 
 All four steps are one in-place sort of one int64 key per directed arc,
 ``src * n + dst``: sorted keys are grouped by source with targets
-ascending, equal keys are identical arcs (so dropping a key equal to its
-predecessor deduplicates, and sort stability is never observable), and
-``a * n + b = b - a (mod n + 1)`` makes a self-loop exactly a key divisible
-by ``n + 1``.  The row offsets are a ``searchsorted`` of ``v * n`` and the
-targets are the keys modulo ``n``, computed in place, so the build holds
-one arc-sized array at a time.
+ascending, and equal keys are identical arcs (so dropping a key equal to
+its predecessor deduplicates, and sort stability is never observable).
+A self-loop's arcs get the negative key ``_LOOP_KEY`` instead, so they
+sort first and the compaction starts after them.  The row offsets are a
+``searchsorted`` of ``v * n`` and the targets are the keys modulo ``n``
+(a mask when ``n`` is a power of two), computed in place, so the build
+holds one arc-sized array at a time.  :func:`~repro.graph.rmat.rmat_graph`
+writes the keys straight from its generator, so an R-MAT build never
+holds the edge list either.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ _BLOCK = 1 << 20
 
 #: ``src * n + dst`` must fit in int64: n * n <= 2**63 - 1.
 _MAX_VERTICES = 3_037_000_499
+
+#: The arc key of a self-loop: it sorts before every real key.
+_LOOP_KEY = -1
 
 
 def from_edge_arrays(
@@ -54,23 +60,38 @@ def build_graph(edges: EdgeList, meta: dict | None = None) -> Graph:
 
 def arc_keys(edges: EdgeList) -> np.ndarray:
     """One int64 key per directed arc of the symmetrized edge list:
-    ``src * n + dst`` for every edge, then ``dst * n + src``."""
+    ``src * n + dst`` for every edge, then ``dst * n + src``; a self-loop
+    is ``_LOOP_KEY`` in both halves."""
     n = edges.num_vertices
+    _check_vertex_count(n)
+    src = edges.sources.astype(np.int64, copy=False)
+    dst = edges.targets.astype(np.int64, copy=False)
+    m = src.size
+    key = np.empty(2 * m, dtype=np.int64)
+    _fill_arc_keys(src, dst, n, key[:m], key[m:])
+    return key
+
+
+def _check_vertex_count(n: int) -> None:
     if n > _MAX_VERTICES:
         raise GraphError(
             f"{n} vertices overflow the int64 arc key src * n + dst "
             f"(at most {_MAX_VERTICES})"
         )
-    src = edges.sources.astype(np.int64, copy=False)
-    dst = edges.targets.astype(np.int64, copy=False)
-    m = src.size
-    key = np.empty(2 * m, dtype=np.int64)
-    fwd, rev = key[:m], key[m:]
+
+
+def _fill_arc_keys(
+    src: np.ndarray, dst: np.ndarray, n: int, fwd: np.ndarray, rev: np.ndarray
+) -> None:
+    """Write the int64 edges' forward keys into ``fwd`` and their reverse
+    keys into ``rev``, with ``_LOOP_KEY`` for a self-loop."""
     np.multiply(src, n, out=fwd)
     fwd += dst
     np.multiply(dst, n, out=rev)
     rev += src
-    return key
+    loop = src == dst
+    np.copyto(fwd, _LOOP_KEY, where=loop)
+    np.copyto(rev, _LOOP_KEY, where=loop)
 
 
 def csr_from_keys(key: np.ndarray, n: int, meta: dict | None = None) -> Graph:
@@ -78,11 +99,15 @@ def csr_from_keys(key: np.ndarray, n: int, meta: dict | None = None) -> Graph:
     CSR graph over ``n`` vertices.  ``key`` is consumed: its buffer becomes
     the graph's ``targets``."""
     key.sort()
+    loops = int(np.searchsorted(key, 0))  # their negative keys sort first
     # Shrinking reallocates in place and leaves an owned, contiguous
     # buffer; the block views of _compact are gone by now.
-    key.resize(_compact(key, n), refcheck=False)
+    key.resize(_compact(key, loops), refcheck=False)
     offsets = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    if key.size:
+    if n & (n - 1) == 0:
+        # Every R-MAT graph's n is a power of two: mask, do not divide.
+        np.bitwise_and(key, n - 1, out=key)
+    else:
         np.remainder(key, n, out=key)
     graph = Graph(
         num_vertices=n, offsets=offsets, targets=key, meta=dict(meta or {})
@@ -91,18 +116,17 @@ def csr_from_keys(key: np.ndarray, n: int, meta: dict | None = None) -> Graph:
     return graph
 
 
-def _compact(key: np.ndarray, n: int) -> int:
-    """Move the sorted keys worth keeping to the front of ``key``, block by
-    block, and return how many there are.  A key goes if it repeats its
-    predecessor or is a self-loop (divisible by ``n + 1``)."""
+def _compact(key: np.ndarray, start: int) -> int:
+    """Move the sorted keys from ``start`` on, less those that repeat
+    their predecessor, to the front of ``key``, block by block, and
+    return how many there are."""
     kept = 0
-    for lo in range(0, key.size, _BLOCK):
+    for lo in range(start, key.size, _BLOCK):
         block = key[lo : lo + _BLOCK]
-        keep = block % (n + 1) != 0
-        keep[1:] &= block[1:] != block[:-1]
-        if lo:
-            # key[lo - 1] is still the original: kept <= lo.
-            keep[0] &= block[0] != key[lo - 1]
+        keep = np.empty(block.size, dtype=bool)
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        # key[lo - 1] is still the original: kept <= lo - start.
+        keep[0] = lo == start or block[0] != key[lo - 1]
         block = block[keep]
         key[kept : kept + block.size] = block
         kept += block.size

@@ -19,6 +19,8 @@ Regenerate the table (only when a change is *meant* to move the graphs)::
 """
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -97,6 +99,26 @@ def test_golden_graph(case_id):
     assert case_digests(case_id) == GOLDEN_GRAPH[case_id]
 
 
+@pytest.mark.parametrize(
+    "case_id",
+    [
+        pytest.param(c, marks=pytest.mark.slow) if c in SLOW_CASES else c
+        for c in CASES
+    ],
+)
+def test_fused_build_matches_edge_list_build(case_id):
+    """``rmat_graph`` writes arc keys straight from the generator; it
+    must build the graph ``build_graph`` builds from the edge list."""
+    kwargs = CASES[case_id]
+    fused = rmat_graph(**kwargs)
+    edges = generate_rmat_edges(**kwargs)
+    via_edges = build_graph(edges)
+    assert fused.num_vertices == via_edges.num_vertices
+    np.testing.assert_array_equal(fused.offsets, via_edges.offsets)
+    np.testing.assert_array_equal(fused.targets, via_edges.targets)
+    assert fused.meta["raw_edges"] == edges.num_edges
+
+
 # -- build_graph against a set-based oracle ---------------------------------
 
 
@@ -148,6 +170,25 @@ class TestBuildGraph:
     def test_only_self_loops(self):
         assert_matches_oracle(1, [(0, 0)] * 7)
         assert_matches_oracle(6, [(v, v) for v in range(6)] * 3)
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 20])
+    def test_self_loops_among_edges(self, monkeypatch, block):
+        """Loops at the lowest and highest vertex, repeated, around real
+        edges: the sorted loop keys are skipped whatever the blocks."""
+        monkeypatch.setattr(builder, "_BLOCK", block)
+        n = 9
+        loops = [(0, 0), (8, 8), (4, 4)] * 3
+        assert_matches_oracle(n, loops + [(0, 8), (8, 0), (3, 4), (0, 1)] + loops)
+
+    def test_self_loop_keys_are_the_sentinel(self):
+        edges = EdgeList(
+            num_vertices=5,
+            sources=np.array([2, 0, 4], dtype=np.int64),
+            targets=np.array([2, 3, 4], dtype=np.int64),
+        )
+        loop = builder._LOOP_KEY
+        assert loop < 0
+        assert arc_keys(edges).tolist() == [loop, 3, loop, loop, 15, loop]
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     def test_block_boundaries(self, monkeypatch, block):
@@ -248,6 +289,79 @@ class TestChunkedGenerator:
         np.testing.assert_array_equal(edges.targets, dst)
         assert edges.sources.dtype == edges.targets.dtype == np.int64
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_workers_draw_the_single_pass_stream(
+        self, monkeypatch, workers, chunk, case
+    ):
+        """Any worker count yields the single pass's edges and final
+        state, and the arc-key sink the edges' ``arc_keys``."""
+        scale, m, params, permute, seed = case
+        monkeypatch.setattr(rmat, "_CHUNK", chunk)
+        monkeypatch.setattr(rmat, "_usable_cpus", lambda: workers)
+        ref_rng = np.random.default_rng(seed)
+        src, dst = single_pass_rmat(ref_rng, scale, m, params, permute)
+        for arcs in (False, True):
+            rng = np.random.default_rng(seed)
+            out = rmat._generate(rng, scale, m, params, permute, arcs=arcs)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if arcs:
+                want = arc_keys(EdgeList(1 << scale, src, dst))
+                np.testing.assert_array_equal(out, want)
+            else:
+                np.testing.assert_array_equal(out.sources, src)
+                np.testing.assert_array_equal(out.targets, dst)
+
+    @pytest.mark.parametrize(
+        "cpus, chunks, pool", [(1, 5, None), (4, 1, None), (2, 5, 1), (4, 3, 2)]
+    )
+    def test_worker_pool(self, monkeypatch, cpus, chunks, pool):
+        """One worker per usable CPU up to one per chunk, the calling
+        thread among them: a single CPU or a single chunk starts no pool,
+        and every pool thread is gone when the graph is."""
+        sizes = []
+
+        class Recording(rmat.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(rmat, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(rmat, "_usable_cpus", lambda: cpus)
+        scale, edgefactor = 6, 4
+        monkeypatch.setattr(rmat, "_CHUNK", -(-(edgefactor << scale) // chunks))
+        before = threading.active_count()
+        graph = rmat_graph(scale, edgefactor=edgefactor, seed=3)
+        assert threading.active_count() == before
+        assert sizes == ([] if pool is None else [pool])
+        want = build_graph(generate_rmat_edges(scale, edgefactor, seed=3))
+        assert graph_digest(graph) == graph_digest(want)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        """Eight workers switching every microsecond build the graph of
+        the single pass: each writes only its own chunks' slices."""
+        monkeypatch.setattr(rmat, "_CHUNK", 64)
+        monkeypatch.setattr(rmat, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            graph = rmat_graph(8, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        rng = np.random.default_rng(4)
+        src, dst = single_pass_rmat(rng, 8, 16 << 8, RmatParams(), True)
+        want = build_graph(EdgeList(1 << 8, src, dst))
+        np.testing.assert_array_equal(graph.offsets, want.offsets)
+        np.testing.assert_array_equal(graph.targets, want.targets)
+
+    def test_no_thread_outlives_a_multichunk_build(self):
+        assert rmat._CHUNK < 16 << 13
+        before = threading.active_count()
+        rmat_graph(13, seed=2)
+        generate_rmat_edges(13, seed=2)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_public_generator_is_chunk_invariant(self, monkeypatch, chunk):

@@ -190,6 +190,24 @@ class TestScanEquivalence:
         assert act.gathered_edges < ref.gathered_edges / 4
         assert act.examined_edges == ref.examined_edges
 
+    @pytest.mark.parametrize("granularity", [None, 64])
+    def test_narrow_rounds_gather_only_examined_cells(self, granularity):
+        """A column round reads each row only up to its first hit, so a
+        dense scan whose rounds are all narrow gathers exactly the cells
+        it examines."""
+        rng = np.random.default_rng(5)
+        n = 400
+        graph = from_edge_arrays(
+            n, rng.integers(0, n, 400), rng.integers(0, n, 400)
+        )
+        assert int(np.diff(graph.offsets).max()) <= _COLUMN_WIDTH
+        backend = ActiveSetBackend()
+        backend._force_frontier_side = False
+        visited = rng.choice(n, size=n // 2, replace=False)
+        res = scan_level(graph, backend, visited, visited, granularity)[0]
+        assert res.chunk_rounds > 1
+        assert res.gathered_edges == res.examined_edges > 0
+
 
 def random_csr(rng, n):
     """Random CSR over ``n`` vertices with zero-degree rows, duplicate
