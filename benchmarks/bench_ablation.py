@@ -32,7 +32,6 @@ from repro.mpi import (
     ProcessMapping,
     SimComm,
     allgather_time,
-    parallel_allgather_time,
 )
 from repro.util.formatting import format_table, format_time_ns
 
@@ -109,7 +108,12 @@ def test_parallel_subgroup_count(benchmark, comm16):
     part = 512 * MB / comm16.num_ranks
 
     def sweep():
-        return {s: parallel_allgather_time(comm16, part, s) for s in (1, 2, 4, 8)}
+        return {
+            s: allgather_time(
+                comm16, AllgatherAlgorithm.PARALLEL_SHARED, part, subgroups=s
+            )[1]["inter"]
+            for s in (1, 2, 4, 8)
+        }
 
     times = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print()

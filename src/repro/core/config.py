@@ -73,19 +73,15 @@ class CommConfig:
     """All communication knobs of one BFS execution, in one place.
 
     Section III.A-B of the paper plus the PR-3 compression layer: the
-    sharing variant, the Fig. 7 parallel-subgroup allgather (with its
-    ablation knob ``subgroups``), an explicit algorithm override for the
-    in_queue allgather, the in_queue summary (Section III.C), and the
-    frontier codec.
+    sharing variant, the Fig. 7 parallel-subgroup allgather, an explicit
+    algorithm override for the in_queue allgather, the in_queue summary
+    (Section III.C), and the frontier codec.
     """
 
     #: Memory sharing variant (Fig. 5a/5b and 'Share all').
     sharing: SharingVariant = SharingVariant.PRIVATE
     #: Fig. 7: in_queue allgather over concurrent per-node subgroups.
     parallel_allgather: bool = False
-    #: Subgroup count for the parallel allgather (None = ppn, the paper's
-    #: choice; lower values are the ablation of bench_ablation).
-    subgroups: int | None = None
     #: Explicit in_queue allgather algorithm; None derives it from the
     #: sharing variant as the paper's stack does.
     allgather: AllgatherAlgorithm | None = None
@@ -109,11 +105,6 @@ class CommConfig:
                 "parallel_allgather builds on 'Share all' "
                 "(set sharing=SharingVariant.ALL as the paper's stack does)"
             )
-        if self.subgroups is not None:
-            if not self.parallel_allgather:
-                raise ConfigError("subgroups requires parallel_allgather")
-            if self.subgroups < 1:
-                raise ConfigError("subgroups must be >= 1")
         if self.codec is not None and self.codec not in available_codecs():
             raise ConfigError(
                 f"unknown frontier codec {self.codec!r}; available: "
@@ -516,7 +507,6 @@ PRICE_ONLY_FIELDS = (
     "label",
     "sharing",
     "parallel_allgather",
-    "subgroups",
     "allgather",
 )
 

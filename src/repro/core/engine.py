@@ -578,7 +578,6 @@ class BFSEngine:
                     self.comm, parts, config.in_queue_algorithm(), shared,
                     codec=self.codec,
                     visited_parts=visited_parts,
-                    subgroups=config.comm.subgroups,
                 ),
             )
         lc.codec = res.codec

@@ -444,34 +444,17 @@ class _Pricer:
     ) -> tuple[float, dict[str, float]]:
         """One allgather's step times, with codec terms when encoded.
 
-        Mirrors :func:`repro.mpi.collectives.allgather` exactly: the
-        transfer schedule is priced at the *wire* sizes the engine
-        recorded, and the encode/decode CPU terms use the same inputs the
-        functional path charged (largest raw part in, full wire payload
-        out) — keeping assembled timings identical to the traced events.
+        The same call :func:`repro.mpi.collectives.allgather` makes: the
+        schedule priced at the *wire* sizes the engine recorded, with the
+        encode/decode steps of the largest raw part — keeping assembled
+        timings identical to the traced events.
         """
-        subgroups = self.config.comm.subgroups
-        if encoded:
-            t, steps = allgather_time(
-                self.comm,
-                algorithm,
-                part_bytes=wire_part_bytes,
-                total_bytes=wire_total_bytes,
-                subgroups=subgroups,
-            )
-            steps["codec_encode"] = self.comm.codec_model.encode_time_ns(
-                raw_part_bytes
-            )
-            steps["codec_decode"] = self.comm.codec_model.decode_time_ns(
-                wire_total_bytes
-            )
-            t += steps["codec_encode"] + steps["codec_decode"]
-        else:
-            t, steps = allgather_time(
-                self.comm, algorithm, part_bytes=raw_part_bytes,
-                subgroups=subgroups,
-            )
-        return t, steps
+        if not encoded:
+            return allgather_time(self.comm, algorithm, raw_part_bytes)
+        return allgather_time(
+            self.comm, algorithm, wire_part_bytes, wire_total_bytes,
+            raw_part_bytes=raw_part_bytes,
+        )
 
     def bottom_up_comm(self, lc: LevelCounts) -> tuple[float, dict[str, float]]:
         """A bottom-up level's allgathers and allreduces.  Uncompressed

@@ -221,25 +221,26 @@ def _member_offset(path: str | Path, member: str) -> int:
 
 @contextmanager
 def _open_npz(path: str | Path):
-    """Open an ``.npz`` graph archive, mapping any low-level failure
-    (missing file, truncated zip directory, not-a-zip) to a
-    :class:`GraphError` that names the file and its on-disk size."""
-    try:
-        data = np.load(path)
-    except FileNotFoundError:
-        raise  # a missing file is not a damaged one — keep the usual error
-    except Exception as exc:
-        size = _file_bytes(path)
-        raise GraphError(
-            f"{path}: not a readable .npz graph archive "
-            f"({type(exc).__name__}: {exc}); file is {size} bytes on disk "
-            f"— truncated download or wrong file?",
-            path=str(path), file_bytes=size,
-        ) from exc
-    try:
-        yield data
-    finally:
-        data.close()
+    """Open an ``.npz`` graph archive, mapping any parse failure
+    (truncated zip directory, not-a-zip) to a :class:`GraphError` that
+    names the file and its on-disk size.
+
+    The file is opened here, so it is closed on every path (``np.load``
+    leaves a file it opened itself open when parsing fails).  A missing
+    file is not a damaged one: ``open`` raises the usual error."""
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh)
+        except Exception as exc:
+            size = _file_bytes(path)
+            raise GraphError(
+                f"{path}: not a readable .npz graph archive "
+                f"({type(exc).__name__}: {exc}); file is {size} bytes on "
+                f"disk — truncated download or wrong file?",
+                path=str(path), file_bytes=size,
+            ) from exc
+        with data:
+            yield data
 
 
 def _read_member(data, name: str, path: str | Path):

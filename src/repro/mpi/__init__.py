@@ -33,7 +33,6 @@ from repro.mpi.collectives import (
     allgather,
     allgather_channel_bytes,
     allgather_time,
-    parallel_allgather_time,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "allgather",
     "allgather_channel_bytes",
     "allgather_time",
-    "parallel_allgather_time",
 ]

@@ -9,9 +9,10 @@ scores every concrete codec with
 using the closed-form :meth:`~repro.mpi.codecs.base.FrontierCodec.
 estimate_wire_bytes` of each candidate, the machine's
 :class:`~repro.machine.costmodel.CodecCostModel` throughputs, and the
-marginal wire cost per payload byte of the *actual* allgather schedule
-(measured by differencing :func:`~repro.mpi.collectives.allgather_time`
-at the real and at zero payload).  ``raw`` is priced with zero
+wire cost per payload byte of the *actual* allgather schedule
+(:func:`~repro.mpi.collectives.allgather_time` of the raw payload over
+its bytes; every step prices 0 at zero payload, so this is also the
+marginal cost).  ``raw`` is priced with zero
 encode/decode cost, so ``auto`` never does worse than today's wire
 format by its own model; ties break toward ``raw``.
 """

@@ -33,11 +33,19 @@ differs is the message schedule, and therefore the simulated time:
     local index across nodes); each subgroup allgathers its slice of the
     data concurrently, so all eight flows drive the two IB ports at the
     Fig. 4 saturated rate.  Transmitted volume is unchanged (eq. 2).
+
+Each algorithm's schedule is written once, as a step table
+(``_schedule``): per step its channel, flows, aggregate intra- and
+inter-node bytes and time, with a non-raw codec's encode and decode
+steps appended.  :func:`allgather_time` sums its times,
+:func:`allgather_channel_bytes` its bytes per channel, and
+:func:`repro.mpi.schedule.explain_allgather` renders it.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +61,6 @@ __all__ = [
     "allgather",
     "allgather_channel_bytes",
     "allgather_time",
-    "parallel_allgather_time",
 ]
 
 # Thakur-Gropp switchover: recursive doubling below, ring at or above.
@@ -124,103 +131,223 @@ def _uniform_times(comm: SimComm, total: float, breakdown: dict) -> CollectiveRe
     )
 
 
-def _ring_time(comm: SimComm, part_bytes: float) -> float:
-    """Ring allgather over all ranks with node-major rank order."""
+class _Step(NamedTuple):
+    """One row of an allgather's step table (Figs. 5a, 5b and 7)."""
+
+    name: str  # the breakdown key
+    channel: str  # "intra" | "inter" | "both" | "none" | "cpu" (codec)
+    flows: int  # concurrent transfers per node the step is priced at
+    intra_bytes: float  # aggregate bytes through shared-memory copies
+    inter_bytes: float  # aggregate bytes over InfiniBand
+    time_ns: float
+
+
+def _ring(comm: SimComm, name: str, part_bytes: float) -> _Step:
+    """Ring allgather over all ranks with node-major rank order: per
+    step every rank forwards one part, and each node boundary is crossed
+    once (one inter flow and ppn - 1 intra copies per node)."""
     np_ranks = comm.num_ranks
-    if np_ranks == 1 or part_bytes == 0:
-        return 0.0
     ppn = comm.mapping.ppn
+    nodes = comm.cluster.nodes
+    inter_sends = nodes if nodes > 1 else 0
     inter = (
-        comm.slowest_node_inter_time(part_bytes, flows=1)
-        if comm.cluster.nodes > 1
-        else 0.0
+        comm.slowest_node_inter_time(part_bytes, flows=1) if nodes > 1 else 0.0
     )
     intra = comm.shm_copy_time(part_bytes, max(1, ppn - 1)) if ppn > 1 else 0.0
-    step = max(inter, intra)
-    return (np_ranks - 1) * step
+    return _Step(
+        name, "both", ppn,
+        (np_ranks - 1) * (np_ranks - inter_sends) * part_bytes,
+        (np_ranks - 1) * inter_sends * part_bytes,
+        (np_ranks - 1) * max(inter, intra),
+    )
 
 
-def _recursive_doubling_time(comm: SimComm, part_bytes: float) -> float:
+def _recursive_doubling(comm: SimComm, part_bytes: float) -> _Step:
+    """log2(np) pairwise rounds; rounds below ppn stay on-node, and each
+    round every rank exchanges its accumulated 2^k parts."""
     np_ranks = comm.num_ranks
-    if np_ranks == 1 or part_bytes == 0:
-        return 0.0
-    if np_ranks & (np_ranks - 1):
-        # Non-power-of-two rank counts fall back to ring (as MPICH does
-        # with an extra fix-up phase we do not model).
-        return _ring_time(comm, part_bytes)
     ppn = comm.mapping.ppn
-    total = 0.0
-    for k in range(int(np.log2(np_ranks))):
+    t = 0.0
+    for k in range(np_ranks.bit_length() - 1):
         nbytes = part_bytes * (1 << k)
         if (1 << k) < ppn:
-            total += comm.shm_copy_time(nbytes, ppn)
+            t += comm.shm_copy_time(nbytes, ppn)
         else:
-            total += comm.slowest_node_inter_time(nbytes, flows=min(ppn, 8))
-    return total
+            t += comm.slowest_node_inter_time(nbytes, flows=min(ppn, 8))
+    return _Step(
+        "recursive_doubling", "both", ppn,
+        np_ranks * (ppn - 1) * part_bytes,
+        np_ranks * (np_ranks - ppn) * part_bytes,
+        t,
+    )
 
 
-def _leader_steps(
+#: The leader-family algorithms that keep the gather resp. the broadcast.
+_GATHERS = (
+    AllgatherAlgorithm.LEADER,
+    AllgatherAlgorithm.SHARED_IN,
+    AllgatherAlgorithm.LEADER_OVERLAPPED,
+)
+_BCASTS = (AllgatherAlgorithm.LEADER, AllgatherAlgorithm.LEADER_OVERLAPPED)
+#: The algorithms that deliver into node-shared buffers.
+_SHARED_FAMILY = (
+    AllgatherAlgorithm.SHARED_IN,
+    AllgatherAlgorithm.SHARED_ALL,
+    AllgatherAlgorithm.PARALLEL_SHARED,
+    AllgatherAlgorithm.MULTI_LEADER,
+)
+
+#: The leader family's steps where they move nothing.
+_IDLE = {
+    name: _Step(name, "none", 0, 0.0, 0.0, 0.0)
+    for name in ("intra_gather", "inter", "intra_bcast")
+}
+
+
+def _intra(comm: SimComm, name: str, nbytes: float, copies: int) -> _Step:
+    """A leader's on-node step: ``copies`` children each copy ``nbytes``
+    to (gather) or from (broadcast) the leader; idle when nothing moves."""
+    if copies < 1 or nbytes <= 0:
+        return _IDLE[name]
+    return _Step(
+        name, "intra", copies,
+        comm.cluster.nodes * copies * nbytes, 0.0,
+        comm.shm_copy_time(nbytes, copies),
+    )
+
+
+def _leader_family(
     comm: SimComm,
+    algorithm: AllgatherAlgorithm,
     part_bytes: float,
     total_bytes: float,
-    *,
-    gather: bool,
-    bcast: bool,
-    parallel: bool,
-    subgroups: int | None = None,
-) -> dict[str, float]:
-    """Per-step times of the leader-based family."""
+    subgroups: int | None,
+) -> tuple[_Step, ...]:
+    """Gather to the node leader, an inter-node ring over node blocks,
+    broadcast to the children — minus the steps sharing removes."""
     ppn = comm.mapping.ppn
     nodes = comm.cluster.nodes
-    steps = {"intra_gather": 0.0, "inter": 0.0, "intra_bcast": 0.0}
+    block = part_bytes * ppn
+    flows, replicas = 1, 1
+    if algorithm is AllgatherAlgorithm.PARALLEL_SHARED:
+        # Fig. 7: concurrent subgroup rings (default: one per rank of a
+        # node) each carry 1/flows of the node block, all sharing the
+        # node's NICs at the saturated Fig. 4 rate.
+        flows = ppn if subgroups is None else subgroups
+        block /= flows
+    elif algorithm is AllgatherAlgorithm.MULTI_LEADER:
+        # Every per-socket leader receives the full payload: all ppn
+        # flows of a node carry a whole node block each.
+        flows, replicas = min(ppn, 8), ppn
+    steps = (
+        _intra(
+            comm, "intra_gather", part_bytes,
+            ppn - 1 if algorithm in _GATHERS else 0,
+        ),
+        # Eq. 2: every node forwards each other node's block once.
+        _Step(
+            "inter", "inter", flows, 0.0,
+            (nodes - 1) * nodes * part_bytes * ppn * replicas,
+            (nodes - 1) * comm.slowest_node_inter_time(block, flows=flows),
+        ),
+        _intra(
+            comm, "intra_bcast", total_bytes,
+            ppn - 1 if algorithm in _BCASTS else 0,
+        ),
+    )
+    if algorithm is not AllgatherAlgorithm.LEADER_OVERLAPPED:
+        return steps
+    # HierKNEM-style perfect overlap: one step that ends when the slower
+    # of the intra (gather + broadcast) and inter sides does.
+    gather_step, inter_step, bcast_step = steps
+    return tuple(_IDLE.values()) + (
+        _Step(
+            "overlapped", "both", ppn,
+            gather_step.intra_bytes + bcast_step.intra_bytes,
+            inter_step.inter_bytes,
+            max(gather_step.time_ns + bcast_step.time_ns, inter_step.time_ns),
+        ),
+    )
 
-    if gather and ppn > 1:
-        steps["intra_gather"] = comm.shm_copy_time(part_bytes, ppn - 1)
 
-    if nodes > 1:
-        if parallel:
-            # Fig. 7: concurrent subgroup rings (default: one per rank of
-            # a node); each step moves the node block split across the
-            # flows, all sharing the node's NICs at the saturated Fig. 4
-            # rate.
-            flows = ppn if subgroups is None else subgroups
-            if flows < 1 or flows > ppn:
-                raise CommunicationError(
-                    f"subgroups must be in [1, ppn={ppn}], got {flows}"
-                )
-            block = part_bytes * ppn / flows
-            step = comm.slowest_node_inter_time(block, flows=flows)
-            steps["inter"] = (nodes - 1) * step
-        else:
-            node_block = part_bytes * ppn
-            step = comm.slowest_node_inter_time(node_block, flows=1)
-            steps["inter"] = (nodes - 1) * step
-
-    if bcast and ppn > 1:
-        steps["intra_bcast"] = comm.shm_copy_time(total_bytes, ppn - 1)
-    return steps
-
-
-def parallel_allgather_time(
+def _schedule(
     comm: SimComm,
+    algorithm: AllgatherAlgorithm,
     part_bytes: float,
-    subgroups: int,
-) -> float:
-    """Inter-node time of the Fig. 7 scheme with a configurable subgroup
-    count (the ablation knob): ``subgroups`` concurrent flows per node,
-    each carrying ``1/subgroups`` of the node block per ring step.  With
-    ``subgroups == 1`` this degenerates to the single-leader step; with
-    ``subgroups == ppn`` it is the paper's parallel allgather."""
-    if subgroups < 1 or subgroups > comm.mapping.ppn:
+    total_bytes: float | None = None,
+    subgroups: int | None = None,
+    raw_part_bytes: float | None = None,
+) -> tuple[_Step, ...]:
+    """The step table of one allgather of ``part_bytes`` per rank
+    (``total_bytes`` in all, default ``part_bytes x ranks``).
+
+    ``subgroups`` sets the parallel-shared ring count (None = ppn).  When
+    a codec shrank the payload, ``part_bytes``/``total_bytes`` are the
+    wire sizes and ``raw_part_bytes`` the largest raw part: the table
+    then ends with the encode (of the raw part) and decode (of the wire
+    total) steps.
+    """
+    if part_bytes < 0:
+        raise CommunicationError("negative part size")
+    np_ranks = comm.num_ranks
+    ppn = comm.mapping.ppn
+    if subgroups is not None and not 1 <= subgroups <= ppn:
         raise CommunicationError(
-            f"subgroups must be in [1, ppn={comm.mapping.ppn}]"
+            f"subgroups must be in [1, ppn={ppn}], got {subgroups}"
         )
-    nodes = comm.cluster.nodes
-    if nodes <= 1 or part_bytes <= 0:
-        return 0.0
-    block = part_bytes * comm.mapping.ppn / subgroups
-    step = comm.slowest_node_inter_time(block, flows=subgroups)
-    return (nodes - 1) * step
+    if total_bytes is None:
+        total_bytes = part_bytes * np_ranks
+    if algorithm is AllgatherAlgorithm.DEFAULT:
+        algorithm = (
+            AllgatherAlgorithm.RING
+            if total_bytes >= _RING_THRESHOLD_BYTES
+            else AllgatherAlgorithm.RECURSIVE_DOUBLING
+        )
+    if algorithm is AllgatherAlgorithm.RING or (
+        algorithm is AllgatherAlgorithm.RECURSIVE_DOUBLING
+        and np_ranks & (np_ranks - 1)
+    ):
+        # Non-power-of-two rank counts fall back to ring (as MPICH does
+        # with an extra fix-up phase we do not model).
+        steps = (_ring(comm, algorithm.value, part_bytes),)
+    elif algorithm is AllgatherAlgorithm.RECURSIVE_DOUBLING:
+        steps = (_recursive_doubling(comm, part_bytes),)
+    else:
+        steps = _leader_family(
+            comm, algorithm, part_bytes, total_bytes, subgroups
+        )
+    if raw_part_bytes is None:
+        return steps
+    # Every rank encodes its own part concurrently (bounded by the
+    # largest) and decodes the whole gathered payload.
+    model = comm.codec_model
+    encode = model.encode_time_ns(raw_part_bytes)
+    decode = model.decode_time_ns(total_bytes)
+    return steps + (
+        _Step("codec_encode", "cpu", 0, 0.0, 0.0, encode),
+        _Step("codec_decode", "cpu", 0, 0.0, 0.0, decode),
+    )
+
+
+def _priced(steps: tuple[_Step, ...]) -> tuple[float, dict[str, float]]:
+    """Total and per-step times; the codec's CPU steps are summed apart,
+    so the total is transfer + (encode + decode)."""
+    transfer = codec = 0.0
+    breakdown = {}
+    for step in steps:
+        if step.channel == "cpu":
+            codec += step.time_ns
+        else:
+            transfer += step.time_ns
+        breakdown[step.name] = step.time_ns
+    return transfer + codec, breakdown
+
+
+def _channel_bytes(steps: tuple[_Step, ...]) -> dict[str, float]:
+    return {
+        "intra": sum(s.intra_bytes for s in steps),
+        "inter": sum(s.inter_bytes for s in steps),
+    }
 
 
 def allgather_time(
@@ -230,78 +357,24 @@ def allgather_time(
     total_bytes: float | None = None,
     *,
     subgroups: int | None = None,
+    raw_part_bytes: float | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Simulated time of an allgather without moving any data.
+    """Simulated time of an allgather without moving any data:
+    ``(total ns, {step: ns})``.
 
-    This is the closed-form used both by :func:`allgather` during a
-    functional run and by the paper-scale extrapolation in
-    :mod:`repro.model`, which replays the same message schedule with the
-    structure sizes of a larger graph.  When a frontier codec shrank the
-    payload, callers pass the *wire* part/total bytes here and charge the
-    encode/decode terms separately (see
-    :meth:`SimComm.codec_model <repro.machine.costmodel.CodecCostModel>`).
+    This is the closed-form used by :func:`allgather` during a functional
+    run, by the pricer that assembles a run's timing and by the
+    paper-scale extrapolation in :mod:`repro.model`, which replays the
+    same message schedule with the structure sizes of a larger graph.
+    When a frontier codec shrank the payload, callers pass the *wire*
+    part/total bytes and the largest raw part as ``raw_part_bytes``; the
+    codec's ``codec_encode``/``codec_decode`` steps are then included
+    (see :class:`~repro.machine.costmodel.CodecCostModel`).
     ``subgroups`` tunes the parallel-shared ring count (None = ppn).
     """
-    if part_bytes < 0:
-        raise CommunicationError("negative part size")
-    if total_bytes is None:
-        total_bytes = part_bytes * comm.num_ranks
-
-    if algorithm is AllgatherAlgorithm.DEFAULT:
-        algorithm = (
-            AllgatherAlgorithm.RING
-            if total_bytes >= _RING_THRESHOLD_BYTES
-            else AllgatherAlgorithm.RECURSIVE_DOUBLING
-        )
-
-    if algorithm is AllgatherAlgorithm.RING:
-        t = _ring_time(comm, part_bytes)
-        return t, {"ring": t}
-    if algorithm is AllgatherAlgorithm.RECURSIVE_DOUBLING:
-        t = _recursive_doubling_time(comm, part_bytes)
-        return t, {"recursive_doubling": t}
-    if algorithm is AllgatherAlgorithm.LEADER:
-        steps = _leader_steps(
-            comm, part_bytes, total_bytes, gather=True, bcast=True, parallel=False
-        )
-    elif algorithm is AllgatherAlgorithm.SHARED_IN:
-        steps = _leader_steps(
-            comm, part_bytes, total_bytes, gather=True, bcast=False, parallel=False
-        )
-    elif algorithm is AllgatherAlgorithm.SHARED_ALL:
-        steps = _leader_steps(
-            comm, part_bytes, total_bytes, gather=False, bcast=False, parallel=False
-        )
-    elif algorithm is AllgatherAlgorithm.PARALLEL_SHARED:
-        steps = _leader_steps(
-            comm, part_bytes, total_bytes, gather=False, bcast=False, parallel=True
-        )
-    elif algorithm is AllgatherAlgorithm.LEADER_OVERLAPPED:
-        plain = _leader_steps(
-            comm, part_bytes, total_bytes, gather=True, bcast=True, parallel=False
-        )
-        intra = plain["intra_gather"] + plain["intra_bcast"]
-        overlapped = max(intra, plain["inter"])
-        steps = {
-            "intra_gather": 0.0,
-            "inter": 0.0,
-            "intra_bcast": 0.0,
-            "overlapped": overlapped,
-        }
-    elif algorithm is AllgatherAlgorithm.MULTI_LEADER:
-        # Every per-socket leader receives the full payload: per ring
-        # step all ppn flows of a node carry a full node block each.
-        steps = {"intra_gather": 0.0, "inter": 0.0, "intra_bcast": 0.0}
-        nodes = comm.cluster.nodes
-        ppn = comm.mapping.ppn
-        if nodes > 1 and part_bytes > 0:
-            node_block = part_bytes * ppn
-            steps["inter"] = (nodes - 1) * comm.slowest_node_inter_time(
-                node_block, flows=min(ppn, 8)
-            )
-    else:  # pragma: no cover - exhaustive enum
-        raise CommunicationError(f"unknown algorithm {algorithm!r}")
-    return sum(steps.values()), steps
+    return _priced(_schedule(
+        comm, algorithm, part_bytes, total_bytes, subgroups, raw_part_bytes
+    ))
 
 
 def allgather_channel_bytes(
@@ -309,8 +382,6 @@ def allgather_channel_bytes(
     algorithm: AllgatherAlgorithm,
     part_bytes: float,
     total_bytes: float | None = None,
-    *,
-    subgroups: int | None = None,
 ) -> dict[str, float]:
     """Bytes each channel class carries during one allgather.
 
@@ -322,64 +393,7 @@ def allgather_channel_bytes(
     every node; multi-leader multiplies the inter-node volume by ppn).
     Callers pass wire (post-codec) sizes to see what compression saved.
     """
-    if part_bytes < 0:
-        raise CommunicationError("negative part size")
-    np_ranks = comm.num_ranks
-    ppn = comm.mapping.ppn
-    nodes = comm.cluster.nodes
-    if total_bytes is None:
-        total_bytes = part_bytes * np_ranks
-    out = {"intra": 0.0, "inter": 0.0}
-    if np_ranks == 1 or total_bytes == 0:
-        return out
-
-    if algorithm is AllgatherAlgorithm.DEFAULT:
-        algorithm = (
-            AllgatherAlgorithm.RING
-            if total_bytes >= _RING_THRESHOLD_BYTES
-            else AllgatherAlgorithm.RECURSIVE_DOUBLING
-        )
-    if algorithm is AllgatherAlgorithm.RECURSIVE_DOUBLING and (
-        np_ranks & (np_ranks - 1)
-    ):
-        algorithm = AllgatherAlgorithm.RING  # mirror the time model's fallback
-
-    if algorithm is AllgatherAlgorithm.RING:
-        # Per step every rank forwards one part; in node-major order each
-        # node boundary is crossed exactly once per step.
-        inter_sends = nodes if nodes > 1 else 0
-        out["inter"] = (np_ranks - 1) * inter_sends * part_bytes
-        out["intra"] = (np_ranks - 1) * (np_ranks - inter_sends) * part_bytes
-        return out
-    if algorithm is AllgatherAlgorithm.RECURSIVE_DOUBLING:
-        # Doubling rounds below ppn stay on-node; each round every rank
-        # exchanges its accumulated 2^k parts.
-        out["intra"] = np_ranks * (ppn - 1) * part_bytes
-        out["inter"] = np_ranks * (np_ranks - ppn) * part_bytes
-        return out
-
-    gather = algorithm in (
-        AllgatherAlgorithm.LEADER,
-        AllgatherAlgorithm.SHARED_IN,
-        AllgatherAlgorithm.LEADER_OVERLAPPED,
-    )
-    bcast = algorithm in (
-        AllgatherAlgorithm.LEADER,
-        AllgatherAlgorithm.LEADER_OVERLAPPED,
-    )
-    if gather and ppn > 1:
-        out["intra"] += nodes * (ppn - 1) * part_bytes
-    if nodes > 1:
-        # Leader-family inter step is a ring over node blocks: every node
-        # forwards each of the other nodes' blocks once (eq. 2 volume);
-        # multi-leader repeats that on all ppn per-socket leaders.
-        inter = (nodes - 1) * nodes * part_bytes * ppn
-        if algorithm is AllgatherAlgorithm.MULTI_LEADER:
-            inter *= ppn
-        out["inter"] = inter
-    if bcast and ppn > 1:
-        out["intra"] += nodes * (ppn - 1) * total_bytes
-    return out
+    return _channel_bytes(_schedule(comm, algorithm, part_bytes, total_bytes))
 
 
 def allgather(
@@ -390,14 +404,13 @@ def allgather(
     *,
     codec: FrontierCodec | None = None,
     visited_parts: list[np.ndarray] | None = None,
-    subgroups: int | None = None,
 ) -> CollectiveResult:
     """Allgatherv of per-rank word arrays under a given algorithm.
 
     Returns a :class:`CollectiveResult` whose ``data`` is either the full
     concatenated (read-only) array or, when ``shared_buffers`` are passed,
-    the list of filled per-node buffers.  ``breakdown`` holds per-step
-    times for the leader-based family (Fig. 6).
+    the list of filled per-node buffers.  ``breakdown`` holds the
+    schedule's per-step times (Fig. 6).
 
     With a non-identity ``codec``, the rank parts are encoded before the
     (priced) transmission and decoded on arrival — the delivered data is
@@ -424,12 +437,7 @@ def allgather(
             f"({len(parts)}), got {len(visited_parts)}",
             collective="allgather",
         )
-    shared_family = algorithm in (
-        AllgatherAlgorithm.SHARED_IN,
-        AllgatherAlgorithm.SHARED_ALL,
-        AllgatherAlgorithm.PARALLEL_SHARED,
-        AllgatherAlgorithm.MULTI_LEADER,
-    )
+    shared_family = algorithm in _SHARED_FAMILY
     if shared_family and shared_buffers is None:
         raise CommunicationError(
             f"{algorithm.value} allgather requires node-shared destination "
@@ -449,10 +457,7 @@ def allgather(
 
     chosen = codec
     if isinstance(codec, AutoCodec) and coded:
-        t_full, _ = allgather_time(
-            comm, algorithm, part_bytes, total_bytes, subgroups=subgroups
-        )
-        t_zero, _ = allgather_time(comm, algorithm, 0.0, 0.0, subgroups=subgroups)
+        t_full, _ = allgather_time(comm, algorithm, part_bytes, total_bytes)
         chosen = codec.select(
             nbits=int(total_bytes) * 8,
             set_bits=int(bitops.popcount_words(full).sum()),
@@ -461,14 +466,14 @@ def allgather(
                 if visited is not None
                 else 0
             ),
-            ns_per_wire_byte=max(0.0, (t_full - t_zero) / total_bytes),
+            ns_per_wire_byte=t_full / total_bytes,
             model=comm.codec_model,
         )
 
     codec_name = None if chosen is None else chosen.name
     wire_part = part_bytes
     wire_total = total_bytes
-    breakdown_extra: dict[str, float] = {}
+    raw_part = None
     if coded and not chosen.is_identity:
         # One encode and one decode cover every rank's part; each part
         # is framed and priced on its own.
@@ -478,17 +483,10 @@ def allgather(
         part_wire = enc.part_wire_nbytes
         wire_part = float(part_wire.max())
         wire_total = float(part_wire.sum())
-        # Encode happens on every rank concurrently over its own part
-        # (bounded by the largest); decode scans the full gathered
-        # payload once per rank.
-        breakdown_extra["codec_encode"] = comm.codec_model.encode_time_ns(part_bytes)
-        breakdown_extra["codec_decode"] = comm.codec_model.decode_time_ns(wire_total)
+        raw_part = part_bytes
 
-    t, breakdown = allgather_time(
-        comm, algorithm, wire_part, wire_total, subgroups=subgroups
-    )
-    breakdown.update(breakdown_extra)
-    t += sum(breakdown_extra.values())
+    steps = _schedule(comm, algorithm, wire_part, wire_total, None, raw_part)
+    t, breakdown = _priced(steps)
     if comm.injector is not None:
         # Fault hooks, in wire order: a transient failure wastes the
         # whole priced attempt (raises; the engine retries and charges
@@ -505,9 +503,7 @@ def allgather(
     result.wire_part_bytes = wire_part
     result.codec = codec_name
     if comm.tracer.enabled:
-        channels = allgather_channel_bytes(
-            comm, algorithm, wire_part, wire_total, subgroups=subgroups
-        )
+        channels = _channel_bytes(steps)
         comm.tracer.comm_event(
             "allgather",
             nbytes=total_bytes,

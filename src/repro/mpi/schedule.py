@@ -1,18 +1,19 @@
 """Human-readable schedules of the allgather algorithms (Figs. 5 and 7).
 
 Figures 5a, 5b and 7 of the paper are *mechanism* diagrams; this module
-reproduces them as step-by-step textual schedules computed from the same
-cost functions the simulator charges, so the diagrams can be checked
-against the implementation (``repro-experiment`` prints them via the
-fig06 bench, and ``tests/test_api_schedule.py`` pins the structure).
+renders them as textual step tables.  The steps — their channels, bytes
+and times — are the step table the simulator charges
+(:mod:`repro.mpi.collectives`); this module only adds a label and a
+description per step, so the diagrams can be checked against the
+implementation (``repro-experiment`` prints them via the fig06 bench,
+and ``tests/test_api_schedule.py`` pins the structure).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import CommunicationError
-from repro.mpi.collectives import AllgatherAlgorithm, allgather_time
+from repro.mpi.collectives import AllgatherAlgorithm, _schedule
 from repro.mpi.simcomm import SimComm
 from repro.util.formatting import format_bytes, format_time_ns
 
@@ -24,7 +25,7 @@ class ScheduleStep:
     """One step of a collective schedule."""
 
     name: str
-    channel: str  # "intra-node" | "inter-node" | "none"
+    channel: str  # "intra-node" | "inter-node" | "both" | "none"
     description: str
     bytes_moved_per_node: float
     time_ns: float
@@ -38,6 +39,94 @@ class ScheduleStep:
             else "-"
         )
         return f"{self.name:14s} [{self.channel:10s}] {t:>10s} {vol:>10s}  {self.description}"
+
+
+#: Label and description of each step; ``{...}`` fields are filled from
+#: the communicator, the step and the payload sizes.
+_TEXT = {
+    "ring": (
+        "ring",
+        "{hops} steps; every rank forwards its current block to its "
+        "successor (node-major order: {copies} intra copies + 1 inter "
+        "flow per node per step)",
+    ),
+    "recursive_doubling": (
+        "recursive-dbl",
+        "log2({ranks}) rounds of pairwise exchange, payload doubling each "
+        "round",
+    ),
+    "overlapped": (
+        "overlapped",
+        "leader scheme with perfectly overlapped intra/inter steps "
+        "(HierKNEM-style): completes when the slower side does — the "
+        "intra side, at large payloads (Fig. 6)",
+    ),
+    "intra_gather": (
+        "step 1 gather",
+        "{flows} children copy their parts to the node leader "
+        "(Fig. 5 STEP 1)",
+    ),
+    "inter": (
+        "step 2 inter",
+        "node leaders allgather node blocks over InfiniBand "
+        "(Fig. 5 STEP 2; one flow per node)",
+    ),
+    "intra_bcast": (
+        "step 3 bcast",
+        "the leader broadcasts the full result to {flows} children "
+        "(Fig. 5a STEP 3)",
+    ),
+    "codec_encode": (
+        "codec encode",
+        "every rank encodes its part with the '{codec}' frontier codec "
+        "({raw_part} -> {wire_part} per part, {ratio:.1f}x overall)",
+    ),
+    "codec_decode": (
+        "codec decode",
+        "every rank decodes the gathered '{codec}' payload back to the "
+        "full bitmap ({wire_total} -> {raw_total})",
+    ),
+}
+
+#: Steps that read differently under one algorithm.
+_VARIANTS = {
+    (AllgatherAlgorithm.PARALLEL_SHARED, "inter"): (
+        "step 2 inter",
+        "{flows} subgroups allgather 1/{flows} of the data each, "
+        "concurrently saturating the IB ports (Fig. 7)",
+    ),
+    (AllgatherAlgorithm.MULTI_LEADER, "inter"): (
+        "inter",
+        "every per-socket leader allgathers the FULL payload ({flows} "
+        "flows per node, each carrying whole node blocks — {ppn}x the "
+        "volume of Fig. 7)",
+    ),
+}
+
+#: The leader's on-node steps where they move nothing.
+_ELIMINATED = {
+    "intra_gather": "eliminated: out_queue slots live in node-shared "
+    "memory, the leader reads them directly (Fig. 5b / 'Share all')",
+    "intra_bcast": "eliminated: the destination in_queue is node-shared, "
+    "every rank reads the result in place (Fig. 5b)",
+}
+
+_CHANNEL = {
+    "intra": "intra-node",
+    "inter": "inter-node",
+    "both": "both",
+    "none": "none",
+    "cpu": "none",
+}
+
+#: The Fig. 5/7 family shows its idle steps as eliminated; the other
+#: algorithms' idle steps only keep the breakdown's keys.
+_FIG5 = (
+    AllgatherAlgorithm.LEADER,
+    AllgatherAlgorithm.SHARED_IN,
+    AllgatherAlgorithm.SHARED_ALL,
+    AllgatherAlgorithm.PARALLEL_SHARED,
+)
 
 
 def explain_allgather(
@@ -56,182 +145,51 @@ def explain_allgather(
     With a non-raw ``codec``, the transmission steps are priced at the
     given wire sizes (defaulting to the raw sizes when the caller has no
     measurement) and the schedule is bracketed by the codec's encode and
-    decode steps, mirroring what :func:`repro.mpi.collectives.allgather`
-    charges during a functional run.
+    decode steps, as :func:`repro.mpi.collectives.allgather` charges
+    them during a functional run.  A step's bytes per node are its
+    channel bytes divided by the node count.
     """
-    if part_bytes < 0:
-        raise CommunicationError("negative part size")
     if total_bytes is None:
         total_bytes = part_bytes * comm.num_ranks
     encoded = codec not in (None, "raw")
-    tx_part = part_bytes
-    tx_total = total_bytes
+    wire_part, wire_total = part_bytes, total_bytes
     if encoded:
-        tx_part = part_bytes if wire_part_bytes is None else wire_part_bytes
-        tx_total = total_bytes if wire_total_bytes is None else wire_total_bytes
-    ppn = comm.mapping.ppn
-    nodes = comm.cluster.nodes
-    total_t, breakdown = allgather_time(
-        comm, algorithm, tx_part, tx_total, subgroups=subgroups
+        if wire_part_bytes is not None:
+            wire_part = wire_part_bytes
+        if wire_total_bytes is not None:
+            wire_total = wire_total_bytes
+    table = _schedule(
+        comm, algorithm, wire_part, wire_total, subgroups,
+        part_bytes if encoded else None,
     )
-
-    steps: list[ScheduleStep] = []
-    if encoded:
-        enc_t = comm.codec_model.encode_time_ns(part_bytes)
-        dec_t = comm.codec_model.decode_time_ns(tx_total)
-        total_t += enc_t + dec_t
-        ratio = total_bytes / tx_total if tx_total else 0.0
+    ppn = comm.mapping.ppn
+    fields = dict(
+        ranks=comm.num_ranks,
+        hops=comm.num_ranks - 1,
+        ppn=ppn,
+        copies=ppn - 1,
+        codec=codec,
+        raw_part=format_bytes(part_bytes),
+        wire_part=format_bytes(wire_part),
+        raw_total=format_bytes(total_bytes),
+        wire_total=format_bytes(wire_total),
+        ratio=total_bytes / wire_total if wire_total else 0.0,
+    )
+    steps = []
+    # Encoding precedes the transfer; the table lists it with the decode.
+    for step in sorted(table, key=lambda s: s.name != "codec_encode"):
+        if step.channel == "none" and algorithm not in _FIG5:
+            continue
+        label, text = _VARIANTS.get((algorithm, step.name), _TEXT[step.name])
+        if step.channel == "none":
+            text = _ELIMINATED[step.name]
         steps.append(
             ScheduleStep(
-                "codec encode",
-                "none",
-                f"every rank encodes its part with the '{codec}' frontier "
-                f"codec ({format_bytes(part_bytes)} -> "
-                f"{format_bytes(tx_part)} per part, {ratio:.1f}x overall)",
-                0.0,
-                enc_t,
+                label,
+                _CHANNEL[step.channel],
+                text.format(flows=step.flows, **fields),
+                (step.intra_bytes + step.inter_bytes) / comm.cluster.nodes,
+                step.time_ns,
             )
         )
-    def _finish(steps: list[ScheduleStep]) -> list[ScheduleStep]:
-        """Append the decode step (when encoded) and check the total."""
-        if encoded:
-            steps.append(
-                ScheduleStep(
-                    "codec decode",
-                    "none",
-                    f"every rank decodes the gathered '{codec}' payload "
-                    f"back to the full bitmap "
-                    f"({format_bytes(tx_total)} -> {format_bytes(total_bytes)})",
-                    0.0,
-                    dec_t,
-                )
-            )
-        assert abs(sum(s.time_ns for s in steps) - total_t) < 1e-6
-        return steps
-
-    if set(breakdown) == {"ring"}:
-        steps.append(
-            ScheduleStep(
-                "ring",
-                "both",
-                f"{comm.num_ranks - 1} steps; every rank forwards its "
-                f"current block to its successor (node-major order: "
-                f"{ppn - 1} intra copies + 1 inter flow per node per step)",
-                tx_total - tx_part,
-                breakdown["ring"],
-            )
-        )
-        return _finish(steps)
-    if set(breakdown) == {"recursive_doubling"}:
-        steps.append(
-            ScheduleStep(
-                "recursive-dbl",
-                "both",
-                f"log2({comm.num_ranks}) rounds of pairwise exchange, "
-                f"payload doubling each round",
-                tx_total - tx_part,
-                breakdown["recursive_doubling"],
-            )
-        )
-        return _finish(steps)
-
-    if algorithm is AllgatherAlgorithm.LEADER_OVERLAPPED:
-        steps.append(
-            ScheduleStep(
-                "overlapped",
-                "both",
-                "leader scheme with perfectly overlapped intra/inter "
-                "steps (HierKNEM-style): completes when the slower side "
-                "does — the intra side, at large payloads (Fig. 6)",
-                tx_total * (ppn - 1) + tx_part * (ppn - 1),
-                breakdown["overlapped"],
-            )
-        )
-        return _finish(steps)
-
-    # The leader-based family (Figs. 5a, 5b, 7).
-    gather = breakdown.get("intra_gather", 0.0)
-    inter = breakdown.get("inter", 0.0)
-    bcast = breakdown.get("intra_bcast", 0.0)
-    if algorithm is AllgatherAlgorithm.MULTI_LEADER:
-        steps.append(
-            ScheduleStep(
-                "inter",
-                "inter-node",
-                f"every per-socket leader allgathers the FULL payload "
-                f"({ppn} flows per node, each carrying whole node blocks "
-                f"— {ppn}x the volume of Fig. 7)",
-                (tx_total - tx_total / nodes) * ppn if nodes > 1 else 0,
-                inter,
-            )
-        )
-        return _finish(steps)
-
-    if gather > 0:
-        steps.append(
-            ScheduleStep(
-                "step 1 gather",
-                "intra-node",
-                f"{ppn - 1} children copy their parts to the node leader "
-                f"(Fig. 5 STEP 1)",
-                tx_part * (ppn - 1),
-                gather,
-            )
-        )
-    else:
-        steps.append(
-            ScheduleStep(
-                "step 1 gather",
-                "none",
-                "eliminated: out_queue slots live in node-shared memory, "
-                "the leader reads them directly (Fig. 5b / 'Share all')",
-                0.0,
-                0.0,
-            )
-        )
-    if algorithm is AllgatherAlgorithm.PARALLEL_SHARED:
-        groups = ppn if subgroups is None else subgroups
-        steps.append(
-            ScheduleStep(
-                "step 2 inter",
-                "inter-node",
-                f"{groups} subgroups allgather 1/{groups} of the data "
-                f"each, concurrently saturating the IB ports (Fig. 7)",
-                tx_total - tx_total / nodes if nodes > 1 else 0,
-                inter,
-            )
-        )
-    else:
-        steps.append(
-            ScheduleStep(
-                "step 2 inter",
-                "inter-node",
-                "node leaders allgather node blocks over InfiniBand "
-                "(Fig. 5 STEP 2; one flow per node)",
-                tx_total - tx_total / nodes if nodes > 1 else 0,
-                inter,
-            )
-        )
-    if bcast > 0:
-        steps.append(
-            ScheduleStep(
-                "step 3 bcast",
-                "intra-node",
-                f"the leader broadcasts the full result to {ppn - 1} "
-                f"children (Fig. 5a STEP 3)",
-                tx_total * (ppn - 1),
-                bcast,
-            )
-        )
-    else:
-        steps.append(
-            ScheduleStep(
-                "step 3 bcast",
-                "none",
-                "eliminated: the destination in_queue is node-shared, "
-                "every rank reads the result in place (Fig. 5b)",
-                0.0,
-                0.0,
-            )
-        )
-    return _finish(steps)
+    return steps

@@ -123,7 +123,6 @@ def engine_fingerprint(engine) -> tuple[str, dict]:
         "codec": engine.codec.name if engine.codec is not None else "raw",
         "sharing": comm.sharing.value,
         "parallel_allgather": comm.parallel_allgather,
-        "subgroups": comm.subgroups,
         "allgather": (
             comm.allgather.value if comm.allgather is not None else None
         ),

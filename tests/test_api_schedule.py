@@ -159,3 +159,45 @@ class TestScheduleExplainer:
     def test_negative_part_rejected(self, comm):
         with pytest.raises(CommunicationError):
             explain_allgather(comm, AllgatherAlgorithm.LEADER, -1.0)
+
+
+def _comm(nodes, ppn):
+    cluster = paper_cluster(nodes=nodes)
+    return SimComm(cluster, ProcessMapping(cluster, ppn=ppn))
+
+
+@pytest.mark.parametrize("algorithm", list(AllgatherAlgorithm), ids=lambda a: a.value)
+def test_explained_bytes_add_up_to_the_channel_bytes(algorithm):
+    """Bytes per node x nodes, summed over the shown steps, is what the
+    schedule carries on its channels."""
+    from repro.mpi import allgather_channel_bytes
+
+    for nodes in (1, 2, 4, 16):
+        for ppn in (2, 4, 8):
+            comm = _comm(nodes, ppn)
+            for part in (4 * MB, 1000.0, 0.0):
+                shown = explain_allgather(comm, algorithm, part)
+                carried = allgather_channel_bytes(comm, algorithm, part)
+                assert sum(
+                    s.bytes_moved_per_node for s in shown
+                ) * nodes == pytest.approx(sum(carried.values()), rel=1e-12)
+
+
+def test_ring_bytes_count_every_rank():
+    """4 nodes x 8 ranks, 4 MB parts: every rank forwards 31 parts."""
+    comm = _comm(4, 8)
+    (ring,) = explain_allgather(comm, AllgatherAlgorithm.RING, 4 * MB)
+    assert ring.bytes_moved_per_node == 8 * 31 * 4 * MB
+
+
+def test_overlapped_bytes_include_the_inter_step():
+    comm = _comm(4, 8)
+    part = 4 * MB
+    (overlapped,) = explain_allgather(
+        comm, AllgatherAlgorithm.LEADER_OVERLAPPED, part
+    )
+    by_name = {
+        s.name: s.bytes_moved_per_node
+        for s in explain_allgather(comm, AllgatherAlgorithm.LEADER, part)
+    }
+    assert overlapped.bytes_moved_per_node == sum(by_name.values())

@@ -95,13 +95,6 @@ class TestCommConfigValidation:
             )
         CommConfig(sharing=SharingVariant.ALL, parallel_allgather=True)
 
-    def test_subgroups_requires_parallel(self):
-        with pytest.raises(ConfigError, match="subgroups"):
-            CommConfig(subgroups=2)
-        with pytest.raises(ConfigError, match="subgroups"):
-            CommConfig.parallel(subgroups=0)
-        assert CommConfig.parallel(subgroups=2).subgroups == 2
-
     def test_shared_algorithm_needs_shared_buffers(self):
         with pytest.raises(ConfigError, match="node-shared"):
             CommConfig(allgather=AllgatherAlgorithm.SHARED_IN)

@@ -76,8 +76,6 @@ _COMM_VARIANTS = [
     dict(sharing=SharingVariant.IN_QUEUE),
     dict(sharing=SharingVariant.ALL),
     dict(sharing=SharingVariant.ALL, parallel_allgather=True),
-    dict(sharing=SharingVariant.ALL, parallel_allgather=True, subgroups=1),
-    dict(sharing=SharingVariant.ALL, parallel_allgather=True, subgroups=3),
     dict(sharing=SharingVariant.PRIVATE, allgather=AllgatherAlgorithm.RING),
     dict(sharing=SharingVariant.PRIVATE, allgather=AllgatherAlgorithm.LEADER),
     dict(

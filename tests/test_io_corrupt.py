@@ -6,7 +6,9 @@ worse — a silently wrong graph: every failure mode maps to a
 and its byte offset.
 """
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +51,23 @@ def test_truncated_archive(graph_file):
     assert "truncated" in str(exc) or "not a readable" in str(exc)
     assert exc.context["file_bytes"] == len(raw) // 2
     json.dumps(exc.to_dict())
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-a-zip"])
+def test_damaged_archive_leaves_no_open_file(graph_file, damage):
+    """A failed load closes the archive: nothing is left for the garbage
+    collector to warn about."""
+    path, _ = graph_file
+    raw = path.read_bytes()
+    junk = raw[: len(raw) // 2] if damage == "truncated" else b"\x00" * 100
+    path.write_bytes(junk)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(GraphError):
+            load_graph(path)
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_corrupt_member_reports_byte_offset(graph_file):

@@ -19,6 +19,7 @@ from repro.mpi import (
     ProcessMapping,
     SimComm,
     allgather,
+    allgather_time,
 )
 
 
@@ -206,6 +207,20 @@ class TestAllgatherTiming:
         parts = [np.zeros(0, np.uint64) for _ in range(comm.num_ranks)]
         res = allgather(comm, parts, AllgatherAlgorithm.RING)
         assert res.max_time == 0.0
+
+    @pytest.mark.parametrize("algo", list(AllgatherAlgorithm), ids=lambda a: a.value)
+    def test_zero_payload_prices_exactly_zero(self, algo):
+        """Every step prices 0 when it moves no bytes, so the ``auto``
+        codec's marginal wire cost is the full price over the bytes."""
+        for nodes in (1, 2, 4, 16):
+            for ppn in (2, 4, 8):
+                comm = make_comm(nodes=nodes, ppn=ppn)
+                for subgroups in (None, 1, ppn):
+                    total, steps = allgather_time(
+                        comm, algo, 0.0, 0.0, subgroups=subgroups
+                    )
+                    assert total == 0.0
+                    assert set(steps.values()) == {0.0}
 
 
 class TestSimCommPrimitives:

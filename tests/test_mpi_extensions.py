@@ -17,7 +17,6 @@ from repro.mpi import (
     SimComm,
     allgather,
     allgather_time,
-    parallel_allgather_time,
 )
 
 
@@ -75,19 +74,26 @@ class TestMultiLeader:
         assert t == 0.0
 
 
+def _subgroup_inter(comm, part, subgroups):
+    """Inter-node time of the Fig. 7 scheme with ``subgroups`` rings."""
+    _, steps = allgather_time(
+        comm, AllgatherAlgorithm.PARALLEL_SHARED, part, subgroups=subgroups
+    )
+    return steps["inter"]
+
+
 class TestParallelSubgroups:
     def test_monotone_in_subgroups(self):
         comm = make_comm(nodes=8, ppn=8)
         part = 64 * MB / comm.num_ranks
-        times = [
-            parallel_allgather_time(comm, part, s) for s in (1, 2, 4, 8)
-        ]
+        times = [_subgroup_inter(comm, part, s) for s in (1, 2, 4, 8)]
         assert times == sorted(times, reverse=True)
+        assert times[0] > times[-1]
 
     def test_one_subgroup_equals_single_leader_step(self):
         comm = make_comm(nodes=8, ppn=8)
         part = 64 * MB / comm.num_ranks
-        t1 = parallel_allgather_time(comm, part, 1)
+        t1 = _subgroup_inter(comm, part, 1)
         t_leader, steps = allgather_time(
             comm, AllgatherAlgorithm.SHARED_ALL, part
         )
@@ -96,22 +102,26 @@ class TestParallelSubgroups:
     def test_full_subgroups_match_parallel_shared(self):
         comm = make_comm(nodes=8, ppn=8)
         part = 64 * MB / comm.num_ranks
-        t8 = parallel_allgather_time(comm, part, 8)
+        t8 = _subgroup_inter(comm, part, 8)
         t_par, steps = allgather_time(
             comm, AllgatherAlgorithm.PARALLEL_SHARED, part
         )
-        assert t8 == pytest.approx(steps["inter"])
+        assert t8 == steps["inter"]
 
     def test_validation(self):
-        comm = make_comm(nodes=2, ppn=8)
-        with pytest.raises(CommunicationError):
-            parallel_allgather_time(comm, 1024.0, 0)
-        with pytest.raises(CommunicationError):
-            parallel_allgather_time(comm, 1024.0, 9)
+        """Checked on every cluster shape, one node included."""
+        for nodes in (1, 2):
+            comm = make_comm(nodes=nodes, ppn=8)
+            for bad in (0, 9, 99):
+                with pytest.raises(CommunicationError, match="subgroups"):
+                    allgather_time(
+                        comm, AllgatherAlgorithm.PARALLEL_SHARED, 1024.0,
+                        subgroups=bad,
+                    )
 
     def test_zero_bytes_free(self):
         comm = make_comm(nodes=2, ppn=8)
-        assert parallel_allgather_time(comm, 0.0, 4) == 0.0
+        assert _subgroup_inter(comm, 0.0, 4) == 0.0
 
 
 ALL_ALGORITHMS = list(AllgatherAlgorithm)
