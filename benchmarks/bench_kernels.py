@@ -10,9 +10,11 @@ performance regressions in the simulator itself.
 The bottom-up benchmarks run each backend on a *real* mid-BFS level
 (the scan right after level 1 from a high-degree root), which is where
 the active-set backend's early exit pays: most candidates retire within
-their first couple of edges; and on an all-bottom-up level 0, where
-nearly every candidate misses.  ``make bench-baseline`` records the suite
-to ``BENCH_kernels.json`` with backend/scale/commit metadata.
+their first couple of edges.  They run it on 8 ranks and on 128, where
+``activeset`` groups ranks into blocks, and add an all-bottom-up level
+0, where nearly every candidate misses.  ``make bench-baseline``
+records the suite to ``BENCH_kernels.json`` with backend/scale/commit
+metadata.
 
 Environment knobs: ``REPRO_BENCH_SCALE`` (default 16) sizes the R-MAT
 graph so CI can run a small smoke pass.  The default moved from 15 to
@@ -190,6 +192,58 @@ def test_bottom_up_sparse_level(benchmark, graph, mid_level, backend_name):
         scale=SCALE,
         ranks=int(bounds.size - 1),
         frontier=1,
+        candidates=int(result.rank_candidates.sum()),
+        examined_edges=result.examined_edges,
+        inqueue_reads=int(result.rank_inqueue_reads.sum()),
+        discovered=int(result.discovered.size),
+        gathered_edges=result.gathered_edges,
+        chunk_rounds=result.chunk_rounds,
+    )
+
+
+@pytest.fixture(scope="module")
+def many_ranks_level(graph):
+    """The ``mid_level`` shape on 128 ranks (``paper_cluster(nodes=16)``):
+    the bottom-up scan right after level 1 from the highest-degree
+    vertex, where every rank holds a few hundred vertices."""
+    root = int(np.argmax(graph.degrees()))
+    engine = BFSEngine(graph, paper_cluster(nodes=16), BFSConfig())
+    levels = compute_levels(graph, root, engine.run(root).parent)
+    frontier = np.flatnonzero(levels == 1)
+    visited = np.flatnonzero((levels >= 0) & (levels <= 1))
+    return frontier, visited, engine.partition.bounds
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_bottom_up_many_ranks(
+    benchmark, graph, many_ranks_level, backend_name
+):
+    """One dense mid-BFS bottom-up level over 128 ranks per backend: the
+    shape where ``activeset`` runs one wavefront per block of ranks
+    rather than one per rank."""
+    frontier, visited, bounds = many_ranks_level
+    backend = get_backend(backend_name)
+    _skip_unless_runnable(backend, backend_name)
+    in_queue = Bitmap.from_indices(graph.num_vertices, frontier)
+    summary = SummaryBitmap.build(in_queue, 64)
+
+    def fresh_level():
+        parent = np.full(graph.num_vertices, -1, dtype=np.int64)
+        parent[visited] = visited
+        return (graph, parent, in_queue, summary, bounds), {}
+
+    result = benchmark.pedantic(
+        backend.bottom_up_scan,
+        setup=fresh_level,
+        rounds=30,
+        warmup_rounds=3,
+    )
+    assert result.examined_edges > 0
+    benchmark.extra_info.update(
+        backend=backend_name,
+        scale=SCALE,
+        ranks=int(bounds.size - 1),
+        frontier=int(frontier.size),
         candidates=int(result.rank_candidates.sum()),
         examined_edges=result.examined_edges,
         inqueue_reads=int(result.rank_inqueue_reads.sum()),

@@ -45,11 +45,23 @@ is bit-identical to the reference backend; only the
 counts the cells each round reads: a column round's up to each row's
 first hit, a row round's block up to each row's end).
 
-The wavefront runs per rank slice (:func:`scan_rank_slices`) and still
-walks every *missing* candidate's whole row.  On a level whose frontier
-touches few arcs — level 0 of an all-bottom-up run, where the frontier
-is the root — nearly every candidate misses, so the scan costs the whole
-graph.  For a :class:`~repro.graph.types.Graph` the backend then counts
+The wavefront runs once per block of consecutive ranks
+(:func:`scan_rank_slices`): candidates are found over blocks of at most
+32 K vertices, and ranks are grouped into blocks of at most 8 K
+candidates (``ActiveSetBackend._blocks``).  A block of several ranks
+scans their candidates in one wavefront with per-candidate counts: a
+row's examined cells are its exit cell (its hit, or its last cell) less
+its first, so only the summary-filtered reads build up round by round;
+the four per-rank counts are running sums cut at the rank bounds.  A
+rank holding more candidates than the budget is a block of its own and
+takes the totals-only scan, which keeps large ranks' temporaries
+cache-resident and their rounds free of per-candidate bookkeeping.
+
+The wavefront still walks every *missing* candidate's whole row.  On a
+level whose frontier touches few arcs — level 0 of an all-bottom-up
+run, where the frontier is the root — nearly every candidate misses, so
+the scan costs the whole graph.  For a
+:class:`~repro.graph.types.Graph` the backend then counts
 the level from the frontier's side instead, every rank in one pass:
 
 1. ``hit`` marks the targets of the frontier's arcs.  The CSR is
@@ -66,11 +78,11 @@ A two-stage gate picks the path (both count identically): stage (a)
 keeps the dense scan when the lit blocks hold a quarter of the arcs or
 more, which costs O(n/g); stage (b) compares the frontier side's reads
 with an estimate of the dense scan's cells, ``sum(min(deg, 1/p))`` over
-the candidates (``p`` the share of arcs leading into the frontier) plus
-its per-rank overhead.  docs/PERFORMANCE.md has the measurements behind
-both.  On the frontier-side path ``gathered_edges`` is the frontier and
-lit arcs read plus the wavefront's cells, and ``chunk_rounds`` the
-wavefront's rounds.
+the candidates (``p`` the share of arcs leading into the frontier).
+docs/PERFORMANCE.md has the measurements behind both.  On the
+frontier-side path ``gathered_edges`` is the frontier and lit arcs read
+plus the wavefront's cells, and ``chunk_rounds`` the wavefront's
+rounds.
 """
 
 from __future__ import annotations
@@ -80,13 +92,14 @@ import numpy as np
 from repro.core.kernels.base import (
     BottomUpResult,
     KernelBackend,
+    _rank_sums,
     register_backend,
     scan_rank_slices,
 )
 from repro.errors import ConfigError
 from repro.graph.types import Graph
 from repro.util import bitops
-from repro.util.segments import gather_adjacency, segment_sums
+from repro.util.segments import gather_adjacency
 
 __all__ = ["ActiveSetBackend"]
 
@@ -96,26 +109,13 @@ __all__ = ["ActiveSetBackend"]
 #: the scanned vertices' arcs.
 _LIT_SHARE = 4
 #: Stage (b): the frontier side's O(n) passes cost one dense-scan cell
-#: per _VERTICES_PER_CELL scanned vertices ...
+#: per _VERTICES_PER_CELL scanned vertices.
 _VERTICES_PER_CELL = 4
-#: ... and the dense scan's per-rank slicing and round overhead about
-#: this many cells per rank.
-_RANK_CELLS = 512
 
 #: Wavefront rounds at most this wide run column by column
 #: (:func:`_columns`); wider ones, the hub holdouts, row-major
 #: (:func:`_rows`), where a column loop would run thousands of times.
 _COLUMN_WIDTH = 8
-
-
-def _set_bits(words):
-    """Ascending positions of the set bits of a word array, unpacking
-    only its non-zero words."""
-    nz = np.flatnonzero(words)
-    bits = np.flatnonzero(
-        np.unpackbits(words[nz].view(np.uint8), bitorder="little")
-    )
-    return nz[bits >> 6] * 64 + (bits & 63)
 
 
 def _byte_tables(in_queue, summary):
@@ -153,6 +153,11 @@ class ActiveSetBackend(KernelBackend):
     #: Test seam: None lets the gate choose, True/False forces the
     #: frontier-side/dense path on a ``Graph``.
     _force_frontier_side: bool | None = None
+    #: The dense scan's block budgets (:func:`scan_rank_slices`): it
+    #: finds candidates over blocks of consecutive ranks holding at most
+    #: this many vertices, and runs one wavefront per block holding at
+    #: most this many candidates.  A test seam too.
+    _blocks: tuple[int, int] = (32768, 8192)
 
     def bottom_up_scan(
         self, graph, parent, in_queue, summary, bounds
@@ -169,7 +174,7 @@ class ActiveSetBackend(KernelBackend):
                 )
         return scan_rank_slices(
             self._scan, graph, parent, *_byte_tables(in_queue, summary),
-            bounds,
+            bounds, *self._blocks,
         )
 
     def _frontier_side_plan(self, graph, parent, in_queue, summary, bounds):
@@ -199,7 +204,7 @@ class ActiveSetBackend(KernelBackend):
         arcs = offsets[hi] - offsets[lo]
         if force is None and _LIT_SHARE * lit_arcs >= arcs:
             return None
-        frontier = _set_bits(in_queue.words)
+        frontier = in_queue.indices()
         if summary is None:
             lit, lit_arcs = None, 0
         else:
@@ -214,7 +219,7 @@ class ActiveSetBackend(KernelBackend):
             reach = graph.targets.size // max(f_arcs, 1)  # 1/p
             np.minimum(capped, reach, out=capped)
             np.putmask(capped, parent[lo:hi] >= 0, 0)
-            dense = int(capped.sum()) + _RANK_CELLS * (len(bounds) - 1)
+            dense = int(capped.sum())
             if lit_arcs + f_arcs + (hi - lo) // _VERTICES_PER_CELL >= dense:
                 return None
         return frontier, lit
@@ -263,15 +268,10 @@ class ActiveSetBackend(KernelBackend):
             examined[hits] = hit_examined
             reads[hits] = hit_reads
             gathered += cells
-        cut = np.searchsorted(cand, bounds)
         return BottomUpResult(
-            found,
-            np.diff(cut),
-            segment_sums(examined, cut),
-            segment_sums(reads, cut),
-            segment_sums(disc_degree, np.searchsorted(found, bounds)),
-            gathered_edges=gathered,
-            chunk_rounds=rounds,
+            found, *_rank_sums(cand, bounds, examined, reads),
+            _rank_sums(found, bounds, disc_degree)[1],
+            gathered_edges=gathered, chunk_rounds=rounds,
         )
 
     def _scan(self, graph, cand, in_queue, summary, per_candidate=False):
@@ -280,29 +280,24 @@ class ActiveSetBackend(KernelBackend):
         ``summary`` are the level's byte tables (:func:`_byte_tables`;
         ``summary`` None without one).  With ``per_candidate`` the
         examined and in_queue-read counts come back as per-candidate
-        arrays instead of totals."""
-        targets = graph.targets
+        arrays instead of totals: a row examines its cells up to its hit
+        cell, or all of them on a miss, so only the summary-filtered
+        reads build up round by round."""
+        offsets, targets = graph.offsets, graph.targets
         ncand = int(cand.size)
-        found = np.zeros(ncand, dtype=bool)
-        first_parent = np.empty(ncand, dtype=np.int64)
-        examined_total = 0
-        inqueue_reads = 0
-        cand_examined = cand_reads = None
-        if per_candidate:
-            cand_examined = np.zeros(ncand, dtype=np.int64)
-            cand_reads = (
-                cand_examined if summary is None
-                else np.zeros(ncand, dtype=np.int64)
-            )
-        gathered = 0
-        rounds = 0
-
+        first_parent = np.full(ncand, -1, dtype=np.int64)
         # The not-yet-retired candidates (indices into the candidate
         # arrays, always ascending, so retirement order matches candidate
         # order), each one's next untested cell and its untested cells.
         active = np.arange(ncand, dtype=np.int64)
-        first = graph.offsets[cand]
-        left = graph.offsets[cand + 1] - first
+        first, end = offsets[cand], offsets[cand + 1]
+        left = end - first
+        # Per candidate on request only: the cell a row exits at (its hit,
+        # or its last cell) and its summary-filtered reads.
+        exit_cell = cand_reads = None
+        if per_candidate:
+            exit_cell, cand_reads = end - 1, np.zeros(ncand, dtype=np.int64)
+        examined_total = inqueue_reads = gathered = rounds = 0
         width = self.chunk
         while active.size:
             rounds += 1
@@ -311,7 +306,7 @@ class ActiveSetBackend(KernelBackend):
             columns = w <= _COLUMN_WIDTH
             examined, reads = (_columns if columns else _rows)(
                 targets, in_queue, summary, active, first, row_len,
-                found, first_parent, cand_examined, cand_reads,
+                first_parent, exit_cell, cand_reads,
             )
             # A column round reads a row only up to its first hit.
             gathered += examined if columns else int(row_len.sum())
@@ -320,60 +315,59 @@ class ActiveSetBackend(KernelBackend):
             first += row_len
             left -= row_len
             live = left > 0
-            live &= ~found[active]
+            live &= first_parent[active] < 0
             active, first, left = active[live], first[live], left[live]
             width = min(width * 2, self.MAX_CHUNK)
 
+        found = first_parent >= 0
         if per_candidate:
-            examined_total, inqueue_reads = cand_examined, cand_reads
-        return (
-            found, first_parent[found], examined_total, inqueue_reads,
-            gathered, rounds,
-        )
+            examined_total = exit_cell - offsets[cand] + 1
+            inqueue_reads = examined_total if summary is None else cand_reads
+        parents = first_parent[found]
+        return found, parents, examined_total, inqueue_reads, gathered, rounds
 
 
 def _columns(
-    targets, in_queue, summary, idx, first, row_len, found, first_parent,
-    cand_examined, cand_reads,
+    targets, in_queue, summary, idx, first, row_len, first_parent,
+    exit_cell, cand_reads,
 ):
     """One narrow round, column by column: candidate ``idx[i]`` tests its
     ``row_len[i]`` cells from ``first[i]`` on until its first hit.  Each
     column is one contiguous gather over the rows still going; a row
-    leaves at its hit (recorded in ``found``/``first_parent``) or its
-    last cell.  Returns the round's examined cells and summary-filtered
-    reads (all examined cells without a summary) and adds them per
-    candidate into ``cand_examined``/``cand_reads`` when those are
-    given."""
+    leaves at its hit (recorded in ``first_parent``, and its cell in
+    ``exit_cell`` when given) or its last cell.  Returns the
+    round's examined cells and summary-filtered reads (all examined
+    cells without a summary); with ``cand_reads`` given the reads are
+    added per candidate there instead."""
     pos, last = first, first + row_len - 1
     examined = reads = 0
     while True:
         nb = targets[pos]
         examined += idx.size
-        if cand_examined is not None:
-            cand_examined[idx] += 1
         if summary is not None:
             lit = summary[nb]
-            reads += int(np.count_nonzero(lit))
-            if cand_reads is not None:
+            if cand_reads is None:
+                reads += int(np.count_nonzero(lit))
+            else:
                 cand_reads[idx] += lit
-        hit = in_queue[nb]
-        h = np.flatnonzero(hit)
+        h = np.flatnonzero(in_queue[nb])
         if h.size:
-            found[idx[h]] = True
-            first_parent[idx[h]] = nb[h]
+            i = idx[h]
+            first_parent[i] = nb[h]
+            if exit_cell is not None:
+                exit_cell[i] = pos[h]
         keep = pos < last
         keep[h] = False
         if not keep.any():
             break
-        idx, last = idx[keep], last[keep]
-        pos = pos[keep]
+        idx, last, pos = idx[keep], last[keep], pos[keep]
         pos += 1
     return examined, (examined if summary is None else reads)
 
 
 def _rows(
-    targets, in_queue, summary, idx, first, row_len, found, first_parent,
-    cand_examined, cand_reads,
+    targets, in_queue, summary, idx, first, row_len, first_parent,
+    exit_cell, cand_reads,
 ):
     """One wide round, row-major: the dense ``(rows, width)`` block of
     the cells each candidate tests, first hit by ``argmax`` per row; same
@@ -397,12 +391,13 @@ def _rows(
         # prefix mask also excludes padded cells (cnt <= row_len).
         within_prefix = col[None, :] < cnt[:, None]
         within_prefix &= summary[neighbors]
-        reads = int(np.count_nonzero(within_prefix))
-        if cand_reads is not None:
+        if cand_reads is None:
+            reads = int(np.count_nonzero(within_prefix))
+        else:
             cand_reads[idx] += within_prefix.sum(axis=1)
-    if cand_examined is not None:
-        cand_examined[idx] += cnt
     rows = np.flatnonzero(has_hit)
-    found[idx[rows]] = True
-    first_parent[idx[rows]] = neighbors[rows, first_rel[rows]]
+    i = idx[rows]
+    first_parent[i] = neighbors[rows, first_rel[rows]]
+    if exit_cell is not None:
+        exit_cell[i] = first[rows] + first_rel[rows]
     return examined, reads

@@ -13,11 +13,13 @@ differ in is how much temporary memory and how many bitmap probes they
 spend producing them.
 
 This module holds the contract (:class:`KernelBackend`), the result
-dataclasses, the backend registry and the rank-slice loop of the numpy
-bottom-up scans (:func:`scan_rank_slices`).  The registry holds one
-instance per backend, which every engine shares: a backend keeps no
-state between calls.  The numpy top-down step every backend but
-``cnative`` inherits lives in :mod:`repro.core.topdown`.
+dataclasses, the backend registry and the one dense loop of the numpy
+bottom-up scans (:func:`scan_rank_slices`), which runs a wavefront per
+block of consecutive ranks (``reference`` uses blocks of one rank).
+The registry holds one instance per backend, which every engine
+shares: a backend keeps no state between calls.  The numpy top-down
+step every backend but ``cnative`` inherits lives in
+:mod:`repro.core.topdown`.
 """
 
 from __future__ import annotations
@@ -83,48 +85,86 @@ class BottomUpResult:
 
 
 def scan_rank_slices(
-    scan, graph, parent, in_queue, summary, bounds
+    scan, graph, parent, in_queue, summary, bounds, block_vertices=0,
+    block_candidates=0,
 ) -> BottomUpResult:
-    """One bottom-up level for a numpy backend, one rank slice at a time.
+    """One bottom-up level for a numpy backend, one block of consecutive
+    ranks at a time.
 
-    ``scan(graph, cand, in_queue, summary)`` early-exit scans the
-    (non-empty, ascending) global candidate ids ``cand`` and returns
-    ``(found, parents, examined_edges, inqueue_reads, gathered_edges,
-    chunk_rounds)``: ``found`` masks the candidates with a frontier
-    neighbour and ``parents`` holds their first ones.  Slicing by rank
-    is what the per-rank counts need anyway, and it keeps each scan's
-    temporaries rank-sized — cache-resident, where one whole-graph
-    active-set wavefront is 20-30 % slower at scale 18 on 8 ranks.
+    Candidates (unvisited vertices with an adjacency) are found over
+    blocks of consecutive ranks holding at most ``block_vertices``
+    vertices and scanned over blocks holding at most
+    ``block_candidates`` candidates; a rank holding more is a block of
+    its own, so the defaults go rank by rank.  ``scan(graph, cand,
+    in_queue, summary)`` early-exit scans the (non-empty, ascending)
+    global candidate ids ``cand`` and returns ``(found, parents,
+    examined_edges, inqueue_reads, gathered_edges, chunk_rounds)``:
+    ``found`` masks the candidates with a frontier neighbour and
+    ``parents`` holds their first ones.  A block of one rank takes the
+    two counts as totals; a block of several asks for them per
+    candidate (``per_candidate=True``, which only a backend that sets
+    budgets needs to accept) and cuts all four per-rank counts at the
+    rank bounds.  Blocks spare small ranks a pass and a wavefront each, and
+    keep the temporaries cache-resident, where one whole-graph
+    wavefront is 20-30 % slower at scale 18 on 8 ranks.
     """
     offsets = graph.offsets
-    ranks = len(bounds) - 1
-    counts = np.zeros((4, ranks), dtype=np.int64)
+    counts = np.zeros((4, len(bounds) - 1), dtype=np.int64)
     discovered = [np.zeros(0, dtype=np.int64)]
     gathered = rounds = 0
-    for r in range(ranks):
-        lo, hi = int(bounds[r]), int(bounds[r + 1])
-        rows = offsets[lo:hi + 1]
-        cand = lo + np.flatnonzero(
-            (parent[lo:hi] < 0) & (rows[1:] > rows[:-1])
-        )
-        if cand.size == 0:
-            continue
-        found, parents, examined, reads, g, k = scan(
-            graph, cand, in_queue, summary
-        )
-        hit = cand[found]
-        parent[hit] = parents
-        counts[:, r] = (
-            cand.size, examined, reads,
-            (offsets[hit + 1] - offsets[hit]).sum(),
-        )
-        discovered.append(hit)
-        gathered += g
-        rounds = max(rounds, k)
+    vb = bounds.tolist()
+    for a, b in _rank_blocks(vb, block_vertices):
+        lo, hi = vb[a], vb[b]
+        off = offsets[lo:hi + 1]
+        cand = lo + np.flatnonzero((parent[lo:hi] < 0) & (off[1:] > off[:-1]))
+        cuts = ([0, cand.size] if b - a == 1
+                else np.searchsorted(cand, bounds[a:b + 1]).tolist())
+        for c, d in _rank_blocks(cuts, block_candidates):
+            part = cand[cuts[c]:cuts[d]]
+            if part.size == 0:
+                continue
+            found, parents, examined, reads, g, k = (
+                scan(graph, part, in_queue, summary) if d - c == 1
+                else scan(graph, part, in_queue, summary, per_candidate=True)
+            )
+            hit = part[found]
+            parent[hit] = parents
+            disc = offsets[hit + 1] - offsets[hit]
+            if d - c == 1:
+                counts[:, a + c] = part.size, examined, reads, disc.sum()
+            else:
+                ranks, block = slice(a + c, a + d), bounds[a + c:a + d + 1]
+                counts[:3, ranks] = _rank_sums(part, block, examined, reads)
+                counts[3, ranks] = _rank_sums(hit, block, disc)[1]
+            discovered.append(hit)
+            gathered += g
+            rounds = max(rounds, k)
     return BottomUpResult(
         np.concatenate(discovered), *counts,
         gathered_edges=gathered, chunk_rounds=rounds,
     )
+
+
+def _rank_sums(ids, bounds, *values):
+    """Per rank, how many of the ascending ids ``ids`` it holds and the
+    sum of each per-id array of ``values`` over them: running sums cut
+    at the rank ``bounds``; shape ``(1 + len(values), ranks)``."""
+    cut = np.searchsorted(ids, bounds)
+    sums = [np.concatenate(([0], np.cumsum(v)))[cut] for v in values]
+    return np.diff([cut, *sums], axis=1)
+
+
+def _rank_blocks(bounds, budget):
+    """``(first, end)`` rank ranges of :func:`scan_rank_slices`' blocks
+    over the rank ``bounds`` (vertex or candidate positions): consecutive
+    ranks spanning at most ``budget`` together, or one rank that alone
+    spans more."""
+    first = 0
+    for r in range(1, len(bounds) - 1):
+        if bounds[r + 1] - bounds[first] > budget:
+            yield first, r
+            first = r
+    yield first, len(bounds) - 1
 
 
 @dataclass

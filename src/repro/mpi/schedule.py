@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mpi.collectives import AllgatherAlgorithm, _schedule
+from repro.mpi.collectives import (
+    _BCASTS,
+    _GATHERS,
+    AllgatherAlgorithm,
+    _schedule,
+)
 from repro.mpi.simcomm import SimComm
 from repro.util.formatting import format_bytes, format_time_ns
 
@@ -103,13 +108,24 @@ _VARIANTS = {
     ),
 }
 
-#: The leader's on-node steps where they move nothing.
+#: The leader's on-node steps where node-shared memory removes them.
 _ELIMINATED = {
     "intra_gather": "eliminated: out_queue slots live in node-shared "
     "memory, the leader reads them directly (Fig. 5b / 'Share all')",
     "intra_bcast": "eliminated: the destination in_queue is node-shared, "
     "every rank reads the result in place (Fig. 5b)",
 }
+
+#: The leader's on-node steps an algorithm keeps, where they still move
+#: nothing: the node has no child rank, or the payload is empty.
+_IDLE = {
+    "intra_gather": "idle: {why}, so no child copies a part to the leader",
+    "intra_bcast": "idle: {why}, so the leader copies the result to no "
+    "child",
+}
+
+#: The algorithms that run each on-node step.
+_KEPT = {"intra_gather": _GATHERS, "intra_bcast": _BCASTS}
 
 _CHANNEL = {
     "intra": "intra-node",
@@ -174,6 +190,7 @@ def explain_allgather(
         raw_total=format_bytes(total_bytes),
         wire_total=format_bytes(wire_total),
         ratio=total_bytes / wire_total if wire_total else 0.0,
+        why="one rank per node" if ppn == 1 else "the payload is empty",
     )
     steps = []
     # Encoding precedes the transfer; the table lists it with the decode.
@@ -182,7 +199,10 @@ def explain_allgather(
             continue
         label, text = _VARIANTS.get((algorithm, step.name), _TEXT[step.name])
         if step.channel == "none":
-            text = _ELIMINATED[step.name]
+            text = (
+                _IDLE[step.name] if algorithm in _KEPT[step.name]
+                else _ELIMINATED[step.name]
+            )
         steps.append(
             ScheduleStep(
                 label,

@@ -138,6 +138,19 @@ class SimComm:
             self._rank_topo = cached
         return cached
 
+    def _static_derating(self) -> tuple[list[float], float]:
+        """Memoized cluster derating per node and its minimum; the
+        injector's link derating is applied by the caller."""
+        cached = getattr(self, "_node_derate", None)
+        if cached is None:
+            per_node = [
+                self.cluster.network_derating(n)
+                for n in range(self.cluster.nodes)
+            ]
+            cached = (per_node, min(per_node, default=1.0))
+            self._node_derate = cached
+        return cached
+
     def node_derating(self, node_index: int) -> float:
         """Combined network derating of one node: the cluster's own weak
         link times any injected degradation."""
@@ -151,10 +164,16 @@ class SimComm:
         node — a bulk step completes when its worst channel does."""
         if nbytes <= 0:
             return 0.0
-        worst = min(
-            (self.node_derating(n) for n in range(self.cluster.nodes)),
-            default=1.0,
-        )
+        per_node, worst = self._static_derating()
+        injector = self.injector
+        if injector is not None and injector.has_link_faults:
+            worst = min(
+                (
+                    f * injector.link_derating(n)
+                    for n, f in enumerate(per_node)
+                ),
+                default=1.0,
+            )
         bw = self.network.flow_bandwidth(flows) * worst
         return self.cluster.node.ib.message_latency_ns + nbytes / bw * 1e9
 

@@ -146,6 +146,12 @@ def bool_to_bits(flags: np.ndarray) -> np.ndarray:
 
 
 def nonzero_bit_indices(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Indices (int64) of set bits, in increasing order."""
+    """Indices (int64) of set bits below ``nbits``, in increasing order,
+    unpacking only the non-zero words."""
     _check_words(words)
-    return np.flatnonzero(bits_to_bool(words, nbits)).astype(np.int64)
+    nz = np.flatnonzero(words[:words_for_bits(nbits)])
+    bits = np.flatnonzero(
+        np.unpackbits(words[nz].view(np.uint8), bitorder="little")
+    )
+    idx = nz[bits >> 6] * 64 + (bits & 63)
+    return idx[:np.searchsorted(idx, nbits)]

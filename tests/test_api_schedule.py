@@ -9,7 +9,12 @@ from repro.errors import CommunicationError, GraphError
 from repro.graph import from_edge_arrays, rmat_graph
 from repro.machine import paper_cluster
 from repro.machine.spec import MB
-from repro.mpi import AllgatherAlgorithm, ProcessMapping, SimComm
+from repro.mpi import (
+    AllgatherAlgorithm,
+    BindingPolicy,
+    ProcessMapping,
+    SimComm,
+)
 from repro.mpi.schedule import explain_allgather
 
 
@@ -201,3 +206,39 @@ def test_overlapped_bytes_include_the_inter_step():
         for s in explain_allgather(comm, AllgatherAlgorithm.LEADER, part)
     }
     assert overlapped.bytes_moved_per_node == sum(by_name.values())
+
+
+@pytest.mark.parametrize("ppn, part, why", [
+    (1, 4 * MB, "one rank per node"),
+    (8, 0.0, "the payload is empty"),
+], ids=["ppn1", "zero-payload"])
+def test_leader_idle_steps_say_why_nothing_moves(ppn, part, why):
+    """``LEADER`` keeps both on-node steps; where they move nothing no
+    memory is shared, there is simply no child copy to make.  The steps
+    that sharing removes keep their "eliminated" text."""
+    cluster = paper_cluster(nodes=4)
+    policy = (
+        BindingPolicy.INTERLEAVE if ppn == 1 else BindingPolicy.BIND_TO_SOCKET
+    )
+    comm = SimComm(cluster, ProcessMapping(cluster, ppn=ppn, policy=policy))
+    leader = explain_allgather(comm, AllgatherAlgorithm.LEADER, part)
+    steps = {s.name: s for s in leader}
+    gather, bcast = steps["step 1 gather"], steps["step 3 bcast"]
+    assert gather.channel == bcast.channel == "none"
+    assert gather.description == (
+        f"idle: {why}, so no child copies a part to the leader"
+    )
+    assert bcast.description == (
+        f"idle: {why}, so the leader copies the result to no child"
+    )
+    shared = {
+        s.name: s.description
+        for s in explain_allgather(comm, AllgatherAlgorithm.SHARED_IN, part)
+    }
+    assert shared["step 1 gather"] == gather.description
+    assert shared["step 3 bcast"].startswith("eliminated: ")
+    assert all(
+        s.description.startswith("eliminated: ")
+        for s in explain_allgather(comm, AllgatherAlgorithm.SHARED_ALL, part)
+        if s.channel == "none"
+    )

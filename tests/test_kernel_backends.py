@@ -37,6 +37,7 @@ from repro.core.kernels import (
     resolve_backend,
 )
 from repro.core.kernels.activeset import _COLUMN_WIDTH
+from repro.core.kernels.base import _rank_blocks
 from repro.core.topdown import _dedup_dense, _dedup_sorted, dedup_first_parent
 from repro.errors import ConfigError
 from repro.graph import (
@@ -319,6 +320,89 @@ class TestLevelContract:
                 CNativeBackend().bottom_up_scan(
                     graph, p, Bitmap(nbits), None, b
                 )
+
+
+def blocked_activeset(budgets):
+    """A dense-only active-set backend with the given ``(vertices,
+    candidates)`` block budgets."""
+    backend = ActiveSetBackend()
+    backend._force_frontier_side = False
+    backend._blocks = budgets
+    return backend
+
+
+class TestRankBlocks:
+    """The dense scan runs one wavefront per block of consecutive ranks
+    and cuts the per-rank counts at the rank bounds; whatever the
+    blocks, every count, parent and ``chunk_rounds`` must be the
+    one-rank-per-block scan's, the reference backend's and the
+    oracle's."""
+
+    def test_block_ranges(self):
+        """Consecutive ranks up to the budget; a rank over it alone;
+        empty ranks stay inside their block; budget 0 goes rank by
+        rank."""
+        bounds = [0, 64, 64, 192, 4096, 4160, 4160, 4224]
+        assert list(_rank_blocks(bounds, 192)) == [(0, 3), (3, 4), (4, 7)]
+        assert list(_rank_blocks(bounds, 0)) == [(r, r + 1) for r in range(7)]
+        assert list(_rank_blocks(bounds, 1 << 20)) == [(0, 7)]
+        assert list(_rank_blocks([0, 5], 0)) == [(0, 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        words=st.integers(1, 160),
+        ranks=st.integers(1, 128),
+        granularity=st.sampled_from([None, 64, 192]),
+        visited_density=st.sampled_from([0.0, 0.3, 0.9]),
+        frontier_density=st.sampled_from([0.0, 0.05, 0.5]),
+        blocks=st.sampled_from(["rank", "all", "drawn"]),
+        budgets=st.tuples(st.integers(0, 4096), st.integers(0, 512)),
+    )
+    def test_blocks_match_oracle_and_rank_by_rank(
+        self, seed, words, ranks, granularity, visited_density,
+        frontier_density, blocks, budgets,
+    ):
+        rng = np.random.default_rng(seed)
+        n = 64 * words
+        graph = random_csr(rng, n)
+        cuts = np.sort(rng.integers(0, words + 1, ranks - 1))
+        bounds = 64 * np.concatenate(([0], cuts, [words])).astype(np.int64)
+        parent = np.where(
+            rng.random(n) < visited_density, rng.integers(0, n, n), -1
+        ).astype(np.int64)
+        frontier = np.flatnonzero(rng.random(n) < frontier_density)
+        in_queue = Bitmap.from_indices(n, frontier)
+        summary = (
+            None if granularity is None
+            else SummaryBitmap.build(in_queue, granularity)
+        )
+        want_parent = parent.copy()
+        want_disc, want_counts = oracle_level(
+            graph, want_parent, frontier, granularity, bounds
+        )
+        budgets = {"rank": (0, 0), "all": (n, n), "drawn": budgets}[blocks]
+        results = {}
+        for name, backend in (
+            ("reference", BACKENDS["reference"]),
+            ("rank by rank", blocked_activeset((0, 0))),
+            (f"blocks {budgets}", blocked_activeset(budgets)),
+        ):
+            got_parent = parent.copy()
+            res = backend.bottom_up_scan(
+                graph, got_parent, in_queue, summary, bounds
+            )
+            got_counts = np.stack([
+                res.rank_candidates, res.rank_examined_edges,
+                res.rank_inqueue_reads, res.rank_disc_degree,
+            ])
+            assert res.discovered.tolist() == want_disc, name
+            assert np.array_equal(got_counts, want_counts), name
+            assert np.array_equal(got_parent, want_parent), name
+            results[name] = res
+        rounds = [r.chunk_rounds for r in results.values()]
+        assert rounds[1] == rounds[2]
+        assert rounds[0] == int(rounds[1] > 0)
 
 
 def random_graph(rng, n):

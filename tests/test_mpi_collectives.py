@@ -262,6 +262,38 @@ class TestSimCommPrimitives:
         with pytest.raises(CommunicationError):
             comm.alltoallv(np.zeros((1, 1), dtype=np.int64))
 
+    def test_slowest_node_follows_the_injectors_link_derating(self):
+        """The cluster's per-node derating is memoised; the injector's
+        link derating is read on every call, so changing it between two
+        calls reprices the step exactly as the per-node product does."""
+        from dataclasses import replace
+
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.faults.plan import LinkDegradation
+
+        cluster = replace(paper_cluster(nodes=4), weak_nodes={1: 0.8})
+        comm = SimComm(cluster, ProcessMapping(cluster, ppn=8))
+
+        def per_node_product(nbytes, flows):
+            worst = min(comm.node_derating(n) for n in range(4))
+            bw = comm.network.flow_bandwidth(flows) * worst
+            return cluster.node.ib.message_latency_ns + nbytes / bw * 1e9
+
+        injector = FaultInjector(FaultPlan())
+        comm.injector = injector
+        times = []
+        for links in ((), ((3, 0.5),), ((3, 0.5), (3, 0.5)), ((1, 0.9),), ()):
+            injector.plan = FaultPlan(
+                links=tuple(LinkDegradation(n, f) for n, f in links)
+            )
+            t = comm.slowest_node_inter_time(MB, flows=2)
+            assert t == per_node_product(MB, 2), links
+            times.append(t)
+        assert times[0] < times[1] < times[2]
+        assert times[0] < times[3] and times[4] == times[0]
+        comm.injector = None
+        assert comm.slowest_node_inter_time(MB, flows=2) == times[0]
+
     def test_inter_faster_than_intra_for_small_latency(self):
         """Sanity: shm copies have lower latency but lower per-flow
         bandwidth than IB under heavy contention."""
