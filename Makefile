@@ -1,6 +1,6 @@
 # Developer convenience targets for the reproduction.
 
-.PHONY: install test bench bench-baseline bench-smoke bench-e2e-smoke perf-gate chaos-smoke serve-chaos ledger-log ledger-check dashboard experiments report examples all clean
+.PHONY: install test bench bench-baseline bench-smoke bench-e2e-smoke perf-gate chaos-smoke serve-chaos experiments report examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -17,18 +17,14 @@ bench:
 # extra_info and the commit hash in commit_info.  The comm baseline
 # records the frontier-codec byte table (raw vs wire allgather bytes per
 # codec at the paper configuration) to BENCH_comm.json and enforces the
-# >=30 % auto reduction.  Both JSONs are folded into the persistent run
-# ledger so baseline refreshes show up in the trend dashboard.  Compare
-# runs with `pytest-benchmark compare`.
+# >=30 % auto reduction.  Compare runs with `repro-perf diff` (the
+# perf-gate target) or `pytest-benchmark compare`.
 # See docs/PERFORMANCE.md and docs/COMMUNICATION.md.
 bench-baseline:
 	pytest benchmarks/bench_kernels.py --benchmark-only \
 		--benchmark-json=BENCH_kernels.json
 	pytest benchmarks/bench_comm.py --benchmark-only \
 		--benchmark-json=BENCH_comm.json
-	repro-ledger log \
-		--from-bench BENCH_kernels.json \
-		--from-bench BENCH_comm.json
 
 # Fresh benchmark JSONs for gating (not the committed baselines):
 # kernels at the CI smoke scale (12), comm at the baseline scale (15 —
@@ -69,7 +65,7 @@ perf-gate: bench-smoke
 chaos-smoke:
 	mkdir -p .perfgate
 	repro-chaos --scale 12 --nodes 2 --seed 0 \
-		--json .perfgate/chaos-report.json --ledger
+		--json .perfgate/chaos-report.json
 
 # Serving-layer chaos: inject a dispatcher kill and a straggler batch
 # into a resilience-enabled scheduler under load; both scenarios must
@@ -81,27 +77,7 @@ serve-chaos:
 	repro-chaos serve dispatcher-kill straggler \
 		--scale 11 --nodes 2 --seed 0 \
 		--json .perfgate/serve-chaos-report.json \
-		--slo-out .perfgate/serve-chaos-slo.json --ledger
-
-# Fold the latest gate artifacts (fresh bench JSONs, perf verdicts,
-# chaos report) into the persistent run ledger under .repro/ledger.
-# See docs/OBSERVABILITY.md ("The run ledger").
-ledger-log:
-	repro-ledger log \
-		--from-bench .perfgate/BENCH_kernels.json \
-		--from-bench .perfgate/BENCH_comm.json \
-		--from-perfdiff .perfgate/verdict_kernels.json \
-		--from-perfdiff .perfgate/verdict_comm.json \
-		--from-chaos .perfgate/chaos-report.json
-
-# N-run trend check over the ledger: each series' newest run against
-# the rolling median of its own history; exits non-zero on a break.
-ledger-check:
-	repro-ledger check --fail-on-break
-
-# Self-contained static HTML dashboard over the ledger (inline SVG).
-dashboard:
-	repro-ledger dash --out dashboard.html
+		--slo-out .perfgate/serve-chaos-slo.json
 
 experiments:
 	repro-experiment all --quick

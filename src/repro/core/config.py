@@ -14,12 +14,10 @@ Each named variant of Fig. 9 is a preset:
 Communication settings live in one place: :class:`CommConfig`, held as
 ``BFSConfig.comm``.  It consolidates the sharing variant, the parallel
 subgroup schedule, an explicit allgather-algorithm override, the summary
-granularity and the frontier codec (see docs/COMMUNICATION.md).  The
-pre-PR-3 flat kwargs (``share_in_queue=…``, ``share_all=…``,
-``parallel_allgather=…``, ``granularity=…``, ``use_summary=…``) went
-through a deprecation cycle and are now rejected with a
-:class:`~repro.errors.ConfigError` that spells out the equivalent
-``comm=CommConfig(...)``.
+granularity and the frontier codec (see docs/COMMUNICATION.md).
+``BFSConfig``'s ``share_in_queue``, ``share_all``, ``parallel_allgather``,
+``granularity`` and ``use_summary`` are read-only views of it, not
+constructor arguments.
 """
 
 from __future__ import annotations
@@ -197,41 +195,6 @@ _SHARED_FAMILY = (
     AllgatherAlgorithm.MULTI_LEADER,
 )
 
-#: Legacy flat kwargs accepted (with a DeprecationWarning) by BFSConfig.
-_LEGACY_COMM_KWARGS = (
-    "share_in_queue",
-    "share_all",
-    "parallel_allgather",
-    "granularity",
-    "use_summary",
-)
-
-
-def _comm_from_legacy(legacy: dict) -> CommConfig:
-    """Build a :class:`CommConfig` from pre-PR-3 flat kwargs.
-
-    Reproduces the old validation semantics exactly (including the
-    historical error messages' intent) so shimmed callers keep the
-    behaviour they relied on.
-    """
-    share_in_queue = bool(legacy.get("share_in_queue") or False)
-    share_all = bool(legacy.get("share_all") or False)
-    if share_all and not share_in_queue:
-        raise ConfigError("share_all implies share_in_queue")
-    if share_all:
-        sharing = SharingVariant.ALL
-    elif share_in_queue:
-        sharing = SharingVariant.IN_QUEUE
-    else:
-        sharing = SharingVariant.PRIVATE
-    use_summary = legacy.get("use_summary")
-    return CommConfig(
-        sharing=sharing,
-        parallel_allgather=bool(legacy.get("parallel_allgather") or False),
-        summary_granularity=int(legacy.get("granularity") or 64),
-        use_summary=True if use_summary is None else bool(use_summary),
-    )
-
 
 @dataclass(frozen=True)
 class BFSConfig:
@@ -270,79 +233,16 @@ class BFSConfig:
 
     label: str = "custom"
 
-    def __init__(
-        self,
-        ppn: int | None = None,
-        binding: BindingPolicy = BindingPolicy.BIND_TO_SOCKET,
-        comm: CommConfig | None = None,
-        kernel: str | None = None,
-        degree_balanced: bool = False,
-        omp_dynamic: bool = True,
-        mode: TraversalMode = TraversalMode.HYBRID,
-        alpha: float = 14.0,
-        beta: float = 24.0,
-        label: str = "custom",
-        *,
-        share_in_queue: bool | None = None,
-        share_all: bool | None = None,
-        parallel_allgather: bool | None = None,
-        granularity: int | None = None,
-        use_summary: bool | None = None,
-    ) -> None:
-        """Build a config; the old flat comm kwargs are rejected.
-
-        ``comm`` is the single source of communication settings.  The
-        keyword-only tail still *names* the pre-PR-3 flat kwargs so
-        stale call sites fail with a :class:`ConfigError` carrying the
-        exact ``comm=CommConfig(...)`` migration hint, rather than an
-        opaque ``TypeError`` (they warned as deprecated for several
-        releases; the serving layer's config-keyed caches need one
-        canonical spelling per configuration).
-        """
-        legacy = {
-            name: value
-            for name, value in (
-                ("share_in_queue", share_in_queue),
-                ("share_all", share_all),
-                ("parallel_allgather", parallel_allgather),
-                ("granularity", granularity),
-                ("use_summary", use_summary),
-            )
-            if value is not None
-        }
-        if legacy:
-            try:
-                hint = f"; the equivalent is comm={_comm_from_legacy(legacy)!r}"
-            except ConfigError:
-                # The legacy combination was itself invalid — no
-                # equivalent exists; the migration pointer suffices.
-                hint = ""
-            raise ConfigError(
-                f"BFSConfig({', '.join(f'{k}=...' for k in sorted(legacy))}) "
-                "is no longer supported; pass comm=CommConfig(...) instead "
-                f"(see docs/COMMUNICATION.md for the mapping){hint}"
-            )
-        if comm is None:
-            comm = CommConfig()
+    def __post_init__(self) -> None:
         try:
             # A string mode must not slip through: the direction policy
             # compares members by identity.
-            mode = TraversalMode(mode)
+            object.__setattr__(self, "mode", TraversalMode(self.mode))
         except ValueError:
             raise ConfigError(
-                f"unknown traversal mode {mode!r}; valid: "
+                f"unknown traversal mode {self.mode!r}; valid: "
                 f"{', '.join(m.value for m in TraversalMode)}"
             ) from None
-        object.__setattr__(self, "ppn", ppn)
-        object.__setattr__(self, "binding", binding)
-        object.__setattr__(self, "comm", comm)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "degree_balanced", degree_balanced)
-        object.__setattr__(self, "omp_dynamic", omp_dynamic)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "label", label)
         self._validate()
 
     def _validate(self) -> None:

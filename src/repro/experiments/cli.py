@@ -21,8 +21,6 @@ whole-run performance attribution (the Fig. 11-style compute/comm
 breakdown; see ``repro-perf attribute``) of that same instrumented
 run.  ``--metrics-out`` dumps the process-wide metrics registry
 (experiment wall-clocks, run counters, communication volumes) as JSON.
-``--ledger`` appends one ``repro.run/v1`` record per experiment to the
-persistent run ledger (``repro-ledger`` reads it back);
 ``--host-profile`` / ``--host-profile-out`` report the *host* cost
 (per-phase wall seconds, tracemalloc peaks, collapsed stacks) of the
 same reference run.  See docs/OBSERVABILITY.md.
@@ -110,14 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the metrics registry (wall-clocks, counters, "
         "histograms) as JSON to PATH at exit",
-    )
-    parser.add_argument(
-        "--ledger",
-        action="store_true",
-        help="append one repro.run/v1 record per experiment (headline "
-        "metrics + attribution of the instrumented reference run) to "
-        "the run ledger at .repro/ledger (or $REPRO_LEDGER_DIR); "
-        "shares the run with --trace-out/--attribution/--validate",
     )
     parser.add_argument(
         "--host-profile",
@@ -274,13 +264,7 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(result.to_csv())
             print(f"[csv written to {path}]")
         want_hostprof = bool(args.host_profile or args.host_profile_out)
-        if (
-            args.trace_out
-            or args.attribution
-            or args.validate
-            or args.ledger
-            or want_hostprof
-        ):
+        if args.trace_out or args.attribution or args.validate or want_hostprof:
             hostprof = None
             if want_hostprof:
                 from repro.obs.hostprof import HostProfiler
@@ -288,9 +272,7 @@ def main(argv: list[str] | None = None) -> int:
                 hostprof = HostProfiler()
             engine, ref_root, traced = _reference_run(
                 eid, settings, registry,
-                instrumented=bool(
-                    args.trace_out or args.attribution or args.ledger
-                ),
+                instrumented=bool(args.trace_out or args.attribution),
                 hostprof=hostprof,
             )
             if args.trace_out:
@@ -299,19 +281,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(traced.telemetry.attribution.to_text())
             if hostprof is not None:
                 _report_host_profile(hostprof, args.host_profile_out, eid, many)
-            if args.ledger:
-                from repro.obs.ledger import default_ledger, record_for_result
-
-                ledger = default_ledger()
-                record = record_for_result(
-                    "experiment", eid, traced, engine,
-                    extra_metrics={"experiment_wall_seconds": elapsed},
-                )
-                ledger.append(record)
-                print(
-                    f"[ledger: appended {record.kind}/{record.name} "
-                    f"@{record.fingerprint} to {ledger.path}]"
-                )
             if args.validate:
                 import json
 

@@ -117,13 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"write the {SCHEMA} campaign report as JSON to PATH",
     )
     parser.add_argument(
-        "--ledger",
-        action="store_true",
-        help="append a repro.run/v1 summary of the campaign (recovery "
-        "overheads, outcome counts) to the run ledger at .repro/ledger "
-        "(or $REPRO_LEDGER_DIR)",
-    )
-    parser.add_argument(
         "--metrics-out", metavar="PATH",
         help="write the metrics registry (fault.* / recovery.* counters) "
         "as JSON to PATH at exit",
@@ -327,11 +320,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--slo-out", metavar="PATH",
         help="write the per-scenario final repro.slo/v1 reports to PATH",
     )
-    parser.add_argument(
-        "--ledger", action="store_true",
-        help="append the campaign (and per-scenario SLO verdicts) to "
-        "the run ledger",
-    )
     return parser
 
 
@@ -375,7 +363,6 @@ def _serve_report_table(report: dict) -> str:
 def _serve_main(argv: list[str]) -> int:
     from repro.faults.servechaos import (
         available_serve_scenarios,
-        record_from_serve_chaos,
         run_serve_campaign,
     )
 
@@ -423,25 +410,6 @@ def _serve_main(argv: list[str]) -> int:
             json.dump(slo_reports, fh, indent=2, sort_keys=True)
             fh.write("\n")
         log.info("per-scenario SLO reports written to %s", args.slo_out)
-    if args.ledger:
-        from repro.obs.ledger import default_ledger
-        from repro.obs.slo import record_for_slo_report
-
-        ledger = default_ledger()
-        record = ledger.append(
-            record_from_serve_chaos(report, source="repro-chaos")
-        )
-        log.info(
-            "ledger: appended %s/%s @%s",
-            record.kind, record.name, record.fingerprint,
-        )
-        for e in report["scenarios"]:
-            if "slo_after" in e:
-                ledger.append(
-                    record_for_slo_report(
-                        e["slo_after"], source=f"serve-chaos/{e['name']}"
-                    )
-                )
     return 0 if report["ok"] else 1
 
 
@@ -511,17 +479,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         log.info("report written to %s", args.json)
-    if args.ledger:
-        from repro.obs.ledger import default_ledger, record_from_chaos_report
-
-        ledger = default_ledger()
-        record = ledger.append(
-            record_from_chaos_report(report, source="repro-chaos")
-        )
-        log.info(
-            "ledger: appended %s/%s @%s to %s",
-            record.kind, record.name, record.fingerprint, ledger.path,
-        )
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(registry.to_json())

@@ -21,8 +21,7 @@ kills, hedging for stragglers, retry for session errors, poison
 detection for cache poison), spot-checked answers match a clean
 session bit-for-bit, and the SLO verdict sequence is
 burn-during / ok-after.  The campaign report uses the ``repro.chaos/v1``
-schema with ``mode: "serve"`` and lands in the run ledger next to the
-simulator chaos campaigns.
+schema with ``mode: "serve"``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.faults.plan import FaultPlan, ServeFault
 from repro.faults.serveinject import ServeFaultInjector
 from repro.graph.rmat import rmat_graph
 from repro.machine.spec import paper_cluster
-from repro.obs.ledger import LedgerRecord, config_fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOMonitor, SLOObjective, SLOSpec
 from repro.serve.resilience import ResiliencePolicy
@@ -55,7 +53,6 @@ from repro.serve.session import BFSService
 __all__ = [
     "SCHEMA",
     "available_serve_scenarios",
-    "record_from_serve_chaos",
     "run_serve_campaign",
     "serve_plan",
 ]
@@ -450,53 +447,3 @@ def run_serve_campaign(
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
-
-def record_from_serve_chaos(report: dict, source: str = "") -> LedgerRecord:
-    """A ledger record (kind ``chaos``) from one serve-chaos report."""
-    if report.get("schema") != SCHEMA or report.get("mode") != "serve":
-        raise ValueError(
-            f"not a serve-chaos report: schema {report.get('schema')!r} "
-            f"mode {report.get('mode')!r}"
-        )
-    axes = {
-        "mode": "serve",
-        "scale": report.get("scale"),
-        "nodes": report.get("nodes"),
-        "ppn": report.get("ppn"),
-        "seed": report.get("seed"),
-    }
-    scenarios = report.get("scenarios", [])
-    metrics: dict[str, float] = {
-        "scenarios": float(len(scenarios)),
-        "recovered": float(
-            sum(1 for s in scenarios if s.get("outcome") == "recovered")
-        ),
-        "ok": 1.0 if report.get("ok") else 0.0,
-    }
-    for entry in scenarios:
-        counts = (
-            (entry.get("scheduler") or {}).get("resilience") or {}
-        ).get("counts", {})
-        for key in ("restarts", "replayed", "hedges", "retries",
-                    "poison_detected"):
-            if counts.get(key):
-                metrics[f"{entry['name']}.{key}"] = float(counts[key])
-    return LedgerRecord(
-        kind="chaos",
-        name="serve-chaos",
-        fingerprint=config_fingerprint(axes),
-        config=axes,
-        metrics=metrics,
-        labels={
-            "source": source or "repro-chaos",
-            "mode": "serve",
-            "outcomes": ",".join(
-                f"{s['name']}={s.get('outcome')}" for s in scenarios
-            ),
-        },
-        extra={
-            "checks": {
-                s["name"]: s.get("checks", {}) for s in scenarios
-            },
-        },
-    )

@@ -19,30 +19,23 @@ kernels and the simulated communicator.
   over the committed ``BENCH_*.json`` baselines.
 * :mod:`repro.obs.perfcli` — the ``repro-perf`` command
   (attribute / drift / diff).
-* :mod:`repro.obs.ledger` — append-only ``repro.run/v1`` JSONL store of
-  every measured run (commit, config fingerprint, headline metrics,
-  attribution, environment provenance).
-* :mod:`repro.obs.trend` — rolling-median + MAD trend check of each
-  ledger series' latest run against its own history.
+* :mod:`repro.obs.ledger` — run provenance helpers (environment,
+  commit, configuration fingerprint).
 * :mod:`repro.obs.hostprof` — opt-in host-side phase profiling (wall,
   cProfile collapsed stacks, tracemalloc peaks); off-by-default
   :data:`~repro.obs.hostprof.NULL_HOSTPROF` mirrors the null tracer.
-* :mod:`repro.obs.dash` — standalone static HTML dashboard over the
-  ledger (inline SVG, no dependencies).
 * :mod:`repro.obs.log` — ``REPRO_LOG`` structured stdlib logging for
   CLI diagnostics.
-* :mod:`repro.obs.ledgercli` — the ``repro-ledger`` command
-  (log / list / show / check / dash).
 * :mod:`repro.obs.expo` — OpenMetrics/Prometheus text exposition of a
   metrics registry (plus the strict parser used in round-trip tests).
 * :mod:`repro.obs.opsserver` — stdlib-only live ops HTTP server
   (``/metrics``, ``/healthz``, ``/debug/state``) behind
   ``repro-serve --ops-port``.
 * :mod:`repro.obs.slo` — SLO objectives, multiwindow burn-rate
-  evaluation, and the ``repro.slo/v1`` ledger record.
+  evaluation, and the ``repro.slo/v1`` report.
 
 See ``docs/OBSERVABILITY.md`` for the span model, event schema, and the
-attribution / drift / diff / ledger / trend walkthroughs.
+attribution / drift / diff walkthroughs.
 """
 
 from repro.obs.expo import (
@@ -120,7 +113,6 @@ __all__ = [
     "SLOObjective",
     "SLOSpec",
     "SLOMonitor",
-    "record_for_slo_report",
     "LevelAttribution",
     "RunAttribution",
     "attribute_run",
@@ -140,15 +132,7 @@ __all__ = [
     "NULL_HOSTPROF",
     "get_logger",
     "setup_logging",
-    "LedgerRecord",
-    "RunLedger",
-    "default_ledger",
     "environment_provenance",
-    "record_for_result",
-    "TrendReport",
-    "check_records",
-    "render_dashboard",
-    "write_dashboard",
 ]
 
 # analyze/baseline pull in repro.core (and transitively repro.mpi, which
@@ -167,19 +151,10 @@ _LAZY = {
     "DiffRow": "repro.obs.baseline",
     "DiffVerdict": "repro.obs.baseline",
     "diff_baselines": "repro.obs.baseline",
-    "LedgerRecord": "repro.obs.ledger",
-    "RunLedger": "repro.obs.ledger",
-    "default_ledger": "repro.obs.ledger",
     "environment_provenance": "repro.obs.ledger",
-    "record_for_result": "repro.obs.ledger",
-    "TrendReport": "repro.obs.trend",
-    "check_records": "repro.obs.trend",
     "SLOObjective": "repro.obs.slo",
     "SLOSpec": "repro.obs.slo",
     "SLOMonitor": "repro.obs.slo",
-    "record_for_slo_report": "repro.obs.slo",
-    "render_dashboard": "repro.obs.dash",
-    "write_dashboard": "repro.obs.dash",
 }
 
 

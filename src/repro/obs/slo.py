@@ -22,9 +22,7 @@ per objective:
   page condition;
 * ``insufficient`` — not enough traffic in the windows to judge.
 
-The final report is ``repro.slo/v1``; :func:`record_for_slo_report`
-folds it into the run ledger (kind ``slo``) so the dashboard
-(:mod:`repro.obs.dash`) can surface breaches next to the TEPS trends.
+The final report is ``repro.slo/v1``.
 """
 
 from __future__ import annotations
@@ -33,14 +31,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.obs.ledger import LedgerRecord, config_fingerprint
-
 __all__ = [
     "SCHEMA",
     "SLOObjective",
     "SLOSpec",
     "SLOMonitor",
-    "record_for_slo_report",
     "VERDICT_SEVERITY",
 ]
 
@@ -339,47 +334,3 @@ class SLOMonitor:
             },
         }
 
-
-def record_for_slo_report(report: dict, source: str = "") -> LedgerRecord:
-    """A ledger record (kind ``slo``) from one ``repro.slo/v1`` report.
-
-    The fingerprint covers the spec (objectives + windows), so reruns of
-    the same objectives form one trend series; metrics carry the burn
-    rates and bad fractions per objective/window as flat floats for the
-    dashboard and the trend checker.
-    """
-    if report.get("schema") != SCHEMA:
-        raise ValueError(
-            f"not an SLO report: schema {report.get('schema')!r}"
-        )
-    spec = dict(report.get("spec") or {})
-    metrics: dict[str, float] = {
-        "requests": float(report["totals"]["requests"]),
-        "errors": float(report["totals"]["errors"]),
-        "samples": float(report.get("samples", 0)),
-        "elapsed_s": float(report.get("elapsed_s", 0.0)),
-        "verdict_severity": float(
-            VERDICT_SEVERITY.get(report.get("verdict", "ok"), 0)
-        ),
-    }
-    verdicts: dict[str, str] = {}
-    for obj in report.get("objectives", []):
-        label = obj["label"]
-        verdicts[label] = obj["verdict"]
-        for win_name, win in (obj.get("windows") or {}).items():
-            if win.get("burn_rate") is not None:
-                metrics[f"{label}.{win_name}.burn_rate"] = float(
-                    win["burn_rate"]
-                )
-                metrics[f"{label}.{win_name}.bad_fraction"] = float(
-                    win["bad_fraction"]
-                )
-    return LedgerRecord(
-        kind="slo",
-        name=str(report.get("slo", "serving")),
-        fingerprint=config_fingerprint(spec),
-        config=spec,
-        metrics=metrics,
-        labels={"source": source, "verdict": str(report.get("verdict"))},
-        extra={"objective_verdicts": verdicts},
-    )

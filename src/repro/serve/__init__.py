@@ -13,8 +13,7 @@ serving stack for many concurrent ``(graph, source)`` queries:
   to 64 lanes per traversal, :mod:`repro.core.multisource`) and memoizes hot
   ``(graph, source)`` results;
 * :mod:`repro.serve.loadgen` — a deterministic open-loop load generator;
-* :mod:`repro.serve.report` — the ``repro.serve/v1`` latency report and
-  its run-ledger record;
+* :mod:`repro.serve.report` — the ``repro.serve/v1`` latency report;
 * :mod:`repro.serve.cli` — the ``repro-serve`` console entry point,
   including the live-operations flags (``--ops-port`` for the
   :mod:`repro.obs.opsserver` HTTP endpoints, ``--trace-out`` for
@@ -27,7 +26,7 @@ source (see docs/SERVING.md).
 """
 
 from repro.serve.loadgen import LoadGenResult, run_load
-from repro.serve.report import SCHEMA, build_report, record_for_serve_report
+from repro.serve.report import SCHEMA, build_report
 from repro.serve.resilience import (
     SHED_POLICIES,
     CancelToken,
@@ -46,7 +45,6 @@ __all__ = [
     "run_load",
     "SCHEMA",
     "build_report",
-    "record_for_serve_report",
     "SHED_POLICIES",
     "CancelToken",
     "CircuitBreaker",

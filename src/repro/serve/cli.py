@@ -3,7 +3,7 @@
 Usage::
 
     repro-serve --scale 13 --nodes 2 --queries 128 --qps 400
-    repro-serve --scale 14 --max-batch 32 --compare-sequential --ledger
+    repro-serve --scale 14 --max-batch 32 --compare-sequential
     repro-serve --scale 12 --root-pool 4 --json serve-report.json
 
 One invocation builds an R-MAT workload, opens a prepared-graph
@@ -33,15 +33,12 @@ Live operations (all optional, zero cost when absent):
   state;
 * ``--slo-p99-ms`` / ``--slo-error-rate`` declare SLO objectives; the
   campaign is evaluated with fast/slow burn-rate windows and the
-  ``repro.slo/v1`` verdict is embedded in the report (and, with
-  ``--ledger``, appended as its own ledger record);
+  ``repro.slo/v1`` verdict is embedded in the report;
 * ``--trace-out`` records request-scoped tracing (queue-wait → batch →
   per-level engine spans, one chain per ``trace_id``) and writes the
   Perfetto-loadable serving trace.
 
-``--ledger`` appends the headline metrics to the run ledger at
-``.repro/ledger`` (or ``$REPRO_LEDGER_DIR``); ``--json`` writes the
-full report artifact.
+``--json`` writes the full report artifact.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from repro.machine.spec import paper_cluster
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.loadgen import run_load
-from repro.serve.report import SCHEMA, build_report, record_for_serve_report
+from repro.serve.report import SCHEMA, build_report
 from repro.serve.resilience import SHED_POLICIES, ResiliencePolicy
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.session import BFSService
@@ -213,12 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", metavar="PATH",
         help=f"write the {SCHEMA} report as JSON to PATH",
-    )
-    parser.add_argument(
-        "--ledger",
-        action="store_true",
-        help="append the headline metrics to the run ledger at "
-        ".repro/ledger (or $REPRO_LEDGER_DIR)",
     )
     return parser
 
@@ -546,32 +537,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         log.info("report written to %s", args.json)
-    if args.ledger:
-        from repro.obs.ledger import default_ledger
-
-        ledger = default_ledger()
-        record = ledger.append(
-            record_for_serve_report(report, source="repro-serve")
-        )
-        log.info(
-            "ledger: appended %s/%s @%s",
-            record.kind,
-            record.name,
-            record.fingerprint,
-        )
-        if report.get("slo"):
-            from repro.obs.slo import record_for_slo_report
-
-            slo_record = ledger.append(
-                record_for_slo_report(report["slo"], source="repro-serve")
-            )
-            log.info(
-                "ledger: appended %s/%s @%s (verdict %s)",
-                slo_record.kind,
-                slo_record.name,
-                slo_record.fingerprint,
-                slo_record.labels.get("verdict"),
-            )
     return 0
 
 

@@ -1,4 +1,4 @@
-"""The ``repro.serve/v1`` latency report and its run-ledger record.
+"""The ``repro.serve/v1`` latency report.
 
 One serving campaign produces one report document: the workload axes
 (graph, cluster, partition config), the load-generator knobs, the
@@ -7,19 +7,12 @@ histogram), achieved throughput, cache effectiveness (prepared-graph
 LRU and result LRU), and — when the campaign ran the sequential
 comparison — the batched-vs-sequential queries/sec speedup.
 
-The JSON artifact carries ``schema: repro.serve/v1``;
-:func:`record_for_serve_report` folds the headline numbers into a
-``repro.run/v1`` ledger record (kind ``serve``) so the trend dashboard
-tracks serving latency alongside kernel and communication runs.
+The JSON artifact carries ``schema: repro.serve/v1``.
 """
 
 from __future__ import annotations
 
-import hashlib
-
-from repro.obs.ledger import LedgerRecord
-
-__all__ = ["SCHEMA", "build_report", "record_for_serve_report"]
+__all__ = ["SCHEMA", "build_report"]
 
 SCHEMA = "repro.serve/v1"
 
@@ -91,72 +84,3 @@ def build_report(
         "slo": dict(slo) if slo is not None else None,
     }
 
-
-def _fingerprint(report: dict) -> str:
-    """Stable identity of the comparable axes of a serving campaign."""
-    axes = dict(report.get("workload") or {})
-    axes.update(report.get("load") or {})
-    blob = repr(sorted(axes.items())).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def record_for_serve_report(
-    report: dict, source: str = ""
-) -> LedgerRecord:
-    """A ledger record with the headline serving metrics.
-
-    The full ``repro.serve/v1`` document rides along in ``extra`` so a
-    dashboard can drill in; trend analysis sees only the flat metrics.
-    """
-    if report.get("schema") != SCHEMA:
-        raise ValueError(
-            f"not a serve report: schema {report.get('schema')!r}"
-        )
-    latency = report.get("latency_ms") or {}
-    throughput = report.get("throughput") or {}
-    caches = report.get("caches") or {}
-    prepared = caches.get("prepared") or {}
-    results = caches.get("results") or {}
-    comparison = report.get("comparison") or {}
-    metrics = {
-        "latency_p50_ms": float(latency.get("p50", 0.0)),
-        "latency_p90_ms": float(latency.get("p90", 0.0)),
-        "latency_p99_ms": float(latency.get("p99", 0.0)),
-        "latency_mean_ms": float(latency.get("mean", 0.0)),
-        "qps_achieved": float(throughput.get("qps_achieved", 0.0)),
-        "queries": float(throughput.get("queries", 0)),
-        "prepared_cache_hit_rate": float(prepared.get("hit_rate", 0.0)),
-        "result_cache_hit_rate": float(results.get("hit_rate", 0.0)),
-    }
-    if comparison:
-        metrics["sequential_qps"] = float(
-            comparison.get("sequential_qps", 0.0)
-        )
-        metrics["batched_qps"] = float(comparison.get("batched_qps", 0.0))
-        metrics["speedup"] = float(comparison.get("speedup", 0.0))
-    resilience = report.get("resilience") or {}
-    if resilience:
-        counts = resilience.get("counts") or {}
-        metrics["rejected"] = float(resilience.get("rejected", 0))
-        metrics["deadline_expired"] = float(
-            resilience.get("deadline_expired", 0)
-        )
-        metrics["stale_served"] = float(resilience.get("stale_served", 0))
-        metrics["hedges"] = float(counts.get("hedges", 0))
-        metrics["retries"] = float(counts.get("retries", 0))
-        metrics["dispatcher_restarts"] = float(counts.get("restarts", 0))
-    labels = {"schema": SCHEMA}
-    if source:
-        labels["source"] = source
-    return LedgerRecord(
-        kind="serve",
-        name="loadgen",
-        fingerprint=_fingerprint(report),
-        config={
-            "workload": dict(report.get("workload") or {}),
-            "load": dict(report.get("load") or {}),
-        },
-        metrics=metrics,
-        labels=labels,
-        extra={"report": report},
-    )

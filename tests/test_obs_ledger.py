@@ -1,33 +1,6 @@
-"""Tests for the persistent run ledger (``repro.obs.ledger``)."""
+"""Tests for the run provenance helpers (``repro.obs.ledger``)."""
 
-import json
-
-import pytest
-
-from repro.obs.ledger import (
-    SCHEMA,
-    LedgerRecord,
-    RunLedger,
-    config_fingerprint,
-    record_from_chaos_report,
-    record_from_perfdiff,
-    records_from_benchmark_json,
-)
-
-
-def _record(name="fig09", teps=1e6, fingerprint="abc123", **metrics):
-    merged = {"teps": teps, "simulated_seconds": 1.0 / teps}
-    merged.update(metrics)
-    return LedgerRecord(
-        kind="experiment",
-        name=name,
-        ts="2026-08-06T00:00:00+00:00",
-        commit="deadbee",
-        fingerprint=fingerprint,
-        config={"scale": 16},
-        metrics=merged,
-        env={"python": "3.12.0"},
-    )
+from repro.obs.ledger import config_fingerprint, environment_provenance, git_commit
 
 
 class TestConfigFingerprint:
@@ -44,194 +17,13 @@ class TestConfigFingerprint:
         )
 
 
-class TestRecordRoundTrip:
-    def test_as_dict_from_dict_identity(self):
-        rec = _record()
-        rec.attribution = {"compute_ns": {"td": 1.0}, "total_ns": 2.0}
-        rec.labels = {"run": "nightly"}
-        rec.extra = {"note": "x"}
-        clone = LedgerRecord.from_dict(rec.as_dict())
-        assert clone.as_dict() == rec.as_dict()
-        assert clone.series == rec.series
-
-    def test_labels_with_commas_and_quotes_survive_jsonl(self, tmp_path):
-        """Satellite acceptance: JSONL round-trips labels containing the
-        characters that break naive CSV-ish stores."""
-        ledger = RunLedger(tmp_path / "ledger")
-        rec = _record()
-        rec.labels = {
-            "note": 'commas, and "double quotes" and \'singles\'',
-            "expr": "k=v,k2=v2",
-            "unicode": "naïve — dash",
+class TestProvenance:
+    def test_environment_keys(self):
+        env = environment_provenance()
+        assert set(env) == {
+            "python", "numpy", "platform", "hostname", "cpu_count",
         }
-        ledger.append(rec)
-        (back,) = ledger.records()
-        assert back.labels == rec.labels
-        # And the stored line is a single valid JSON object.
-        line = ledger.path.read_text().strip()
-        assert "\n" not in line
-        assert json.loads(line)["schema"] == SCHEMA
+        assert env["cpu_count"] >= 1
 
-    def test_from_dict_rejects_other_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            LedgerRecord.from_dict({"schema": "repro.run/v0", "kind": "x"})
-
-
-class TestRunLedger:
-    def test_missing_ledger_reads_empty(self, tmp_path):
-        ledger = RunLedger(tmp_path / "nowhere")
-        assert ledger.records() == []
-        assert len(ledger) == 0
-
-    def test_append_preserves_order(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        for i in range(5):
-            ledger.append(_record(teps=1e6 + i))
-        teps = [r.metrics["teps"] for r in ledger.records()]
-        assert teps == [1e6 + i for i in range(5)]
-        assert len(ledger) == 5
-
-    def test_append_autofills_ts_and_env(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        rec = LedgerRecord(kind="experiment", name="fig09", ts="")
-        ledger.append(rec)
-        (back,) = ledger.records()
-        assert back.ts  # stamped at append time
-        assert back.env.get("python")
-        assert back.env.get("cpu_count")
-
-    def test_filters_and_last(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        ledger.append(_record(name="fig09", fingerprint="aaa"))
-        ledger.append(_record(name="fig10", fingerprint="aaa"))
-        ledger.append(_record(name="fig09", fingerprint="bbb"))
-        assert len(ledger.records(name="fig09")) == 2
-        assert len(ledger.records(kind="experiment")) == 3
-        assert len(ledger.records(kind="benchmark")) == 0
-        assert len(ledger.records(fingerprint="bbb")) == 1
-        last = ledger.records(last=2)
-        assert [r.fingerprint for r in last] == ["aaa", "bbb"]
-
-    def test_series_groups_by_triple(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        ledger.append(_record(name="fig09", fingerprint="aaa"))
-        ledger.append(_record(name="fig09", fingerprint="aaa"))
-        ledger.append(_record(name="fig09", fingerprint="bbb"))
-        grouped = ledger.series()
-        assert len(grouped[("experiment", "fig09", "aaa")]) == 2
-        assert len(grouped[("experiment", "fig09", "bbb")]) == 1
-
-    def test_corrupt_line_reports_file_and_lineno(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        ledger.append(_record())
-        with open(ledger.path, "a", encoding="utf-8") as fh:
-            fh.write("{not json\n")
-        with pytest.raises(ValueError, match=r"runs\.jsonl:2"):
-            ledger.records()
-
-    def test_env_dir_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "custom"))
-        ledger = RunLedger()
-        assert ledger.root == tmp_path / "custom"
-
-
-class TestRecordBuilders:
-    def test_from_chaos_report(self):
-        report = {
-            "schema": "repro.chaos/v1",
-            "ok": True,
-            "scale": 12,
-            "nodes": 2,
-            "ppn": 8,
-            "seed": 0,
-            "checkpoint_every": 1,
-            "baseline": {"teps": 2.5e6, "seconds": 0.004},
-            "scenarios": [
-                {"name": "crash_early", "outcome": "recovered",
-                 "overhead_pct": 12.0},
-                {"name": "straggler", "outcome": "degraded",
-                 "overhead_pct": 3.0},
-                {"name": "broken", "outcome": "aborted"},
-            ],
-        }
-        rec = record_from_chaos_report(report, source="r.json")
-        assert rec.kind == "chaos"
-        assert rec.metrics["baseline_teps"] == 2.5e6
-        assert rec.metrics["scenarios_total"] == 3.0
-        assert rec.metrics["scenarios_recovered"] == 1.0
-        assert rec.metrics["scenarios_failed"] == 1.0
-        assert rec.metrics["recovery_overhead_pct_max"] == 12.0
-        assert rec.extra["scenario_overhead_pct"] == {
-            "crash_early": 12.0, "straggler": 3.0,
-        }
-        assert rec.labels["source"] == "r.json"
-        assert rec.fingerprint
-
-    def test_from_chaos_report_rejects_other_schema(self):
-        with pytest.raises(ValueError, match="chaos"):
-            record_from_chaos_report({"schema": "repro.run/v1"})
-
-    def test_from_perfdiff(self):
-        verdict = {
-            "schema": "repro.perfdiff/v1",
-            "ok": False,
-            "old": "/x/BENCH_comm.json",
-            "new": "/y/BENCH_comm.json",
-            "tolerance_pct": 100.0,
-            "include_wall": False,
-            "rows": [
-                {"status": "regression"},
-                {"status": "improved"},
-                {"status": "incomparable"},
-                {"status": "ok"},
-            ],
-            "regressions": [{"status": "regression"}],
-        }
-        rec = record_from_perfdiff(verdict, source="v.json")
-        assert rec.kind == "perf-gate"
-        assert rec.name == "BENCH_comm.json"
-        assert rec.metrics["ok"] == 0.0
-        assert rec.metrics["rows"] == 4.0
-        assert rec.metrics["regressions"] == 1.0
-        assert rec.metrics["improvements"] == 1.0
-        assert rec.metrics["incomparable"] == 1.0
-
-    def test_from_perfdiff_rejects_other_schema(self):
-        with pytest.raises(ValueError, match="perf-diff"):
-            record_from_perfdiff({"schema": "repro.chaos/v1"})
-
-    def test_from_benchmark_json(self, tmp_path):
-        doc = {
-            "machine_info": {"node": "test"},
-            "commit_info": {"id": "deadbeef"},
-            "datetime": "2026-08-06T00:00:00+00:00",
-            "benchmarks": [
-                {
-                    "name": "test_comm_bytes[auto]",
-                    "group": None,
-                    "params": None,
-                    "extra_info": {
-                        "codec": "auto",
-                        "scale": 15,
-                        "simulated_seconds": 4.0e-4,
-                        "allgather_wire_bytes": 10122.0,
-                        "provenance": {
-                            "python": "3.12.0",
-                            "hostname": "ci-runner",
-                        },
-                    },
-                    "stats": {"min": 0.1, "mean": 0.12},
-                }
-            ],
-        }
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(doc))
-        (rec,) = records_from_benchmark_json(path)
-        assert rec.kind == "benchmark"
-        assert rec.name == "test_comm_bytes[auto]"
-        assert rec.commit == "deadbeef"
-        assert rec.config.get("codec") == "auto"
-        assert rec.metrics["simulated_seconds"] == 4.0e-4
-        # The conftest-stamped provenance becomes the environment block.
-        assert rec.env == {"python": "3.12.0", "hostname": "ci-runner"}
-        assert rec.labels["source"] == str(path)
+    def test_git_commit_outside_a_repository_is_none(self, tmp_path):
+        assert git_commit(tmp_path) is None

@@ -9,7 +9,6 @@ from repro.obs.slo import (
     SLOMonitor,
     SLOObjective,
     SLOSpec,
-    record_for_slo_report,
 )
 
 
@@ -217,32 +216,3 @@ class TestReportShape:
         mon, _reg, _clock = monitor_with(ERRORS_ONLY)
         assert mon.interval == pytest.approx(1.0)
 
-
-class TestLedgerRecord:
-    def _report(self):
-        mon, reg, clock = monitor_with(ERRORS_ONLY)
-        requests = reg.counter("serve.requests_total")
-        mon.sample()
-        for t in (10.0, 40.0):
-            clock.t = t
-            requests.inc(100)
-            mon.sample()
-        return mon.evaluate()
-
-    def test_record_fields(self):
-        record = record_for_slo_report(self._report(), source="test")
-        assert record.kind == "slo"
-        assert record.name == "errors"
-        assert record.labels["verdict"] == "ok"
-        assert record.labels["source"] == "test"
-        assert record.metrics["requests"] == 200.0
-        assert record.metrics["verdict_severity"] == 0.0
-        assert any(".burn_rate" in k for k in record.metrics)
-        assert record.extra["objective_verdicts"] == {
-            "errors_le_1pct": "ok"
-        }
-        assert record.fingerprint
-
-    def test_rejects_wrong_schema(self):
-        with pytest.raises(ValueError):
-            record_for_slo_report({"schema": "repro.serve/v1"})

@@ -9,7 +9,6 @@ from repro.faults.chaoscli import main as chaos_main
 from repro.faults.plan import SERVE_FAULT_KINDS, FaultPlan, ServeFault
 from repro.faults.servechaos import (
     available_serve_scenarios,
-    record_from_serve_chaos,
     run_serve_campaign,
     serve_plan,
 )
@@ -185,18 +184,6 @@ class TestServeCampaign:
         assert checks["answers_correct"]
         assert entry["slo_after"]["verdict"] == "ok"
         assert entry["events"], "injected faults must be recorded"
-
-    def test_ledger_record(self, mixed_report):
-        record = record_from_serve_chaos(mixed_report, source="test")
-        assert record.kind == "chaos"
-        assert record.name == "serve-chaos"
-        assert record.labels["outcomes"] == "mixed=recovered"
-        assert record.metrics["recovered"] == 1.0
-        assert record.extra["checks"]["mixed"]["slo_recovered"]
-
-    def test_record_rejects_wrong_schema(self):
-        with pytest.raises(ValueError):
-            record_from_serve_chaos({"schema": "nope"})
 
     def test_unknown_scenario_errors(self):
         with pytest.raises(ConfigError):

@@ -1,15 +1,11 @@
-"""The ``repro-serve`` CLI: report shape, artifacts, ledger append."""
+"""The ``repro-serve`` CLI: report shape and artifacts."""
 
 import json
 
 import pytest
 
 from repro.serve.cli import main
-from repro.serve.report import (
-    SCHEMA,
-    build_report,
-    record_for_serve_report,
-)
+from repro.serve.report import SCHEMA, build_report
 
 ARGS = [
     "--scale", "10",
@@ -68,33 +64,6 @@ class TestReportDocument:
         assert workload["graph_digest"]
 
 
-class TestLedgerRecord:
-    def test_record_carries_headline_metrics(self, report):
-        record = record_for_serve_report(report, source="test")
-        assert record.kind == "serve"
-        assert record.name == "loadgen"
-        assert record.labels["schema"] == SCHEMA
-        assert "latency_p50_ms" in record.metrics
-        assert "latency_p99_ms" in record.metrics
-        assert record.metrics["queries"] == 24.0
-        assert record.extra["report"]["schema"] == SCHEMA
-        assert record.fingerprint
-
-    def test_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="serve report"):
-            record_for_serve_report({"schema": "repro.run/v1"})
-
-    def test_cli_ledger_append(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-        assert main(ARGS + ["--ledger"]) == 0
-        lines = (tmp_path / "runs.jsonl").read_text().splitlines()
-        assert len(lines) == 1
-        doc = json.loads(lines[0])
-        assert doc["kind"] == "serve"
-        assert doc["metrics"]["latency_p99_ms"] >= 0.0
-        assert doc["labels"]["schema"] == SCHEMA
-
-
 class TestLiveOps:
     def test_report_has_no_slo_without_flags(self, report):
         assert report["slo"] is None
@@ -125,20 +94,6 @@ class TestLiveOps:
         names = {e.get("name") for e in doc["traceEvents"]}
         assert "serve.batch_assembly" in names
         assert any(n and n.startswith("lane ") for n in names)
-
-    def test_slo_ledger_record_appended(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-        assert main(ARGS + ["--ledger", "--slo-error-rate", "0.01"]) == 0
-        docs = [
-            json.loads(line)
-            for line in (tmp_path / "runs.jsonl").read_text().splitlines()
-        ]
-        kinds = [d["kind"] for d in docs]
-        assert kinds == ["serve", "slo"]
-        slo_doc = docs[1]
-        assert slo_doc["labels"]["source"] == "repro-serve"
-        assert slo_doc["labels"]["verdict"] in ("ok", "insufficient")
-        assert slo_doc["extra"]["objective_verdicts"]
 
 
 class TestCompareSequential:
