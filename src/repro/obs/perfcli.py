@@ -1,7 +1,7 @@
 """``repro-perf``: attribution, drift and baseline-diff from the shell.
 
-Three subcommands on top of :mod:`repro.obs.analyze` and
-:mod:`repro.obs.baseline`:
+Four subcommands, on top of :mod:`repro.obs.analyze`,
+:mod:`repro.obs.baseline` and :mod:`repro.obs.compare`:
 
 * ``repro-perf attribute [--experiment fig11]`` — run the experiment's
   instrumented reference BFS and print the Fig. 11/12/14-style
@@ -14,6 +14,10 @@ Three subcommands on top of :mod:`repro.obs.analyze` and
   two pytest-benchmark files under the direction policy and exit
   non-zero on any gated regression (the CI perf-gate).  ``--json -``
   writes the verdict to stdout instead of a file.
+* ``repro-perf compare BASE [CHANGE] [--aa]`` — paired runs of the
+  end-to-end benchmark (``benchmarks/e2e/run.py``) between two commits,
+  with medians, quartiles and a sign test per metric; exits 1 on a
+  significant regression.
 
 Exit codes: 0 clean; 1 gate failure (regression / drift); 2 usage, or
 — for ``diff --fail-on-incomparable`` — context-incomparable benchmark
@@ -117,6 +121,32 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 2 when any benchmark pair is context-incomparable "
         "(a regression still exits 1)",
+    )
+
+    p_cmp = sub.add_parser(
+        "compare",
+        help="paired A/B runs of benchmarks/e2e between two commits",
+    )
+    p_cmp.add_argument("base", nargs="?", help="base revision")
+    p_cmp.add_argument(
+        "change", nargs="?", default="HEAD",
+        help="changed revision (default HEAD)",
+    )
+    p_cmp.add_argument(
+        "--aa", action="store_true",
+        help="run the changed revision against itself (noise floor)",
+    )
+    p_cmp.add_argument(
+        "--workload", action="append",
+        help="workload to compare (repeatable; default every workload)",
+    )
+    p_cmp.add_argument(
+        "--pairs", type=int, default=10,
+        help="measured pairs per workload (default 10)",
+    )
+    p_cmp.add_argument(
+        "--seconds", type=float, default=None,
+        help="--seconds of each run (default BENCHMARK.json run_seconds)",
     )
     return parser
 
@@ -224,6 +254,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_drift(args)
     if args.command == "diff":
         return _cmd_diff(args)
+    if args.command == "compare":
+        from repro.obs.compare import compare_main
+
+        return compare_main(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
