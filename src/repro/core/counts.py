@@ -6,11 +6,17 @@ class occurred.  Timing is then a pure function of these counts plus the
 machine model (:mod:`repro.core.timing`), which is also what allows the
 paper-scale extrapolation in :mod:`repro.model`: counts scale linearly
 with the graph, structure sizes are swapped for target-scale ones.
+
+A :class:`RunCounts` stores its levels as columns: one ``(levels,
+ranks)`` array per per-rank count, one ``(top-down levels, ranks,
+ranks)`` stack of alltoallv byte matrices, and one vector per level
+fact.  Scaling and pricing work on whole columns; :attr:`RunCounts.levels`
+gives read-only :class:`LevelCounts` rows for readers that walk levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,73 +31,209 @@ class Direction:
     BOTTOM_UP = "bottom_up"
 
 
-@dataclass
+#: Per-rank counts, each an int64 ``(levels, ranks)`` column.
+PER_RANK = (
+    "frontier_local", "candidates", "examined_edges", "inqueue_reads",
+    "discovered",
+)
+#: Bottom-up allgather facts, each a ``(levels,)`` column (zero on
+#: top-down levels).  Part sizes are uint64 words: whole words as the
+#: engine measures them (int64), fractional shares once scaled or
+#: synthesized (float64) — rounding a share up would inflate the
+#: extrapolated payload by large factors.  The byte columns are float64:
+#: raw totals, and the post-codec wire sizes the engine recorded
+#: (data-dependent, so recorded rather than recomputed).
+GATHER = (
+    "inq_part_words", "summary_part_words", "inq_raw_total_bytes",
+    "inq_wire_part_bytes", "inq_wire_total_bytes", "summary_raw_total_bytes",
+    "summary_wire_part_bytes", "summary_wire_total_bytes",
+)
+
+
+#: Every column of a :class:`RunCounts` and its dtype: the level's
+#: direction (``top_down``), whether it converted the frontier
+#: representation first (``switched``), its small collectives (frontier
+#: statistics and termination check), its frontier codec's name (None:
+#: no codec), the per-rank counts, the ``(top-down levels, ranks,
+#: ranks)`` stack of alltoallv byte matrices and the allgather facts.
+_DTYPES = {
+    "top_down": bool, "switched": bool, "allreduces": np.int64,
+    "codec": object, **dict.fromkeys(PER_RANK, np.int64),
+    "td_send_bytes": np.int64, **dict.fromkeys(GATHER, np.float64),
+    "inq_part_words": np.int64,
+}
+
+
+def _shape(name: str, rows: int, ranks: int) -> tuple[int, ...]:
+    if name == "td_send_bytes":
+        return (rows, ranks, ranks)
+    return (rows, ranks) if name in PER_RANK else (rows,)
+
+
+@dataclass(frozen=True)
 class LevelCounts:
-    """Per-rank event counts of one BFS level."""
+    """One level of a :class:`RunCounts`, as a read-only row.
+
+    Arrays are read-only views of the run's columns; ``td_send_bytes``
+    is the level's ``(ranks, ranks)`` alltoallv matrix, None on a
+    bottom-up level; ``codec`` is the codec the level's allgathers used
+    (None/"raw": no encoding, wire == raw).
+    """
 
     level: int
     direction: str
-    # Did this level convert the frontier representation first?
-    switched: bool = False
+    switched: bool
+    frontier_local: np.ndarray
+    candidates: np.ndarray
+    examined_edges: np.ndarray
+    inqueue_reads: np.ndarray
+    discovered: np.ndarray
+    td_send_bytes: np.ndarray | None
+    inq_part_words: float
+    summary_part_words: float
+    codec: str | None
+    inq_raw_total_bytes: float
+    inq_wire_part_bytes: float
+    inq_wire_total_bytes: float
+    summary_raw_total_bytes: float
+    summary_wire_part_bytes: float
+    summary_wire_total_bytes: float
+    allreduces: int
 
-    # Per-rank arrays, shape (num_ranks,), all int64:
-    frontier_local: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    candidates: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    examined_edges: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    inqueue_reads: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    discovered: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
-    # Top-down communication: (np, np) matrix of bytes sent rank->rank.
-    td_send_bytes: np.ndarray | None = None
+class RunCounts:
+    """All levels of one BFS run, as columns, plus run-level facts.
 
-    # Bottom-up communication: allgather part sizes (uint64 words).
-    # Floats: at small measured scales the exact per-rank share can be
-    # fractional, and rounding it up would inflate the extrapolated
-    # payload by large factors.
-    inq_part_words: float = 0.0
-    summary_part_words: float = 0.0
+    The columns are attributes named as in :data:`_DTYPES`.  The engine
+    records a run level by level with :meth:`append`; the appended
+    levels are stacked into columns once, on the first column read, and
+    their shapes checked then (:meth:`validate`).
+    """
 
-    # Frontier-codec outcome of this level's allgathers.  ``codec`` is
-    # the concrete codec the level transmitted with (None/"raw" = no
-    # encoding, wire == raw); wire bytes are post-encode payload sizes,
-    # data-dependent and hence recorded rather than recomputed.  Raw
-    # totals are kept alongside so compression ratios survive scaling.
-    codec: str | None = None
-    inq_raw_total_bytes: float = 0.0
-    inq_wire_part_bytes: float = 0.0
-    inq_wire_total_bytes: float = 0.0
-    summary_raw_total_bytes: float = 0.0
-    summary_wire_part_bytes: float = 0.0
-    summary_wire_total_bytes: float = 0.0
+    def __init__(
+        self,
+        num_vertices: int,
+        num_ranks: int,
+        traversed_edges: int = 0,
+        visited_vertices: int = 0,
+    ) -> None:
+        self.num_vertices = num_vertices
+        self.num_ranks = num_ranks
+        # Undirected input edges inside the root's component (the
+        # Graph500 numerator for TEPS).
+        self.traversed_edges = traversed_edges
+        self.visited_vertices = visited_vertices
+        self._appended: list[dict] = []
+        self._cols: dict[str, np.ndarray] | None = None
+        self._levels: tuple[LevelCounts, ...] | None = None
 
-    # Small collectives this level (frontier stats + termination checks).
-    allreduces: int = 0
+    def append(self, top_down: bool, **row) -> None:
+        """Record the next level: its :data:`PER_RANK` counts
+        (``(ranks,)`` arrays), :data:`GATHER` facts, ``switched``,
+        ``allreduces``, ``codec`` and, top-down, ``td_send_bytes``; any
+        left out is zero."""
+        if self._cols is not None:
+            raise SimulationError("counts already stacked into columns")
+        row["top_down"] = top_down
+        self._appended.append(row)
 
-    def validate(self, num_ranks: int) -> None:
-        """Check per-rank array shapes against the rank count."""
-        for name in (
-            "frontier_local",
-            "candidates",
-            "examined_edges",
-            "inqueue_reads",
-            "discovered",
-        ):
-            arr = getattr(self, name)
-            if arr.shape != (num_ranks,):
+    def truncate(self, levels: int) -> None:
+        """Drop every appended level from ``levels`` on (a rollback's
+        replay)."""
+        del self._appended[levels:]
+
+    def __getattr__(self, name: str):
+        if name not in _DTYPES:
+            raise AttributeError(name)
+        if self._cols is None:
+            rows, r = self._appended, self.num_ranks
+            zero = {
+                **dict.fromkeys(PER_RANK, np.zeros(r, np.int64)),
+                "td_send_bytes": np.zeros((r, r), np.int64),
+                "codec": None,
+            }
+            try:
+                self._cols = {
+                    col: np.array(
+                        [
+                            row.get(col, zero.get(col, 0)) for row in rows
+                            if col != "td_send_bytes" or row["top_down"]
+                        ],
+                        # Whole part words stay int64, shares go float64.
+                        None if col == "inq_part_words" else dtype,
+                    ).reshape(_shape(col, -1, r))
+                    for col, dtype in _DTYPES.items()
+                }
+            except ValueError as exc:  # ragged levels
+                raise SimulationError(f"level counts do not stack: {exc}") from exc
+            self._appended = []
+            self.validate()
+        return self._cols[name]
+
+    def validate(self) -> None:
+        """Check every column's shape against the level and rank counts."""
+        levels, td_levels = len(self.top_down), int(self.top_down.sum())
+        for name, col in self._cols.items():
+            want = _shape(
+                name, td_levels if name == "td_send_bytes" else levels,
+                self.num_ranks,
+            )
+            if col.shape != want:
                 raise SimulationError(
-                    f"level {self.level}: {name} has shape {arr.shape}, "
-                    f"expected ({num_ranks},)"
+                    f"count column {name} has shape {col.shape}, "
+                    f"expected {want}"
                 )
-        if self.td_send_bytes is not None and self.td_send_bytes.shape != (
-            num_ranks,
-            num_ranks,
-        ):
-            raise SimulationError(
-                f"level {self.level}: td_send_bytes has wrong shape"
+
+    def freeze(self) -> None:
+        """Make every column read-only (counts shared by many pricings)."""
+        for name in _DTYPES:
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the columns."""
+        return sum(getattr(self, name).nbytes for name in _DTYPES)
+
+    @property
+    def num_levels(self) -> int:
+        """Number of BFS levels in the run."""
+        return len(self.top_down)
+
+    @property
+    def levels(self) -> tuple[LevelCounts, ...]:
+        """Every level as a read-only :class:`LevelCounts` row, built on
+        first access.  Pricing reads the columns, never these."""
+        if self._levels is None:
+            self._levels = tuple(self._row_views())
+        return self._levels
+
+    def _row_views(self):
+        cols = {}
+        for name in _DTYPES:
+            col = cols[name] = getattr(self, name).view()
+            if col.ndim > 1:
+                col.flags.writeable = False
+            else:
+                cols[name] = col.tolist()
+        send = iter(cols.pop("td_send_bytes"))
+        for i, td in enumerate(cols.pop("top_down")):
+            row = {name: col[i] for name, col in cols.items()}
+            for name in GATHER if td else ():
+                # A top-down level's allgather facts are float zeros.
+                row[name] = float(row[name])
+            yield LevelCounts(
+                level=i,
+                direction=Direction.TOP_DOWN if td else Direction.BOTTOM_UP,
+                td_send_bytes=next(send) if td else None,
+                **row,
             )
 
-    def scaled(self, factor: float) -> "LevelCounts":
-        """Counts of the same level on a graph ``factor``x larger.
+    def total_examined_edges(self) -> int:
+        """Edges examined across all levels and ranks."""
+        return int(self.examined_edges.sum())
+
+    def scaled(self, factor: float) -> "RunCounts":
+        """The run's counts on a graph ``factor``x larger.
 
         Totals scale linearly with graph size for a fixed per-level
         frontier-density profile (R-MAT levels are scale-invariant to
@@ -102,99 +244,67 @@ class LevelCounts:
         deviations accordingly — otherwise the stall (load-imbalance)
         phase of a tiny measured run would be wildly overstated at paper
         scale.
+
+        Every mean is of integer counts whose sums stay below 2**53, so
+        float64 sums them exactly in any order: each level's result is
+        bit-identical to scaling that level alone.
         """
         if factor <= 0:
             raise SimulationError("scale factor must be positive")
         shrink = np.sqrt(factor)
 
-        def s(arr: np.ndarray) -> np.ndarray:
-            if arr.size == 0:
-                return arr.copy()
-            mean = arr.mean()
-            scaled = mean * factor + (arr - mean) * shrink
-            return np.maximum(np.rint(scaled), 0).astype(np.int64)
+        def regress(col: np.ndarray, mean: np.ndarray) -> np.ndarray:
+            """``mean * factor + (col - mean) * shrink``, in place."""
+            out = np.subtract(col, mean)
+            out *= shrink
+            out += mean * factor
+            return np.maximum(out, 0, out=out)
 
-        if self.td_send_bytes is None:
-            td = None
+        def rounded(values: np.ndarray) -> np.ndarray:
+            return np.rint(
+                values, out=np.empty(values.shape, np.int64), casting="unsafe"
+            )
+
+        per_rank = np.stack([getattr(self, name) for name in PER_RANK])
+        per_rank = rounded(
+            regress(per_rank, per_rank.mean(axis=2, keepdims=True))
+        )
+
+        # Traffic spreads across sender ranks as the frontier grows: on
+        # a tiny graph one hub's owner may be the only sender of a level,
+        # while at paper scale the same level's frontier is hashed over
+        # all ranks.  Off-diagonal entries therefore regress toward their
+        # level's mean with the same 1/sqrt law; the (free) self-message
+        # diagonal scales linearly.
+        send = self.td_send_bytes
+        n = self.num_ranks
+        ranks = np.arange(n)
+        diag = send[:, ranks, ranks]
+        if n > 1:
+            off_sum = send.sum(axis=(1, 2)) - diag.sum(axis=1)
+            scaled_send = regress(send, (off_sum / (n * n - n))[:, None, None])
         else:
-            # Traffic spreads across sender ranks as the frontier grows:
-            # on a tiny graph one hub's owner may be the only sender of a
-            # level, while at paper scale the same level's frontier is
-            # hashed over all ranks.  Off-diagonal entries therefore
-            # regress toward the uniform mean with the same 1/sqrt law;
-            # the (free) self-message diagonal scales linearly.
-            td = self.td_send_bytes.astype(np.float64)
-            n = td.shape[0]
-            off = ~np.eye(n, dtype=bool)
-            if n > 1:
-                mean = td[off].mean()
-                td[off] = np.maximum(
-                    mean * factor + (td[off] - mean) * shrink, 0
-                )
-            td[~off] *= factor
-            td = np.rint(td).astype(np.int64)
+            scaled_send = np.empty(send.shape)
+        scaled_send[:, ranks, ranks] = diag * factor
 
-        return LevelCounts(
-            level=self.level,
-            direction=self.direction,
-            switched=self.switched,
-            frontier_local=s(self.frontier_local),
-            candidates=s(self.candidates),
-            examined_edges=s(self.examined_edges),
-            inqueue_reads=s(self.inqueue_reads),
-            discovered=s(self.discovered),
-            td_send_bytes=td,
-            inq_part_words=self.inq_part_words * factor,
-            summary_part_words=self.summary_part_words * factor,
-            # Compressed payloads are dominated by per-set-bit tokens
-            # (RLE runs, sparse gaps), and set bits scale linearly with
-            # the graph at fixed frontier density — so wire bytes scale
-            # with the same factor as their raw counterparts, keeping
-            # the level's compression ratio scale-invariant.
-            codec=self.codec,
-            inq_raw_total_bytes=self.inq_raw_total_bytes * factor,
-            inq_wire_part_bytes=self.inq_wire_part_bytes * factor,
-            inq_wire_total_bytes=self.inq_wire_total_bytes * factor,
-            summary_raw_total_bytes=self.summary_raw_total_bytes * factor,
-            summary_wire_part_bytes=self.summary_wire_part_bytes * factor,
-            summary_wire_total_bytes=self.summary_wire_total_bytes * factor,
-            allreduces=self.allreduces,
+        # Compressed payloads are dominated by per-set-bit tokens (RLE
+        # runs, sparse gaps), and set bits scale linearly with the graph
+        # at fixed frontier density — so wire bytes scale with the same
+        # factor as their raw counterparts, keeping the level's
+        # compression ratio scale-invariant.
+        gather = np.stack([getattr(self, name) for name in GATHER]) * factor
+        scaled = RunCounts(
+            int(round(self.num_vertices * factor)), n,
+            int(round(self.traversed_edges * factor)),
+            int(round(self.visited_vertices * factor)),
         )
-
-
-@dataclass
-class RunCounts:
-    """All levels of one BFS run plus run-level facts."""
-
-    num_vertices: int
-    num_ranks: int
-    levels: list[LevelCounts] = field(default_factory=list)
-    # Undirected input edges inside the root's component (the Graph500
-    # numerator for TEPS).
-    traversed_edges: int = 0
-    visited_vertices: int = 0
-
-    def validate(self) -> None:
-        """Validate every level's shapes."""
-        for lvl in self.levels:
-            lvl.validate(self.num_ranks)
-
-    @property
-    def num_levels(self) -> int:
-        """Number of BFS levels in the run."""
-        return len(self.levels)
-
-    def total_examined_edges(self) -> int:
-        """Edges examined across all levels and ranks."""
-        return int(sum(lvl.examined_edges.sum() for lvl in self.levels))
-
-    def scaled(self, factor: float) -> "RunCounts":
-        """The run's counts on a graph ``factor``x larger (see
-        :meth:`LevelCounts.scaled`)."""
-        return RunCounts(
-            num_vertices=int(round(self.num_vertices * factor)),
-            num_ranks=self.num_ranks,
-            levels=[lvl.scaled(factor) for lvl in self.levels],
-            traversed_edges=int(round(self.traversed_edges * factor)),
-            visited_vertices=int(round(self.visited_vertices * factor)),
-        )
+        scaled._cols = {
+            "top_down": self.top_down.copy(),
+            "switched": self.switched.copy(),
+            "allreduces": self.allreduces.copy(),
+            "codec": self.codec.copy(),
+            "td_send_bytes": rounded(scaled_send),
+            **dict(zip(PER_RANK, per_rank)),
+            **dict(zip(GATHER, gather)),
+        }
+        return scaled

@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.core.bitmap import Bitmap, SummaryBitmap, summary_words_for
 from repro.core.config import BFSConfig
-from repro.core.counts import Direction, LevelCounts, RunCounts
+from repro.core.counts import Direction, RunCounts
 from repro.core.hybrid import DirectionPolicy, FrontierStats
 from repro.core.kernels import resolve_backend
 from repro.core.kernels.base import PAIR_BYTES
@@ -298,7 +298,10 @@ class BFSEngine:
         policies = [DirectionPolicy(self.config) for _ in roots]
         counts = [RunCounts(num_vertices=n, num_ranks=np_ranks) for _ in roots]
         prev_direction: list[str | None] = [None] * num
-        lcs: list[LevelCounts | None] = [None] * num
+        # Per lane, this level's direction and its counts so far: the
+        # row its RunCounts records once the level completes.
+        directions: list[str | None] = [None] * num
+        rows: list[dict] = [{}] * num
         shared = self._shared_buffers()
         # Per lane, the union of all previously allgathered in_queues:
         # common knowledge shared by encoder and decoder, which the sieve
@@ -337,15 +340,16 @@ class BFSEngine:
                         ),
                         tracer=tr,
                     )
-                    lc = LevelCounts(level=level, direction=direction)
-                    # Frontier statistics + termination check: 3 small
-                    # allreduces per level (n_f, m_f, m_u), as the hybrid
-                    # switch requires.
-                    lc.allreduces = 3
                     prev = prev_direction[s]
-                    lc.switched = prev is not None and prev != direction
-                    lc.frontier_local = sizes[s]
-                    lcs[s] = lc
+                    directions[s] = direction
+                    rows[s] = {
+                        "switched": prev is not None and prev != direction,
+                        # Frontier statistics + termination check: 3
+                        # small allreduces per level (n_f, m_f, m_u), as
+                        # the hybrid switch requires.
+                        "allreduces": 3,
+                        "frontier_local": sizes[s],
+                    }
                     if direction == Direction.TOP_DOWN:
                         top_down.append(s)
                     else:
@@ -365,12 +369,12 @@ class BFSEngine:
                             [frontiers[s] for s in top_down],
                             parent,
                             np.asarray(top_down, dtype=np.int64),
-                            [lcs[s] for s in top_down],
+                            [rows[s] for s in top_down], level,
                         )))
                     if bottom_up:
                         stepped.append((bottom_up, self._bottom_up_lanes(
-                            bottom_up, frontiers, parent, lcs, shared,
-                            visited_words,
+                            bottom_up, frontiers, parent, rows, level,
+                            shared, visited_words,
                         )))
                 for lanes, (new, disc_degree) in stepped:
                     for s, frontier, disc in zip(lanes, new, disc_degree):
@@ -378,10 +382,12 @@ class BFSEngine:
                         unexplored[s] -= disc
                         frontier_edges[s] = int(disc.sum())
                 for s in live:
-                    lc = lcs[s]
-                    lc.discovered = sizes[s] = self._rank_sizes(frontiers[s])
-                    counts[s].levels.append(lc)
-                    prev_direction[s] = lc.direction
+                    sizes[s] = self._rank_sizes(frontiers[s])
+                    counts[s].append(
+                        directions[s] == Direction.TOP_DOWN,
+                        discovered=sizes[s], **rows[s],
+                    )
+                    prev_direction[s] = directions[s]
                 rec.barrier(level)
                 level += 1
             except RollbackFault as fault:
@@ -410,7 +416,7 @@ class BFSEngine:
                     root=root,
                     # A lane's own copy, so a result does not pin the table.
                     parent=parent[s] if num == 1 else parent[s].copy(),
-                    levels=len(run_counts.levels),
+                    levels=run_counts.num_levels,
                     counts=run_counts,
                     timing=timing,
                 )
@@ -474,14 +480,15 @@ class BFSEngine:
         self,
         frontiers: list[np.ndarray],
         parent: np.ndarray,
-        rows: np.ndarray,
-        lcs: list[LevelCounts],
+        lanes: np.ndarray,
+        rows: list[dict],
+        level: int,
     ) -> tuple[list[np.ndarray], np.ndarray]:
         """One top-down level for every lane at once (a run is one lane).
 
         ``frontiers[b]`` is lane ``b``'s frontier (global ids, rank-major),
-        ``parent`` the ``(sources, n)`` parent table, ``rows[b]`` the row
-        lane ``b`` writes and ``lcs[b]`` its level record.  The kernel
+        ``parent`` the ``(sources, n)`` parent table, ``lanes[b]`` the row
+        of it lane ``b`` writes and ``rows[b]`` its level's counts.  The kernel
         call is the whole step, discoveries included, and it records each
         lane's alltoallv byte matrix, which :func:`assemble` prices once
         per run.  The data-less :meth:`SimComm.alltoallv` runs here only
@@ -492,7 +499,6 @@ class BFSEngine:
         Returns the next frontiers and the per-(lane, rank) discovered
         degree.
         """
-        np_ranks = self.mapping.num_ranks
         owner_of = self.prepared.owner_of
         tr = self.tracer
         hp = self.hostprof
@@ -500,12 +506,12 @@ class BFSEngine:
             "td_expand"
         ):
             res = self.kernel.top_down_expand(
-                self.graph, frontiers, parent, rows, owner_of,
+                self.graph, frontiers, parent, lanes, owner_of,
                 self.partition.bounds,
             )
             if tr.enabled:
                 sp.set(
-                    frontier=[lc.frontier_local.tolist() for lc in lcs],
+                    frontier=[row["frontier_local"].tolist() for row in rows],
                     examined_edges=res.examined_edges.tolist(),
                     received_pairs=(
                         res.send_bytes.sum(axis=1) // PAIR_BYTES
@@ -514,26 +520,25 @@ class BFSEngine:
                         self._rank_sizes(f).tolist() for f in res.frontiers
                     ],
                 )
-        for b, lc in enumerate(lcs):
-            lc.examined_edges = res.examined_edges[b]
-            lc.candidates = np.zeros(np_ranks, dtype=np.int64)
-            lc.inqueue_reads = np.zeros(np_ranks, dtype=np.int64)
-            lc.td_send_bytes = res.send_bytes[b]
+        for b, row in enumerate(rows):
+            row["examined_edges"] = res.examined_edges[b]
+            row["td_send_bytes"] = res.send_bytes[b]
         if self.recovery.injects or tr.enabled:
             with tr.span("phase.td_exchange", cat="phase"), hp.phase(
                 "td_exchange"
             ):
-                for lc in lcs:
+                for send in res.send_bytes:
                     self.recovery.exchange(
-                        "alltoallv", lc.level,
-                        partial(self.comm.alltoallv, lc.td_send_bytes),
+                        "alltoallv", level,
+                        partial(self.comm.alltoallv, send),
                     )
         return res.frontiers, res.disc_degree
 
     def _publish_frontier(
         self,
         frontier: np.ndarray,
-        lc: LevelCounts,
+        row: dict,
+        level: int,
         shared: list[NodeSharedBuffer] | None,
         visited_words: np.ndarray | None,
     ) -> tuple[Bitmap, SummaryBitmap | None]:
@@ -541,7 +546,8 @@ class BFSEngine:
 
         ``frontier`` holds global vertex ids; ``visited_words`` is the
         codec's common-knowledge mask of this traversal (None without a
-        codec).  Fills ``lc``'s ``inq_*``/``summary_*`` accounting.
+        codec).  Fills the level ``row``'s codec and ``inq_*`` /
+        ``summary_*`` allgather accounting.
         """
         config = self.config
         n = self.graph.num_vertices
@@ -554,10 +560,10 @@ class BFSEngine:
         # full-graph bitmap: one set_bits covers all ranks.
         words = np.zeros(bitops.words_for_bits(n), dtype=bitops.WORD_DTYPE)
         bitops.set_bits(words, frontier)
-        lc.inq_part_words = max(self._part_words, default=0)
+        row["inq_part_words"] = max(self._part_words, default=0)
         if config.use_summary:
             summary_words = summary_words_for(n, config.granularity)
-            lc.summary_part_words = summary_words / np_ranks
+            row["summary_part_words"] = summary_words / np_ranks
 
         parts = [
             words[word_starts[r]:word_starts[r + 1]] for r in range(np_ranks)
@@ -572,7 +578,7 @@ class BFSEngine:
             "bu_allgather"
         ):
             res = self.recovery.exchange(
-                "allgather", lc.level,
+                "allgather", level,
                 partial(
                     allgather,
                     self.comm, parts, config.in_queue_algorithm(), shared,
@@ -580,10 +586,10 @@ class BFSEngine:
                     visited_parts=visited_parts,
                 ),
             )
-        lc.codec = res.codec
-        lc.inq_raw_total_bytes = res.raw_bytes
-        lc.inq_wire_total_bytes = res.wire_bytes
-        lc.inq_wire_part_bytes = res.wire_part_bytes
+        codec = row["codec"] = res.codec
+        row["inq_raw_total_bytes"] = res.raw_bytes
+        row["inq_wire_total_bytes"] = res.wire_bytes
+        row["inq_wire_part_bytes"] = res.wire_part_bytes
         # Node-shared buffers hold the result only when the algorithm
         # delivered into them; an explicit non-shared algorithm override
         # (allowed under any sharing variant) returns the gathered array.
@@ -591,7 +597,7 @@ class BFSEngine:
             full_words = res.data
         else:
             full_words = res.data[0].data
-        self.recovery.after_gather(lc.level, words, full_words)
+        self.recovery.after_gather(level, words, full_words)
         in_queue = Bitmap(n, words=full_words.copy())
         if visited_words is not None:
             # Fold the just-published frontier into the common-knowledge
@@ -601,7 +607,7 @@ class BFSEngine:
         # The summary is built locally from the gathered bitmap — the data
         # is bit-identical to the reference code's allgathered summary (it
         # is a pure function of in_queue); its allgather is priced via
-        # lc.summary_part_words in timing.assemble.
+        # its summary_part_words in timing.assemble.
         with tr.span("phase.bu_summary_build", cat="phase"), hp.phase(
             "bu_summary_build"
         ):
@@ -612,20 +618,20 @@ class BFSEngine:
             )
         if summary is not None:
             raw_bytes = summary_words * 8.0
-            lc.summary_raw_total_bytes = raw_bytes
-            if lc.codec not in (None, "raw"):
+            row["summary_raw_total_bytes"] = raw_bytes
+            if codec not in (None, "raw"):
                 # Price the summary's (not functionally executed)
                 # allgather through the same codec the in_queue used: the
                 # summary is a pure function of in_queue, so encoding the
                 # full bitmap yields the exact wire payload the reference
                 # code would transmit.  No visited mask — summary blocks
                 # re-light across levels.
-                enc = get_codec(lc.codec).encode(summary.words)
-                lc.summary_wire_total_bytes = float(enc.wire_nbytes)
-                lc.summary_wire_part_bytes = float(enc.wire_nbytes) / np_ranks
+                enc = get_codec(codec).encode(summary.words)
+                row["summary_wire_total_bytes"] = float(enc.wire_nbytes)
+                row["summary_wire_part_bytes"] = float(enc.wire_nbytes) / np_ranks
             else:
-                lc.summary_wire_total_bytes = raw_bytes
-                lc.summary_wire_part_bytes = lc.summary_part_words * 8.0
+                row["summary_wire_total_bytes"] = raw_bytes
+                row["summary_wire_part_bytes"] = row["summary_part_words"] * 8.0
         return in_queue, summary
 
     def _bottom_up_lanes(
@@ -633,7 +639,8 @@ class BFSEngine:
         lanes: list[int],
         frontiers: list[np.ndarray],
         parent: np.ndarray,
-        lcs: list[LevelCounts],
+        rows: list[dict],
+        level: int,
         shared: list[NodeSharedBuffer] | None,
         visited_words: np.ndarray | None,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -643,7 +650,7 @@ class BFSEngine:
         depend on its content), then one
         :meth:`~repro.core.kernels.KernelBackend.bottom_up_scan_batch`
         call scans every rank of every lane.  Each lane's counts land in
-        ``lcs[lane]``.  Returns, per lane, the next frontier (global ids,
+        ``rows[lane]``.  Returns, per lane, the next frontier (global ids,
         ascending) and the per-rank discovered degree, as
         :meth:`_top_down_step` does.
         """
@@ -652,7 +659,7 @@ class BFSEngine:
         in_queues, summaries = [], []
         for s in lanes:
             in_queue, summary = self._publish_frontier(
-                frontiers[s], lcs[s], shared,
+                frontiers[s], rows[s], level, shared,
                 None if visited_words is None else visited_words[s],
             )
             in_queues.append(in_queue)
@@ -685,10 +692,11 @@ class BFSEngine:
                     chunk_rounds=res.chunk_rounds,
                 )
         for s, res in zip(lanes, results):
-            lc = lcs[s]
-            lc.candidates = res.rank_candidates
-            lc.examined_edges = res.rank_examined_edges
-            lc.inqueue_reads = res.rank_inqueue_reads
+            rows[s].update(
+                candidates=res.rank_candidates,
+                examined_edges=res.rank_examined_edges,
+                inqueue_reads=res.rank_inqueue_reads,
+            )
         return (
             [res.discovered for res in results],
             [res.rank_disc_degree for res in results],

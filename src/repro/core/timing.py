@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.bitmap import summary_words_for
 from repro.core.config import BFSConfig
-from repro.core.counts import Direction, LevelCounts, RunCounts
+from repro.core.counts import Direction, RunCounts
 from repro.errors import SimulationError
 from repro.machine.memory import MemoryModel, Placement, StructureAccess
 from repro.mpi.collectives import allgather_time
@@ -406,11 +406,12 @@ class _Pricer:
             self.socket.frequency_hz,
         )
 
-    def switch_time(self, lc: LevelCounts) -> float:
-        """Frontier representation conversion (bitmap <-> queue)."""
-        if not lc.switched:
-            return 0.0
-        vertices = float(lc.frontier_local.max(initial=0))
+    def switch_time(
+        self, switched: np.ndarray, frontier: np.ndarray
+    ) -> np.ndarray:
+        """Every level's frontier representation conversion (bitmap <->
+        queue); zero where the level did not switch."""
+        vertices = frontier.max(axis=1, initial=0)
         stream_t = self.sizes.out_part_bytes / self.graph_stream_bw * 1e9
         cpu_t = (
             vertices
@@ -418,7 +419,7 @@ class _Pricer:
             / (self.threads * self.socket.frequency_hz)
             * 1e9
         )
-        return stream_t + cpu_t
+        return np.where(switched, stream_t + cpu_t, 0.0)
 
     # ---- communication pricing -------------------------------------------
 
@@ -456,20 +457,24 @@ class _Pricer:
             raw_part_bytes=raw_part_bytes,
         )
 
-    def bottom_up_comm(self, lc: LevelCounts) -> tuple[float, dict[str, float]]:
+    def bottom_up_comm(
+        self, codec, allreduces, inq_part_words, summary_part_words,
+        inq_wire_part_bytes, inq_wire_total_bytes, summary_wire_part_bytes,
+        summary_wire_total_bytes,
+    ) -> tuple[float, dict[str, float]]:
         """A bottom-up level's allgathers and allreduces.  Uncompressed
         levels depend on three counts only, so their price is memoised
         (a run repeats one key every level)."""
-        encoded = lc.codec not in (None, "raw")
-        key = (lc.inq_part_words, lc.summary_part_words, lc.allreduces)
+        encoded = codec not in (None, "raw")
+        key = (inq_part_words, summary_part_words, allreduces)
         if not encoded and key in self._raw_levels:
             total, steps = self._raw_levels[key]
             return total, dict(steps)
         inq_t, inq_steps = self._allgather_steps(
             self.config.in_queue_algorithm(),
-            raw_part_bytes=lc.inq_part_words * 8.0,
-            wire_part_bytes=lc.inq_wire_part_bytes,
-            wire_total_bytes=lc.inq_wire_total_bytes,
+            raw_part_bytes=inq_part_words * 8.0,
+            wire_part_bytes=inq_wire_part_bytes,
+            wire_total_bytes=inq_wire_total_bytes,
             encoded=encoded,
         )
         total = inq_t
@@ -477,18 +482,27 @@ class _Pricer:
         if self.config.use_summary:
             sum_t, sum_steps = self._allgather_steps(
                 self.config.summary_algorithm(),
-                raw_part_bytes=lc.summary_part_words * 8.0,
-                wire_part_bytes=lc.summary_wire_part_bytes,
-                wire_total_bytes=lc.summary_wire_total_bytes,
+                raw_part_bytes=summary_part_words * 8.0,
+                wire_part_bytes=summary_wire_part_bytes,
+                wire_total_bytes=summary_wire_total_bytes,
                 encoded=encoded,
             )
             total += sum_t
             steps.update({f"summary_{k}": v for k, v in sum_steps.items()})
-        steps["allreduce"] = lc.allreduces * self.allreduce_ns
+        steps["allreduce"] = allreduces * self.allreduce_ns
         total += steps["allreduce"]
         if not encoded:
             self._raw_levels[key] = (total, dict(steps))
         return total, steps
+
+
+#: The count columns a bottom-up level's communication is priced from,
+#: after its codec and allreduces (:meth:`_Pricer.bottom_up_comm`).
+_BU_COMM_COLUMNS = (
+    "inq_part_words", "summary_part_words", "inq_wire_part_bytes",
+    "inq_wire_total_bytes", "summary_wire_part_bytes",
+    "summary_wire_total_bytes",
+)
 
 
 def _pricer(
@@ -517,67 +531,62 @@ def assemble(
 ) -> BfsTiming:
     """Price a run's counts on the machine model.
 
-    Each direction's compute is priced in one pass over ``(levels,
-    ranks)`` stacks and every top-down exchange in one alltoallv call;
-    the per-level results are then folded into the breakdown in level
-    order, so the totals are those of pricing level by level.
+    Each direction's compute is priced in one pass over the ``(levels,
+    ranks)`` count columns, every top-down exchange in one alltoallv call
+    over the send stack and every switch at once; the per-level results
+    are then folded into the breakdown in level order, so the totals are
+    those of pricing level by level.
     """
-    counts.validate()
     if counts.num_ranks != comm.num_ranks:
         raise SimulationError(
             f"counts recorded for {counts.num_ranks} ranks, communicator "
             f"has {comm.num_ranks}"
         )
     pricer = _pricer(comm, config, sizes, constants)
-    levels = counts.levels
-    shape = (len(levels), counts.num_ranks)
-    frontier, examined, candidates, inq_reads = np.array(
-        [
-            (lc.frontier_local, lc.examined_edges, lc.candidates,
-             lc.inqueue_reads)
-            for lc in levels
-        ],
-        np.float64,
-    ).reshape(shape[0], 4, shape[1]).transpose(1, 0, 2)
-    td = np.array([lc.direction == Direction.TOP_DOWN for lc in levels], bool)
-    td_levels = [lc for lc in levels if lc.direction == Direction.TOP_DOWN]
-    no_send = np.zeros(shape[1:] * 2, dtype=np.int64)
-    send = np.array([
-        no_send if lc.td_send_bytes is None else lc.td_send_bytes
-        for lc in td_levels
-    ]).reshape(-1, *no_send.shape)
-    td_comm = iter(
-        pricer.top_down_comm(send, [lc.allreduces for lc in td_levels])
-    )
+    td = counts.top_down
     bu = ~td
-    comp = np.empty(shape)
+    frontier = counts.frontier_local.astype(np.float64)
+    examined = counts.examined_edges.astype(np.float64)
+    send = counts.td_send_bytes
+    comp = np.empty(frontier.shape)
     comp[td] = pricer.top_down_compute(examined[td], frontier[td], send)
     comp[bu] = pricer.bottom_up_compute(
-        examined[bu], candidates[bu], inq_reads[bu]
+        examined[bu],
+        counts.candidates[bu].astype(np.float64),
+        counts.inqueue_reads[bu].astype(np.float64),
     )
     comp *= pricer.omp_penalty
+    allreduces = counts.allreduces.tolist()
+    td_comm = iter(pricer.top_down_comm(send, counts.allreduces[td].tolist()))
+    bu_comm = zip(
+        counts.codec.tolist(), allreduces,
+        *(getattr(counts, name).tolist() for name in _BU_COMM_COLUMNS),
+    )
 
     timing = BfsTiming()
     bd = timing.breakdown
-    for lc, row, comp_mean, comp_max in zip(
-        levels, comp, comp.mean(axis=1).tolist(), comp.max(axis=1).tolist()
+    for level, (is_td, row, comp_mean, comp_max, switch_t, bu_row) in enumerate(
+        zip(
+            td.tolist(), comp, comp.mean(axis=1).tolist(),
+            comp.max(axis=1).tolist(),
+            pricer.switch_time(counts.switched, frontier).tolist(), bu_comm,
+        )
     ):
-        if lc.direction == Direction.TOP_DOWN:
+        if is_td:
             comm_t, comm_steps = next(td_comm)
             bd.td_compute += comp_mean
             bd.td_comm += comm_t
         else:
-            comm_t, comm_steps = pricer.bottom_up_comm(lc)
+            comm_t, comm_steps = pricer.bottom_up_comm(*bu_row)
             bd.bu_compute += comp_mean
             bd.bu_comm += comm_t
-        switch_t = pricer.switch_time(lc)
         stall = comp_max - comp_mean
         bd.switch += switch_t
         bd.stall += stall
         timing.levels.append(
             LevelTiming(
-                level=lc.level,
-                direction=lc.direction,
+                level=level,
+                direction=Direction.TOP_DOWN if is_td else Direction.BOTTOM_UP,
                 compute_mean_ns=comp_mean,
                 compute_max_ns=comp_max,
                 comm_ns=comm_t,

@@ -429,7 +429,7 @@ class FaultTolerance(Recovery):
             )
             if self._visited is not None and visited is not None:
                 self._visited[:] = visited
-        del self._counts.levels[ckpt.level:]
+        self._counts.truncate(ckpt.level)
         log.replayed_levels.extend(range(ckpt.level, at_level + 1))
         overhead = cfg.cost.restore_ns(ckpt.nbytes, cfg.on_disk)
         if kind == "crash":

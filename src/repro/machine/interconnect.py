@@ -13,8 +13,6 @@ and the resulting remote-access latency.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.errors import ConfigError
@@ -67,11 +65,9 @@ class QpiTopology:
         np.fill_diagonal(hops, 0)
         for a, b in self.links:
             hops[a, b] = hops[b, a] = 1
-        # Floyd-Warshall is fine for <= 8 sockets.
-        for k, i, j in itertools.product(range(n), repeat=3):
-            via = hops[i, k] + hops[k, j]
-            if via < hops[i, j]:
-                hops[i, j] = via
+        # Floyd-Warshall, one whole-table relaxation per pivot socket.
+        for k in range(n):
+            np.minimum(hops, hops[:, k:k + 1] + hops[k:k + 1, :], out=hops)
         if n > 1 and hops.max() > n:
             raise ConfigError("QPI topology is disconnected")
         return hops

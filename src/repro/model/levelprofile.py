@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.bitmap import summary_words_for
 from repro.core.config import BFSConfig, TraversalMode
-from repro.core.counts import Direction, LevelCounts, RunCounts
+from repro.core.counts import Direction, RunCounts
 from repro.errors import ConfigError
 from repro.graph.rmat import GRAPH500_EDGEFACTOR, RmatParams
 from repro.util import bitops
@@ -256,7 +256,7 @@ def synthesize_run_counts(
     Returns ``(counts, num_directed_arcs)``; counts are balanced across
     ranks (the analytic model has no sampling noise, so stall is zero by
     construction — absolute-scale runs are well balanced, see the
-    1/sqrt(size) argument in :meth:`LevelCounts.scaled`).
+    1/sqrt(size) argument in :meth:`RunCounts.scaled`).
     """
     classes = rmat_degree_classes(scale, edgefactor, params)
     profile = simulate_level_profile(classes, config, root_lambda)
@@ -273,42 +273,43 @@ def synthesize_run_counts(
     def spread(total: float) -> np.ndarray:
         return np.full(num_ranks, max(0.0, total) / num_ranks).astype(np.int64)
 
+    prev = None
     for lvl in profile:
-        lc = LevelCounts(level=lvl.level, direction=lvl.direction)
-        lc.allreduces = 3
-        lc.frontier_local = spread(lvl.frontier_vertices)
-        lc.discovered = spread(lvl.discovered)
-        lc.examined_edges = spread(lvl.examined_edges)
+        row = dict(
+            # Representation switches, as the engine marks them.
+            switched=prev is not None and prev != lvl.direction,
+            allreduces=3,
+            frontier_local=spread(lvl.frontier_vertices),
+            discovered=spread(lvl.discovered),
+            examined_edges=spread(lvl.examined_edges),
+        )
+        prev = lvl.direction
         if lvl.direction == Direction.TOP_DOWN:
-            lc.candidates = spread(0)
-            lc.inqueue_reads = spread(0)
             pair_bytes = 16.0 * lvl.discovered
             per_pair = pair_bytes / max(1, num_ranks * num_ranks)
-            lc.td_send_bytes = np.full(
-                (num_ranks, num_ranks), per_pair
-            ).astype(np.int64)
+            counts.append(
+                True, **row,
+                td_send_bytes=np.full(
+                    (num_ranks, num_ranks), per_pair
+                ).astype(np.int64),
+            )
+            continue
+        if config.use_summary:
+            hits = lvl.discovered
+            misses = max(0.0, lvl.examined_edges - hits)
+            pass_frac = _summary_pass_fraction(
+                lvl.frontier_density, config.granularity
+            )
+            reads = hits + misses * pass_frac
+            row["summary_part_words"] = summary_words / num_ranks
         else:
-            lc.candidates = spread(lvl.candidates)
-            if config.use_summary:
-                hits = lvl.discovered
-                misses = max(0.0, lvl.examined_edges - hits)
-                pass_frac = _summary_pass_fraction(
-                    lvl.frontier_density, config.granularity
-                )
-                reads = hits + misses * pass_frac
-            else:
-                reads = lvl.examined_edges
-            lc.inqueue_reads = spread(reads)
-            lc.inq_part_words = inq_part_words
-            if config.use_summary:
-                lc.summary_part_words = summary_words / num_ranks
-        counts.levels.append(lc)
-
-    # Mark representation switches, as the engine would.
-    prev = None
-    for lc in counts.levels:
-        lc.switched = prev is not None and prev != lc.direction
-        prev = lc.direction
+            reads = lvl.examined_edges
+        counts.append(
+            False, **row,
+            candidates=spread(lvl.candidates),
+            inqueue_reads=spread(reads),
+            inq_part_words=inq_part_words,
+        )
 
     reached = sum(lvl.discovered for lvl in profile)
     reached_endpoints = sum(

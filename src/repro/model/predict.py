@@ -38,26 +38,14 @@ __all__ = ["PredictedGraph500", "predict_graph500"]
 _COUNT_MEMO_BYTES = 64 << 20
 
 
-def _arrays(runs: tuple[RunCounts, ...]):
-    """Every per-rank array of some runs' counts."""
-    for counts in runs:
-        for lc in counts.levels:
-            yield from (
-                lc.frontier_local, lc.candidates, lc.examined_edges,
-                lc.inqueue_reads, lc.discovered,
-            )
-            if lc.td_send_bytes is not None:
-                yield lc.td_send_bytes
-
-
 #: (graph digest, count key, num_roots, seed) -> the measured-scale
 #: counts of the sampled roots, in root order.  Counts only: no parent
-#: arrays and no timings.  The arrays are frozen read-only, and pricing
+#: arrays and no timings.  The columns are frozen read-only, and pricing
 #: (``RunCounts.scaled``) always copies.
 _COUNT_MEMO = LRUCache(
     maxsize=1024,
     max_bytes=_COUNT_MEMO_BYTES,
-    sizeof=lambda runs: sum(arr.nbytes for arr in _arrays(runs)),
+    sizeof=lambda runs: sum(counts.nbytes for counts in runs),
     name="count memo",
 )
 
@@ -96,15 +84,16 @@ class PredictedGraph500(RootAverages):
         raw = wire = 0.0
         k = max(len(self.predictions), 1)
         for p in self.predictions:
-            for lc in p.counts.levels:
-                if lc.direction != "bottom_up":
-                    continue
-                raw += (
-                    lc.inq_raw_total_bytes + lc.summary_raw_total_bytes
-                ) / k
-                wire += (
-                    lc.inq_wire_total_bytes + lc.summary_wire_total_bytes
-                ) / k
+            c = p.counts
+            bu = ~c.top_down
+            level_raw = (c.inq_raw_total_bytes + c.summary_raw_total_bytes)[bu]
+            level_wire = (
+                c.inq_wire_total_bytes + c.summary_wire_total_bytes
+            )[bu]
+            # Summed level by level, in order, as the totals always were.
+            for r, w in zip((level_raw / k).tolist(), (level_wire / k).tolist()):
+                raw += r
+                wire += w
         return {"raw": raw, "wire": wire}
 
 
@@ -138,8 +127,8 @@ def predict_graph500(
             engine.run(int(root)).counts
             for root in sample_roots(graph, num_roots, seed=seed)
         )
-        for arr in _arrays(runs):
-            arr.flags.writeable = False
+        for counts in runs:
+            counts.freeze()
         _COUNT_MEMO.put(key, runs)
     return PredictedGraph500(
         config=config,

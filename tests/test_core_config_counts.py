@@ -16,7 +16,6 @@ from repro.core import (
     assemble,
     paper_variants,
 )
-from repro.core.counts import LevelCounts
 from repro.errors import ConfigError, SimulationError
 from repro.graph import rmat_graph
 from repro.machine import Placement, paper_cluster
@@ -162,13 +161,11 @@ class TestCountScaling:
     def test_scale_factor_validation(self):
         _, _, _, _, res = run_counts()
         with pytest.raises(SimulationError):
-            res.counts.levels[0].scaled(0)
+            res.counts.scaled(0)
 
     def test_validate_catches_bad_shapes(self):
         rc = RunCounts(num_vertices=64, num_ranks=4)
-        lc = LevelCounts(level=0, direction="top_down")
-        lc.frontier_local = np.zeros(3, dtype=np.int64)  # wrong shape
-        rc.levels.append(lc)
+        rc.append(True, frontier_local=np.zeros(3, dtype=np.int64))  # wrong shape
         with pytest.raises(SimulationError):
             rc.validate()
 

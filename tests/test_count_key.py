@@ -23,6 +23,7 @@ from repro.core.config import (
     SharingVariant,
     TraversalMode,
 )
+from repro.core.counts import RunCounts
 from repro.core.engine import BFSEngine
 from repro.core.timing import CostConstants
 from repro.graph.degree import sample_roots
@@ -53,6 +54,11 @@ def _digest(value, h=None) -> str:
     if isinstance(value, np.ndarray):
         h.update(f"{value.dtype}{value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, RunCounts):
+        _digest([
+            value.num_vertices, value.num_ranks, value.traversed_edges,
+            value.visited_vertices, value.levels,
+        ], h)
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             h.update(f.name.encode())
@@ -269,8 +275,8 @@ class TestCountMemo:
                     lc.discovered[0] = 1
         for pred in (first, second):
             for p, counts in zip(pred.predictions, runs):
+                assert p.counts.examined_edges.flags.writeable
                 for lc, cached in zip(p.counts.levels, counts.levels):
-                    assert lc.examined_edges.flags.writeable
                     assert not np.shares_memory(
                         lc.examined_edges, cached.examined_edges
                     )

@@ -116,6 +116,18 @@ class TestQpiTopology:
         assert topo.remote_llc_latency() < node.socket.dram_latency_ns
         assert topo.remote_dram_latency() > node.socket.dram_latency_ns
 
+    def test_hypercube_table_is_bit_distance(self):
+        topo = QpiTopology(x7550_node())
+        assert [
+            [topo.hops(i, j) for j in range(8)] for i in range(8)
+        ] == [[bin(i ^ j).count("1") for j in range(8)] for i in range(8)]
+
+    def test_disconnected_links_are_rejected(self):
+        topo = QpiTopology(NodeSpec(sockets=4, socket=x7550_socket()))
+        topo.links = [(0, 1), (2, 3)]
+        with pytest.raises(ConfigError, match="disconnected"):
+            topo._all_pairs_hops()
+
     def test_hops_out_of_range(self):
         topo = QpiTopology(x7550_node())
         with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import BFSConfig, CommConfig, StructureSizes
-from repro.core.counts import Direction, LevelCounts, RunCounts
+from repro.core.counts import RunCounts
 from repro.core.timing import CostConstants, assemble, _Pricer
 from repro.machine import paper_cluster
 from repro.mpi import BindingPolicy, ProcessMapping, SimComm
@@ -28,21 +28,23 @@ def sizes_for(scale, comm, granularity=64):
 
 
 def bu_level(num_ranks, examined=10_000_000, reads=2_000_000, cand=1_000_000):
-    lc = LevelCounts(level=0, direction=Direction.BOTTOM_UP)
-    lc.frontier_local = np.full(num_ranks, 1000, dtype=np.int64)
-    lc.candidates = np.full(num_ranks, cand, dtype=np.int64)
-    lc.examined_edges = np.full(num_ranks, examined, dtype=np.int64)
-    lc.inqueue_reads = np.full(num_ranks, reads, dtype=np.int64)
-    lc.discovered = np.full(num_ranks, 500, dtype=np.int64)
-    lc.inq_part_words = 2**20
-    lc.summary_part_words = 2**14
-    lc.allreduces = 3
-    return lc
+    """One bottom-up level's counts, as ``RunCounts.append`` keywords."""
+    return dict(
+        frontier_local=np.full(num_ranks, 1000, dtype=np.int64),
+        candidates=np.full(num_ranks, cand, dtype=np.int64),
+        examined_edges=np.full(num_ranks, examined, dtype=np.int64),
+        inqueue_reads=np.full(num_ranks, reads, dtype=np.int64),
+        discovered=np.full(num_ranks, 500, dtype=np.int64),
+        inq_part_words=2**20,
+        summary_part_words=2**14,
+        allreduces=3,
+    )
 
 
 def run_counts(comm, levels):
     rc = RunCounts(num_vertices=2**28, num_ranks=comm.num_ranks)
-    rc.levels = levels
+    for row in levels:
+        rc.append(False, **row)
     return rc
 
 
@@ -92,7 +94,7 @@ class TestPricerInvariants:
         sizes = sizes_for(28, comm)
         lc_plain = bu_level(comm.num_ranks)
         lc_switch = bu_level(comm.num_ranks)
-        lc_switch.switched = True
+        lc_switch["switched"] = True
         t_plain = assemble(run_counts(comm, [lc_plain]), comm, cfg, sizes)
         t_switch = assemble(run_counts(comm, [lc_switch]), comm, cfg, sizes)
         assert t_plain.breakdown.switch == 0.0
@@ -104,8 +106,8 @@ class TestPricerInvariants:
         sizes = sizes_for(28, comm)
         balanced = bu_level(comm.num_ranks)
         skewed = bu_level(comm.num_ranks)
-        skewed.examined_edges = skewed.examined_edges.copy()
-        skewed.examined_edges[0] *= 10
+        skewed["examined_edges"] = skewed["examined_edges"].copy()
+        skewed["examined_edges"][0] *= 10
         t_bal = assemble(run_counts(comm, [balanced]), comm, cfg, sizes)
         t_skew = assemble(run_counts(comm, [skewed]), comm, cfg, sizes)
         assert t_bal.breakdown.stall < t_skew.breakdown.stall
