@@ -56,7 +56,7 @@ GATHER = (
 #: statistics and termination check), its frontier codec's name (None:
 #: no codec), the per-rank counts, the ``(top-down levels, ranks,
 #: ranks)`` stack of alltoallv byte matrices and the allgather facts.
-_DTYPES = {
+COLUMNS = {
     "top_down": bool, "switched": bool, "allreduces": np.int64,
     "codec": object, **dict.fromkeys(PER_RANK, np.int64),
     "td_send_bytes": np.int64, **dict.fromkeys(GATHER, np.float64),
@@ -104,7 +104,7 @@ class LevelCounts:
 class RunCounts:
     """All levels of one BFS run, as columns, plus run-level facts.
 
-    The columns are attributes named as in :data:`_DTYPES`.  The engine
+    The columns are attributes named as in :data:`COLUMNS`.  The engine
     records a run level by level with :meth:`append`; the appended
     levels are stacked into columns once, on the first column read, and
     their shapes checked then (:meth:`validate`).
@@ -143,7 +143,7 @@ class RunCounts:
         del self._appended[levels:]
 
     def __getattr__(self, name: str):
-        if name not in _DTYPES:
+        if name not in COLUMNS:
             raise AttributeError(name)
         if self._cols is None:
             rows, r = self._appended, self.num_ranks
@@ -162,7 +162,7 @@ class RunCounts:
                         # Whole part words stay int64, shares go float64.
                         None if col == "inq_part_words" else dtype,
                     ).reshape(_shape(col, -1, r))
-                    for col, dtype in _DTYPES.items()
+                    for col, dtype in COLUMNS.items()
                 }
             except ValueError as exc:  # ragged levels
                 raise SimulationError(f"level counts do not stack: {exc}") from exc
@@ -184,16 +184,6 @@ class RunCounts:
                     f"expected {want}"
                 )
 
-    def freeze(self) -> None:
-        """Make every column read-only (counts shared by many pricings)."""
-        for name in _DTYPES:
-            getattr(self, name).flags.writeable = False
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the columns."""
-        return sum(getattr(self, name).nbytes for name in _DTYPES)
-
     @property
     def num_levels(self) -> int:
         """Number of BFS levels in the run."""
@@ -209,7 +199,7 @@ class RunCounts:
 
     def _row_views(self):
         cols = {}
-        for name in _DTYPES:
+        for name in COLUMNS:
             col = cols[name] = getattr(self, name).view()
             if col.ndim > 1:
                 col.flags.writeable = False

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import BFSConfig
+from repro.core.counts import COLUMNS
 from repro.core.engine import BFSEngine
 from repro.core.hybrid import DirectionPolicy
 from repro.core.multisource import MultiSourceEngine
@@ -73,6 +74,14 @@ def test_crash_at_every_level_resumes_bit_identically(
             kernel, codec, level,
         )
         assert result.levels == baseline.levels
+        # Every count column, the send stack included: the rollback
+        # truncated the replayed level and nothing else.
+        for name in COLUMNS:
+            got = getattr(result.counts, name)
+            want = getattr(baseline.counts, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (
+                kernel, codec, level, name,
+            )
         assert result.timing.total_ns == baseline.timing.total_ns
         assert result.recovery.rollbacks == 1
         assert result.recovery.replayed_levels == (level,)
