@@ -50,24 +50,26 @@ GATHER = (
 )
 
 
-#: Every column of a :class:`RunCounts` and its dtype: the level's
-#: direction (``top_down``), whether it converted the frontier
-#: representation first (``switched``), its small collectives (frontier
-#: statistics and termination check), its frontier codec's name (None:
-#: no codec), the per-rank counts, the ``(top-down levels, ranks,
-#: ranks)`` stack of alltoallv byte matrices and the allgather facts.
-COLUMNS = {
-    "top_down": bool, "switched": bool, "allreduces": np.int64,
-    "codec": object, **dict.fromkeys(PER_RANK, np.int64),
-    "td_send_bytes": np.int64, **dict.fromkeys(GATHER, np.float64),
-    "inq_part_words": np.int64,
-}
+#: Every column of a :class:`RunCounts`: per level its direction
+#: (``top_down``, bool), whether it converted the frontier representation
+#: first (``switched``, bool), its small collectives (``allreduces``:
+#: frontier statistics and termination check), its frontier codec's name
+#: (``codec``, object; None: no codec); the per-rank counts; the int64
+#: ``(top-down levels, ranks, ranks)`` stack of alltoallv byte matrices;
+#: the allgather facts.
+COLUMNS = (
+    "top_down", "switched", "allreduces", "codec", *PER_RANK,
+    "td_send_bytes", *GATHER,
+)
 
 
-def _shape(name: str, rows: int, ranks: int) -> tuple[int, ...]:
-    if name == "td_send_bytes":
-        return (rows, ranks, ranks)
-    return (rows, ranks) if name in PER_RANK else (rows,)
+#: What a :class:`RunCounts` stores: the per-level vectors, the per-rank
+#: columns as rows of one ``per_rank`` block, the send stack, and the
+#: float allgather columns (``GATHER[1:]``) as rows of one block.
+_STORED = (
+    "top_down", "switched", "allreduces", "codec", "inq_part_words",
+    "per_rank", "td_send_bytes", "_gather",
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,10 @@ class LevelCounts:
 class RunCounts:
     """All levels of one BFS run, as columns, plus run-level facts.
 
-    The columns are attributes named as in :data:`COLUMNS`.  The engine
+    The columns are attributes named as in :data:`COLUMNS`.  The five
+    per-rank columns are rows of one ``(5, levels, ranks)`` block,
+    :attr:`per_rank`, and the float allgather columns rows of another,
+    so each kind is scaled and priced in one operation.  The engine
     records a run level by level with :meth:`append`; the appended
     levels are stacked into columns once, on the first column read, and
     their shapes checked then (:meth:`validate`).
@@ -123,8 +128,7 @@ class RunCounts:
         # Graph500 numerator for TEPS).
         self.traversed_edges = traversed_edges
         self.visited_vertices = visited_vertices
-        self._appended: list[dict] = []
-        self._cols: dict[str, np.ndarray] | None = None
+        self._appended: list[dict] | None = []
         self._levels: tuple[LevelCounts, ...] | None = None
 
     def append(self, top_down: bool, **row) -> None:
@@ -132,7 +136,7 @@ class RunCounts:
         (``(ranks,)`` arrays), :data:`GATHER` facts, ``switched``,
         ``allreduces``, ``codec`` and, top-down, ``td_send_bytes``; any
         left out is zero."""
-        if self._cols is not None:
+        if self._appended is None:
             raise SimulationError("counts already stacked into columns")
         row["top_down"] = top_down
         self._appended.append(row)
@@ -143,46 +147,76 @@ class RunCounts:
         del self._appended[levels:]
 
     def __getattr__(self, name: str):
-        if name not in COLUMNS:
+        # Only reached while the columns are not attributes yet.
+        if name not in COLUMNS and name not in _STORED:
             raise AttributeError(name)
-        if self._cols is None:
-            rows, r = self._appended, self.num_ranks
-            zero = {
-                **dict.fromkeys(PER_RANK, np.zeros(r, np.int64)),
-                "td_send_bytes": np.zeros((r, r), np.int64),
-                "codec": None,
-            }
-            try:
-                self._cols = {
-                    col: np.array(
-                        [
-                            row.get(col, zero.get(col, 0)) for row in rows
-                            if col != "td_send_bytes" or row["top_down"]
-                        ],
-                        # Whole part words stay int64, shares go float64.
-                        None if col == "inq_part_words" else dtype,
-                    ).reshape(_shape(col, -1, r))
-                    for col, dtype in COLUMNS.items()
-                }
-            except ValueError as exc:  # ragged levels
-                raise SimulationError(f"level counts do not stack: {exc}") from exc
-            self._appended = []
-            self.validate()
-        return self._cols[name]
+        rows, r = self._appended, self.num_ranks
+        zero, no_send = np.zeros(r, np.int64), np.zeros((r, r), np.int64)
+
+        def per_level(name, default, dtype) -> np.ndarray:
+            return np.array([row.get(name, default) for row in rows], dtype)
+
+        try:
+            self._store({
+                "top_down": per_level("top_down", False, bool),
+                "switched": per_level("switched", False, bool),
+                "allreduces": per_level("allreduces", 0, np.int64),
+                "codec": per_level("codec", None, object),
+                # Whole part words stay int64, shares go float64.
+                "inq_part_words": per_level("inq_part_words", 0, None),
+                "per_rank": np.array(
+                    [row.get(n, zero) for n in PER_RANK for row in rows],
+                    np.int64,
+                ).reshape(len(PER_RANK), -1, r),
+                "td_send_bytes": np.array(
+                    [row.get("td_send_bytes", no_send) for row in rows
+                     if row["top_down"]],
+                    np.int64,
+                ).reshape(-1, r, r),
+                "_gather": np.array(
+                    [row.get(n, 0.0) for n in GATHER[1:] for row in rows],
+                    np.float64,
+                ).reshape(len(GATHER) - 1, -1),
+            })
+        except ValueError as exc:  # ragged levels
+            raise SimulationError(f"level counts do not stack: {exc}") from exc
+        self.validate()
+        return getattr(self, name)
+
+    def _store(self, stored: dict[str, np.ndarray]) -> None:
+        """Make ``stored`` (every :data:`_STORED` array) the columns."""
+        self.__dict__.update(stored)
+        self.__dict__.update(zip(PER_RANK, self.per_rank))
+        self.__dict__.update(zip(GATHER[1:], self._gather))
+        self._appended = None
 
     def validate(self) -> None:
         """Check every column's shape against the level and rank counts."""
-        levels, td_levels = len(self.top_down), int(self.top_down.sum())
-        for name, col in self._cols.items():
-            want = _shape(
-                name, td_levels if name == "td_send_bytes" else levels,
-                self.num_ranks,
-            )
-            if col.shape != want:
+        levels, r = len(self.top_down), self.num_ranks
+        want = {
+            "per_rank": (len(PER_RANK), levels, r),
+            "td_send_bytes": (int(self.top_down.sum()), r, r),
+            "_gather": (len(GATHER) - 1, levels),
+        }
+        for name in _STORED:
+            shape = getattr(self, name).shape
+            if shape != want.get(name, (levels,)):
                 raise SimulationError(
-                    f"count column {name} has shape {col.shape}, "
-                    f"expected {want}"
+                    f"count columns {name} have shape {shape}, "
+                    f"expected {want.get(name, (levels,))}"
                 )
+
+    def freeze(self) -> None:
+        """Make every column read-only (counts shared by many pricings)."""
+        self.validate()  # stacks any appended levels
+        for value in self.__dict__.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the columns."""
+        return sum(getattr(self, name).nbytes for name in _STORED)
 
     @property
     def num_levels(self) -> int:
@@ -198,24 +232,31 @@ class RunCounts:
         return self._levels
 
     def _row_views(self):
-        cols = {}
-        for name in COLUMNS:
-            col = cols[name] = getattr(self, name).view()
-            if col.ndim > 1:
-                col.flags.writeable = False
-            else:
-                cols[name] = col.tolist()
-        send = iter(cols.pop("td_send_bytes"))
-        for i, td in enumerate(cols.pop("top_down")):
-            row = {name: col[i] for name, col in cols.items()}
-            for name in GATHER if td else ():
-                # A top-down level's allgather facts are float zeros.
-                row[name] = float(row[name])
+        def frozen(block: np.ndarray) -> np.ndarray:
+            view = block.view()
+            view.flags.writeable = False
+            return view
+
+        per_rank = frozen(self.per_rank)
+        send = iter(frozen(self.td_send_bytes))
+        gather = [self.inq_part_words.tolist(), *self._gather.tolist()]
+        for i, (td, switched, allreduces, codec) in enumerate(zip(
+            self.top_down.tolist(), self.switched.tolist(),
+            self.allreduces.tolist(), self.codec.tolist(),
+        )):
             yield LevelCounts(
                 level=i,
                 direction=Direction.TOP_DOWN if td else Direction.BOTTOM_UP,
+                switched=switched,
                 td_send_bytes=next(send) if td else None,
-                **row,
+                codec=codec,
+                allreduces=allreduces,
+                **{name: per_rank[k, i] for k, name in enumerate(PER_RANK)},
+                # A top-down level's allgather facts are float zeros.
+                **{
+                    name: float(col[i]) if td else col[i]
+                    for name, col in zip(GATHER, gather)
+                },
             )
 
     def total_examined_edges(self) -> int:
@@ -255,7 +296,7 @@ class RunCounts:
                 values, out=np.empty(values.shape, np.int64), casting="unsafe"
             )
 
-        per_rank = np.stack([getattr(self, name) for name in PER_RANK])
+        per_rank = self.per_rank
         per_rank = rounded(
             regress(per_rank, per_rank.mean(axis=2, keepdims=True))
         )
@@ -277,24 +318,25 @@ class RunCounts:
             scaled_send = np.empty(send.shape)
         scaled_send[:, ranks, ranks] = diag * factor
 
-        # Compressed payloads are dominated by per-set-bit tokens (RLE
-        # runs, sparse gaps), and set bits scale linearly with the graph
-        # at fixed frontier density — so wire bytes scale with the same
-        # factor as their raw counterparts, keeping the level's
-        # compression ratio scale-invariant.
-        gather = np.stack([getattr(self, name) for name in GATHER]) * factor
         scaled = RunCounts(
             int(round(self.num_vertices * factor)), n,
             int(round(self.traversed_edges * factor)),
             int(round(self.visited_vertices * factor)),
         )
-        scaled._cols = {
-            "top_down": self.top_down.copy(),
-            "switched": self.switched.copy(),
-            "allreduces": self.allreduces.copy(),
-            "codec": self.codec.copy(),
+        scaled._store({
+            # Per-level facts do not scale: shared, not copied.
+            **{
+                name: getattr(self, name)
+                for name in ("top_down", "switched", "allreduces", "codec")
+            },
+            "per_rank": per_rank,
             "td_send_bytes": rounded(scaled_send),
-            **dict(zip(PER_RANK, per_rank)),
-            **dict(zip(GATHER, gather)),
-        }
+            # Compressed payloads are dominated by per-set-bit tokens
+            # (RLE runs, sparse gaps), and set bits scale linearly with
+            # the graph at fixed frontier density — so wire bytes scale
+            # with the same factor as their raw counterparts, keeping
+            # the level's compression ratio scale-invariant.
+            "inq_part_words": self.inq_part_words * factor,
+            "_gather": self._gather * factor,
+        })
         return scaled

@@ -401,7 +401,8 @@ class BFSEngine:
         results = []
         for s, root in enumerate(roots):
             run_counts = counts[s]
-            run_counts.visited_vertices = int(np.count_nonzero(parent[s] >= 0))
+            # The root plus every level's discoveries: no O(n) pass.
+            run_counts.visited_vertices = 1 + int(run_counts.discovered.sum())
             # Reached degree = all arcs minus the unexplored ones.
             run_counts.traversed_edges = (
                 graph.num_directed_edges - int(unexplored[s].sum())

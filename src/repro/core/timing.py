@@ -406,12 +406,9 @@ class _Pricer:
             self.socket.frequency_hz,
         )
 
-    def switch_time(
-        self, switched: np.ndarray, frontier: np.ndarray
-    ) -> np.ndarray:
-        """Every level's frontier representation conversion (bitmap <->
-        queue); zero where the level did not switch."""
-        vertices = frontier.max(axis=1, initial=0)
+    def switch_time(self, vertices: float) -> float:
+        """Frontier representation conversion (bitmap <-> queue) of a
+        level whose largest rank frontier has ``vertices`` members."""
         stream_t = self.sizes.out_part_bytes / self.graph_stream_bw * 1e9
         cpu_t = (
             vertices
@@ -419,7 +416,7 @@ class _Pricer:
             / (self.threads * self.socket.frequency_hz)
             * 1e9
         )
-        return np.where(switched, stream_t + cpu_t, 0.0)
+        return stream_t + cpu_t
 
     # ---- communication pricing -------------------------------------------
 
@@ -533,7 +530,7 @@ def assemble(
 
     Each direction's compute is priced in one pass over the ``(levels,
     ranks)`` count columns, every top-down exchange in one alltoallv call
-    over the send stack and every switch at once; the per-level results
+    over the send stack; the per-level results
     are then folded into the breakdown in level order, so the totals are
     those of pricing level by level.
     """
@@ -545,15 +542,14 @@ def assemble(
     pricer = _pricer(comm, config, sizes, constants)
     td = counts.top_down
     bu = ~td
-    frontier = counts.frontier_local.astype(np.float64)
-    examined = counts.examined_edges.astype(np.float64)
+    frontier, candidates, examined, inq_reads, _ = counts.per_rank.astype(
+        np.float64
+    )
     send = counts.td_send_bytes
     comp = np.empty(frontier.shape)
     comp[td] = pricer.top_down_compute(examined[td], frontier[td], send)
     comp[bu] = pricer.bottom_up_compute(
-        examined[bu],
-        counts.candidates[bu].astype(np.float64),
-        counts.inqueue_reads[bu].astype(np.float64),
+        examined[bu], candidates[bu], inq_reads[bu]
     )
     comp *= pricer.omp_penalty
     allreduces = counts.allreduces.tolist()
@@ -565,12 +561,12 @@ def assemble(
 
     timing = BfsTiming()
     bd = timing.breakdown
-    for level, (is_td, row, comp_mean, comp_max, switch_t, bu_row) in enumerate(
-        zip(
+    for level, (is_td, row, comp_mean, comp_max, switched, peak, bu_row) in (
+        enumerate(zip(
             td.tolist(), comp, comp.mean(axis=1).tolist(),
-            comp.max(axis=1).tolist(),
-            pricer.switch_time(counts.switched, frontier).tolist(), bu_comm,
-        )
+            comp.max(axis=1).tolist(), counts.switched.tolist(),
+            frontier.max(axis=1, initial=0).tolist(), bu_comm,
+        ))
     ):
         if is_td:
             comm_t, comm_steps = next(td_comm)
@@ -580,6 +576,7 @@ def assemble(
             comm_t, comm_steps = pricer.bottom_up_comm(*bu_row)
             bd.bu_compute += comp_mean
             bd.bu_comm += comm_t
+        switch_t = pricer.switch_time(peak) if switched else 0.0
         stall = comp_max - comp_mean
         bd.switch += switch_t
         bd.stall += stall

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import BFSConfig
-from repro.core.counts import COLUMNS, RunCounts
+from repro.core.counts import RunCounts
 from repro.core.engine import BFSEngine
 from repro.core.prepared import graph_digest
 from repro.core.teps import RootAverages
@@ -38,12 +38,6 @@ __all__ = ["PredictedGraph500", "predict_graph500"]
 _COUNT_MEMO_BYTES = 64 << 20
 
 
-def _columns(runs: tuple[RunCounts, ...]):
-    """Every count column of some runs."""
-    for counts in runs:
-        yield from (getattr(counts, name) for name in COLUMNS)
-
-
 #: (graph digest, count key, num_roots, seed) -> the measured-scale
 #: counts of the sampled roots, in root order.  Counts only: no parent
 #: arrays and no timings.  The columns are frozen read-only, and pricing
@@ -51,7 +45,7 @@ def _columns(runs: tuple[RunCounts, ...]):
 _COUNT_MEMO = LRUCache(
     maxsize=1024,
     max_bytes=_COUNT_MEMO_BYTES,
-    sizeof=lambda runs: sum(col.nbytes for col in _columns(runs)),
+    sizeof=lambda runs: sum(counts.nbytes for counts in runs),
     name="count memo",
 )
 
@@ -133,8 +127,8 @@ def predict_graph500(
             engine.run(int(root)).counts
             for root in sample_roots(graph, num_roots, seed=seed)
         )
-        for col in _columns(runs):
-            col.flags.writeable = False
+        for counts in runs:
+            counts.freeze()
         _COUNT_MEMO.put(key, runs)
     return PredictedGraph500(
         config=config,

@@ -140,14 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", action="append",
         help="workload to compare (repeatable; default every workload)",
     )
-    p_cmp.add_argument(
-        "--pairs", type=int, default=10,
-        help="measured pairs per workload (default 10)",
-    )
-    p_cmp.add_argument(
-        "--seconds", type=float, default=None,
-        help="--seconds of each run (default BENCHMARK.json run_seconds)",
-    )
     return parser
 
 

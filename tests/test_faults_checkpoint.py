@@ -82,6 +82,8 @@ def test_crash_at_every_level_resumes_bit_identically(
             assert got.dtype == want.dtype and np.array_equal(got, want), (
                 kernel, codec, level, name,
             )
+        with pytest.raises(ValueError):  # rows are read-only views
+            result.counts.levels[level].examined_edges[0] = 1
         assert result.timing.total_ns == baseline.timing.total_ns
         assert result.recovery.rollbacks == 1
         assert result.recovery.replayed_levels == (level,)
