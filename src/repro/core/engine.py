@@ -103,7 +103,7 @@ class BFSResult:
     @property
     def visited(self) -> int:
         """Number of reached vertices (including the root)."""
-        return int(np.count_nonzero(self.parent >= 0))
+        return self.counts.visited_vertices
 
     @property
     def traversed_edges(self) -> int:
@@ -229,7 +229,8 @@ class BFSEngine:
         """Members per rank of a frontier partitioned by the rank bounds
         (rank-major from the top-down step, ascending from the
         bottom-up scan): a binary search per bound, O(R log F)."""
-        return np.diff(np.searchsorted(frontier, self.partition.bounds))
+        ends = np.searchsorted(frontier, self.partition.bounds)
+        return ends[1:] - ends[:-1]  # np.diff, without its Python overhead
 
     def _frontier_facts(self, frontier: np.ndarray) -> tuple[np.ndarray, int]:
         """A frontier's per-rank sizes and degree sum, from scratch.  The
@@ -298,9 +299,8 @@ class BFSEngine:
         policies = [DirectionPolicy(self.config) for _ in roots]
         counts = [RunCounts(num_vertices=n, num_ranks=np_ranks) for _ in roots]
         prev_direction: list[str | None] = [None] * num
-        # Per lane, this level's direction and its counts so far: the
-        # row its RunCounts records once the level completes.
-        directions: list[str | None] = [None] * num
+        # Per lane, this level's counts so far: the row its RunCounts
+        # records once the level completes.
         rows: list[dict] = [{}] * num
         shared = self._shared_buffers()
         # Per lane, the union of all previously allgathered in_queues:
@@ -341,7 +341,6 @@ class BFSEngine:
                         tracer=tr,
                     )
                     prev = prev_direction[s]
-                    directions[s] = direction
                     rows[s] = {
                         "switched": prev is not None and prev != direction,
                         # Frontier statistics + termination check: 3
@@ -365,29 +364,34 @@ class BFSEngine:
                 ):
                     stepped = []
                     if top_down:
-                        stepped.append((top_down, self._top_down_step(
-                            [frontiers[s] for s in top_down],
-                            parent,
-                            np.asarray(top_down, dtype=np.int64),
-                            [rows[s] for s in top_down], level,
-                        )))
+                        stepped.append((
+                            Direction.TOP_DOWN, top_down,
+                            self._top_down_step(
+                                [frontiers[s] for s in top_down],
+                                parent,
+                                np.asarray(top_down, dtype=np.int64),
+                                [rows[s] for s in top_down], level,
+                            ),
+                        ))
                     if bottom_up:
-                        stepped.append((bottom_up, self._bottom_up_lanes(
-                            bottom_up, frontiers, parent, rows, level,
-                            shared, visited_words,
-                        )))
-                for lanes, (new, disc_degree) in stepped:
+                        stepped.append((
+                            Direction.BOTTOM_UP, bottom_up,
+                            self._bottom_up_lanes(
+                                bottom_up, frontiers, parent, rows, level,
+                                shared, visited_words,
+                            ),
+                        ))
+                for direction, lanes, (new, disc_degree) in stepped:
                     for s, frontier, disc in zip(lanes, new, disc_degree):
                         frontiers[s] = frontier
                         unexplored[s] -= disc
                         frontier_edges[s] = int(disc.sum())
-                for s in live:
-                    sizes[s] = self._rank_sizes(frontiers[s])
-                    counts[s].append(
-                        directions[s] == Direction.TOP_DOWN,
-                        discovered=sizes[s], **rows[s],
-                    )
-                    prev_direction[s] = directions[s]
+                        sizes[s] = self._rank_sizes(frontier)
+                        counts[s].append(
+                            direction == Direction.TOP_DOWN,
+                            discovered=sizes[s], **rows[s],
+                        )
+                        prev_direction[s] = direction
                 rec.barrier(level)
                 level += 1
             except RollbackFault as fault:
