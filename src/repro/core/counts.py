@@ -7,11 +7,11 @@ machine model (:mod:`repro.core.timing`), which is also what allows the
 paper-scale extrapolation in :mod:`repro.model`: counts scale linearly
 with the graph, structure sizes are swapped for target-scale ones.
 
-A :class:`RunCounts` stores its levels as columns: one ``(levels,
-ranks)`` array per per-rank count, one ``(top-down levels, ranks,
-ranks)`` stack of alltoallv byte matrices, and one vector per level
-fact.  Scaling and pricing work on whole columns; :attr:`RunCounts.levels`
-gives read-only :class:`LevelCounts` rows for readers that walk levels.
+A :class:`RunCounts` stores its levels as columns: a ``(levels,
+ranks)`` array per per-rank count, a ``(top-down levels, ranks, ranks)``
+stack of alltoallv byte matrices, and a vector per level fact.  Scaling
+and pricing work on whole columns; :attr:`RunCounts.levels` gives
+read-only :class:`LevelCounts` rows for readers that walk levels.
 """
 
 from __future__ import annotations

@@ -529,10 +529,10 @@ def assemble(
     """Price a run's counts on the machine model.
 
     Each direction's compute is priced in one pass over the ``(levels,
-    ranks)`` count columns, every top-down exchange in one alltoallv call
-    over the send stack; the per-level results
-    are then folded into the breakdown in level order, so the totals are
-    those of pricing level by level.
+    ranks)`` count columns and every top-down exchange in one alltoallv
+    call over the send stack; the per-level results are then folded into
+    the breakdown in level order, so the totals are those of pricing
+    level by level.
     """
     if counts.num_ranks != comm.num_ranks:
         raise SimulationError(
@@ -552,10 +552,9 @@ def assemble(
         examined[bu], candidates[bu], inq_reads[bu]
     )
     comp *= pricer.omp_penalty
-    allreduces = counts.allreduces.tolist()
     td_comm = iter(pricer.top_down_comm(send, counts.allreduces[td].tolist()))
     bu_comm = zip(
-        counts.codec.tolist(), allreduces,
+        counts.codec.tolist(), counts.allreduces.tolist(),
         *(getattr(counts, name).tolist() for name in _BU_COMM_COLUMNS),
     )
 
