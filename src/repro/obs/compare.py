@@ -227,17 +227,24 @@ def render(results) -> str:
 
 def compare_main(args) -> int:
     """``repro-perf compare``: build both trees, run, print, exit code."""
-    repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
-    change_rev = args.change
-    base_rev = change_rev if args.aa else args.base
+    base_rev, change_rev = args.base, args.change
+    if args.aa:  # one revision, the named one or HEAD, on both sides
+        base_rev = change_rev = base_rev or change_rev
     if base_rev is None:
         print("compare: name a base revision, or pass --aa", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="repro-compare-") as tmp:
-        trees = {
-            "base": _materialise(repo, base_rev, Path(tmp) / "base"),
-            "change": _materialise(repo, change_rev, Path(tmp) / "change"),
-        }
+        try:
+            repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel")
+                        .decode().strip())
+            trees = {
+                "base": _materialise(repo, base_rev, Path(tmp) / "base"),
+                "change": _materialise(repo, change_rev, Path(tmp) / "change"),
+            }
+        except subprocess.CalledProcessError as exc:
+            print(f"compare: {' '.join(exc.cmd)} failed:\n"
+                  f"{exc.stderr.decode(errors='replace')}", file=sys.stderr)
+            return 2
         contract = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         workloads = args.workload or [w["name"] for w in contract["workloads"]]
         print(f"base {base_rev} vs change {change_rev}: {PAIRS} pairs of "

@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument(
         "--aa", action="store_true",
-        help="run the changed revision against itself (noise floor)",
+        help="run one revision (the named one, default HEAD) against "
+        "itself: the noise floor",
     )
     p_cmp.add_argument(
         "--workload", action="append",
