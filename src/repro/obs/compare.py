@@ -7,7 +7,7 @@ and ``benchmarks/e2e/run.py`` runs in it as a subprocess with
 ``PYTHONDONTWRITEBYTECODE=1``.  Each side gets one discarded warm-up
 run first (it compiles the ``cnative`` kernel into that tree).  Then
 the runs go in pairs, one at a time, alternating which side starts, so
-a drift of the machine's speed over the session lands on both sides.
+a drift of the machine's speed during the comparison lands on both sides.
 
 Per workload and ``end_to_end`` metric of ``BENCHMARK.json`` the
 verdict reports each side's median and quartiles and an exact two-sided
