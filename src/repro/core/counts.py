@@ -63,15 +63,6 @@ COLUMNS = (
 )
 
 
-#: What a :class:`RunCounts` stores: the per-level vectors, the per-rank
-#: columns as rows of one ``per_rank`` block, the send stack, and the
-#: float allgather columns (``GATHER[1:]``) as rows of one block.
-_STORED = (
-    "top_down", "switched", "allreduces", "codec", "inq_part_words",
-    "per_rank", "td_send_bytes", "_gather",
-)
-
-
 @dataclass(frozen=True)
 class LevelCounts:
     """One level of a :class:`RunCounts`, as a read-only row.
@@ -106,19 +97,16 @@ class LevelCounts:
 class RunCounts:
     """All levels of one BFS run, as columns, plus run-level facts.
 
-    The columns are attributes named as in :data:`COLUMNS`.  The five
-    per-rank columns are rows of one ``(5, levels, ranks)`` block,
-    :attr:`per_rank`, and the float allgather columns rows of another,
-    so each kind is scaled and priced in one operation.  The engine
-    records a run level by level with :meth:`append`; the appended
-    levels are stacked into columns once, on the first column read, and
-    their shapes checked then (:meth:`validate`).
+    The columns are attributes named as in :data:`COLUMNS`; their shapes
+    are checked once, when the counts are built (:meth:`validate`).  A
+    recorded run is built from its level rows by :meth:`from_rows`.
     """
 
     def __init__(
         self,
         num_vertices: int,
         num_ranks: int,
+        columns: dict[str, np.ndarray],
         traversed_edges: int = 0,
         visited_vertices: int = 0,
     ) -> None:
@@ -128,95 +116,72 @@ class RunCounts:
         # Graph500 numerator for TEPS).
         self.traversed_edges = traversed_edges
         self.visited_vertices = visited_vertices
-        self._appended: list[dict] | None = []
+        self.__dict__.update(columns)
         self._levels: tuple[LevelCounts, ...] | None = None
+        self.validate()
 
-    def append(self, top_down: bool, **row) -> None:
-        """Record the next level: its :data:`PER_RANK` counts
-        (``(ranks,)`` arrays), :data:`GATHER` facts, ``switched``,
-        ``allreduces``, ``codec`` and, top-down, ``td_send_bytes``; any
-        left out is zero."""
-        if self._appended is None:
-            raise SimulationError("counts already stacked into columns")
-        row["top_down"] = top_down
-        self._appended.append(row)
+    @classmethod
+    def from_rows(
+        cls, num_vertices: int, num_ranks: int, rows: list[dict]
+    ) -> "RunCounts":
+        """Stack a run's level rows into columns.
 
-    def truncate(self, levels: int) -> None:
-        """Drop every appended level from ``levels`` on (a rollback's
-        replay)."""
-        del self._appended[levels:]
-
-    def __getattr__(self, name: str):
-        # Only reached while the columns are not attributes yet.
-        if name not in COLUMNS and name not in _STORED:
-            raise AttributeError(name)
-        rows, r = self._appended, self.num_ranks
+        A row is a dict of the level's :class:`LevelCounts` fields but
+        ``level``: its ``direction``, and any of the rest, which default
+        to zero (None: no ``codec``, no bottom-up ``td_send_bytes``).
+        """
+        r = num_ranks
         zero, no_send = np.zeros(r, np.int64), np.zeros((r, r), np.int64)
 
         def per_level(name, default, dtype) -> np.ndarray:
             return np.array([row.get(name, default) for row in rows], dtype)
 
         try:
-            self._store({
-                "top_down": per_level("top_down", False, bool),
+            # One array per kind of count, split into its columns.
+            per_rank = np.array(
+                [row.get(name, zero) for name in PER_RANK for row in rows],
+                np.int64,
+            ).reshape(len(PER_RANK), -1, r)
+            gather = np.array(
+                [row.get(name, 0.0) for name in GATHER[1:] for row in rows],
+                np.float64,
+            ).reshape(len(GATHER) - 1, -1)
+            columns = {
+                "top_down": np.array(
+                    [row["direction"] == Direction.TOP_DOWN for row in rows],
+                    bool,
+                ),
                 "switched": per_level("switched", False, bool),
                 "allreduces": per_level("allreduces", 0, np.int64),
                 "codec": per_level("codec", None, object),
-                # Whole part words stay int64, shares go float64.
-                "inq_part_words": per_level("inq_part_words", 0, None),
-                "per_rank": np.array(
-                    [row.get(n, zero) for n in PER_RANK for row in rows],
-                    np.int64,
-                ).reshape(len(PER_RANK), -1, r),
+                **dict(zip(PER_RANK, per_rank)),
                 "td_send_bytes": np.array(
                     [row.get("td_send_bytes", no_send) for row in rows
-                     if row["top_down"]],
+                     if row["direction"] == Direction.TOP_DOWN],
                     np.int64,
                 ).reshape(-1, r, r),
-                "_gather": np.array(
-                    [row.get(n, 0.0) for n in GATHER[1:] for row in rows],
-                    np.float64,
-                ).reshape(len(GATHER) - 1, -1),
-            })
+                # Whole part words stay int64, shares go float64.
+                "inq_part_words": per_level("inq_part_words", 0, None),
+                **dict(zip(GATHER[1:], gather)),
+            }
         except ValueError as exc:  # ragged levels
             raise SimulationError(f"level counts do not stack: {exc}") from exc
-        self.validate()
-        return getattr(self, name)
-
-    def _store(self, stored: dict[str, np.ndarray]) -> None:
-        """Make ``stored`` (every :data:`_STORED` array) the columns."""
-        self.__dict__.update(stored)
-        self.__dict__.update(zip(PER_RANK, self.per_rank))
-        self.__dict__.update(zip(GATHER[1:], self._gather))
-        self._appended = None
+        return cls(num_vertices, num_ranks, columns)
 
     def validate(self) -> None:
         """Check every column's shape against the level and rank counts."""
         levels, r = len(self.top_down), self.num_ranks
         want = {
-            "per_rank": (len(PER_RANK), levels, r),
+            **dict.fromkeys(PER_RANK, (levels, r)),
             "td_send_bytes": (int(self.top_down.sum()), r, r),
-            "_gather": (len(GATHER) - 1, levels),
         }
-        for name in _STORED:
+        for name in COLUMNS:
             shape = getattr(self, name).shape
             if shape != want.get(name, (levels,)):
                 raise SimulationError(
-                    f"count columns {name} have shape {shape}, "
+                    f"count column {name} has shape {shape}, "
                     f"expected {want.get(name, (levels,))}"
                 )
-
-    def freeze(self) -> None:
-        """Make every column read-only (counts shared by many pricings)."""
-        self.validate()  # stacks any appended levels
-        for value in self.__dict__.values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the columns."""
-        return sum(getattr(self, name).nbytes for name in _STORED)
 
     @property
     def num_levels(self) -> int:
@@ -232,14 +197,14 @@ class RunCounts:
         return self._levels
 
     def _row_views(self):
-        def frozen(block: np.ndarray) -> np.ndarray:
-            view = block.view()
+        def frozen(column: np.ndarray) -> np.ndarray:
+            view = column.view()
             view.flags.writeable = False
             return view
 
-        per_rank = frozen(self.per_rank)
+        per_rank = {name: frozen(getattr(self, name)) for name in PER_RANK}
         send = iter(frozen(self.td_send_bytes))
-        gather = [self.inq_part_words.tolist(), *self._gather.tolist()]
+        gather = {name: getattr(self, name).tolist() for name in GATHER}
         for i, (td, switched, allreduces, codec) in enumerate(zip(
             self.top_down.tolist(), self.switched.tolist(),
             self.allreduces.tolist(), self.codec.tolist(),
@@ -251,11 +216,11 @@ class RunCounts:
                 td_send_bytes=next(send) if td else None,
                 codec=codec,
                 allreduces=allreduces,
-                **{name: per_rank[k, i] for k, name in enumerate(PER_RANK)},
+                **{name: col[i] for name, col in per_rank.items()},
                 # A top-down level's allgather facts are float zeros.
                 **{
                     name: float(col[i]) if td else col[i]
-                    for name, col in zip(GATHER, gather)
+                    for name, col in gather.items()
                 },
             )
 
@@ -296,7 +261,8 @@ class RunCounts:
                 values, out=np.empty(values.shape, np.int64), casting="unsafe"
             )
 
-        per_rank = self.per_rank
+        # The per-rank columns regress in one operation.
+        per_rank = np.stack([getattr(self, name) for name in PER_RANK])
         per_rank = rounded(
             regress(per_rank, per_rank.mean(axis=2, keepdims=True))
         )
@@ -318,25 +284,24 @@ class RunCounts:
             scaled_send = np.empty(send.shape)
         scaled_send[:, ranks, ranks] = diag * factor
 
-        scaled = RunCounts(
+        return RunCounts(
             int(round(self.num_vertices * factor)), n,
+            {
+                # Per-level facts do not scale: shared, not copied.
+                **{
+                    name: getattr(self, name)
+                    for name in ("top_down", "switched", "allreduces", "codec")
+                },
+                **dict(zip(PER_RANK, per_rank)),
+                "td_send_bytes": rounded(scaled_send),
+                # Compressed payloads are dominated by per-set-bit tokens
+                # (RLE runs, sparse gaps), and set bits scale linearly
+                # with the graph at fixed frontier density — so wire
+                # bytes scale with the same factor as their raw
+                # counterparts, keeping the level's compression ratio
+                # scale-invariant.
+                **{name: getattr(self, name) * factor for name in GATHER},
+            },
             int(round(self.traversed_edges * factor)),
             int(round(self.visited_vertices * factor)),
         )
-        scaled._store({
-            # Per-level facts do not scale: shared, not copied.
-            **{
-                name: getattr(self, name)
-                for name in ("top_down", "switched", "allreduces", "codec")
-            },
-            "per_rank": per_rank,
-            "td_send_bytes": rounded(scaled_send),
-            # Compressed payloads are dominated by per-set-bit tokens
-            # (RLE runs, sparse gaps), and set bits scale linearly with
-            # the graph at fixed frontier density — so wire bytes scale
-            # with the same factor as their raw counterparts, keeping
-            # the level's compression ratio scale-invariant.
-            "inq_part_words": self.inq_part_words * factor,
-            "_gather": self._gather * factor,
-        })
-        return scaled

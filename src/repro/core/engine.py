@@ -103,7 +103,7 @@ class BFSResult:
     @property
     def visited(self) -> int:
         """Number of reached vertices (including the root)."""
-        return self.counts.visited_vertices
+        return int(np.count_nonzero(self.parent >= 0))
 
     @property
     def traversed_edges(self) -> int:
@@ -230,7 +230,7 @@ class BFSEngine:
         (rank-major from the top-down step, ascending from the
         bottom-up scan): a binary search per bound, O(R log F)."""
         ends = np.searchsorted(frontier, self.partition.bounds)
-        return ends[1:] - ends[:-1]  # np.diff, without its Python overhead
+        return ends[1:] - ends[:-1]
 
     def _frontier_facts(self, frontier: np.ndarray) -> tuple[np.ndarray, int]:
         """A frontier's per-rank sizes and degree sum, from scratch.  The
@@ -297,11 +297,11 @@ class BFSEngine:
         sizes = [size for size, _ in facts]
         frontier_edges = [edges for _, edges in facts]
         policies = [DirectionPolicy(self.config) for _ in roots]
-        counts = [RunCounts(num_vertices=n, num_ranks=np_ranks) for _ in roots]
+        # Per lane, its completed levels' count rows, stacked into its
+        # RunCounts once the run ends, and this level's row so far.
+        level_rows: list[list[dict]] = [[] for _ in roots]
+        rows: list[dict | None] = [None] * num
         prev_direction: list[str | None] = [None] * num
-        # Per lane, this level's counts so far: the row its RunCounts
-        # records once the level completes.
-        rows: list[dict] = [{}] * num
         shared = self._shared_buffers()
         # Per lane, the union of all previously allgathered in_queues:
         # common knowledge shared by encoder and decoder, which the sieve
@@ -314,7 +314,7 @@ class BFSEngine:
         )
         rec = self.recovery
         rec.start(
-            policies[0], parent[0], unexplored[0], counts[0],
+            policies[0], parent[0], unexplored[0], level_rows[0],
             None if visited_words is None else visited_words[0],
         )
         tr = self.tracer
@@ -342,6 +342,7 @@ class BFSEngine:
                     )
                     prev = prev_direction[s]
                     rows[s] = {
+                        "direction": direction,
                         "switched": prev is not None and prev != direction,
                         # Frontier statistics + termination check: 3
                         # small allreduces per level (n_f, m_f, m_u), as
@@ -364,34 +365,27 @@ class BFSEngine:
                 ):
                     stepped = []
                     if top_down:
-                        stepped.append((
-                            Direction.TOP_DOWN, top_down,
-                            self._top_down_step(
-                                [frontiers[s] for s in top_down],
-                                parent,
-                                np.asarray(top_down, dtype=np.int64),
-                                [rows[s] for s in top_down], level,
-                            ),
-                        ))
+                        stepped.append((top_down, self._top_down_step(
+                            [frontiers[s] for s in top_down],
+                            parent,
+                            np.asarray(top_down, dtype=np.int64),
+                            [rows[s] for s in top_down], level,
+                        )))
                     if bottom_up:
-                        stepped.append((
-                            Direction.BOTTOM_UP, bottom_up,
-                            self._bottom_up_lanes(
-                                bottom_up, frontiers, parent, rows, level,
-                                shared, visited_words,
-                            ),
-                        ))
-                for direction, lanes, (new, disc_degree) in stepped:
+                        stepped.append((bottom_up, self._bottom_up_lanes(
+                            bottom_up, frontiers, parent, rows, level,
+                            shared, visited_words,
+                        )))
+                for lanes, (new, disc_degree) in stepped:
                     for s, frontier, disc in zip(lanes, new, disc_degree):
                         frontiers[s] = frontier
                         unexplored[s] -= disc
                         frontier_edges[s] = int(disc.sum())
-                        sizes[s] = self._rank_sizes(frontier)
-                        counts[s].append(
-                            direction == Direction.TOP_DOWN,
-                            discovered=sizes[s], **rows[s],
-                        )
-                        prev_direction[s] = direction
+                for s in live:
+                    row = rows[s]
+                    row["discovered"] = sizes[s] = self._rank_sizes(frontiers[s])
+                    level_rows[s].append(row)
+                    prev_direction[s] = row["direction"]
                 rec.barrier(level)
                 level += 1
             except RollbackFault as fault:
@@ -404,7 +398,7 @@ class BFSEngine:
 
         results = []
         for s, root in enumerate(roots):
-            run_counts = counts[s]
+            run_counts = RunCounts.from_rows(n, np_ranks, level_rows[s])
             # The root plus every level's discoveries: no O(n) pass.
             run_counts.visited_vertices = 1 + int(run_counts.discovered.sum())
             # Reached degree = all arcs minus the unexplored ones.

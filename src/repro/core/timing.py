@@ -542,8 +542,10 @@ def assemble(
     pricer = _pricer(comm, config, sizes, constants)
     td = counts.top_down
     bu = ~td
-    frontier, candidates, examined, inq_reads, _ = counts.per_rank.astype(
-        np.float64
+    frontier, candidates, examined, inq_reads = np.array(
+        [counts.frontier_local, counts.candidates, counts.examined_edges,
+         counts.inqueue_reads],
+        np.float64,
     )
     send = counts.td_send_bytes
     comp = np.empty(frontier.shape)

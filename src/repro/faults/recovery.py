@@ -233,7 +233,7 @@ class Recovery:
     #: data-less collectives so the injector gets its attempts).
     injects = False
 
-    def start(self, policy, parent, unexplored, counts, visited_words):
+    def start(self, policy, parent, unexplored, level_rows, visited_words):
         """Run start: bind lane 0's live state (rolled back in place)."""
 
     def top_of_level(self, level: int, prev_direction, frontier) -> None:
@@ -289,12 +289,12 @@ class FaultTolerance(Recovery):
         if self.metrics is not None:
             self.metrics.counter(name, **labels).inc(amount)
 
-    def start(self, policy, parent, unexplored, counts, visited_words):
+    def start(self, policy, parent, unexplored, level_rows, visited_words):
         """Rearm the injector, empty the store and open a fresh log."""
         self._policy = policy
         self._parent = parent
         self._unexplored = unexplored
-        self._counts = counts
+        self._level_rows = level_rows
         self._visited = visited_words
         self.injector.reset()
         self.config.store.clear()
@@ -429,7 +429,7 @@ class FaultTolerance(Recovery):
             )
             if self._visited is not None and visited is not None:
                 self._visited[:] = visited
-        self._counts.truncate(ckpt.level)
+        del self._level_rows[ckpt.level:]
         log.replayed_levels.extend(range(ckpt.level, at_level + 1))
         overhead = cfg.cost.restore_ns(ckpt.nbytes, cfg.on_disk)
         if kind == "crash":

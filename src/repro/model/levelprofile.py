@@ -266,7 +266,7 @@ def synthesize_run_counts(
     # the paper quotes raw edge counts (64 G at scale 32) too.
     num_arcs = 2 * edgefactor * n
 
-    counts = RunCounts(num_vertices=n, num_ranks=num_ranks)
+    rows = []
     summary_words = summary_words_for(n, config.granularity)
     inq_part_words = bitops.words_for_bits(n) / num_ranks
 
@@ -276,6 +276,7 @@ def synthesize_run_counts(
     prev = None
     for lvl in profile:
         row = dict(
+            direction=lvl.direction,
             # Representation switches, as the engine marks them.
             switched=prev is not None and prev != lvl.direction,
             allreduces=3,
@@ -287,34 +288,31 @@ def synthesize_run_counts(
         if lvl.direction == Direction.TOP_DOWN:
             pair_bytes = 16.0 * lvl.discovered
             per_pair = pair_bytes / max(1, num_ranks * num_ranks)
-            counts.append(
-                True, **row,
-                td_send_bytes=np.full(
-                    (num_ranks, num_ranks), per_pair
-                ).astype(np.int64),
-            )
-            continue
-        if config.use_summary:
-            hits = lvl.discovered
-            misses = max(0.0, lvl.examined_edges - hits)
-            pass_frac = _summary_pass_fraction(
-                lvl.frontier_density, config.granularity
-            )
-            reads = hits + misses * pass_frac
-            row["summary_part_words"] = summary_words / num_ranks
+            row["td_send_bytes"] = np.full(
+                (num_ranks, num_ranks), per_pair
+            ).astype(np.int64)
         else:
-            reads = lvl.examined_edges
-        counts.append(
-            False, **row,
-            candidates=spread(lvl.candidates),
-            inqueue_reads=spread(reads),
-            inq_part_words=inq_part_words,
-        )
+            row["candidates"] = spread(lvl.candidates)
+            if config.use_summary:
+                hits = lvl.discovered
+                misses = max(0.0, lvl.examined_edges - hits)
+                pass_frac = _summary_pass_fraction(
+                    lvl.frontier_density, config.granularity
+                )
+                reads = hits + misses * pass_frac
+            else:
+                reads = lvl.examined_edges
+            row["inqueue_reads"] = spread(reads)
+            row["inq_part_words"] = inq_part_words
+            if config.use_summary:
+                row["summary_part_words"] = summary_words / num_ranks
+        rows.append(row)
 
     reached = sum(lvl.discovered for lvl in profile)
     reached_endpoints = sum(
         lvl.frontier_edge_endpoints for lvl in profile
     )
+    counts = RunCounts.from_rows(n, num_ranks, rows)
     counts.visited_vertices = int(reached)
     counts.traversed_edges = int(min(num_arcs // 2, reached_endpoints / 2))
     return counts, num_arcs

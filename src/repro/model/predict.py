@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import BFSConfig
-from repro.core.counts import RunCounts
+from repro.core.counts import COLUMNS, RunCounts
 from repro.core.engine import BFSEngine
 from repro.core.prepared import graph_digest
 from repro.core.teps import RootAverages
@@ -38,6 +38,13 @@ __all__ = ["PredictedGraph500", "predict_graph500"]
 _COUNT_MEMO_BYTES = 64 << 20
 
 
+def _arrays(runs: tuple[RunCounts, ...]):
+    """Every count column of some runs."""
+    for counts in runs:
+        for name in COLUMNS:
+            yield getattr(counts, name)
+
+
 #: (graph digest, count key, num_roots, seed) -> the measured-scale
 #: counts of the sampled roots, in root order.  Counts only: no parent
 #: arrays and no timings.  The columns are frozen read-only, and pricing
@@ -45,7 +52,7 @@ _COUNT_MEMO_BYTES = 64 << 20
 _COUNT_MEMO = LRUCache(
     maxsize=1024,
     max_bytes=_COUNT_MEMO_BYTES,
-    sizeof=lambda runs: sum(counts.nbytes for counts in runs),
+    sizeof=lambda runs: sum(arr.nbytes for arr in _arrays(runs)),
     name="count memo",
 )
 
@@ -127,8 +134,8 @@ def predict_graph500(
             engine.run(int(root)).counts
             for root in sample_roots(graph, num_roots, seed=seed)
         )
-        for counts in runs:
-            counts.freeze()
+        for arr in _arrays(runs):
+            arr.flags.writeable = False
         _COUNT_MEMO.put(key, runs)
     return PredictedGraph500(
         config=config,

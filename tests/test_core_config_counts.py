@@ -16,6 +16,7 @@ from repro.core import (
     assemble,
     paper_variants,
 )
+from repro.core.counts import COLUMNS
 from repro.errors import ConfigError, SimulationError
 from repro.graph import rmat_graph
 from repro.machine import Placement, paper_cluster
@@ -164,10 +165,14 @@ class TestCountScaling:
             res.counts.scaled(0)
 
     def test_validate_catches_bad_shapes(self):
-        rc = RunCounts(num_vertices=64, num_ranks=4)
-        rc.append(True, frontier_local=np.zeros(3, dtype=np.int64))  # wrong shape
+        row = dict(direction="top_down", frontier_local=np.zeros(3, np.int64))
+        with pytest.raises(SimulationError):  # wrong shape
+            RunCounts.from_rows(64, 4, [row])
+        good = RunCounts.from_rows(64, 4, [dict(direction="top_down")])
+        columns = {name: getattr(good, name) for name in COLUMNS}
+        columns["frontier_local"] = np.zeros((1, 3), dtype=np.int64)
         with pytest.raises(SimulationError):
-            rc.validate()
+            RunCounts(64, 4, columns)
 
 
 class TestTimingAssembler:

@@ -23,7 +23,7 @@ from repro.core.config import (
     SharingVariant,
     TraversalMode,
 )
-from repro.core.counts import RunCounts
+from repro.core.counts import COLUMNS, RunCounts
 from repro.core.engine import BFSEngine
 from repro.core.timing import CostConstants
 from repro.graph.degree import sample_roots
@@ -269,10 +269,10 @@ class TestCountMemo:
         second = self._predict(graph, BFSConfig.share_all_variant())
         assert _digest(runs) == before
         for counts in runs:
-            for lc in counts.levels:
-                assert not lc.examined_edges.flags.writeable
-                with pytest.raises(ValueError):
-                    lc.discovered[0] = 1
+            for name in COLUMNS:
+                assert not getattr(counts, name).flags.writeable, name
+            with pytest.raises(ValueError):
+                counts.discovered[0, 0] = 1
         for pred in (first, second):
             for p, counts in zip(pred.predictions, runs):
                 assert p.counts.examined_edges.flags.writeable

@@ -133,15 +133,12 @@ def run_counts(draw):
     pattern = draw(st.sampled_from(["top_down", "bottom_up", "mixed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     whole_words = draw(st.booleans())
-    counts = RunCounts(
-        num_vertices=int(rng.integers(64, 1 << 20)), num_ranks=r,
-        traversed_edges=int(rng.integers(0, 1 << 20)),
-        visited_vertices=int(rng.integers(0, 1 << 20)),
-    )
+    rows = []
     prev = None
     for _ in range(levels):
         td = pattern == "top_down" or (pattern == "mixed" and rng.random() < 0.5)
         row = dict(
+            direction=Direction.TOP_DOWN if td else Direction.BOTTOM_UP,
             switched=prev is not None and prev != td,
             allreduces=3,
             **{
@@ -158,14 +155,14 @@ def run_counts(draw):
                 send[rng.integers(0, r), rng.integers(0, r)] = rng.integers(1, 1 << 30)
             elif kind == "random":
                 send = rng.integers(0, 1 << 20, (r, r))
-            counts.append(True, td_send_bytes=send, **row)
+            rows.append(dict(row, td_send_bytes=send))
             continue
         codec = draw(st.sampled_from([None, "raw", "sparse-index", "sieve"]))
         words = int(rng.integers(1, 1 << 16))
         raw = words * 8.0 * r
         wire = raw if codec in (None, "raw") else float(rng.integers(1, raw))
-        counts.append(
-            False, codec=codec, **row,
+        rows.append(dict(
+            row, codec=codec,
             inq_part_words=words if whole_words else words / 3,
             summary_part_words=words / 64,
             inq_raw_total_bytes=raw, inq_wire_total_bytes=wire,
@@ -173,7 +170,10 @@ def run_counts(draw):
             summary_raw_total_bytes=raw / 64,
             summary_wire_total_bytes=wire / 64,
             summary_wire_part_bytes=wire / 64 / r,
-        )
+        ))
+    counts = RunCounts.from_rows(int(rng.integers(64, 1 << 20)), r, rows)
+    counts.traversed_edges = int(rng.integers(0, 1 << 20))
+    counts.visited_vertices = int(rng.integers(0, 1 << 20))
     return counts, make_comm(nodes, ppn)
 
 
@@ -225,12 +225,12 @@ def test_columns_equal_per_level_formulas(drawn, factor, summary):
 
 
 def test_row_views_are_read_only():
-    counts = RunCounts(num_vertices=64, num_ranks=2)
-    counts.append(
-        True, frontier_local=np.ones(2, np.int64),
-        td_send_bytes=np.ones((2, 2), np.int64),
-    )
-    counts.append(False, examined_edges=np.arange(2), inq_part_words=1)
+    counts = RunCounts.from_rows(64, 2, [
+        dict(direction=Direction.TOP_DOWN, frontier_local=np.ones(2, np.int64),
+             td_send_bytes=np.ones((2, 2), np.int64)),
+        dict(direction=Direction.BOTTOM_UP, examined_edges=np.arange(2),
+             inq_part_words=1),
+    ])
     top, bottom = counts.levels
     assert bottom.td_send_bytes is None and bottom.inq_part_words == 1
     for arr in (top.frontier_local, top.td_send_bytes, bottom.examined_edges):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import BFSConfig, CommConfig, StructureSizes
-from repro.core.counts import RunCounts
+from repro.core.counts import Direction, RunCounts
 from repro.core.timing import CostConstants, assemble, _Pricer
 from repro.machine import paper_cluster
 from repro.mpi import BindingPolicy, ProcessMapping, SimComm
@@ -28,8 +28,9 @@ def sizes_for(scale, comm, granularity=64):
 
 
 def bu_level(num_ranks, examined=10_000_000, reads=2_000_000, cand=1_000_000):
-    """One bottom-up level's counts, as ``RunCounts.append`` keywords."""
+    """One bottom-up level's counts, as a ``RunCounts.from_rows`` row."""
     return dict(
+        direction=Direction.BOTTOM_UP,
         frontier_local=np.full(num_ranks, 1000, dtype=np.int64),
         candidates=np.full(num_ranks, cand, dtype=np.int64),
         examined_edges=np.full(num_ranks, examined, dtype=np.int64),
@@ -42,10 +43,7 @@ def bu_level(num_ranks, examined=10_000_000, reads=2_000_000, cand=1_000_000):
 
 
 def run_counts(comm, levels):
-    rc = RunCounts(num_vertices=2**28, num_ranks=comm.num_ranks)
-    for row in levels:
-        rc.append(False, **row)
-    return rc
+    return RunCounts.from_rows(2**28, comm.num_ranks, levels)
 
 
 class TestPricerInvariants:
