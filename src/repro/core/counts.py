@@ -97,9 +97,10 @@ class LevelCounts:
 class RunCounts:
     """All levels of one BFS run, as columns, plus run-level facts.
 
-    The columns are attributes named as in :data:`COLUMNS`; their shapes
-    are checked once, when the counts are built (:meth:`validate`).  A
-    recorded run is built from its level rows by :meth:`from_rows`.
+    The columns are attributes named as in :data:`COLUMNS`.  A recorded
+    run is built from its level rows by :meth:`from_rows`, which checks
+    the columns' shapes (:meth:`validate`) once; :meth:`scaled` keeps
+    them.
     """
 
     def __init__(
@@ -118,7 +119,6 @@ class RunCounts:
         self.visited_vertices = visited_vertices
         self.__dict__.update(columns)
         self._levels: tuple[LevelCounts, ...] | None = None
-        self.validate()
 
     @classmethod
     def from_rows(
@@ -166,7 +166,9 @@ class RunCounts:
             }
         except ValueError as exc:  # ragged levels
             raise SimulationError(f"level counts do not stack: {exc}") from exc
-        return cls(num_vertices, num_ranks, columns)
+        counts = cls(num_vertices, num_ranks, columns)
+        counts.validate()
+        return counts
 
     def validate(self) -> None:
         """Check every column's shape against the level and rank counts."""
@@ -262,7 +264,7 @@ class RunCounts:
             )
 
         # The per-rank columns regress in one operation.
-        per_rank = np.stack([getattr(self, name) for name in PER_RANK])
+        per_rank = np.array([getattr(self, name) for name in PER_RANK])
         per_rank = rounded(
             regress(per_rank, per_rank.mean(axis=2, keepdims=True))
         )
@@ -284,6 +286,15 @@ class RunCounts:
             scaled_send = np.empty(send.shape)
         scaled_send[:, ranks, ranks] = diag * factor
 
+        # Compressed payloads are dominated by per-set-bit tokens (RLE
+        # runs, sparse gaps), and set bits scale linearly with the graph
+        # at fixed frontier density — so wire bytes scale with the same
+        # factor as their raw counterparts, keeping the level's
+        # compression ratio scale-invariant.
+        gather = np.array(
+            [getattr(self, name) for name in GATHER], np.float64
+        ) * factor
+
         return RunCounts(
             int(round(self.num_vertices * factor)), n,
             {
@@ -294,13 +305,7 @@ class RunCounts:
                 },
                 **dict(zip(PER_RANK, per_rank)),
                 "td_send_bytes": rounded(scaled_send),
-                # Compressed payloads are dominated by per-set-bit tokens
-                # (RLE runs, sparse gaps), and set bits scale linearly
-                # with the graph at fixed frontier density — so wire
-                # bytes scale with the same factor as their raw
-                # counterparts, keeping the level's compression ratio
-                # scale-invariant.
-                **{name: getattr(self, name) * factor for name in GATHER},
+                **dict(zip(GATHER, gather)),
             },
             int(round(self.traversed_edges * factor)),
             int(round(self.visited_vertices * factor)),

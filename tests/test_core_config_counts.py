@@ -172,7 +172,7 @@ class TestCountScaling:
         columns = {name: getattr(good, name) for name in COLUMNS}
         columns["frontier_local"] = np.zeros((1, 3), dtype=np.int64)
         with pytest.raises(SimulationError):
-            RunCounts(64, 4, columns)
+            RunCounts(64, 4, columns).validate()
 
 
 class TestTimingAssembler:

@@ -26,6 +26,7 @@ def check_invariants(graph, result):
     # (1) Discoveries across levels equal the reached set minus the root.
     discovered_total = sum(int(l.discovered.sum()) for l in levels)
     assert discovered_total == result.visited - 1
+    assert counts.visited_vertices == result.visited
 
     # (2) Each level's frontier is the previous level's discoveries
     # (level 0's frontier is the root).
